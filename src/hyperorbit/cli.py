@@ -30,6 +30,7 @@ from .io_text import (
     format_fraction,
     parse_family_spec,
     parse_fraction,
+    parse_int,
     parse_set_spec,
     parse_space_spec,
     parse_target_spec,
@@ -79,7 +80,7 @@ DENSITY_HEADER = (
 
 def run_densities(args, out):
     A = parse_set_spec(args.set)
-    grid = [int(s) for s in args.window_grid.split(",")] if args.window_grid else None
+    grid = [parse_int(s) for s in args.window_grid.split(",")] if args.window_grid else None
     report = estimate_densities(A, args.horizon, grid, args.tail_factor, workers=args.workers)
     write_csv(os.path.join(out, "densities.csv"), DENSITY_HEADER, _density_rows(args.set, report))
     return EXIT_OK
@@ -154,7 +155,7 @@ def run_verify_counterexample(args, out):
 
 
 def run_dj_scan(args, out):
-    js = [int(j) for j in args.j.split(",")]
+    js = [parse_int(j) for j in args.j.split(",")]
     rows = []
     all_ok = True
     for j in js:
@@ -282,8 +283,10 @@ def run_correlate(args, out):
     A = parse_set_spec(args.set)
     windows = []
     for part in args.windows.split(","):
-        m, _, s = part.partition(":")
-        windows.append((int(m), int(s)))
+        m, sep, s = part.partition(":")
+        if not sep:
+            raise UsageError(f"window {part!r} needs the form <start>:<length>")
+        windows.append((parse_int(m), parse_int(s)))
     rep = recurrence.correlation_scan(A, parse_fraction(args.epsilon), args.kmax, windows)
     write_csv(
         os.path.join(out, "correlation.csv"),
@@ -328,7 +331,7 @@ def run_eqbeta(args, out):
     w = parse_weight_spec(args.operator)
     A = parse_set_spec(args.set)
     if args.n:
-        ns = [int(x) for x in args.n.split(",")]
+        ns = [parse_int(x) for x in args.n.split(",")]
     else:
         ns = A.members_in(1, args.horizon)[: args.sample]
     rows = []
@@ -514,7 +517,8 @@ def main(argv=None) -> int:
     args.workers = resolve_workers(args.workers)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    params = {k: v for k, v in vars(args).items() if k not in ("config",)}
+    # the hash names the computation: where it is written and how many workers run it do not count
+    params = {k: v for k, v in vars(args).items() if k not in ("config", "out", "workers")}
     started = time.monotonic()
     try:
         code = _RUNNERS[args.command](args, out)

@@ -14,20 +14,22 @@ of a block sum equal the sum of term powers, so the certificates bound
 every finite sub-sum at once.
 
 Assembly keeps entries as exact dyadic fractions; bound verification
-compares squared norms rationally, with the truncation contribution
-reported as a separate additive term.
+compares squared norms exactly, as integers over one common denominator,
+with the truncation contribution reported as a separate additive term.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
 from .shifts import ShiftOperator, apply_backward, apply_right_inverse
-from .spaces import SparseVec, SpaceSpec, norm, norm_sq_exact
+from .spaces import SparseVec, SpaceSpec, norm
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,7 @@ def _geom_tail(rate_bits: int, ip, first_exp: int, gap: int, weight: Fraction) -
     if ip is None:
         return weight * Fraction(2) ** (-rate_bits * first_exp)
     r = Fraction(2) ** (-rate_bits * ip)
-    head = weight * r**first_exp if first_exp >= 0 else weight * r**first_exp
-    return head / (1 - r**gap)
+    return weight * r**first_exp / (1 - r**gap)
 
 
 def _first_member_at_least(gap: int, offset: int, cutoff: int) -> int:
@@ -506,28 +507,51 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
     rational arithmetic, must not exceed bound**2 + truncation**2, which is
     at most (bound + truncation)**2.  The truncation term covers members
     beyond the assembly cutoff and is reported separately per row.
+
+    The check needs a constant weight 2**rate with an integer rate > 0, the
+    only weights `_pow2_rate` accepts; other weights raise UsageError.  Then
+    B^n scales every entry by 2**(rate*n), so the orbit point is never built:
+
+        ‖B^n x - y‖² = 4^{rate·n} Σ_{j >= n} x_j²
+                       - 2^{rate·n+1} Σ_{m in supp y} x_{n+m} y_m + ‖y‖²
+
+    with the first sum over all j on a bilateral space.  Entries become
+    integer numerators over one common denominator, one backward pass gives
+    the suffix sums of x_j², and each level time costs one bisect plus
+    O(|supp y|) integer products and shifts, with no gcd.  The truncation
+    term is K·4^{rate·n} for a constant K of the plan.
     """
     plan = hc.plan
     rate = _pow2_rate(T)
-    ip = _int_p(T.space)
-    if ip != 2:
+    if rate is None:
+        raise UsageError("exact verification needs constant power-of-two weights 2**r with r >= 1")
+    if T.space.kind != "lp" or T.space.p != 2.0:
         raise UsageError("exact verification is implemented for the l2 norm")
+    xs, x_sq, ys, den = _integer_entries(hc.x, plan.targets)
+    keys = sorted(xs)
+    suffix = [0] * (len(keys) + 1)
+    for i in range(len(keys) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + x_sq[keys[i]]
+    den_sq = den * den
+    kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
     rows = []
     violations = []
     worst: dict = {}
     for l, k in enumerate(plan.selected, start=1):
-        y = plan.targets[l - 1]
+        y = ys[l - 1]
+        y_sq = sum(v * v for v in y.values())
         bound = proof_bound(l)
+        bn, bd = (bound * bound).as_integer_ratio()
+        # err/den² <= bn/bd + kn·4^s/kd, cross-multiplied
+        err_scale, fixed, per_row = bd * kd, den_sq * bn * kd, den_sq * bd * kn
         for n in plan.family.level(k).members_in(0, horizon):
-            trunc_sq = _truncation_sq(plan, T, rate, ip, hc.truncation, n)
-            orbit = apply_backward(T, hc.x, n)
-            err_sq = norm_sq_exact(orbit - y)
-            ok = err_sq <= bound * bound + trunc_sq
-            try:
-                achieved = float(err_sq) ** 0.5
-            except OverflowError:
-                achieved = float("inf")
-            trunc = _root_float(trunc_sq, ip)
+            s = rate * n
+            tail = suffix[0 if T.space.bilateral else bisect_left(keys, n)]
+            dot = sum(xs.get(n + m, 0) * v for m, v in y.items())
+            err = (tail << (2 * s)) - (dot << (s + 1)) + y_sq
+            ok = err * err_scale <= fixed + (per_row << (2 * s))
+            achieved = _sqrt_ratio(err, den_sq)
+            trunc = _sqrt_ratio(kn << (2 * s), kd)
             row = OrbitBoundRow(l, n, achieved, float(bound), trunc, ok)
             rows.append(row)
             slack = float(bound) + trunc - achieved
@@ -538,13 +562,44 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
     return OrbitBoundReport(tuple(rows), worst, tuple(violations), horizon)
 
 
-def _truncation_sq(plan, T, rate, ip, truncation, n) -> Fraction:
-    """Upper bound (as the p-power sum) for the orbit contribution of members
-    beyond the truncation cutoff, seen at time n."""
+def _integer_entries(x: SparseVec, targets):
+    """Numerators of x and of the targets over one common denominator.
+
+    Returns ({index: X_j}, {index: X_j²}, [{index: Y_m} per target], den)
+    with x_j = X_j / den and y_m = Y_m / den.  Floats and fractions convert
+    exactly.  Assembled vectors have only power-of-two denominators: den is
+    then their maximum and every rescaling, squares included, is a shift.
+    """
+    xf = {i: Fraction(v) for i, v in x.entries.items()}
+    yf = [{i: Fraction(v) for i, v in y.entries.items()} for y in targets]
+    dens = {f.denominator for vec in (xf, *yf) for f in vec.values()}
+    if all(d & (d - 1) == 0 for d in dens):
+        den = max(dens, default=1)
+        shifts = {d: den.bit_length() - d.bit_length() for d in dens}
+        lift = {d: (1 << k, 1 << (2 * k)) for d, k in shifts.items()}
+    else:
+        den = math.lcm(*dens)
+        lift = {d: (den // d, (den // d) ** 2) for d in dens}
+    xs = {i: f.numerator * lift[f.denominator][0] for i, f in xf.items()}
+    x_sq = {i: f.numerator**2 * lift[f.denominator][1] for i, f in xf.items()}
+    ys = [{i: f.numerator * lift[f.denominator][0] for i, f in vec.items()} for vec in yf]
+    return xs, x_sq, ys, den
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) from the correctly rounded quotient, inf past the float range."""
+    try:
+        return (num / den) ** 0.5
+    except OverflowError:
+        return float("inf")
+
+
+def _truncation_constant(plan, rate, truncation) -> Fraction:
+    """K such that K·4**(rate*n) bounds the squared l2 norm of the orbit
+    contribution, seen at time n, of members beyond the truncation cutoff."""
     total = Fraction(0)
     for l, k in enumerate(plan.selected, start=1):
         g, o = _progression(plan.family.level(k))
         first = _first_member_at_least(g, o, truncation + 1)
-        wt = _norm_pow(plan.targets[l - 1], ip)
-        total += _geom_tail(rate, ip, first - n, g, wt)
+        total += _geom_tail(rate, 2, first, g, _norm_pow(plan.targets[l - 1], 2))
     return total

@@ -46,6 +46,20 @@ def parse_fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational") from exc
 
 
+def parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {text!r} as an integer") from exc
+
+
+def _parse_float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse {text!r} as a number") from exc
+
+
 def format_fraction(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
@@ -68,32 +82,34 @@ def parse_set_spec(spec: str):
     head, _, rest = spec.partition(":")
     if head == "periodic":
         p, _, residues = rest.partition(":")
-        rs = tuple(int(r) for r in residues.split(",") if r != "")
-        return PeriodicSet(int(p), rs)
+        rs = tuple(parse_int(r) for r in residues.split(",") if r != "")
+        return PeriodicSet(parse_int(p), rs)
     if head == "arith":
         g, _, o = rest.partition(":")
-        return PeriodicSet(int(g), (int(o or 0),))
+        return PeriodicSet(parse_int(g), (parse_int(o or 0),))
     if head == "explicit":
-        return ExplicitSet(tuple(int(x) for x in rest.split(",") if x != ""))
+        return ExplicitSet(tuple(parse_int(x) for x in rest.split(",") if x != ""))
     if head == "explicit-file":
         with open(rest, "r", encoding="utf-8") as fh:
-            return ExplicitSet(tuple(int(line) for line in fh if line.strip()))
+            return ExplicitSet(tuple(parse_int(line) for line in fh if line.strip()))
     if head == "intervals":
         ivs = []
         for part in rest.split(","):
             a, _, b = part.partition("-")
-            ivs.append((int(a), int(b)))
+            ivs.append((parse_int(a), parse_int(b)))
         return IntervalUnionSet(tuple(ivs))
     if head == "powers":
         parts = rest.split(":")
-        base = int(parts[0])
-        min_exp = int(parts[1]) if len(parts) > 1 else 0
+        base = parse_int(parts[0])
+        min_exp = parse_int(parts[1]) if len(parts) > 1 else 0
         return GeometricSet(base, min_exp)
     if head == "segments":
         segs = []
         for part in rest.split(";"):
-            s, e, n, d = (int(x) for x in part.split(":"))
-            segs.append((s, e, n, d))
+            fields = part.split(":")
+            if len(fields) != 4:
+                raise UsageError(f"segment {part!r} needs the form <start>:<end>:<num>:<den>")
+            segs.append(tuple(parse_int(x) for x in fields))
         return SegmentPatternSet(tuple(segs))
     if head == "prescribed":
         rs = [parse_fraction(x) for x in rest.split(",")]
@@ -119,14 +135,14 @@ def parse_weight_spec(spec: str):
         return ConstantWeights(2.0)
     head, _, rest = spec.partition(":")
     if head == "constant":
-        return ConstantWeights(float(Fraction(rest)))
+        return ConstantWeights(float(parse_fraction(rest)))
     if head == "ratio-power":
-        return RatioPowerWeights(float(Fraction(rest)))
+        return RatioPowerWeights(float(parse_fraction(rest)))
     if head == "counterexample-c0" or spec == "counterexample-c0":
         return cx.DoublingResetWeights()
     if head == "table":
         with open(rest, "r", encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+            values = [_parse_float(line) for line in fh if line.strip()]
         return TableWeights(values)
     raise UsageError(f"unknown weight spec {spec!r}")
 
@@ -142,26 +158,25 @@ def parse_space_spec(spec: str) -> SpaceSpec:
         return lp(float(spec[1]), bilateral)
     head, _, rest = spec.partition(":")
     if head == "lp":
-        return lp(float(Fraction(rest)), bilateral)
+        return lp(float(parse_fraction(rest)), bilateral)
     raise UsageError(f"unknown space spec {spec!r}")
 
 
 def parse_family_spec(spec: str) -> SetFamily:
     head, _, rest = spec.strip().partition(":")
     parts = [p for p in rest.split(":") if p != ""]
+    second_default = {"dyadic-block": 6, "prime-power": 5, "counterexample": 3}
+    if head not in second_default:
+        raise UsageError(f"unknown family spec {spec!r}")
+    if not parts:
+        raise UsageError(f"family spec {spec!r} needs a level count")
+    k_max = parse_int(parts[0])
+    second = parse_int(parts[1]) if len(parts) > 1 else second_default[head]
     if head == "dyadic-block":
-        k_max = int(parts[0])
-        spread = int(parts[1]) if len(parts) > 1 else 6
-        return dyadic_block_family(k_max, spread)
+        return dyadic_block_family(k_max, second)
     if head == "prime-power":
-        k_max = int(parts[0])
-        min_exp = int(parts[1]) if len(parts) > 1 else 5
-        return prime_power_family(k_max, min_exp)
-    if head == "counterexample":
-        k_max = int(parts[0])
-        reps = int(parts[1]) if len(parts) > 1 else 3
-        return cx.build_block_family(k_max, reps).set_family()
-    raise UsageError(f"unknown family spec {spec!r}")
+        return prime_power_family(k_max, second)
+    return cx.build_block_family(k_max, second).set_family()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +203,8 @@ def read_vector(path) -> SparseVec:
                 space = parse_space_spec(line.removeprefix("# space").strip())
                 continue
             idx, _, val = line.partition(" ")
-            entries[int(idx)] = Fraction(val) if "/" in val or val.lstrip("-").isdigit() else float(val)
+            exact = "/" in val or val.lstrip("-").isdigit()
+            entries[parse_int(idx)] = parse_fraction(val) if exact else _parse_float(val)
     if space is None:
         raise UsageError(f"{path} is missing its space header")
     return SparseVec(entries, space)
@@ -198,16 +214,16 @@ def parse_vector_spec(spec: str, space: SpaceSpec, dense=None) -> SparseVec:
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "e":
-        return SparseVec.basis(space, int(rest))
+        return SparseVec.basis(space, parse_int(rest))
     if head == "zero":
         return SparseVec.zero(space)
     if head == "dense":
         if dense is None:
             raise UsageError("dense targets need a dense sequence")
-        return dense.item(int(rest))
+        return dense.item(parse_int(rest))
     if head == "ones":
         a, _, b = rest.partition("-")
-        return SparseVec({i: 1 for i in range(int(a), int(b) + 1)}, space)
+        return SparseVec({i: 1 for i in range(parse_int(a), parse_int(b) + 1)}, space)
     if head == "file":
         return read_vector(rest)
     raise UsageError(f"unknown vector spec {spec!r}")
@@ -218,7 +234,7 @@ def parse_target_spec(spec: str, space: SpaceSpec, dense=None):
     body, _, radius = spec.rpartition("@")
     if not body:
         raise UsageError(f"target spec {spec!r} needs the form <vector>@<radius>")
-    return parse_vector_spec(body, space, dense), float(Fraction(radius))
+    return parse_vector_spec(body, space, dense), float(parse_fraction(radius))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Finitely supported vectors over lp / c0 sequence spaces with exact norms.
+"""Finitely supported vectors over lp / c0 sequence spaces.
 
 Scalars are reals; dyadic rationals may be carried as `fractions.Fraction`
 so that shift orbits built from powers of two stay exact far below the
 double-precision underflow threshold.  Norm values are floats; where a
 bound check must be exact, `norm_sq_exact` exposes the rational square of
-the l2 norm.  Ball tests compare `norm(v - center) < radius` strictly and
-exactly: tolerance policy belongs to callers, not to this module.
+the l2 norm.  Ball tests compare `norm(v - center) < radius` strictly, with
+the norm and the comparison in floats, so a point within rounding of the
+sphere can fall on either side.  Tolerance policy belongs to callers, not
+to this module.
 """
 
 from __future__ import annotations
@@ -205,7 +207,11 @@ def _safe_pow(x: float, p: float) -> float:
 
 
 def ball_contains(center: SparseVec, radius: float, v: SparseVec) -> bool:
-    """Open-ball test: norm(v - center) < radius, strict and tolerance-free."""
+    """Open-ball test: norm(v - center) < radius, strict and tolerance-free.
+
+    Not exact: the float norm is compared with the float radius, so a
+    point within rounding of the sphere can be misjudged.
+    """
     _same_space(center, v)
     if radius <= 0:
         return False

@@ -9,6 +9,17 @@ from fractions import Fraction
 
 import pytest
 
+from hyperorbit import apply_backward, norm_sq_exact, proof_bound
+from hyperorbit.constructor import (
+    OrbitBoundReport,
+    OrbitBoundRow,
+    _first_member_at_least,
+    _geom_tail,
+    _norm_pow,
+    _pow2_rate,
+    _progression,
+)
+
 
 def brute_count(A, a, b):
     return sum(1 for n in range(a, b + 1) if A.contains(n))
@@ -52,6 +63,39 @@ def periodic_eta(period, residues, k):
     """Exact density of {n : n in A and n + k in A} for a periodic set."""
     hits = sum(1 for r in range(period) if (r % period) in residues and ((r + k) % period) in residues)
     return Fraction(hits, period)
+
+
+def brute_orbit_bounds(hc, T, horizon):
+    """verify_orbit_bounds by definition: at every level time n, shift the
+    whole vector with apply_backward and sum the squared error with
+    norm_sq_exact; the truncation term is summed level by level at each n."""
+    plan = hc.plan
+    rate = _pow2_rate(T)
+    rows, violations, worst = [], [], {}
+    for l, k in enumerate(plan.selected, start=1):
+        y = plan.targets[l - 1]
+        bound = proof_bound(l)
+        for n in plan.family.level(k).members_in(0, horizon):
+            trunc_sq = Fraction(0)
+            for j, kj in enumerate(plan.selected, start=1):
+                g, o = _progression(plan.family.level(kj))
+                first = _first_member_at_least(g, o, hc.truncation + 1)
+                trunc_sq += _geom_tail(rate, 2, first - n, g, _norm_pow(plan.targets[j - 1], 2))
+            err_sq = norm_sq_exact(apply_backward(T, hc.x, n) - y)
+            ok = err_sq <= bound * bound + trunc_sq
+            try:
+                achieved = float(err_sq) ** 0.5
+            except OverflowError:
+                achieved = float("inf")
+            trunc = float(trunc_sq) ** 0.5
+            row = OrbitBoundRow(l, n, achieved, float(bound), trunc, ok)
+            rows.append(row)
+            slack = float(bound) + trunc - achieved
+            if l not in worst or slack < worst[l]:
+                worst[l] = slack
+            if not ok:
+                violations.append(row)
+    return OrbitBoundReport(tuple(rows), worst, tuple(violations), horizon)
 
 
 @pytest.fixture

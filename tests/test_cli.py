@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from hyperorbit.cli import main
 
 
@@ -170,6 +172,23 @@ def test_usage_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["densities", "--set", "periodic:x:1"],
+        ["densities", "--set", "evens", "--window-grid", "a"],
+        ["correlate", "--set", "evens", "--windows", "0-10"],
+        ["orbit", "--vector", "e:0", "--targets", "e:0@abc"],
+    ],
+    ids=["set-spec", "window-grid", "windows", "target-radius"],
+)
+def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, "bad", *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_verification_failure_exit_code(tmp_path):
     code, _ = run(
         tmp_path, "vf", "construct", "--operator", "constant:1", "--depth", "2", "--horizon", "1000"
@@ -206,3 +225,20 @@ def test_config_file_roundtrip(tmp_path):
     assert "arith:3:0," in body  # the explicit flag overrides the config value
     assert ",5000," in body  # the config horizon is used
     assert "333/1000" in body  # one third, up to the window rounding
+
+
+def _config_hash(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return next(line for line in lines if line.startswith("config_hash:"))
+
+
+def test_config_hash_ignores_out_and_workers(tmp_path):
+    argv = ["densities", "--set", "evens", "--horizon", "2000"]
+    hashes = set()
+    for name, workers in (("one", "1"), ("two", "2")):
+        code, out = run(tmp_path, name, *argv, "--workers", workers)
+        assert code == 0
+        hashes.add(_config_hash(out))
+    assert len(hashes) == 1
+    _, other = run(tmp_path, "other", "densities", "--set", "evens", "--horizon", "3000")
+    assert _config_hash(other) not in hashes  # a different computation

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperorbit import (
     ConstantWeights,
@@ -10,6 +12,7 @@ from hyperorbit import (
     ShiftOperator,
     SparseVec,
     assemble_vector,
+    c0,
     check_gap_family,
     dyadic_block_family,
     lp,
@@ -23,7 +26,7 @@ from hyperorbit.constructor import ConstructionPlan, HCVector
 from hyperorbit.errors import FamilyExhaustedError, UsageError
 from hyperorbit.indexsets import ExplicitSet, PeriodicSet
 
-from conftest import brute_gap_ok
+from conftest import brute_gap_ok, brute_orbit_bounds
 
 L2 = lp(2.0)
 DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
@@ -227,3 +230,115 @@ def test_doubling_truncation_keeps_certificates(verified_run):
     assert max(r.truncation_term for r in report2.rows) <= max(
         r.truncation_term for r in report.rows
     )
+
+
+# ---------------------------------------------------------------------------
+# the incremental verifier against the brute-force oracle
+
+
+def _assert_matches_oracle(hc, T, horizon):
+    report = verify_orbit_bounds(hc, T, horizon)
+    oracle = brute_orbit_bounds(hc, T, horizon)
+    assert report.rows == oracle.rows
+    assert report.worst_slack == oracle.worst_slack
+    assert report.violations == oracle.violations
+    return report
+
+
+def test_verifier_matches_oracle_on_constructed_vector(verified_run):
+    _, hc, _ = verified_run
+    assert _assert_matches_oracle(hc, DOUBLING, 6000).ok
+
+
+def test_verifier_matches_oracle_on_corrupted_vector(verified_run):
+    plan, hc, _ = verified_run
+    entries = dict(hc.x.entries)
+    victim = plan.level_set(4).members_in(0, 6000)[0]
+    entries[victim] = entries[victim] + 1
+    bad = HCVector(SparseVec(entries, L2), plan, hc.truncation)
+    assert not _assert_matches_oracle(bad, DOUBLING, 6000).ok
+
+
+def test_verifier_matches_oracle_past_the_support(verified_run):
+    # times far beyond the assembly cutoff: n + W passes the last entry of x
+    plan, _, _ = verified_run
+    short = assemble_vector(plan, DOUBLING, 300)
+    _assert_matches_oracle(short, DOUBLING, 700)
+
+
+def test_truncation_term_saturates_past_the_float_range(verified_run):
+    # the oracle's float conversion overflows here; the verifier reports inf
+    plan, _, _ = verified_run
+    report = verify_orbit_bounds(assemble_vector(plan, DOUBLING, 300), DOUBLING, 1200)
+    assert max(r.truncation_term for r in report.rows) == float("inf")
+    assert report.ok  # the exact comparison still decides every row
+
+
+def test_verifier_matches_oracle_on_mixed_entries():
+    fam = SetFamily("fours", (PeriodicSet(4, (1,)), PeriodicSet(8, (3,))))
+    targets = (
+        SparseVec({0: Fraction(1, 2), 2: Fraction(-3, 4)}, L2),  # a gap at index 1
+        SparseVec({1: Fraction(5, 8)}, L2),
+    )
+    plan = ConstructionPlan(fam, (1, 2), targets, (), 20, DOUBLING.describe())
+    x = SparseVec({1: Fraction(1, 3), 3: 0.375, 4: Fraction(5, 64), 5: -1.25, 7: Fraction(2, 7)}, L2)
+    _assert_matches_oracle(HCVector(x, plan, 8), DOUBLING, 20)
+
+
+_DYADIC = st.builds(lambda m, k: Fraction(m, 2**k), st.integers(-64, 64).filter(bool), st.integers(0, 12))
+_NON_DYADIC = st.builds(
+    lambda m, d, k: Fraction(m, d * 2**k),
+    st.integers(-64, 64).filter(bool),
+    st.sampled_from((3, 5, 7, 9)),
+    st.integers(0, 6),
+)
+# small dyadic floats: at shifts up to 2**24 the oracle's float - Fraction
+# subtraction against these targets stays exact
+_FLOAT = st.builds(lambda m, k: m / 2**k, st.integers(-255, 255).filter(bool), st.integers(0, 10))
+
+
+@st.composite
+def _orbit_cases(draw):
+    space = lp(2.0, bilateral=draw(st.booleans()))
+    T = ShiftOperator(ConstantWeights(draw(st.sampled_from((2.0, 4.0)))), space)
+    lo = -4 if space.bilateral else 0
+    sets, targets = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(1, 6))
+        sets.append(PeriodicSet(g, (draw(st.integers(0, g - 1)),)))
+        targets.append(SparseVec(draw(st.dictionaries(st.integers(lo, 5), _DYADIC, min_size=1, max_size=3)), space))
+    selected = tuple(range(1, len(sets) + 1))
+    plan = ConstructionPlan(SetFamily("random", tuple(sets)), selected, tuple(targets), (), 12, T.describe())
+    truncation = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        noise = draw(st.dictionaries(st.integers(lo, 24), _DYADIC, max_size=4))
+        x = assemble_vector(plan, T, truncation).x + SparseVec(noise, space)
+    else:
+        entries = st.one_of(_DYADIC, _NON_DYADIC, _FLOAT)
+        x = SparseVec(draw(st.dictionaries(st.integers(lo, 24), entries, max_size=10)), space)
+    return HCVector(x, plan, truncation), T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_orbit_cases(), st.integers(0, 12))
+def test_verifier_matches_oracle(case, horizon):
+    hc, T = case
+    _assert_matches_oracle(hc, T, horizon)
+
+
+@pytest.mark.parametrize(
+    "weights, space",
+    [
+        (RatioPowerWeights(2.0), L2),
+        (ConstantWeights(3.0), L2),
+        (ConstantWeights(1.0), L2),
+        (ConstantWeights(2.0), lp(1.5)),
+        (ConstantWeights(2.0), lp(1.0)),
+        (ConstantWeights(2.0), c0()),
+    ],
+    ids=["ratio-power", "constant-3", "constant-1", "lp-1.5", "l1", "c0"],
+)
+def test_verifier_needs_a_dyadic_rate_on_l2(verified_run, weights, space):
+    _, hc, _ = verified_run
+    with pytest.raises(UsageError):
+        verify_orbit_bounds(hc, ShiftOperator(weights, space), 6000)

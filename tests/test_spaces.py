@@ -59,6 +59,14 @@ def test_ball_strictness():
     assert not ball_contains(SparseVec.zero(L2), 1.0, e0)  # open ball
 
 
+@pytest.mark.xfail(strict=True, reason="ball tests compare a float norm with a float radius")
+def test_ball_contains_exact_near_the_sphere():
+    # sqrt(2.0) as a float is slightly above sqrt(2), so {0: 1, 1: 1} lies
+    # strictly inside; the float norm rounds to the radius and reads as outside
+    assert Fraction(sqrt(2.0)) ** 2 > 2
+    assert ball_contains(SparseVec.zero(L2), sqrt(2.0), SparseVec({0: 1, 1: 1}, L2))
+
+
 def test_ball_space_mismatch():
     with pytest.raises(SpaceMismatchError):
         ball_contains(SparseVec.basis(L2, 0), 1.0, SparseVec.basis(L1, 0))
