@@ -509,7 +509,8 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
     beyond the assembly cutoff and is reported separately per row.
 
     The check needs a constant weight 2**rate with an integer rate > 0, the
-    only weights `_pow2_rate` accepts; other weights raise UsageError.  Then
+    only weights `_pow2_rate` accepts, on l2, and plan levels that are
+    single-residue periodic sets; anything else raises UsageError.  Then
     B^n scales every entry by 2**(rate*n), so the orbit point is never built:
 
         ‖B^n x - y‖² = 4^{rate·n} Σ_{j >= n} x_j²
@@ -533,7 +534,10 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
     for i in range(len(keys) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + x_sq[keys[i]]
     den_sq = den * den
-    kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
+    try:
+        kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
+    except _Unsupported as exc:
+        raise UsageError(f"exact verification: {exc}") from exc
     rows = []
     violations = []
     worst: dict = {}
@@ -568,21 +572,30 @@ def _integer_entries(x: SparseVec, targets):
     Returns ({index: X_j}, {index: X_j²}, [{index: Y_m} per target], den)
     with x_j = X_j / den and y_m = Y_m / den.  Floats and fractions convert
     exactly.  Assembled vectors have only power-of-two denominators: den is
-    then their maximum and every rescaling, squares included, is a shift.
+    then their maximum and every numerator is lifted by a shift.  math.lcm
+    would give the same den, but its gcds on numbers of about rate·horizon
+    bits cost far more than the rest of the verification at large horizons.
     """
     xf = {i: Fraction(v) for i, v in x.entries.items()}
     yf = [{i: Fraction(v) for i, v in y.entries.items()} for y in targets]
     dens = {f.denominator for vec in (xf, *yf) for f in vec.values()}
     if all(d & (d - 1) == 0 for d in dens):
         den = max(dens, default=1)
-        shifts = {d: den.bit_length() - d.bit_length() for d in dens}
-        lift = {d: (1 << k, 1 << (2 * k)) for d, k in shifts.items()}
+        shift = {d: den.bit_length() - d.bit_length() for d in dens}
+
+        def lift(f, power=1):
+            return f.numerator**power << power * shift[f.denominator]
+
     else:
         den = math.lcm(*dens)
-        lift = {d: (den // d, (den // d) ** 2) for d in dens}
-    xs = {i: f.numerator * lift[f.denominator][0] for i, f in xf.items()}
-    x_sq = {i: f.numerator**2 * lift[f.denominator][1] for i, f in xf.items()}
-    ys = [{i: f.numerator * lift[f.denominator][0] for i, f in vec.items()} for vec in yf]
+        factor = {d: den // d for d in dens}
+
+        def lift(f, power=1):
+            return f.numerator**power * factor[f.denominator] ** power
+
+    xs = {i: lift(f) for i, f in xf.items()}
+    x_sq = {i: lift(f, 2) for i, f in xf.items()}
+    ys = [{i: lift(f) for i, f in vec.items()} for vec in yf]
     return xs, x_sq, ys, den
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -274,15 +275,40 @@ def test_truncation_term_saturates_past_the_float_range(verified_run):
     assert report.ok  # the exact comparison still decides every row
 
 
-def test_verifier_matches_oracle_on_mixed_entries():
+def _two_level_plan():
     fam = SetFamily("fours", (PeriodicSet(4, (1,)), PeriodicSet(8, (3,))))
     targets = (
         SparseVec({0: Fraction(1, 2), 2: Fraction(-3, 4)}, L2),  # a gap at index 1
         SparseVec({1: Fraction(5, 8)}, L2),
     )
-    plan = ConstructionPlan(fam, (1, 2), targets, (), 20, DOUBLING.describe())
+    return ConstructionPlan(fam, (1, 2), targets, (), 20, DOUBLING.describe())
+
+
+def test_verifier_matches_oracle_on_mixed_entries():
+    plan = _two_level_plan()
     x = SparseVec({1: Fraction(1, 3), 3: 0.375, 4: Fraction(5, 64), 5: -1.25, 7: Fraction(2, 7)}, L2)
     _assert_matches_oracle(HCVector(x, plan, 8), DOUBLING, 20)
+
+
+def test_truncation_term_matches_a_direct_tail_sum():
+    # sum 4**(n - m)·‖y_l‖² over every member m past the cutoff of every
+    # level, up to a limit whose remainder is below 4**-300 of the total
+    plan = _two_level_plan()
+    cutoff, limit = 8, 400
+    report = verify_orbit_bounds(assemble_vector(plan, DOUBLING, cutoff), DOUBLING, 20)
+    assert len(report.rows) == 8
+    for row in report.rows:
+        total = Fraction(0)
+        for k, y in zip(plan.selected, plan.targets):
+            y_sq = sum(Fraction(v) ** 2 for v in y.entries.values())
+            for m in plan.family.level(k).members_in(cutoff + 1, limit):
+                total += Fraction(4) ** (row.time - m) * y_sq
+        assert row.truncation_term == pytest.approx(math.sqrt(total), rel=1e-14)
+    # by hand at n = 1: members 9, 13, ... and 11, 19, ...
+    first = report.rows[0]
+    assert first.time == 1
+    by_hand = Fraction(13, 16) * Fraction(256, 255) / 4**8 + Fraction(25, 64) * Fraction(65536, 65535) / 4**10
+    assert first.truncation_term == pytest.approx(math.sqrt(by_hand), rel=1e-14)
 
 
 _DYADIC = st.builds(lambda m, k: Fraction(m, 2**k), st.integers(-64, 64).filter(bool), st.integers(0, 12))
@@ -324,6 +350,13 @@ def _orbit_cases(draw):
 def test_verifier_matches_oracle(case, horizon):
     hc, T = case
     _assert_matches_oracle(hc, T, horizon)
+
+
+def test_verifier_needs_single_residue_periodic_levels():
+    fam = SetFamily("two-times", (ExplicitSet((4, 8)),))
+    plan = ConstructionPlan(fam, (1,), (DenseDyadicSequence(L2).item(1),), (), 8, DOUBLING.describe())
+    with pytest.raises(UsageError):
+        verify_orbit_bounds(assemble_vector(plan, DOUBLING, 8), DOUBLING, 8)
 
 
 @pytest.mark.parametrize(
