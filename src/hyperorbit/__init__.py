@@ -9,7 +9,6 @@ from .indexsets import (
     FactorialBlockSet,
     GeometricSet,
     IndexSet,
-    IntervalUnionSet,
     PeriodicSet,
     SegmentPatternSet,
     SetFamily,

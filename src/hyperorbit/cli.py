@@ -81,7 +81,7 @@ DENSITY_HEADER = (
 def run_densities(args, out):
     A = parse_set_spec(args.set)
     grid = [parse_int(s) for s in args.window_grid.split(",")] if args.window_grid else None
-    report = estimate_densities(A, args.horizon, grid, args.tail_factor, workers=args.workers)
+    report = estimate_densities(A, args.horizon, grid, args.tail_factor)
     write_csv(os.path.join(out, "densities.csv"), DENSITY_HEADER, _density_rows(args.set, report))
     return EXIT_OK
 
@@ -392,7 +392,12 @@ _RUNNERS = {}
 def _sub(subparsers, name, fn, **kwargs):
     p = subparsers.add_parser(name, **kwargs)
     p.add_argument("--out", default=f"out-{name}", help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="worker count (default: HYPERORBIT_WORKERS or auto)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes of the verify-counterexample exclusion sweep (default: HYPERORBIT_WORKERS or auto)",
+    )
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
     _RUNNERS[name] = fn
     return p

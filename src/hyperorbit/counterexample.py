@@ -73,10 +73,38 @@ def s_intervals_in(lo: int, hi: int) -> list:
     return merge_intervals(raw)
 
 
+def _trailing_zeros(c: int) -> int:
+    """10-adic valuation of c > 0."""
+    v = 0
+    while c % 10 == 0:
+        c //= 10
+        v += 1
+    return v
+
+
+@functools.lru_cache(maxsize=4096)
+def _s_overlap(v: int, cut: int) -> int:
+    """Points of ]-inf, c + cut] that lie in I_c and in a neighbour's interval,
+    for a centre c with v(c) = v >= 11 (I_c as in `DigitNeighborhoodSet.count_upto`).
+
+    Within distance 10**v of c the centre c + 10k has valuation 1 + v(k), so
+    the result depends on v and the cut only.  Only centres with v >= 11 have
+    a radius (>= 10) that reaches a neighbouring centre, and the neighbours'
+    own intervals do not meet, so no point lies in three intervals.
+    """
+    r = v - 1
+    total = 0
+    for k in range(1, r // 10 + 2):  # farther neighbours cannot reach I_c
+        w = 1 + _trailing_zeros(k)
+        for m in (10 * k, -10 * k):
+            lo, hi = max(-r, m - w + 1), min(r, m + w - 1, cut)
+            if lo <= hi:
+                total += hi - lo + 1
+    return total
+
+
 class DigitNeighborhoodSet(IndexSet):
     """S as an index set: digit-scale neighborhoods of multiples of 10^j."""
-
-    kind = "derived"
 
     def contains(self, n):
         if isinstance(n, HugeInt):
@@ -89,10 +117,44 @@ class DigitNeighborhoodSet(IndexSet):
             out.extend(range(a, b + 1))
         return out
 
-    def count_in(self, lo, hi):
-        if lo > hi:
+    def count_upto(self, n):
+        """|S ∩ [0, n]| in closed form, with O(digits(n)) big-int steps.
+
+        S is the union, over the centres c = 10, 20, 30, ..., of the
+        intervals I_c = [c - v + 1, c + v - 1], v = v(c) the number of
+        trailing zeros of c (the scales j <= v(c) all nest inside I_c).
+        The count is
+        * the lengths 2v(c) - 1 of the I_c with c <= n, summed with
+          multiplicity: 2 * sum_j floor(n / 10^j) - floor(n / 10);
+        * minus the points counted twice, which lie only around centres
+          with v >= 11; the overlap depends on v alone (`_s_overlap`), and
+          floor(n / 10^v) - floor(n / 10^(v+1)) centres up to n have v(c) = v;
+        * corrected at the centres whose interval crosses n, all within
+          digits(n) of it: their length and overlap cut at n replace the
+          full ones counted above for c <= n, and are added for c > n.
+        """
+        if n < 10:
             return 0
-        return sum(b - a + 1 for a, b in s_intervals_in(lo, hi))
+        total = -(n // 10)
+        p, j = 10, 1
+        while p <= n:
+            at_least = n // p
+            total += 2 * at_least
+            if j >= 11:
+                total -= (at_least - n // (10 * p)) * _s_overlap(j, j - 1)
+            p *= 10
+            j += 1
+        # j is now the number of digits of n; intervals of radius 0 (v = 1) cross nothing
+        reach = j + 2
+        for c in range(max(100, -(-(n - reach) // 100) * 100), n + reach + 1, 100):
+            v = _trailing_zeros(c)
+            a = c - v + 1
+            if a <= n < c + v - 1:
+                full = c <= n
+                total += n - a + 1 - (2 * v - 1 if full else 0)
+                if v >= 11:
+                    total -= _s_overlap(v, n - c) - (_s_overlap(v, v - 1) if full else 0)
+        return total
 
     def anchors(self, horizon):
         out = []
@@ -106,9 +168,6 @@ class DigitNeighborhoodSet(IndexSet):
 
     def describe(self):
         return "s-set"
-
-    def __reduce__(self):
-        return (DigitNeighborhoodSet, ())
 
 
 def product_exponent(n: int) -> int:
@@ -334,15 +393,7 @@ def _bump(e, k: int):
 
 
 def _max_value(a, b):
-    return a if _cmp_values_mixed(a, b) >= 0 else b
-
-
-def _cmp_values_mixed(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return (a > b) - (a < b)
-    if isinstance(a, HugeInt):
-        return _cmp_values(a, b)
-    return -_cmp_values(b, a)
+    return a if _cmp_values(a, b) >= 0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +418,20 @@ class Block:
 class HugeExplicitSet(IndexSet):
     """Finite set of HugeInt members; supports symbolic family checks."""
 
-    kind = "explicit-list"
-
     def __init__(self, members):
-        self._members = tuple(sorted(members, key=_sort_key_huge))
+        self._members = tuple(sorted(members, key=functools.cmp_to_key(_cmp_values)))
 
     def contains(self, n):
-        return any(_cmp_values_mixed(m, n) == 0 for m in self._members)
+        return any(_cmp_values(m, n) == 0 for m in self._members)
 
     def members_in(self, lo, hi):
-        return [m for m in self._members if _cmp_values_mixed(m, lo) >= 0 and _cmp_values_mixed(m, hi) <= 0]
+        return [m for m in self._members if _cmp_values(m, lo) >= 0 and _cmp_values(m, hi) <= 0]
 
     def all_members(self):
         return list(self._members)
 
     def describe(self):
         return "huge-explicit:" + ",".join(repr(m) for m in self._members)
-
-
-def _sort_key_huge(m):
-    return _HugeKey(m)
-
-
-@functools.total_ordering
-class _HugeKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return _cmp_values_mixed(self.v, other.v) < 0
-
-    def __eq__(self, other):
-        return _cmp_values_mixed(self.v, other.v) == 0
 
 
 @dataclass(frozen=True)
@@ -476,9 +507,9 @@ def verify_block_conditions(family: BlockFamily) -> list:
     for b in family.blocks:
         k, l0, j0, step = b.level, b.count, b.exponent, b.step
         c1 = l0 >= b.index
-        c2 = _cmp_values_mixed(_pow10(j0), max_elem + k + max_level_seen) >= 0
-        c3 = _cmp_values_mixed(j0, b.index) >= 0 and _cmp_values_mixed(j0, step * l0 + k) > 0
-        c4 = _cmp_values_mixed(j0, max_elem + max_level_seen + 2 * k) > 0
+        c2 = _cmp_values(_pow10(j0), max_elem + k + max_level_seen) >= 0
+        c3 = _cmp_values(j0, b.index) >= 0 and _cmp_values(j0, step * l0 + k) > 0
+        c4 = _cmp_values(j0, max_elem + max_level_seen + 2 * k) > 0
         out.append(ConditionCheck(b.index, (c1, c2, c3, c4)))
         members = b.members()
         max_elem = members[-1]

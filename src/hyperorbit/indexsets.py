@@ -1,8 +1,10 @@
 """Exact integer index sets, window counts, and density estimation.
 
 A set of non-negative integers is exposed through a pure membership
-predicate plus an exact counter over closed windows [a, b].  Structured
-sets answer both symbolically, never by scanning from zero, so sets whose
+predicate, a member listing over closed windows [a, b], and one counting
+primitive, `count_upto(n)`: the number of members in [0, n].  Every window
+count is a difference of two prefix counts.  Structured sets answer
+`count_upto` in closed form, never by scanning from zero, so sets whose
 interesting members sit near 10**100 remain usable.
 
 Density estimates are `fractions.Fraction` ratios.  The estimator is
@@ -42,12 +44,12 @@ from .errors import NoDataError, UsageError, WindowGridError
 class IndexSet:
     """Base class: a subset of the non-negative integers.
 
-    Subclasses implement `contains` and `members_in`; `count_in` has a
-    generic implementation but structured kinds override it with closed
-    forms.  All instances are immutable and safe to share.
+    Subclasses implement `contains` and `members_in`.  `count_upto` is the
+    one counting primitive: the generic version counts the listed members,
+    and structured kinds override it with closed forms.  `count_in` is
+    defined here once, from `count_upto`, and no kind overrides it.  All
+    instances are immutable (up to caches) and safe to share.
     """
-
-    kind = "derived"
 
     def contains(self, n) -> bool:
         raise NotImplementedError
@@ -59,10 +61,17 @@ class IndexSet:
         """Sorted members in the closed range [lo, hi]."""
         raise NotImplementedError
 
+    def count_upto(self, n) -> int:
+        """Number of members in [0, n]; 0 for n < 0."""
+        if n < 0:
+            return 0
+        return len(self.members_in(0, n))
+
     def count_in(self, lo, hi) -> int:
+        """Number of members in the closed window [lo, hi]."""
         if lo > hi:
             return 0
-        return len(self.members_in(lo, hi))
+        return self.count_upto(hi) - self.count_upto(lo - 1)
 
     def anchors(self, horizon) -> list:
         """Structural window-anchor candidates (block starts and the like)."""
@@ -80,8 +89,6 @@ class IndexSet:
 class ExplicitSet(IndexSet):
     members: tuple
 
-    kind = "explicit-list"
-
     def __post_init__(self):
         ms = tuple(sorted(set(self.members)))
         if ms and ms[0] < 0:
@@ -97,10 +104,8 @@ class ExplicitSet(IndexSet):
         j = bisect.bisect_right(self.members, hi)
         return list(self.members[i:j])
 
-    def count_in(self, lo, hi):
-        if lo > hi:
-            return 0
-        return bisect.bisect_right(self.members, hi) - bisect.bisect_left(self.members, lo)
+    def count_upto(self, n):
+        return bisect.bisect_right(self.members, n)
 
     def all_members(self):
         return list(self.members)
@@ -121,8 +126,6 @@ class PeriodicSet(IndexSet):
     period: int
     residues: tuple
 
-    kind = "periodic"
-
     def __post_init__(self):
         if self.period < 1:
             raise UsageError("period must be >= 1")
@@ -132,18 +135,12 @@ class PeriodicSet(IndexSet):
     def contains(self, n):
         return n >= 0 and (n % self.period) in self.residues
 
-    def _count_upto(self, n):
-        # members in [0, n]
+    def count_upto(self, n):
         if n < 0:
             return 0
         q, rem = divmod(n + 1, self.period)
         extra = sum(1 for r in self.residues if r < rem)
         return q * len(self.residues) + extra
-
-    def count_in(self, lo, hi):
-        if lo > hi:
-            return 0
-        return self._count_upto(hi) - self._count_upto(max(lo, 0) - 1)
 
     def members_in(self, lo, hi):
         lo = max(lo, 0)
@@ -167,106 +164,126 @@ class PeriodicSet(IndexSet):
         return f"periodic:{self.period}:" + ",".join(str(r) for r in self.residues)
 
 
+def _pattern_upto(x, num, den):
+    """Offsets in 0..x with offset % den < num."""
+    q, r = divmod(x + 1, den)
+    return q * num + min(r, num)
+
+
 @dataclass(frozen=True)
-class IntervalUnionSet(IndexSet):
-    """Finite union of closed integer intervals [a, b]."""
+class SegmentPatternSet(IndexSet):
+    """Piecewise-periodic set: on [start, end) membership is (n - start) % den < num.
 
-    intervals: tuple
+    Segments are sorted and disjoint (adjacent ones allowed), and the set is
+    empty beyond the last one.  This is the output shape of the
+    prescribed-density generator; a closed interval [a, b] is the full
+    segment (a, b + 1, 1, 1), which is what `intervals:` specs build.
+    """
 
-    kind = "interval-union"
+    segments: tuple  # tuple of (start, end, num, den)
 
     def __post_init__(self):
-        merged = merge_intervals(self.intervals)
-        if merged and merged[0][0] < 0:
-            raise UsageError("intervals live in the non-negative integers")
-        object.__setattr__(self, "intervals", tuple(merged))
+        prev_end = 0
+        before = [0]
+        for seg in self.segments:
+            start, end, num, den = seg
+            if not 0 <= start < end:
+                raise UsageError(f"segment {seg} needs 0 <= start < end")
+            if not (den >= 1 and 0 <= num <= den):
+                raise UsageError(f"segment {seg} needs den >= 1 and 0 <= num <= den")
+            if start < prev_end:
+                raise UsageError(f"segment {seg} overlaps or precedes the segment before it")
+            prev_end = end
+            before.append(before[-1] + _pattern_upto(end - start - 1, num, den))
+        # segment starts, and the members before each segment, for bisection
+        object.__setattr__(self, "_starts", tuple(seg[0] for seg in self.segments))
+        object.__setattr__(self, "_before", tuple(before))
 
     def contains(self, n):
-        i = bisect.bisect_right(self.intervals, (n, float("inf"))) - 1
-        return i >= 0 and self.intervals[i][0] <= n <= self.intervals[i][1]
+        i = bisect.bisect_right(self._starts, n) - 1
+        if i < 0:
+            return False
+        start, end, num, den = self.segments[i]
+        return n < end and (n - start) % den < num
 
-    def count_in(self, lo, hi):
-        if lo > hi:
+    def count_upto(self, n):
+        i = bisect.bisect_right(self._starts, n) - 1
+        if i < 0:
             return 0
-        total = 0
-        for a, b in self.intervals:
-            u, v = max(a, lo), min(b, hi)
-            if u <= v:
-                total += v - u + 1
-        return total
+        start, end, num, den = self.segments[i]
+        return self._before[i] + _pattern_upto(min(n, end - 1) - start, num, den)
 
     def members_in(self, lo, hi):
         out = []
-        for a, b in self.intervals:
-            u, v = max(a, lo), min(b, hi)
-            if u <= v:
-                out.extend(range(u, v + 1))
+        first = max(bisect.bisect_right(self._starts, lo) - 1, 0)
+        for start, end, num, den in self.segments[first:]:
+            if start > hi:
+                break
+            span = range(max(start, lo), min(end - 1, hi) + 1)
+            if num == den:
+                out.extend(span)
+            else:
+                out.extend(n for n in span if (n - start) % den < num)
         return out
 
     def all_members(self):
-        return self.members_in(self.intervals[0][0], self.intervals[-1][1]) if self.intervals else []
+        return self.members_in(0, self.segments[-1][1] - 1) if self.segments else []
 
     def anchors(self, horizon):
-        return [a for a, _ in self.intervals if a <= horizon][:64]
+        return [s for s in self._starts if s <= horizon][:64]
 
     def describe(self):
-        return "intervals:" + ",".join(f"{a}-{b}" for a, b in self.intervals)
+        parts = [f"{s}:{e}:{n}:{d}" for s, e, n, d in self.segments]
+        return "segments:" + ";".join(parts)
+
+
+def intervals_set(intervals) -> SegmentPatternSet:
+    """The union of closed intervals [a, b], as full segments."""
+    merged = merge_intervals(intervals)
+    if merged and merged[0][0] < 0:
+        raise UsageError("intervals live in the non-negative integers")
+    return SegmentPatternSet(tuple((a, b + 1, 1, 1) for a, b in merged))
 
 
 class BlockFunctionSet(IndexSet):
-    """Union of blocks [start(j), end(j)], j >= j_min, with strictly growing starts."""
+    """Union of blocks [start(j), end(j)], j >= j_min, with strictly growing starts.
 
-    kind = "block-family"
+    The blocks built so far are kept, merged, as full segments of a
+    `SegmentPatternSet`, which answers every query; it is rebuilt only when
+    a query reaches past the last built start, and then built on to twice
+    that start, so a scan up to n rebuilds it O(log n) times.
+    """
 
     def __init__(self, j_min=1):
         self.j_min = j_min
+        self._built = []  # (start, end) of blocks j_min, j_min + 1, ...
+        self._cover = SegmentPatternSet(())
 
     def block(self, j):
         raise NotImplementedError
 
-    def _blocks_upto(self, hi):
-        out = []
-        j = self.j_min
-        while True:
-            a, b = self.block(j)
-            if a > hi:
-                break
-            out.append((a, min(b, hi)))
-            j += 1
-        return merge_intervals(out)
+    def _upto(self, n) -> SegmentPatternSet:
+        """The built blocks, once some block starts after n (so all members <= n are in)."""
+        built = self._built
+        if built and built[-1][0] > n:
+            return self._cover
+        target = max(n, 2 * built[-1][0]) if built else n
+        while not built or built[-1][0] <= target:
+            built.append(self.block(self.j_min + len(built)))
+        self._cover = intervals_set(built)
+        return self._cover
 
     def contains(self, n):
-        if n < 0:
-            return False
-        j = self.j_min
-        while True:
-            a, b = self.block(j)
-            if a > n:
-                return False
-            if a <= n <= b:
-                return True
-            j += 1
+        return n >= 0 and self._upto(n).contains(n)
 
-    def count_in(self, lo, hi):
-        if lo > hi:
-            return 0
-        total = 0
-        for a, b in self._blocks_upto(hi):
-            u, v = max(a, lo), min(b, hi)
-            if u <= v:
-                total += v - u + 1
-        return total
+    def count_upto(self, n):
+        return self._upto(n).count_upto(n)
 
     def members_in(self, lo, hi):
-        out = []
-        for a, b in self._blocks_upto(hi):
-            u, v = max(a, lo), min(b, hi)
-            if u <= v:
-                out.extend(range(u, v + 1))
-        return out
+        return self._upto(hi).members_in(lo, hi)
 
     def anchors(self, horizon):
-        return [a for a, _ in self._blocks_upto(horizon)][:64]
+        return self._upto(horizon).anchors(horizon)
 
 
 class FactorialBlockSet(BlockFunctionSet):
@@ -279,14 +296,9 @@ class FactorialBlockSet(BlockFunctionSet):
     def describe(self):
         return "factorial-blocks"
 
-    def __reduce__(self):
-        return (FactorialBlockSet, ())
-
 
 class GeometricSet(IndexSet):
     """Powers base**j, j >= min_exponent."""
-
-    kind = "derived"
 
     def __init__(self, base, min_exponent=0):
         if base < 2:
@@ -323,8 +335,6 @@ class GeometricSet(IndexSet):
 class SquareSet(IndexSet):
     """Perfect squares k*k, k >= 0."""
 
-    kind = "derived"
-
     def contains(self, n):
         return n >= 0 and isqrt(n) ** 2 == n
 
@@ -341,86 +351,11 @@ class SquareSet(IndexSet):
             k += 1
         return out
 
-    def count_in(self, lo, hi):
-        if hi < 0 or lo > hi:
-            return 0
-        lo = max(lo, 0)
-        below = isqrt(hi)
-        above = isqrt(lo - 1) if lo > 0 else -1
-        return below - above
+    def count_upto(self, n):
+        return isqrt(n) + 1 if n >= 0 else 0
 
     def describe(self):
         return "squares"
-
-
-@dataclass(frozen=True)
-class SegmentPatternSet(IndexSet):
-    """Piecewise-periodic set: on [start, end) membership is (n - start) % den < num.
-
-    Segments are disjoint, sorted, and the set is empty beyond the last one.
-    This is the output shape of the prescribed-density generator.
-    """
-
-    segments: tuple  # tuple of (start, end, num, den)
-
-    kind = "block-family"
-
-    def contains(self, n):
-        if n < 0:
-            return False
-        starts = [seg[0] for seg in self.segments]
-        i = bisect.bisect_right(starts, n) - 1
-        if i < 0:
-            return False
-        start, end, num, den = self.segments[i]
-        return n < end and (n - start) % den < num
-
-    @staticmethod
-    def _seg_count(start, num, den, u, v):
-        # members of the segment pattern in [u, v], both inside the segment
-        if num == 0 or u > v:
-            return 0
-
-        def upto(x):
-            # offsets 0..x
-            q, r = divmod(x + 1, den)
-            return q * num + min(r, num)
-
-        return upto(v - start) - (upto(u - start - 1) if u > start else 0)
-
-    def count_in(self, lo, hi):
-        if lo > hi:
-            return 0
-        lo = max(lo, 0)
-        total = 0
-        for start, end, num, den in self.segments:
-            u, v = max(start, lo), min(end - 1, hi)
-            if u <= v:
-                total += self._seg_count(start, num, den, u, v)
-        return total
-
-    def members_in(self, lo, hi):
-        lo = max(lo, 0)
-        out = []
-        for start, end, num, den in self.segments:
-            u, v = max(start, lo), min(end - 1, hi)
-            for n in range(u, v + 1):
-                if (n - start) % den < num:
-                    out.append(n)
-        return out
-
-    def anchors(self, horizon):
-        out = []
-        for start, end, _, _ in self.segments:
-            if start <= horizon:
-                out.append(start)
-            if end <= horizon:
-                out.append(end)
-        return out[:128]
-
-    def describe(self):
-        parts = [f"{s}:{e}:{n}:{d}" for s, e, n, d in self.segments]
-        return "segments:" + ";".join(parts)
 
 
 def merge_intervals(intervals):
@@ -547,14 +482,15 @@ def estimate_densities(
     horizon: int,
     window_grid=None,
     tail_factor: int = 8,
-    workers: int = 1,
 ) -> DensityReport:
     """Four finite-horizon density estimates with the exact chain property.
 
     See the module docstring for the estimator definition.  `tail_factor`
     bounds how deep into the prefix the lower-density checkpoints reach:
     checkpoints are the multiples of the largest window length s inside
-    [effective_horizon / tail_factor, effective_horizon].
+    [effective_horizon / tail_factor, effective_horizon].  The aligned
+    window counts are the differences of the q + 1 prefix counts
+    `A.count_upto(i * s)`, i = 0..q, all taken in this process.
     """
     if window_grid is None:
         grid = tuple(s for s in (10, 100, 1000, 10000) if s <= max(1, horizon // 4)) or (1,)
@@ -572,7 +508,8 @@ def estimate_densities(
     if q < 1:
         raise WindowGridError(f"horizon {horizon} holds no window of length {s}")
 
-    counts = _aligned_counts(A, s, q, workers)
+    upto = [A.count_upto(i * s) for i in range(q + 1)]
+    counts = [b - a for a, b in itertools.pairwise(upto)]
 
     best_max, argmax = counts[0], 0
     best_min, argmin = counts[0], 0
@@ -593,13 +530,12 @@ def estimate_densities(
     upper_banach = Fraction(best_max, s)
     lower_banach = Fraction(best_min, s)
 
-    prefix = list(itertools.accumulate(counts))
-    upper_density = Fraction(prefix[-1], q * s)
+    upper_density = Fraction(upto[q] - upto[0], q * s)
     t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
     lower_density = upper_density
     lower_at = q * s
     for t in range(t0, q + 1):
-        r = Fraction(prefix[t - 1], t * s)
+        r = Fraction(upto[t] - upto[0], t * s)
         if r < lower_density:
             lower_density, lower_at = r, t * s
 
@@ -636,19 +572,6 @@ def estimate_densities(
         per_window=per_window,
         anchor_positions=tuple(anchor_pos[:64]),
     )
-
-
-def _count_one_window(args):
-    A, s, i = args
-    return A.count_in(i * s + 1, i * s + s)
-
-
-def _aligned_counts(A, s, q, workers):
-    from ._parallel import pmap
-
-    if workers > 1:
-        return pmap(_count_one_window, [(A, s, i) for i in range(q)], workers)
-    return [A.count_in(i * s + 1, i * s + s) for i in range(q)]
 
 
 def _anchor_positions(A, horizon, s):

@@ -23,11 +23,11 @@ from .indexsets import (
     ExplicitSet,
     FactorialBlockSet,
     GeometricSet,
-    IntervalUnionSet,
     PeriodicSet,
     SegmentPatternSet,
     SetFamily,
     SquareSet,
+    intervals_set,
     make_prescribed_density_set,
 )
 from .shifts import ConstantWeights, RatioPowerWeights, TableWeights
@@ -97,7 +97,7 @@ def parse_set_spec(spec: str):
         for part in rest.split(","):
             a, _, b = part.partition("-")
             ivs.append((parse_int(a), parse_int(b)))
-        return IntervalUnionSet(tuple(ivs))
+        return intervals_set(ivs)
     if head == "powers":
         parts = rest.split(":")
         base = parse_int(parts[0])

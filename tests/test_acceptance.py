@@ -13,6 +13,7 @@ import pytest
 
 import hyperorbit as h
 from hyperorbit.cli import main as cli_main
+from hyperorbit.io_text import parse_set_spec
 from hyperorbit.shifts import ConstantWeights, RatioPowerWeights, ShiftOperator
 
 
@@ -43,7 +44,7 @@ def test_criterion_1_density_chain():
             width = rng.randrange(0, 2000)
             ivs.append((at, at + width))
             at += width
-        sets.append(h.IntervalUnionSet(tuple(ivs)))
+        sets.append(parse_set_spec("intervals:" + ",".join(f"{a}-{b}" for a, b in ivs)))
     for _ in range(30):  # prescribed densities
         vals = sorted(Fraction(rng.randrange(0, 11), 10) for _ in range(4))
         sets.append(h.make_prescribed_density_set(*vals, eras=3, window=200))

@@ -179,8 +179,12 @@ def test_usage_error_exit_code(tmp_path):
         ["densities", "--set", "evens", "--window-grid", "a"],
         ["correlate", "--set", "evens", "--windows", "0-10"],
         ["orbit", "--vector", "e:0", "--targets", "e:0@abc"],
+        ["densities", "--set", "segments:0:10:1:0"],
+        ["densities", "--set", "segments:0:10:3:2"],
+        ["densities", "--set", "segments:0:10:1:1;5:15:1:1"],
     ],
-    ids=["set-spec", "window-grid", "windows", "target-radius"],
+    ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
+         "segment-overlap"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)

@@ -14,6 +14,7 @@ from hyperorbit import (
     product_threshold_scan,
     run_length_array,
     s_contains,
+    s_intervals_in,
     threshold_bound,
     verify_block_conditions,
     verify_scale_exclusion,
@@ -60,6 +61,18 @@ def test_count_window_first_120():
     S = DigitNeighborhoodSet()
     want = sum(1 for n in range(1, 121) if brute_s_member(n))
     assert S.count_in(1, 120) == want == 14
+
+
+@pytest.mark.parametrize("e", [11, 12, 100])
+def test_closed_form_counts_near_overlapping_scales(e):
+    # from scale 11 on, a centre's interval swallows its neighbours' intervals;
+    # the closed form must agree with summing the merged intervals directly
+    S = DigitNeighborhoodSet()
+    for l in (1, 3, 10):
+        c = l * 10**e
+        for lo, hi in ((c - 2 * e, c + 2 * e), (c - e, c), (c, c + 15), (c - 25, c - 3), (c + 9, c + 11),
+                       (c - 2 * e, c - e)):
+            assert S.count_in(lo, hi) == sum(b - a + 1 for a, b in s_intervals_in(lo, hi)), (l, lo - c, hi - c)
 
 
 # ---------------------------------------------------------------------------

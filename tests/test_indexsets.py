@@ -10,7 +10,6 @@ from hyperorbit import (
     ExplicitSet,
     FactorialBlockSet,
     GeometricSet,
-    IntervalUnionSet,
     PeriodicSet,
     SetFamily,
     SquareSet,
@@ -21,7 +20,9 @@ from hyperorbit import (
     is_syndetic,
     make_prescribed_density_set,
 )
+from hyperorbit.counterexample import DigitNeighborhoodSet
 from hyperorbit.errors import NoDataError, UsageError, WindowGridError
+from hyperorbit.io_text import parse_set_spec
 
 from conftest import brute_count, brute_difference, brute_gap_ok, brute_window_extremes
 
@@ -43,21 +44,24 @@ def test_count_window_rejects_reversed():
         count_window(PeriodicSet(2, (0,)), 5, 4)
 
 
+INTERVALS = "intervals:2-6,10-10,50-70"
 ZOO = [
     PeriodicSet(2, (0,)),
     PeriodicSet(7, (1, 3, 4)),
     PeriodicSet(1, (0,)),
     PeriodicSet(3, ()),
     ExplicitSet((0, 1, 5, 9, 40, 41, 42, 1000)),
-    IntervalUnionSet(((2, 6), (10, 10), (50, 70))),
+    parse_set_spec(INTERVALS),
     SquareSet(),
     GeometricSet(2),
     GeometricSet(3, 1),
     FactorialBlockSet(),
 ]
+# an intervals set describes itself as full segments; its id stays the spec it came from
+ZOO_IDS = [INTERVALS if A.describe().startswith("segments:") else A.describe() for A in ZOO]
 
 
-@pytest.mark.parametrize("A", ZOO, ids=lambda a: a.describe())
+@pytest.mark.parametrize("A", ZOO, ids=ZOO_IDS)
 def test_counts_match_scanning_oracle(A):
     rng = random.Random(7)
     for _ in range(25):
@@ -77,6 +81,40 @@ def test_counts_match_scanning_oracle(A):
 def test_periodic_counts_property(period, res, a, width):
     A = PeriodicSet(period, tuple(r for r in res if r < period))
     assert A.count_in(a, a + width) == brute_count(A, a, a + width)
+
+
+PREFIX_SETS = ZOO + [
+    DigitNeighborhoodSet(),
+    make_prescribed_density_set(0, Fraction(1, 5), Fraction(1, 2), 1, eras=3, window=20),
+    parse_set_spec("intervals:0-0,3-9,10-12,40-40,300-420"),
+]
+
+
+@given(
+    A=st.sampled_from(PREFIX_SETS),
+    n=st.integers(-3, 1500),
+    start=st.integers(0, 1500),
+    s=st.integers(1, 60),
+    q=st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_prefix_counts_match_scanning_oracle(A, n, start, s, q):
+    assert A.count_upto(n) == (brute_count(A, 0, n) if n >= 0 else 0)
+    # the estimator's aligned windows ]i*s, (i+1)*s] are differences of prefix counts
+    upto = [A.count_upto(start + i * s) for i in range(q + 1)]
+    for i in range(q):
+        lo = start + i * s
+        assert upto[i + 1] - upto[i] == brute_count(A, lo + 1, lo + s)
+
+
+def test_segment_specs_validated():
+    # the CLI exit-code test covers the zero denominator, num > den and overlap; these are boundary cases
+    for spec in ("segments:0:10:1:1;9:12:1:1", "segments:5:5:1:1", "segments:-1:5:1:1",
+                 "segments:20:30:1:1;0:10:1:1"):
+        with pytest.raises(UsageError):
+            parse_set_spec(spec)
+    A = parse_set_spec("segments:0:10:1:1;10:20:1:2")  # adjacent segments are allowed
+    assert A.count_in(0, 19) == len(A.members_in(0, 19)) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +335,7 @@ def test_prescribed_rejects_bad_order():
 # serialization round trips
 
 
-@pytest.mark.parametrize("A", ZOO, ids=lambda a: a.describe())
+@pytest.mark.parametrize("A", ZOO, ids=ZOO_IDS)
 def test_describe_round_trip(A):
     from hyperorbit.io_text import parse_set_spec
 
