@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import frexp
 
 from . import constructor, counterexample as cx, recurrence
 from ._parallel import resolve_workers
@@ -127,14 +128,17 @@ def run_verify_counterexample(args, out):
         [(r.k, r.l, r.m, "" if r.hit_scale is None else r.hit_scale, r.ok) for r in report.rows],
     )
 
+    # product law: the exponents of the weights, each an exact power of two,
+    # sum to the run length from the vectorised digit route, 0 exactly off S
     mism = 0
-    product = Fraction(1)
+    exponent = 0
     weights = cx.DoublingResetWeights()
+    runs = cx.run_length_array(max(args.product_horizon, 0)).tolist()
     rows = []
-    for n in range(1, args.product_horizon + 1):
-        product *= Fraction(weights.weight(n)).limit_denominator(1 << 62)
-        c = cx.product_exponent(n)
-        ok = product == Fraction(2) ** c and (c == 0) == (not cx.s_contains(n))
+    for n, c in enumerate(runs, start=1):
+        mantissa, e = frexp(weights.weight(n))
+        exponent += e - 1
+        ok = mantissa == 0.5 and exponent == c and (exponent == 0) == (not cx.s_contains(n))
         if not ok:
             mism += 1
         if n % max(1, args.product_horizon // 20) == 0:

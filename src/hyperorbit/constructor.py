@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
-from .shifts import ShiftOperator, apply_backward, apply_right_inverse
+from .shifts import ConstantWeights, ShiftOperator, apply_backward, apply_right_inverse
 from .spaces import SparseVec, SpaceSpec, norm
 
 
@@ -184,13 +184,12 @@ def _progression(s) -> tuple:
 
 
 def _pow2_rate(T: ShiftOperator):
-    """Exact per-step log2 growth of partial products, for dyadic weights."""
-    exp = T.weights.expansion()
-    if exp is None:
-        return None
-    rate, start = exp
-    if isinstance(rate, int) and start == 0 and rate > 0:
-        return rate
+    """Exact per-step log2 growth of partial products: constant power-of-two weights above 1."""
+    w = T.weights
+    if isinstance(w, ConstantWeights):
+        rate = w.log2_product(1)
+        if isinstance(rate, int) and rate > 0:
+            return rate
     return None
 
 

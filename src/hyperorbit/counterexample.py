@@ -210,7 +210,6 @@ class DoublingResetWeights(WeightSequence):
     """
 
     bilateral = False
-    sup_bound = 2.0
 
     def weight(self, k):
         if k < 1:
@@ -220,11 +219,6 @@ class DoublingResetWeights(WeightSequence):
         c = product_exponent(k - 1)
         return 1.0 if c == 0 else 2.0 ** (-c)
 
-    def log2_weight(self, k):
-        if s_contains(k):
-            return 1
-        return -product_exponent(k - 1)
-
     def log2_product(self, n):
         if n < 0:
             raise UsageError("prefix products need n >= 0")
@@ -232,9 +226,6 @@ class DoublingResetWeights(WeightSequence):
 
     def describe(self):
         return "counterexample-c0"
-
-    def __reduce__(self):
-        return (DoublingResetWeights, ())
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ class SpaceMismatchError(UsageError):
     """Two vectors living in different sequence spaces were combined."""
 
 
-class ZeroWeightError(HyperorbitError):
-    """A right-inverse application hit a zero weight."""
+class ZeroWeightError(UsageError):
+    """A weight table holds a zero weight (index k >= 1)."""
 
     def __init__(self, index):
         super().__init__(f"zero weight at index {index}")

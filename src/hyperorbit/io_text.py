@@ -133,13 +133,13 @@ def parse_weight_spec(spec: str):
     spec = spec.strip()
     if spec == "rolewicz2":  # the doubling shift, by its usual name
         return ConstantWeights(2.0)
+    if spec == "counterexample-c0":
+        return cx.DoublingResetWeights()
     head, _, rest = spec.partition(":")
     if head == "constant":
         return ConstantWeights(float(parse_fraction(rest)))
     if head == "ratio-power":
         return RatioPowerWeights(float(parse_fraction(rest)))
-    if head == "counterexample-c0" or spec == "counterexample-c0":
-        return cx.DoublingResetWeights()
     if head == "table":
         with open(rest, "r", encoding="utf-8") as fh:
             values = [_parse_float(line) for line in fh if line.strip()]
@@ -216,6 +216,8 @@ def parse_vector_spec(spec: str, space: SpaceSpec, dense=None) -> SparseVec:
     if head == "e":
         return SparseVec.basis(space, parse_int(rest))
     if head == "zero":
+        if rest:
+            raise UsageError(f"vector spec {spec!r}: zero takes no argument")
         return SparseVec.zero(space)
     if head == "dense":
         if dense is None:

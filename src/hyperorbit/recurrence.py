@@ -3,9 +3,11 @@ correlation machinery over integer time sets.
 
 Orbits are stepped once per time unit.  Internally each entry is carried
 as (mantissa, power-of-two exponent) so that dyadic data stays exact far
-beyond double range in both directions; entries are materialized to floats
-only for ball tests.  Magnitudes past the overflow cap truncate the orbit
-with the truncation recorded on every report.
+beyond double range in both directions; a step multiplies the mantissa by
+the weight and renormalizes it with one `frexp`, which is exact for
+power-of-two weights.  Entries are materialized to floats only for ball
+tests.  Magnitudes past the overflow cap truncate the orbit with the
+truncation recorded on every report.
 
 Classification labels are evidence at a horizon, never proofs, and the
 threshold they use is always carried in the result.
@@ -26,7 +28,7 @@ from .indexsets import (
     estimate_densities,
     is_syndetic,
 )
-from .shifts import ShiftOperator, apply_backward, apply_right_inverse
+from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
 from .spaces import SparseVec, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
@@ -80,19 +82,8 @@ class _Orbit:
             tgt = idx - 1
             if tgt < 0 and not self.space.bilateral:
                 continue
-            lw = w.log2_weight(idx)
-            if isinstance(lw, int):
-                wk = w.weight(idx)
-                if wk < 0:
-                    m = -m
-                e = e + lw
-            else:
-                m = m * w.weight(idx)
-                if m == 0:
-                    continue
-                m, de = frexp(m)
-                e = e + de
-            new[tgt] = (m, e)
+            m, de = frexp(m * w.weight(idx))
+            new[tgt] = (m, e + de)
         self.state = new
 
 
@@ -506,11 +497,3 @@ def bilateral_tail_sums(w, p: float, A: IndexSet, n: int, horizon: int) -> TailS
         right += _pow2_clamped(-p * float(e))
         right_terms += 1
     return TailSums(left, right, left_terms, right_terms, n)
-
-
-def _pow2_clamped(x: float) -> float:
-    if x <= -1074:
-        return 0.0
-    if x >= 1024:
-        return float("inf")
-    return 2.0 ** x

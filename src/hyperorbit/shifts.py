@@ -1,16 +1,20 @@
 """Weighted backward shifts, their right inverses, and product-based tests.
 
 Weight sequences are function-backed and never materialized to a horizon.
-Partial products live in the log2 domain; classes whose weights are powers
-of two return exact integer exponents, so products like 2**600 neither
-overflow nor lose precision.  Vector entries that are dyadic `Fraction`s
-are transformed exactly; float entries go through `ldexp`.
+A weight kind provides `weight(k)` and one log2-domain primitive,
+`log2_product(n)`, the log2 of the partial product |w_1 ... w_n| in closed
+form or from a prefix table; every other product question is a difference
+of two prefix values.  Kinds whose weights are powers of two return exact
+integer exponents, so products like 2**600 neither overflow nor lose
+precision.  Vector entries that are dyadic `Fraction`s are transformed
+exactly; float entries go through `ldexp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ldexp, log2
 
 from .errors import UsageError, ZeroWeightError
@@ -18,53 +22,28 @@ from .spaces import SparseVec, SpaceSpec
 
 
 class WeightSequence:
-    """Base: bounded weights w_k, k >= 1 (all k when bilateral)."""
+    """Base: nonzero bounded weights w_k, k >= 1 (all k when bilateral).
+
+    A kind provides `weight(k)` and the primitive `log2_product(n)`:
+    log2|w_1 ... w_n| for n >= 0 (0 for n = 0) and, on bilateral kinds,
+    -log2|w_{n+1} ... w_0| for n < 0.
+    """
 
     bilateral = False
-    sup_bound = float("inf")
 
     def weight(self, k: int) -> float:
         raise NotImplementedError
 
-    def log2_weight(self, k: int):
-        """log2 w_k; an exact int for power-of-two weights."""
-        w = self.weight(k)
-        if w == 0:
-            raise ZeroWeightError(k)
-        return log2(abs(w))
-
     def log2_product(self, n: int):
-        """log2 of the product of w_1 .. w_n (0 for n = 0)."""
-        if n < 0:
-            raise UsageError("prefix products need n >= 0")
-        total = 0
-        for k in range(1, n + 1):
-            total = total + self.log2_weight(k)
-        return total
+        raise NotImplementedError
 
     def log2_product_range(self, a: int, b: int):
-        """log2 of the product of w_a .. w_b (empty product when a > b)."""
+        """log2 of |w_a ... w_b| (empty product when a > b)."""
         if a > b:
             return 0
-        if a >= 1:
-            return self.log2_product(b) - self.log2_product(a - 1)
-        if not self.bilateral:
+        if a < 1 and not self.bilateral:
             raise UsageError("weights are unilateral but the range reaches k <= 0")
-        total = 0
-        for k in range(a, b + 1):
-            total = total + self.log2_weight(k)
-        return total
-
-    def has_zero_in(self, a: int, b: int) -> bool:
-        return False
-
-    def expansion(self):
-        """(rate, start): log2-product grows by >= rate per step from `start` on.
-
-        None when no positive linear growth rate is available; series tails
-        then have no closed bound.
-        """
-        return None
+        return self.log2_product(b) - self.log2_product(a - 1)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -78,27 +57,14 @@ class ConstantWeights(WeightSequence):
     def __post_init__(self):
         if self.value == 0:
             raise UsageError("constant weight must be nonzero")
-        object.__setattr__(self, "sup_bound", abs(self.value))
         e = log2(abs(self.value))
-        object.__setattr__(self, "_exp2", int(e) if e == int(e) else None)
+        object.__setattr__(self, "_log2", int(e) if e == int(e) else e)
 
     def weight(self, k):
         return self.value
 
-    def log2_weight(self, k):
-        return self._exp2 if self._exp2 is not None else log2(abs(self.value))
-
     def log2_product(self, n):
-        return n * self.log2_weight(1)
-
-    def log2_product_range(self, a, b):
-        if a > b:
-            return 0
-        return (b - a + 1) * self.log2_weight(1)
-
-    def expansion(self):
-        rate = self.log2_weight(1)
-        return (rate, 0) if rate > 0 else None
+        return n * self._log2
 
     def describe(self):
         v = self.value
@@ -114,18 +80,16 @@ class RatioPowerWeights(WeightSequence):
     def __post_init__(self):
         if self.p < 1:
             raise UsageError("exponent must be >= 1")
-        object.__setattr__(self, "sup_bound", 2.0 ** (1.0 / self.p))
 
     def weight(self, k):
         if k < 1:
             raise UsageError("ratio-power weights are unilateral")
         return ((k + 1) / k) ** (1.0 / self.p)
 
-    def log2_weight(self, k):
-        return (log2(k + 1) - log2(k)) / self.p
-
     def log2_product(self, n):
-        return log2(n + 1) / self.p if n else 0.0
+        if n < 0:
+            raise UsageError("ratio-power weights are unilateral")
+        return log2(n + 1) / self.p
 
     def describe(self):
         p = self.p
@@ -133,26 +97,26 @@ class RatioPowerWeights(WeightSequence):
 
 
 class TableWeights(WeightSequence):
-    """Explicit finite table for k = 1..len(values); `fill` beyond it."""
+    """Explicit finite table of nonzero weights for k = 1..len(values); 1 beyond it."""
 
-    def __init__(self, values, fill=1.0):
+    def __init__(self, values):
         self.values = tuple(float(v) for v in values)
-        self.fill = float(fill)
-        self.sup_bound = max([abs(v) for v in self.values] + [abs(self.fill)], default=1.0)
+        if 0.0 in self.values:
+            raise ZeroWeightError(self.values.index(0.0) + 1)
+        # summed left to right from the int 0, so prefix n is the float a loop over w_1..w_n gives
+        self._prefix = tuple(accumulate((log2(abs(v)) for v in self.values), initial=0))
 
     def weight(self, k):
         if k < 1:
             raise UsageError("table weights are unilateral")
         if k <= len(self.values):
             return self.values[k - 1]
-        return self.fill
+        return 1.0
 
-    def has_zero_in(self, a, b):
-        lo = max(a, 1)
-        hi = min(b, len(self.values))
-        if any(self.values[k - 1] == 0 for k in range(lo, hi + 1)):
-            return True
-        return self.fill == 0 and b > len(self.values)
+    def log2_product(self, n):
+        if n < 0:
+            raise UsageError("table weights are unilateral")
+        return self._prefix[min(n, len(self.values))]
 
     def describe(self):
         return "table:" + ",".join(repr(v) for v in self.values)
@@ -174,14 +138,21 @@ class ShiftOperator:
 
 
 def _scale_pow2(value, exponent):
-    """value * 2**exponent, exactly for Fraction values with int exponents."""
+    """value * 2**exponent, exactly for Fraction and int values with int exponents."""
     if isinstance(exponent, int):
-        if isinstance(value, Fraction):
-            return value * Fraction(2) ** exponent
-        if isinstance(value, int):
+        if isinstance(value, (Fraction, int)):
             return value * Fraction(2) ** exponent
         return ldexp(value, exponent)
     return float(value) * (2.0 ** exponent)
+
+
+def _pow2_clamped(x: float) -> float:
+    """2.0**x, saturating to 0.0 at or below -1074 and to inf at or above 1024."""
+    if x <= -1074:
+        return 0.0
+    if x >= 1024:
+        return float("inf")
+    return 2.0 ** x
 
 
 def apply_backward(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
@@ -211,13 +182,8 @@ def apply_right_inverse(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
         return v
     out = {}
     for idx, val in v.entries.items():
-        if T.weights.has_zero_in(idx + 1, idx + n):
-            bad = next(
-                k for k in range(idx + 1, idx + n + 1) if T.weights.weight(k) == 0
-            )
-            raise ZeroWeightError(bad)
         e = T.weights.log2_product_range(idx + 1, idx + n)
-        out[idx + n] = _scale_pow2(val, -e if isinstance(e, int) else -float(e))
+        out[idx + n] = _scale_pow2(val, -e)
     return SparseVec(out, T.space)
 
 
@@ -253,13 +219,7 @@ def reciprocal_product_series(w: WeightSequence, p: float, horizon: int) -> Seri
     inc_mid = 0.0
     inc_last = 0.0
     for n in range(1, horizon + 1):
-        x = -p * float(w.log2_product(n))  # log2 of the term
-        if x <= -1074:
-            term = 0.0
-        elif x >= 1024:
-            term = float("inf")
-        else:
-            term = 2.0 ** x
+        term = _pow2_clamped(-p * float(w.log2_product(n)))
         total += term
         if h4 < n <= h2:
             inc_mid += term

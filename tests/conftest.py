@@ -6,6 +6,7 @@ be traced to these.
 """
 
 from fractions import Fraction
+from math import frexp, log2
 
 import pytest
 
@@ -29,6 +30,17 @@ def brute_window_extremes(A, horizon, s):
     """(min, max) of |A ∩ ]k, k+s]| over every position k in [0, horizon-s]."""
     counts = [brute_count(A, k + 1, k + s) for k in range(0, horizon - s + 1)]
     return min(counts), max(counts)
+
+
+def brute_log2_range(w, a, b):
+    """log2|w_a ... w_b| summed one weight at a time: an exact int while every
+    weight is a power of two (frexp mantissa 1/2), a float sum otherwise."""
+    total = 0
+    for k in range(a, b + 1):
+        wk = abs(w.weight(k))
+        mantissa, e = frexp(wk)
+        total += e - 1 if mantissa == 0.5 else log2(wk)
+    return total
 
 
 def brute_gap_ok(tagged_members):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from hyperorbit import counterexample as cx
 from hyperorbit.cli import main
 
 
@@ -64,6 +65,18 @@ def test_verify_counterexample(tmp_path):
     assert (out / "exclusion.csv").exists()
     assert (out / "products.csv").exists()
     assert (out / "blocks.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [3.0, 4.0], ids=["not-a-power-of-two", "wrong-power"])
+def test_product_law_rejects_a_wrong_weight(tmp_path, monkeypatch, bad):
+    # w_99 is 2 (99 lies in S); 3 has no exact exponent, 4 shifts every later partial product
+    weight = cx.DoublingResetWeights.weight
+    monkeypatch.setattr(cx.DoublingResetWeights, "weight", lambda self, k: bad if k == 99 else weight(self, k))
+    code, _ = run(
+        tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "200",
+        "--family-levels", "2", "--family-reps", "2",
+    )
+    assert code == 3
 
 
 def test_dj_scan(tmp_path):
@@ -182,15 +195,25 @@ def test_usage_error_exit_code(tmp_path):
         ["densities", "--set", "segments:0:10:1:0"],
         ["densities", "--set", "segments:0:10:3:2"],
         ["densities", "--set", "segments:0:10:1:1;5:15:1:1"],
+        ["series-tests", "--weights", "counterexample-c0:junk"],
+        ["orbit", "--vector", "e:0", "--targets", "zero:junk@1/2"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
-         "segment-overlap"],
+         "segment-overlap", "nullary-weight-junk", "zero-vector-junk"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_zero_table_weight_exit_code(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("1.0\n0\n2.0\n")
+    code, _ = run(tmp_path, "zt", "series-tests", "--weights", f"table:{table}")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: zero weight at index 2\n"
 
 
 def test_verification_failure_exit_code(tmp_path):

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperorbit import (
     AlphaProfile,
     ConstantWeights,
     DenseDyadicSequence,
+    DoublingResetWeights,
     ExplicitSet,
     FactorialBlockSet,
     PeriodicSet,
@@ -23,11 +26,48 @@ from hyperorbit import (
 )
 from hyperorbit.errors import NoDataError, UsageError
 from hyperorbit.indexsets import estimate_densities
+from hyperorbit.recurrence import _Orbit
 
 from conftest import periodic_eta
 
 L2 = lp(2.0)
 DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
+
+
+# ---------------------------------------------------------------------------
+# orbit stepping
+
+
+@pytest.mark.parametrize(
+    "w,space",
+    [
+        (ConstantWeights(2.0), lp(2.0, bilateral=True)),
+        (ConstantWeights(0.5), lp(2.0, bilateral=True)),
+        (ConstantWeights(2.0), L2),
+        (DoublingResetWeights(), L2),
+    ],
+    ids=["2-bilateral", "1/2-bilateral", "2", "reset"],
+)
+@given(
+    entries=st.dictionaries(
+        st.integers(0, 400),
+        st.integers(-(2**40), 2**40).filter(bool).flatmap(
+            lambda num: st.integers(-30, 30).map(lambda e: Fraction(num) * Fraction(2) ** e)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    n=st.integers(0, 120),
+)
+@settings(max_examples=40, deadline=None)
+def test_orbit_steps_match_apply_backward(w, space, entries, n):
+    T = ShiftOperator(w, space)
+    x = SparseVec(entries, space)
+    orbit = _Orbit(T, x)
+    for _ in range(n):
+        orbit.step()
+    exact = apply_backward(T, x, n)
+    assert orbit.vector().entries == {k: float(v) for k, v in exact.entries.items()}
 
 
 # ---------------------------------------------------------------------------

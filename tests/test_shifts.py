@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from hyperorbit import (
     product_exponent,
     reciprocal_product_series,
 )
-from hyperorbit.errors import ZeroWeightError
+from hyperorbit.errors import UsageError, ZeroWeightError
+
+from conftest import brute_log2_range
 
 L2 = lp(2.0)
 DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
@@ -57,9 +60,8 @@ def test_right_inverse_examples():
 
 
 def test_zero_weight_rejected():
-    T = ShiftOperator(TableWeights([1.0, 0.0, 1.0]), L2)
     with pytest.raises(ZeroWeightError) as err:
-        apply_right_inverse(T, SparseVec.basis(L2, 0), 3)
+        TableWeights([1.0, 0.0, 1.0])
     assert err.value.index == 2
 
 
@@ -103,6 +105,62 @@ def test_basis_norm_matches_log_product(w, m, n):
     got = norm(out)
     expo = w.log2_product_range(m + 1, m + n)
     assert got == float(2.0**expo)
+
+
+# ---------------------------------------------------------------------------
+# the log2_product primitive against the one-weight-at-a-time oracle
+
+
+@pytest.mark.parametrize(
+    "w,lo,hi",
+    [(ConstantWeights(2.0), -60, 60), (ConstantWeights(0.5), -60, 60), (DoublingResetWeights(), 1, 12000)],
+    ids=["2", "1/2", "reset"],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dyadic_ranges_exact(w, lo, hi, data):
+    a = data.draw(st.integers(lo, hi))
+    b = a + data.draw(st.integers(-3, 300))
+    got = w.log2_product_range(a, b)
+    assert isinstance(got, int)
+    assert got == brute_log2_range(w, a, b)
+
+
+@pytest.mark.parametrize(
+    "w,lo,hi",
+    # a <= 100 keeps the closed form's cancellation, log2(b+1) - log2(a), well inside 1e-12
+    [(ConstantWeights(3.0), -60, 60), (RatioPowerWeights(2.0), 1, 100)],
+    ids=["3", "ratio-power"],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_float_ranges_close(w, lo, hi, data):
+    a = data.draw(st.integers(lo, hi))
+    b = a + data.draw(st.integers(-3, 300))
+    assert math.isclose(w.log2_product_range(a, b), brute_log2_range(w, a, b), rel_tol=1e-12)
+
+
+@given(
+    st.lists(st.floats(2.0, 4.0), min_size=1, max_size=40),
+    st.integers(1, 100),
+    st.integers(-2, 100),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_ranges_close_past_the_end(values, a, length):
+    # weights >= 2 keep every nonempty range >= 1, so prefix rounding stays far below 1e-12 of it
+    w = TableWeights(values)
+    b = a + length - 1
+    assert math.isclose(w.log2_product_range(a, b), brute_log2_range(w, a, b), rel_tol=1e-12)
+    assert w.log2_product(len(values) + 50) == w.log2_product(len(values))
+
+
+@pytest.mark.parametrize("w", [RatioPowerWeights(2.0), TableWeights([2.0, 3.0]), DoublingResetWeights()])
+def test_unilateral_products_reject_nonpositive_indices(w):
+    assert w.log2_product_range(5, 4) == 0
+    with pytest.raises(UsageError):
+        w.log2_product_range(0, 3)
+    with pytest.raises(UsageError):
+        w.log2_product(-1)
 
 
 # ---------------------------------------------------------------------------
