@@ -184,9 +184,15 @@ def _progression(s) -> tuple:
 
 
 def _pow2_rate(T: ShiftOperator):
-    """Exact per-step log2 growth of partial products: constant power-of-two weights above 1."""
+    """Exact per-step log2 growth of partial products: constant power-of-two weights above 1.
+
+    Negative constants raise UsageError: the orbit-bound verifier takes every
+    partial product to be the positive power 2**(rate*n).
+    """
     w = T.weights
     if isinstance(w, ConstantWeights):
+        if w.value < 0:
+            raise UsageError("orbit-bound certificates need positive weights")
         rate = w.log2_product(1)
         if isinstance(rate, int) and rate > 0:
             return rate

@@ -1,13 +1,38 @@
 """Orbit hitting times, recurrence classification, return sets, and
 correlation machinery over integer time sets.
 
-Orbits are stepped once per time unit.  Internally each entry is carried
-as (mantissa, power-of-two exponent) so that dyadic data stays exact far
-beyond double range in both directions; a step multiplies the mantissa by
-the weight and renormalizes it with one `frexp`, which is exact for
-power-of-two weights.  Entries are materialized to floats only for ball
-tests.  Magnitudes past the overflow cap truncate the orbit with the
-truncation recorded on every report.
+An orbit is held as three lists in the insertion order of x: each entry's
+original index, a float mantissa and an int power-of-two exponent, so that
+dyadic data stays exact far beyond double range in both directions.  A step
+multiplies each mantissa by the weight at its position and renormalizes
+with one `frexp`, exact for power-of-two weights.  The weights come from a
+table fetched once per index the orbit can visit.  Magnitudes past the
+overflow cap truncate the orbit with the truncation recorded on every
+report.
+
+One scan serves `hitting_times` and the probes of `return_set`.  It moves
+the orbit a block of about 2**15 entry-steps at a time.  Within a block
+each row is the previous row times the weights, one product per entry,
+started from each entry's value (or, far from 1, its mantissa) and
+renormalized with `frexp` once at the end of the block; the block is
+short enough that every running product stays a normal float, where
+rounding commutes with powers of two, so the rows have the bits of
+stepping with `frexp` one step at a time.  Each row is tested against every target in
+the order `spaces.norm` sums, so each verdict is the one `ball_contains`
+gives: first v's nonzero entries in x order, then the centre entries no
+nonzero entry meets at that step, in centre order; the c0 norm is the row
+maximum.  Rows whose sum leaves the normal float range, lp spaces with
+p != 2, and centres without a float value go through `ball_contains`
+itself.  On a unilateral space an orbit whose entries have all passed
+index 0 is zero from then on, and the remaining times are decided by one
+ball test of the zero vector.
+
+The scan runs on the standard library's C iterators (`map`, `zip`), not
+numpy: importing numpy alone would add about 12 MB of resident memory to
+every recurrence run.
+
+`return_weight_sums` tabulates alpha once and sums each member's row left
+to right, so its betas have the bits of the old double loop.
 
 Classification labels are evidence at a horizon, never proofs, and the
 threshold they use is always carried in the result.
@@ -15,9 +40,11 @@ threshold they use is always carried in the result.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import frexp, ldexp
+from math import floor, frexp, ldexp, log2, sqrt
+from operator import mul
 
 from .errors import NoDataError, UsageError
 from .indexsets import (
@@ -29,9 +56,11 @@ from .indexsets import (
     is_syndetic,
 )
 from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
-from .spaces import SparseVec, ball_contains
+from .spaces import SparseVec, _same_space, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
+_BLOCK = 2**15  # orbit cells (entries plus centre entries, times steps) per block
+_DRIFT = 500  # most bits a running product may move within one block
 
 
 # ---------------------------------------------------------------------------
@@ -58,33 +87,220 @@ def _materialize(m, e):
 
 
 class _Orbit:
-    """Backward-shift orbit with per-entry (mantissa, exponent) state."""
+    """Backward-shift orbit as three lists in the insertion order of x.
 
-    def __init__(self, T: ShiftOperator, x: SparseVec, overflow_log2: float = OVERFLOW_LOG2):
+    `index` is each entry's original index, `mantissa` and `exponent` its
+    value m * 2**e; after `steps` steps entry j stands at index[j] - steps.
+    `step(count)` moves the state on by a block of `count` steps and returns
+    the orbit points it passed.  On a unilateral space an entry that steps
+    past index 0 meets a table weight of 0.0, so its mantissa is 0 from then
+    on; `vector()` leaves it out and `prune()` drops it.  The weight table
+    holds, from each entry's index downwards, the weights at every index it
+    stands on in its first `reach` steps (0.0 for k < 1 on unilateral
+    spaces, never fetched) and grows when a step needs more.
+    """
+
+    def __init__(self, T: ShiftOperator, x: SparseVec, overflow_log2: float = OVERFLOW_LOG2, reach: int = 64):
         self.T = T
         self.space = x.space
         self.overflow_log2 = overflow_log2
-        self.state = {}
+        self.index, self.mantissa, self.exponent = [], [], []
         for idx, val in x.entries.items():
             if val != 0:
-                self.state[idx] = _split(val)
+                m, e = _split(val)
+                self.index.append(idx)
+                self.mantissa.append(m)
+                self.exponent.append(e)
+        self.steps = 0
+        if not self.space.bilateral and self.index:
+            reach = min(reach, max(self.index) + 1)  # every entry has left by then
+        self._fetch(max(reach, 1))
+
+    def _fetch(self, reach):
+        """Tabulate w_k for k from i down to i - reach around every original index i."""
+        w, bilateral = self.T.weights, self.space.bilateral
+        runs = []  # merged [low, high] index ranges
+        for i in sorted(set(self.index)):
+            if runs and i - reach <= runs[-1][1] + 1:
+                runs[-1][1] = i
+            else:
+                runs.append([i - reach, i])
+        table, top = [], {}
+        for low, high in runs:
+            first = low if bilateral else max(low, 1)
+            top[high] = len(table) + high  # w_k sits at top[high] - k
+            table.extend(w.weight(k) for k in range(high, first - 1, -1))
+            table.extend([0.0] * (min(first, high + 1) - low))
+        highs = [high for _, high in runs]
+        # entry j's weight at step s sits at base[j] + s
+        self._base = [top[highs[bisect_right(highs, i - 1)]] - i for i in self.index]
+        self._table = table
+        self._reach = reach
+        self._steepest = max((abs(log2(abs(v))) for v in table if v), default=0.0)
+        # rows per block that keep every running product within 2**±_DRIFT of its start
+        self.stride = max(1, floor(_DRIFT / self._steepest)) if self._steepest else _BLOCK
 
     def vector(self) -> SparseVec:
-        return SparseVec({i: _materialize(m, e) for i, (m, e) in self.state.items()}, self.space)
+        keep = self.space.bilateral
+        return SparseVec(
+            {
+                idx - self.steps: _materialize(m, e)
+                for idx, m, e in zip(self.index, self.mantissa, self.exponent)
+                if keep or idx >= self.steps
+            },
+            self.space,
+        )
 
-    def overflowed(self) -> bool:
-        return any(e > self.overflow_log2 for _, (m, e) in self.state.items())
+    def step(self, count=1):
+        """Move on by `count` steps; return the orbit points at steps `steps` ..
+        `steps + count - 1` (before the move), as rows of values in x order, and
+        the first of those rows with an exponent past the overflow cap (None if
+        there is none).
 
-    def step(self):
-        w = self.T.weights
-        new = {}
-        for idx, (m, e) in self.state.items():
-            tgt = idx - 1
-            if tgt < 0 and not self.space.bilateral:
+        Each row is the previous one times the weights, one product per entry,
+        from a start row of values (or of mantissas, for entries far from 1);
+        the state is renormalized with `frexp` only at the end.  Within `stride`
+        rows every running product stays a normal float, where rounding commutes
+        with powers of two, so the rows have the bits of `count` single steps.
+        """
+        if count > self.stride:
+            raise ValueError(f"a block holds at most {self.stride} rows")
+        start = self.steps
+        if start + count - 1 > self._reach:
+            self._fetch(max(2 * self._reach, start + count - 1))
+        drift = count * self._steepest  # most bits a running product moves in this block
+        room = 1000 - drift  # values within 2**±room stay normal floats through the block
+        scales = [0 if m and -room <= e <= room else e for m, e in zip(self.mantissa, self.exponent)]
+        row = tuple(m if s else ldexp(m, e) for m, e, s in zip(self.mantissa, self.exponent, scales))
+        rows = [row]
+        for weights in zip(*[self._table[b + start : b + start + count] for b in self._base]):
+            row = tuple(map(mul, row, weights))
+            rows.append(row)
+        over = count
+        for j, (idx, e, s) in enumerate(zip(self.index, self.exponent, scales)):
+            if e + drift + 2 > self.overflow_log2:  # the entry may pass the cap: find the row
+                live = count if self.space.bilateral else min(count, idx - start + 1)
+                over = next((r for r in range(min(live, over)) if frexp(rows[r][j])[1] + s > self.overflow_log2), over)
+        ends = [frexp(c) for c in rows.pop()]
+        self.mantissa = [m for m, _ in ends]
+        self.exponent = [de + s for (_, de), s in zip(ends, scales)]
+        self.steps += count
+        del rows[over:]
+        if any(scales):
+            rows = [tuple(map(ldexp, row, scales)) for row in rows]
+        return rows, (over if over < count else None)
+
+    def prune(self):
+        """Drop the entries that have left a unilateral space."""
+        if self.space.bilateral:
+            return
+        keep = [j for j, idx in enumerate(self.index) if idx >= self.steps]
+        if len(keep) < len(self.index):
+            self.index = [self.index[j] for j in keep]
+            self.mantissa = [self.mantissa[j] for j in keep]
+            self.exponent = [self.exponent[j] for j in keep]
+            self._base = [self._base[j] for j in keep]
+
+
+class _Ball:
+    """One target ball, prepared to test the rows of a scan."""
+
+    def __init__(self, center: SparseVec, radius, space):
+        _same_space(center, SparseVec.zero(space))
+        self.center = center
+        self.radius = radius
+        self.index = list(center.entries)
+        self.c0 = space.kind == "c0"
+        self.direct = self.c0 or space.p == 2.0
+        try:
+            self.values = [float(val) for val in center.entries.values()]
+        except OverflowError:
+            self.direct = False
+
+    def norm(self, row, terms, at, n):
+        """‖v - c‖ as `spaces.norm` sums it, or None where `spaces.norm` rescales
+        (an l2 sum outside (1e-290, inf), a c0 maximum of 0).
+
+        `row` holds the orbit point's entries in x order at step n, `terms` their
+        squares (l2) or magnitudes (c0), and `at` maps an original index to its
+        place in the row."""
+        rest = []  # centre entries no nonzero entry meets, in centre order
+        shared = True
+        for k, c in zip(self.index, self.values):
+            j = at.get(k + n)
+            if j is None or row[j] == 0:
+                rest.append(abs(c) if self.c0 else c * c)
                 continue
-            m, de = frexp(m * w.weight(idx))
-            new[tgt] = (m, e + de)
-        self.state = new
+            if shared:
+                terms, shared = list(terms), False
+            d = row[j] - c
+            terms[j] = abs(d) if self.c0 else d * d
+        if self.c0:
+            size = max(max(terms), max(rest, default=0.0))
+            return size if size > 0.0 else None
+        total = 0.0
+        for t in terms:
+            total += t
+        for t in rest:
+            total += t
+        return sqrt(total) if 1e-290 < total < float("inf") else None
+
+
+def _scan(orbit: _Orbit, targets, horizon: int, empty_is_dead: bool = False):
+    """Hit times n <= horizon of the orbit in each (center, radius) ball, and the truncation step.
+
+    The orbit moves a block of rows at a time; a row with an exponent past
+    `orbit.overflow_log2` ends the scan (its step is returned, None if no
+    row overflows).  From the step at which a unilateral orbit has no entry
+    left (with `empty_is_dead`, no nonzero entry) every row is the zero
+    vector, decided by one `ball_contains`.
+    """
+    space = orbit.space
+    balls = [_Ball(center, radius, space) for center, radius in targets]
+    widest = max((len(b.index) for b in balls), default=0)
+    found = [[] for _ in balls]
+    truncated_at = None
+    dead_from = None
+    start = 0
+    while start <= horizon:
+        orbit.prune()
+        index = orbit.index
+        if not index:
+            dead_from = start
+            break
+        count = min(horizon + 1 - start, orbit.stride, max(1, _BLOCK // (len(index) + widest)))
+        if not space.bilateral:
+            count = min(count, max(index) + 1 - start)
+        rows, over = orbit.step(count)
+        if over is not None:
+            truncated_at = start + over
+        if empty_is_dead and not space.bilateral:
+            empty = next((r for r, row in enumerate(rows) if not any(row)), None)
+            if empty is not None:
+                truncated_at = None
+                dead_from = start + empty
+                rows = rows[:empty]
+        at = {idx: j for j, idx in enumerate(index)}
+        for n, row in enumerate(rows, start):
+            terms = list(map(abs, row)) if space.kind == "c0" else list(map(mul, row, row))
+            for times, ball in zip(found, balls):
+                size = ball.norm(row, terms, at, n) if ball.direct else None
+                if size is None:
+                    point = SparseVec({idx - n: v for idx, v in zip(index, row) if v != 0}, space)
+                    inside = ball_contains(ball.center, ball.radius, point)
+                else:
+                    inside = size < ball.radius
+                if inside:
+                    times.append(n)
+        if truncated_at is not None or dead_from is not None:
+            break
+        start += count
+    if dead_from is not None:
+        zero = SparseVec.zero(space)
+        for times, (center, radius) in zip(found, targets):
+            if ball_contains(center, radius, zero):
+                times.extend(range(dead_from, horizon + 1))
+    return found, truncated_at
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +335,21 @@ def hitting_times(
 
     `targets` is a list of (center, radius).  The orbit is stepped once per
     time unit; an entry past the overflow cap (log2 scale, default about
-    1e300) truncates the scan and the truncation point is recorded on every
-    report.
+    1e300; it must stay below 1024, the float exponent range) truncates the
+    scan and the truncation point is recorded on every report.
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     for _, r in targets:
         if r <= 0:
             raise UsageError("target radii must be positive")
-    orbit = _Orbit(T, x, overflow_log2)
-    times = [[] for _ in targets]
-    truncated_at = None
-    for n in range(horizon + 1):
-        if orbit.overflowed():
-            truncated_at = n
-            break
-        v = orbit.vector()
-        for t, (center, radius) in enumerate(targets):
-            if ball_contains(center, radius, v):
-                times[t].append(n)
-        if n < horizon:
-            orbit.step()
+    if overflow_log2 >= 1024:
+        raise UsageError("overflow_log2 must be below 1024, the float exponent range")
+    found, truncated_at = _scan(_Orbit(T, x, overflow_log2, horizon), targets, horizon)
     reports = []
     grid = _fitting_grid(window_grid, horizon)
     for t, (center, radius) in enumerate(targets):
-        tset = ExplicitSet(tuple(times[t]))
+        tset = ExplicitSet(tuple(found[t]))
         dens = estimate_densities(tset, horizon, grid, tail_factor) if grid else None
         reports.append(
             HittingReport(
@@ -263,21 +469,8 @@ def return_set(
     for probe in probes:
         if not ball_contains(uc, ur, probe):
             continue
-        orbit = _Orbit(T, probe)
-        dead_from = None
-        for n in range(horizon + 1):
-            if orbit.overflowed():
-                break
-            v = orbit.vector()
-            if not v.entries and not probe.space.bilateral:
-                dead_from = n
-                break
-            if ball_contains(vc, vr, v):
-                found.add(n)
-            if n < horizon:
-                orbit.step()
-        if dead_from is not None and ball_contains(vc, vr, SparseVec.zero(probe.space)):
-            found.update(range(dead_from, horizon + 1))
+        (times,), _ = _scan(_Orbit(T, probe, reach=horizon), [(vc, vr)], horizon, empty_is_dead=True)
+        found.update(times)
 
     for t in range(0, horizon + 1, witness_stride):
         drift = vc - apply_backward(T, uc, t)
@@ -436,20 +629,20 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
     if not members:
         raise NoDataError("the set is empty below the horizon")
     cuts = sorted({max(1, horizon // 100), max(1, horizon // 10), horizon})
+    alphas = [float(alpha.value(d)) for d in range(members[-1] - members[0] + 1)]
+    ends = [bisect_right(members, c) for c in cuts]  # members <= each cut
     betas_full = {}
     curve = {c: 0.0 for c in cuts}
-    for n in members:
-        partial = {c: 0.0 for c in cuts}
-        for m in members:
-            a = alpha.value(m - n)
-            if a:
-                for c in cuts:
-                    if m <= c:
-                        partial[c] += a
-        betas_full[n] = partial[horizon]
-        for c in cuts:
-            if n <= c and partial[c] > curve[c]:
-                curve[c] = partial[c]
+    for i, n in enumerate(members):
+        # one left-to-right pass over the later members; each cut reads the sum so far
+        total, at = 0.0, i + 1
+        for c, end in zip(cuts, ends):
+            for m in members[at:end]:
+                total += alphas[m - n]
+            at = max(at, end)
+            if total > curve[c]:  # 0.0 for the cuts below n
+                curve[c] = total
+        betas_full[n] = total
     seq = [curve[c] for c in cuts]
     growing = all(a < b for a, b in zip(seq, seq[1:])) and seq[-1] >= seq[0] * 1.02
     return ReturnSumReport(betas_full, tuple(zip(cuts, seq)), growing, horizon)

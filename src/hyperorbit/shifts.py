@@ -6,8 +6,10 @@ A weight kind provides `weight(k)` and one log2-domain primitive,
 form or from a prefix table; every other product question is a difference
 of two prefix values.  Kinds whose weights are powers of two return exact
 integer exponents, so products like 2**600 neither overflow nor lose
-precision.  Vector entries that are dyadic `Fraction`s are transformed
-exactly; float entries go through `ldexp`.
+precision.  A product's sign is (-1) to the number of negative weights in
+its range, counted by `negatives(n)`, a second prefix primitive that only
+kinds with negative weights override.  Vector entries that are dyadic
+`Fraction`s are transformed exactly; float entries go through `ldexp`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class WeightSequence:
 
     A kind provides `weight(k)` and the primitive `log2_product(n)`:
     log2|w_1 ... w_n| for n >= 0 (0 for n = 0) and, on bilateral kinds,
-    -log2|w_{n+1} ... w_0| for n < 0.
+    -log2|w_{n+1} ... w_0| for n < 0.  A kind with negative weights also
+    provides `negatives(n)`, their count in the same prefix ranges.
     """
 
     bilateral = False
@@ -44,6 +47,10 @@ class WeightSequence:
         if a < 1 and not self.bilateral:
             raise UsageError("weights are unilateral but the range reaches k <= 0")
         return self.log2_product(b) - self.log2_product(a - 1)
+
+    def negatives(self, n: int) -> int:
+        """Negative weights among w_1 ... w_n (minus those among w_{n+1} ... w_0 for n < 0)."""
+        return 0
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -65,6 +72,9 @@ class ConstantWeights(WeightSequence):
 
     def log2_product(self, n):
         return n * self._log2
+
+    def negatives(self, n):
+        return n if self.value < 0 else 0
 
     def describe(self):
         v = self.value
@@ -105,6 +115,7 @@ class TableWeights(WeightSequence):
             raise ZeroWeightError(self.values.index(0.0) + 1)
         # summed left to right from the int 0, so prefix n is the float a loop over w_1..w_n gives
         self._prefix = tuple(accumulate((log2(abs(v)) for v in self.values), initial=0))
+        self._negatives = tuple(accumulate((v < 0 for v in self.values), initial=0))
 
     def weight(self, k):
         if k < 1:
@@ -117,6 +128,11 @@ class TableWeights(WeightSequence):
         if n < 0:
             raise UsageError("table weights are unilateral")
         return self._prefix[min(n, len(self.values))]
+
+    def negatives(self, n):
+        if n < 0:
+            raise UsageError("table weights are unilateral")
+        return self._negatives[min(n, len(self.values))]
 
     def describe(self):
         return "table:" + ",".join(repr(v) for v in self.values)
@@ -155,6 +171,14 @@ def _pow2_clamped(x: float) -> float:
     return 2.0 ** x
 
 
+def _scale_signed(value, w: WeightSequence, a: int, b: int, inverse: bool):
+    """value times w_a ... w_b (divided by it when `inverse`), for a <= b: a
+    power-of-two scaling, negated when the range holds an odd number of negative weights."""
+    e = w.log2_product_range(a, b)
+    scaled = _scale_pow2(value, -e if inverse else e)
+    return -scaled if (w.negatives(b) - w.negatives(a - 1)) % 2 else scaled
+
+
 def apply_backward(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
     """B^n v: entry m picks up v_{m+n} times the product of w_{m+1}..w_{m+n}."""
     if n < 0:
@@ -166,8 +190,7 @@ def apply_backward(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
         m = idx - n
         if m < 0 and not T.space.bilateral:
             continue
-        e = T.weights.log2_product_range(m + 1, m + n)
-        out[m] = _scale_pow2(val, e)
+        out[m] = _scale_signed(val, T.weights, m + 1, m + n, inverse=False)
     return SparseVec(out, T.space)
 
 
@@ -182,8 +205,7 @@ def apply_right_inverse(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
         return v
     out = {}
     for idx, val in v.entries.items():
-        e = T.weights.log2_product_range(idx + 1, idx + n)
-        out[idx + n] = _scale_pow2(val, -e)
+        out[idx + n] = _scale_signed(val, T.weights, idx + 1, idx + n, inverse=True)
     return SparseVec(out, T.space)
 
 

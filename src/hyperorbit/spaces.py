@@ -207,7 +207,7 @@ def _safe_pow(x: float, p: float) -> float:
 
 
 def ball_contains(center: SparseVec, radius: float, v: SparseVec) -> bool:
-    """Open-ball test: norm(v - center) < radius, strict and tolerance-free.
+    """Open-ball test: norm(v - center) < radius, strict, with no tolerance added.
 
     Not exact: the float norm is compared with the float radius, so a
     point within rounding of the sphere can be misjudged.

@@ -6,11 +6,11 @@ be traced to these.
 """
 
 from fractions import Fraction
-from math import frexp, log2
+from math import frexp, ldexp, log2
 
 import pytest
 
-from hyperorbit import apply_backward, norm_sq_exact, proof_bound
+from hyperorbit import SparseVec, apply_backward, apply_right_inverse, ball_contains, norm_sq_exact, proof_bound
 from hyperorbit.constructor import (
     OrbitBoundReport,
     OrbitBoundRow,
@@ -108,6 +108,103 @@ def brute_orbit_bounds(hc, T, horizon):
             if not ok:
                 violations.append(row)
     return OrbitBoundReport(tuple(rows), worst, tuple(violations), horizon)
+
+
+def _brute_split(value):
+    """(mantissa, exp) with value = mantissa * 2**exp, exact for Fractions far outside float range."""
+    if isinstance(value, Fraction):
+        shift = value.numerator.bit_length() - value.denominator.bit_length()
+        m, e = frexp(float(value * Fraction(2) ** (-shift)))
+        return m, e + shift
+    return frexp(float(value))
+
+
+def _brute_materialize(m, e):
+    if e >= 1024:
+        raise OverflowError("entry beyond float range")
+    return 0.0 if e < -1100 else ldexp(m, e)
+
+
+def brute_orbit(T, x, horizon, overflow_log2):
+    """Yield (n, B^n x as floats) for n = 0..horizon, stepping an index -> (mantissa, exponent)
+    dict one weight at a time; stops before the first step with an exponent past the cap and
+    yields (n, None) for it."""
+    state = {idx: _brute_split(val) for idx, val in x.entries.items() if val != 0}
+    for n in range(horizon + 1):
+        if any(e > overflow_log2 for _, e in state.values()):
+            yield n, None
+            return
+        yield n, SparseVec({i: _brute_materialize(m, e) for i, (m, e) in state.items()}, x.space)
+        new = {}
+        for idx, (m, e) in state.items():
+            if idx - 1 < 0 and not x.space.bilateral:
+                continue
+            m, de = frexp(m * T.weights.weight(idx))
+            new[idx - 1] = (m, e + de)
+        state = new
+
+
+def brute_hitting_times(T, x, targets, horizon, overflow_log2=996):
+    """(times per target, truncation step or None): one ball_contains per target and step."""
+    times = [[] for _ in targets]
+    for n, v in brute_orbit(T, x, horizon, overflow_log2):
+        if v is None:
+            return times, n
+        for t, (center, radius) in enumerate(targets):
+            if ball_contains(center, radius, v):
+                times[t].append(n)
+    return times, None
+
+
+def brute_return_times(T, U, V, horizon, probe_grid=8, witness_stride=50):
+    """Sorted return times of return_set: every probe stepped to the horizon (a unilateral
+    probe's first empty orbit point settles the rest by one ball test of the zero vector),
+    then the pulled-back witnesses."""
+    (uc, ur), (vc, vr) = U, V
+    found = set()
+    probes = [uc]
+    for i in range(probe_grid):
+        bump = SparseVec.basis(uc.space, i, Fraction(1, 2) * Fraction(int(ur * 2**20), 2**20) / (i + 2))
+        probes.append(uc + bump)
+    for probe in probes:
+        if not ball_contains(uc, ur, probe):
+            continue
+        for n, v in brute_orbit(T, probe, horizon, 996):
+            if v is None:
+                break
+            if not v.entries and not probe.space.bilateral:
+                if ball_contains(vc, vr, SparseVec.zero(probe.space)):
+                    found.update(range(n, horizon + 1))
+                break
+            if ball_contains(vc, vr, v):
+                found.add(n)
+    for t in range(0, horizon + 1, witness_stride):
+        witness = uc + apply_right_inverse(T, vc - apply_backward(T, uc, t), t)
+        if ball_contains(uc, ur, witness) and ball_contains(vc, vr, apply_backward(T, witness, t)):
+            found.add(t)
+    return sorted(found)
+
+
+def brute_return_weight_sums(A, alpha, horizon):
+    """(betas, growth curve) of return_weight_sums by the double loop over members,
+    each partial sum taken left to right."""
+    members = A.members_in(0, horizon)
+    cuts = sorted({max(1, horizon // 100), max(1, horizon // 10), horizon})
+    betas = {}
+    curve = {c: 0.0 for c in cuts}
+    for n in members:
+        partial = {c: 0.0 for c in cuts}
+        for m in members:
+            a = alpha.value(m - n)
+            if a:
+                for c in cuts:
+                    if m <= c:
+                        partial[c] += a
+        betas[n] = partial[horizon]
+        for c in cuts:
+            if n <= c and partial[c] > curve[c]:
+                curve[c] = partial[c]
+    return betas, tuple((c, curve[c]) for c in cuts)
 
 
 @pytest.fixture

@@ -288,6 +288,16 @@ CLI_MATRIX = [
     ("construct", ["--depth", "3", "--horizon", "2000", "--family", "dyadic-block:6"]),
     ("orbit", ["--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "2000"]),
     ("classify", ["--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "2000"]),
+    # the c0 norm and a non-dyadic weight through the block scan
+    (
+        "classify",
+        ["--space", "c0", "--operator", "constant:1/2", "--vector", "ones:0-300", "--targets", "zero:@1/1000",
+         "--horizon", "400"],
+    ),
+    (
+        "orbit",
+        ["--operator", "ratio-power:2", "--vector", "ones:0-300", "--targets", "zero:@8;e:0@1/2", "--horizon", "400"],
+    ),
     ("return-set", ["--u", "dense:1@0.25", "--v", "dense:2@0.25", "--horizon", "2000", "--stride", "40"]),
     ("correlate", ["--set", "arith:3:0"]),
     ("beta", ["--set", "evens", "--horizon", "400"]),
@@ -308,13 +318,13 @@ def _snapshot(out):
 
 
 def test_criterion_13_cli_determinism(tmp_path):
-    for name, argv in CLI_MATRIX:
+    for row, (name, argv) in enumerate(CLI_MATRIX):
         outs = []
         for tag, workers in (("a", 1), ("b", 8)):
-            out = tmp_path / f"{name}-{tag}"
+            out = tmp_path / f"{row}-{name}-{tag}"
             code = cli_main([name, *argv, "--workers", str(workers), "--out", str(out)])
             assert code == 0, (name, workers, code)
             outs.append(_snapshot(out))
         assert outs[0] == outs[1], f"{name}: outputs differ between worker counts"
         assert outs[0], f"{name}: produced no outputs"
-    _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} subcommands, workers 1 vs 8")
+    _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} commands, workers 1 vs 8")

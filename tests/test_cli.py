@@ -223,6 +223,12 @@ def test_verification_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_negative_weights_rejected_by_construct(tmp_path, capsys):
+    code, _ = run(tmp_path, "neg", "construct", "--operator", "constant:-2", "--depth", "2", "--horizon", "200")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: orbit-bound certificates need positive weights\n"
+
+
 def test_overflow_exit_code(tmp_path):
     vec = tmp_path / "big.txt"
     lines = ["# space lp:2.0"] + [f"{i} 1" for i in range(0, 1100)]

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import ldexp, sqrt
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import (
@@ -12,23 +14,34 @@ from hyperorbit import (
     ExplicitSet,
     FactorialBlockSet,
     PeriodicSet,
+    RatioPowerWeights,
     ShiftOperator,
     SparseVec,
+    TableWeights,
     apply_backward,
     ball_contains,
     bilateral_tail_sums,
+    c0,
     classify,
     correlation_scan,
     hitting_times,
     lp,
+    norm,
     return_set,
     return_weight_sums,
 )
 from hyperorbit.errors import NoDataError, UsageError
 from hyperorbit.indexsets import estimate_densities
+from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
 
-from conftest import periodic_eta
+from conftest import (
+    brute_hitting_times,
+    brute_orbit,
+    brute_return_times,
+    brute_return_weight_sums,
+    periodic_eta,
+)
 
 L2 = lp(2.0)
 DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
@@ -43,10 +56,12 @@ DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
     [
         (ConstantWeights(2.0), lp(2.0, bilateral=True)),
         (ConstantWeights(0.5), lp(2.0, bilateral=True)),
+        (ConstantWeights(-2.0), lp(2.0, bilateral=True)),
         (ConstantWeights(2.0), L2),
         (DoublingResetWeights(), L2),
+        (TableWeights([(-1) ** k * 2.0 ** (k % 5 - 2) for k in range(60)]), L2),
     ],
-    ids=["2-bilateral", "1/2-bilateral", "2", "reset"],
+    ids=["2-bilateral", "1/2-bilateral", "-2-bilateral", "2", "reset", "signed-table"],
 )
 @given(
     entries=st.dictionaries(
@@ -98,6 +113,206 @@ def test_orbit_overflow_truncates():
     reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 2000)
     assert reports[0].truncated
     assert reports[0].truncated_at is not None
+
+
+def test_overflow_cap_beyond_float_range_rejected():
+    x = SparseVec.basis(L2, 3)
+    with pytest.raises(UsageError):
+        hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 10, overflow_log2=1024)
+    reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 10, overflow_log2=1023)
+    assert reports[0].times.members == (4, 5, 6, 7, 8, 9, 10)  # e_3 reaches index 0 at n = 3, then leaves
+
+
+# Orbit cases for the oracle properties: every space kind, signed, non-dyadic and
+# doubling/reset weights, entries far below the float range, unsorted insertion order.
+UNILATERAL_WEIGHTS = [
+    RatioPowerWeights(2.0),
+    DoublingResetWeights(),
+    TableWeights([1.5, -2.0, 0.75, 3.0, -0.5, 1.25, 2.0, -1.0, 0.3, 4.0] * 4),
+]
+CONSTANTS = [ConstantWeights(c) for c in (2.0, -2.0, 0.5, -0.5, 1.5, 3.0)]
+SPACES = [lp(2.0), c0(), lp(3.0), lp(2.0, bilateral=True), c0(bilateral=True)]
+
+scalars = st.one_of(
+    st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**20), 2**20).filter(bool),
+              st.integers(-1200, 30)),
+    st.builds(lambda num, den: Fraction(num, den), st.integers(-50, 50).filter(bool), st.sampled_from([3, 7, 10])),
+    st.floats(-1e6, 1e6).filter(lambda f: abs(f) > 1e-6),
+    st.integers(-5, 5).filter(bool),
+)
+
+
+@st.composite
+def orbit_cases(draw):
+    space = draw(st.sampled_from(SPACES))
+    w = draw(st.sampled_from(CONSTANTS + ([] if space.bilateral else UNILATERAL_WEIGHTS)))
+    low = -30 if space.bilateral else 0
+    pairs = draw(st.lists(st.tuples(st.integers(low, 80), scalars), max_size=8, unique_by=lambda p: p[0]))
+    x = SparseVec(dict(pairs), space)  # dict keeps the drawn (unsorted) order
+    centres = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(low, 40), scalars, min_size=1, max_size=3),
+        st.dictionaries(st.integers(500, 600), scalars, min_size=1, max_size=2),  # never met
+        st.just(dict(pairs[:2])),  # overlaps the support at n = 0
+    )
+    radii = st.sampled_from([1e-3, 0.5, 1.0, 2.0, 10.0, 1e6, Fraction(1, 3), 1])
+    targets = draw(st.lists(st.tuples(centres.map(lambda c: SparseVec(c, space)), radii), min_size=1, max_size=3))
+    return ShiftOperator(w, space), x, targets
+
+
+@given(
+    case=orbit_cases(),
+    horizon=st.integers(1, 300),
+    block=st.sampled_from([8, 64, recurrence._BLOCK]),
+    cap=st.sampled_from([996, 200, 40, -3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_hitting_times_match_brute_oracle(case, horizon, block, cap):
+    T, x, targets = case
+    with patch.object(recurrence, "_BLOCK", block):
+        reports = hitting_times(T, x, targets, horizon, window_grid=(), overflow_log2=cap)
+    times, truncated_at = brute_hitting_times(T, x, targets, horizon, cap)
+    assert [list(r.times.members) for r in reports] == times
+    assert all(r.truncated_at == truncated_at for r in reports)
+
+
+def _check_rows_and_norms(T, x, targets, horizon):
+    points = [v for _, v in brute_orbit(T, x, horizon, recurrence.OVERFLOW_LOG2)]
+    if points[-1] is None:
+        points.pop()
+    orbit = _Orbit(T, x, reach=horizon)
+    rows = []
+    while len(rows) < len(points):
+        block, over = orbit.step(min(orbit.stride, len(points) - len(rows)))
+        assert over is None
+        rows.extend(block)
+    at = {idx: j for j, idx in enumerate(orbit.index)}
+    for n, (row, v) in enumerate(zip(rows, points)):
+        assert {idx - n: val for idx, val in zip(orbit.index, row) if val != 0} == v.entries
+        for center, radius in targets:
+            ball = recurrence._Ball(center, radius, x.space)
+            if not ball.direct:  # lp with p != 2: every row goes through ball_contains
+                continue
+            terms = [abs(val) for val in row] if ball.c0 else [val * val for val in row]
+            size = ball.norm(row, terms, at, n)
+            if size is not None:
+                assert size == norm(v - center)
+
+
+@given(case=orbit_cases(), horizon=st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_block_rows_and_norms_have_the_bits_of_spaces_norm(case, horizon):
+    T, x, targets = case
+    assume(x.entries)
+    _check_rows_and_norms(T, x, targets, horizon)
+
+
+@pytest.mark.parametrize(
+    "w,value",
+    [
+        (ConstantWeights(2.0), Fraction(2**20 - 1, 2**1080)),  # subnormal range: 14 of 20 bits would survive
+        (ConstantWeights(3.0), Fraction(2**20 - 3, 2**1050)),
+        (ConstantWeights(0.5), Fraction(2**20 - 1, 2**920)),  # sinks through the subnormal range
+        (ConstantWeights(0.7), Fraction(2**20 - 1, 2**1000)),  # sinks into it within one block
+        (ConstantWeights(2.0), Fraction(2**40 + 1, 2**40) * 2**900),  # climbs to the overflow cap
+    ],
+    ids=["2-below-normal", "3-below-normal", "1/2-sinking", "0.7-sinking", "2-climbing"],
+)
+def test_rows_near_the_edges_of_the_float_range(w, value):
+    x = SparseVec({150: value, 3: Fraction(1, 3)}, L2)
+    _check_rows_and_norms(ShiftOperator(w, L2), x, [(SparseVec.zero(L2), 1e-300), (SparseVec.basis(L2, 0), 1.0)], 160)
+
+
+def test_underflowed_entry_leaves_its_centre_term_to_the_end():
+    # at n = 0 the entry at index 3 reads 0.0, so spaces.norm sums 0.11², 0.61², 0.7² and then
+    # the centre's 0.61²; summing the centre term first gives 1.1163780721601442, not ...144
+    x = SparseVec({3: Fraction(1, 2**1150), 0: 0.11, 1: 0.61, 2: 0.7}, L2)
+    target = (SparseVec.basis(L2, 3, 0.61), 1.1163780721601442)
+    reports = hitting_times(DOUBLING, x, [target], 2, window_grid=())
+    assert 0 in reports[0].times.members
+    assert brute_hitting_times(DOUBLING, x, [target], 2)[0] == [list(reports[0].times.members)]
+
+
+def test_sums_below_the_normal_range_are_left_to_spaces_norm():
+    row = (ldexp(1.1, -530), ldexp(1.3, -531))
+    ball = recurrence._Ball(SparseVec.zero(L2), 1.0, L2)
+    assert ball.norm(row, [val * val for val in row], {0: 0, 1: 1}, 0) is None
+    # the subnormal sum lost bits, which spaces.norm avoids by rescaling
+    assert sqrt(row[0] ** 2 + row[1] ** 2) != norm(SparseVec(dict(enumerate(row)), L2))
+
+
+def test_blocks_stay_within_their_stride():
+    T = ShiftOperator(ConstantWeights(2.0**300), lp(2.0, bilateral=True))
+    orbit = _Orbit(T, SparseVec.basis(T.space, 0, 3), reach=10)
+    assert orbit.stride == 1
+    with pytest.raises(ValueError):
+        orbit.step(2)
+    rows, over = orbit.step(1)
+    assert rows == [(3.0,)] and over is None
+    assert orbit.vector().entries == {-1: 3 * 2.0**300}
+
+
+def test_fraction_radius_compared_exactly():
+    # float(1/3) < 1/3 < nextafter(float(1/3), 1) and float(1/10) > 1/10
+    for value, radius, inside in ((1 / 3, Fraction(1, 3), True), (0.1, Fraction(1, 10), False)):
+        x = SparseVec.basis(L2, 0, value)
+        reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), radius)], 1, window_grid=())
+        assert reports[0].times.members == ((0, 1) if inside else (1,))
+        assert brute_hitting_times(DOUBLING, x, [(SparseVec.zero(L2), radius)], 1)[0] == [list(reports[0].times.members)]
+
+
+def test_entries_that_left_never_reach_the_cap():
+    # with a cap of -3 only entries of magnitude >= 1/8 truncate; e_2 = 1/16 leaves at n = 3,
+    # inside the first block, and must not count as an entry at scale 2**0 from then on
+    x = SparseVec({2: Fraction(1, 16), 40: Fraction(1, 1024)}, L2)
+    T = ShiftOperator(ConstantWeights(0.5), L2)
+    targets = [(SparseVec.zero(L2), 0.01)]
+    reports = hitting_times(T, x, targets, 60, window_grid=(), overflow_log2=-3)
+    assert reports[0].truncated_at is None
+    assert brute_hitting_times(T, x, targets, 60, -3) == ([list(reports[0].times.members)], None)
+
+
+def test_hitting_times_cross_a_full_block():
+    # 8 entries and a 2-entry centre: 2**15 // 10 rows per block, so the horizon spans two blocks
+    space = lp(2.0, bilateral=True)
+    T = ShiftOperator(ConstantWeights(-0.5), space)
+    x = SparseVec({i * 7 - 20: Fraction(3 * i + 1, 2 ** (i + 1)) for i in range(8)}, space)
+    targets = [(SparseVec({0: 1, -5: Fraction(1, 4)}, space), 1.2), (SparseVec.zero(space), 1e-3)]
+    rows = recurrence._BLOCK // 10
+    horizon = 2 * rows + 17
+    reports = hitting_times(T, x, targets, horizon, window_grid=())
+    times, truncated_at = brute_hitting_times(T, x, targets, horizon)
+    assert [list(r.times.members) for r in reports] == times
+    assert truncated_at is None and reports[0].truncated_at is None
+    assert min(times[0]) < rows < 2 * rows < max(times[0]) and times[1][-1] == horizon
+
+
+@given(
+    case=orbit_cases(),
+    horizon=st.integers(1, 200),
+    probes=st.integers(0, 3),
+    stride=st.integers(7, 60),
+    block=st.sampled_from([8, recurrence._BLOCK]),
+)
+@settings(max_examples=60, deadline=None)
+def test_return_set_matches_brute_oracle(case, horizon, probes, stride, block):
+    T, x, targets = case
+    U, V = (x, 1.0), targets[0]
+    with patch.object(recurrence, "_BLOCK", block):
+        rep = return_set(T, U, V, horizon, probe_grid=probes, witness_stride=stride)
+    assert list(rep.times.members) == brute_return_times(T, U, V, horizon, probes, stride)
+
+
+def test_return_set_probe_below_float_range_is_settled_at_once():
+    # every entry of the probe materializes to 0.0 at n = 0, so return_set settles all
+    # times by the zero vector there, although the orbit grows back into range later
+    x = SparseVec({1200: Fraction(1, 2**1150)}, L2)
+    U, V = (x, 0.5), (SparseVec.zero(L2), 0.5)
+    rep = return_set(DOUBLING, U, V, 1300, probe_grid=0, witness_stride=5000)
+    assert list(rep.times.members) == brute_return_times(DOUBLING, U, V, 1300, 0, 5000) == list(range(1301))
+    hits = hitting_times(DOUBLING, x, [V], 1300, window_grid=())[0].times.members
+    # the orbit point itself is 2**(n - 1150) at index 1200 - n: outside from n = 1149 until it leaves at 1201
+    assert hits == tuple(range(1149)) + tuple(range(1201, 1301))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +495,29 @@ def test_beta_factorial_blocks_grow():
     assert curve[0] < curve[-1]
 
 
+@given(
+    members=st.lists(st.integers(0, 300), max_size=60),
+    alpha=st.one_of(
+        st.builds(AlphaProfile, st.sampled_from(["constant", "harmonic"]), st.none() | st.integers(2, 200)),
+        st.builds(lambda t: AlphaProfile("table", table=tuple(t)), st.lists(st.floats(0.01, 10.0), min_size=300,
+                                                                           max_size=300)),
+    ),
+    horizon=st.integers(20, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_return_weight_sums_match_brute_oracle(members, alpha, horizon):
+    A = ExplicitSet(tuple(members))
+    try:
+        rep = return_weight_sums(A, alpha, horizon)
+    except (UsageError, NoDataError):
+        assume(False)
+    betas, curve = brute_return_weight_sums(A, alpha, horizon)
+    assert list(rep.betas.items()) == list(betas.items())
+    assert rep.growth_curve == curve
+    assert all(type(b) is float for b in rep.betas.values())
+    assert all(type(b) is float for _, b in rep.growth_curve)
+
+
 def test_alpha_profile_validation():
     bad = AlphaProfile("table", table=tuple([1.0, 0.0, 1.0]))
     with pytest.raises(UsageError):
@@ -310,7 +548,5 @@ def test_tail_sums_need_membership():
 
 
 def test_tail_sums_need_bilateral():
-    from hyperorbit import RatioPowerWeights
-
     with pytest.raises(UsageError):
         bilateral_tail_sums(RatioPowerWeights(2.0), 2.0, ExplicitSet((1,)), 1, 10)

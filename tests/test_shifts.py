@@ -80,6 +80,33 @@ def test_round_trip_identity(entries, n):
     assert apply_backward(DOUBLING, apply_right_inverse(DOUBLING, v, n), n) == v
 
 
+SIGNED = [
+    ShiftOperator(ConstantWeights(-2.0), lp(2.0, bilateral=True)),
+    ShiftOperator(TableWeights([(-1) ** k * 2.0 ** (k % 3 - 1) for k in range(30)]), L2),
+]
+
+
+def test_negative_weights_keep_their_sign():
+    neg, table = SIGNED
+    assert apply_backward(neg, SparseVec.basis(neg.space, 1), 1).entries == {0: -2}
+    assert apply_backward(neg, SparseVec.basis(neg.space, 2), 2).entries == {0: 4}
+    # table weights w_1..w_4 = 0.5, -1, 2, -0.5
+    assert apply_backward(table, SparseVec.basis(L2, 3), 3).entries == {0: -1.0}
+    assert apply_backward(table, SparseVec.basis(L2, 4), 2).entries == {2: -1.0}
+    assert apply_right_inverse(table, SparseVec.basis(L2, 1), 2).entries == {3: -0.5}
+
+
+@pytest.mark.parametrize("T", SIGNED, ids=["-2-bilateral", "signed-table"])
+@given(dyadic_vec, st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_round_trip_identity_with_negative_weights(T, entries, n):
+    v = SparseVec(entries, T.space)
+    back = apply_backward(T, apply_right_inverse(T, v, n), n)
+    assert {k: float(x) for k, x in back.entries.items()} == {k: float(x) for k, x in v.entries.items()}
+    if isinstance(T.weights, ConstantWeights):
+        assert back == v  # exact rationals
+
+
 @given(dyadic_vec, dyadic_vec, st.integers(0, 12))
 @settings(max_examples=50, deadline=None)
 def test_linearity_exact_on_dyadics(a, b, n):
