@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ldexp, log2
+from math import isfinite, ldexp, log2
 
 from .errors import UsageError, ZeroWeightError
 from .spaces import SparseVec, SpaceSpec
@@ -107,12 +107,15 @@ class RatioPowerWeights(WeightSequence):
 
 
 class TableWeights(WeightSequence):
-    """Explicit finite table of nonzero weights for k = 1..len(values); 1 beyond it."""
+    """Explicit finite table of finite nonzero weights for k = 1..len(values); 1 beyond it."""
 
     def __init__(self, values):
         self.values = tuple(float(v) for v in values)
         if 0.0 in self.values:
             raise ZeroWeightError(self.values.index(0.0) + 1)
+        for k, v in enumerate(self.values, start=1):
+            if not isfinite(v):
+                raise UsageError(f"table weight at index {k} is not finite")
         # summed left to right from the int 0, so prefix n is the float a loop over w_1..w_n gives
         self._prefix = tuple(accumulate((log2(abs(v)) for v in self.values), initial=0))
         self._negatives = tuple(accumulate((v < 0 for v in self.values), initial=0))

@@ -65,6 +65,12 @@ def test_zero_weight_rejected():
     assert err.value.index == 2
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_table_weight_rejected(bad):
+    with pytest.raises(UsageError, match="index 3"):
+        TableWeights([1.0, 2.0, bad])
+
+
 dyadic_vec = st.dictionaries(
     st.integers(0, 40),
     st.fractions(min_value=-8, max_value=8).map(lambda f: f.limit_denominator(64)),
