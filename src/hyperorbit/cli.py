@@ -129,11 +129,11 @@ def run_verify_counterexample(args, out):
     )
 
     # product law: the exponents of the weights, each an exact power of two,
-    # sum to the run length from the vectorised digit route, 0 exactly off S
+    # sum to the run length read off S's merged runs, 0 exactly off S
     mism = 0
     exponent = 0
     weights = cx.DoublingResetWeights()
-    runs = cx.run_length_array(max(args.product_horizon, 0)).tolist()
+    runs = cx.run_length_array(args.product_horizon)
     rows = []
     for n, c in enumerate(runs, start=1):
         mantissa, e = frexp(weights.weight(n))
@@ -162,8 +162,9 @@ def run_dj_scan(args, out):
     js = [parse_int(j) for j in args.j.split(",")]
     rows = []
     all_ok = True
+    runs = cx.s_intervals_in(1, args.horizon)
     for j in js:
-        rep = cx.product_threshold_scan(j, args.horizon)
+        rep = cx.product_threshold_scan(j, args.horizon, runs=runs)
         all_ok = all_ok and rep.bound_respected and rep.envelope_ok
         for r in rep.rows:
             rows.append((j, r.prefix, r.count, r.ratio, r.bound, rep.envelope_ok))
@@ -202,16 +203,23 @@ def run_construct(args, out):
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def _parse_targets(args, space):
-    dense = constructor.DenseDyadicSequence(space) if "dense:" in args.targets else None
-    return [parse_target_spec(t, space, dense) for t in args.targets.split(";") if t]
+def _dense_for(space, *specs):
+    """The dense enumeration, built only when a vector or target spec is `dense:` (it is unilateral)."""
+    if any(spec.strip().startswith("dense:") for spec in specs):
+        return constructor.DenseDyadicSequence(space)
+    return None
+
+
+def _vector_and_targets(args, space):
+    specs = [t for t in args.targets.split(";") if t]
+    dense = _dense_for(space, args.vector, *specs)
+    return parse_vector_spec(args.vector, space, dense), [parse_target_spec(t, space, dense) for t in specs]
 
 
 def run_orbit(args, out):
     space = parse_space_spec(args.space)
     T = ShiftOperator(parse_weight_spec(args.operator), space)
-    x = parse_vector_spec(args.vector, space, constructor.DenseDyadicSequence(space))
-    targets = _parse_targets(args, space)
+    x, targets = _vector_and_targets(args, space)
     reports = recurrence.hitting_times(T, x, targets, args.horizon)
     hit_rows = []
     dens_rows = []
@@ -231,8 +239,7 @@ def run_orbit(args, out):
 def run_classify(args, out):
     space = parse_space_spec(args.space)
     T = ShiftOperator(parse_weight_spec(args.operator), space)
-    x = parse_vector_spec(args.vector, space, constructor.DenseDyadicSequence(space))
-    targets = _parse_targets(args, space)
+    x, targets = _vector_and_targets(args, space)
     reports = recurrence.hitting_times(T, x, targets, args.horizon)
     label = recurrence.classify(reports, parse_fraction(args.theta))
     rows = [
@@ -261,7 +268,7 @@ def run_classify(args, out):
 def run_return_set(args, out):
     space = parse_space_spec(args.space)
     T = ShiftOperator(parse_weight_spec(args.operator), space)
-    dense = constructor.DenseDyadicSequence(space)
+    dense = _dense_for(space, args.u, args.v)
     U = parse_target_spec(args.u, space, dense)
     V = parse_target_spec(args.v, space, dense)
     rep = recurrence.return_set(T, U, V, args.horizon, args.probes, args.stride)

@@ -17,7 +17,9 @@ built element.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,24 +184,15 @@ def product_exponent(n: int) -> int:
     return run
 
 
-def run_length_array(horizon: int):
-    """Vector of run lengths c(1..horizon) via a single vectorized pass."""
-    import numpy as np
+def run_length_array(horizon: int) -> list:
+    """Run lengths c(1..horizon) as a list, runs[i] == c(i + 1), filled in from S's merged runs.
 
-    n = np.arange(1, horizon + 1, dtype=np.int64)
-    member = np.zeros(horizon, dtype=bool)
-    scale = 10
-    j = 1
-    while scale < horizon + j:
-        r = n % scale
-        member |= (r < j) & (n // scale >= 1)
-        member |= (scale - r) < j
-        scale *= 10
-        j += 1
-    pos = np.arange(horizon, dtype=np.int64)
-    last_out = np.maximum.accumulate(np.where(~member, pos, -1))
-    runs = np.where(member, pos - last_out, 0)
-    return runs  # runs[i] == c(i + 1)
+    On a merged run [a, b] of S (so a - 1 lies outside S), c(n) = n - a + 1.
+    """
+    runs = [0] * max(horizon, 0)
+    for a, b in s_intervals_in(1, horizon):
+        runs[a - 1 : b] = range(1, b - a + 2)
+    return runs
 
 
 class DoublingResetWeights(WeightSequence):
@@ -663,47 +656,56 @@ class ThresholdScanReport:
     envelope_samples: int
 
 
-def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500) -> ThresholdScanReport:
+def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500, runs=None) -> ThresholdScanReport:
     """Prefix densities of D_j at powers of ten, against the decay bound,
-    plus sampled containment of D_j in its envelope set."""
+    plus sampled containment of D_j in its envelope set.
+
+    D_j is read off S's merged runs, `s_intervals_in(1, horizon)` (pass
+    them as `runs` to share them between scans): on a run [a, b] the run
+    length reaches j from a + j - 1 on, so D_j ∩ [a, b] = [a + j - 1, b].
+    """
     if horizon < 100:
         raise UsageError("horizon must be at least 100")
     if j < 1:
         raise UsageError("j must be >= 1")
-    runs = run_length_array(horizon)
-    member = runs >= j
+    if runs is None:
+        runs = s_intervals_in(1, horizon)
+    starts = [a + j - 1 for a, b in runs if b - a + 1 >= j]
+    ends = [b for a, b in runs if b - a + 1 >= j]
+    before = list(itertools.accumulate((b - a + 1 for a, b in zip(starts, ends)), initial=0))
 
-    import numpy as np
+    def count_upto(n):
+        """|D_j ∩ [1, n]|: whole runs before n, less the part of the last one past n."""
+        i = bisect.bisect_right(starts, n)
+        return before[i] - max(ends[i - 1] - n, 0) if i else 0
 
-    csum = np.cumsum(member)
-    rows = []
     bound = threshold_bound(j)
-    ok = True
+    prefixes = []
     prefix = 100
     while prefix <= horizon:
-        count = int(csum[prefix - 1])
-        ratio = Fraction(count, prefix)
-        if bound < 1 and ratio > bound:
-            ok = False
-        rows.append(ThresholdScanRow(prefix, count, ratio, bound))
+        prefixes.append(prefix)
         prefix *= 10
     if prefix // 10 != horizon:
-        count = int(csum[horizon - 1])
-        ratio = Fraction(count, horizon)
-        if bound < 1 and ratio > bound:
-            ok = False
-        rows.append(ThresholdScanRow(horizon, count, ratio, bound))
+        prefixes.append(horizon)
+    rows = []
+    for prefix in prefixes:
+        count = count_upto(prefix)
+        rows.append(ThresholdScanRow(prefix, count, Fraction(count, prefix), bound))
+    ok = bound >= 1 or all(r.ratio <= bound for r in rows)
 
-    idx = np.nonzero(member)[0]
-    if len(idx) > envelope_samples:
-        stride = len(idx) // envelope_samples
-        idx = idx[::stride]
-    env_ok = all(envelope_contains(int(i) + 1, j) for i in idx)
+    # every stride-th member of D_j ∩ [1, horizon], the t-th found by bisecting the run counts
+    total = count_upto(horizon)
+    picks = range(0, total, max(1, total // envelope_samples))
+    samples = []
+    for t in picks:
+        i = bisect.bisect_right(before, t) - 1
+        samples.append(starts[i] + t - before[i])
+    env_ok = all(envelope_contains(n, j) for n in samples)
     return ThresholdScanReport(
         j=j,
         horizon=horizon,
         rows=tuple(rows),
         bound_respected=ok,
         envelope_ok=env_ok,
-        envelope_samples=len(idx),
+        envelope_samples=len(samples),
     )

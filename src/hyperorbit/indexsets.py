@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt
@@ -90,7 +91,9 @@ class ExplicitSet(IndexSet):
     members: tuple
 
     def __post_init__(self):
-        ms = tuple(sorted(set(self.members)))
+        ms = tuple(self.members)
+        if not all(map(operator.lt, ms, itertools.islice(ms, 1, None))):
+            ms = tuple(sorted(set(ms)))
         if ms and ms[0] < 0:
             raise UsageError("explicit sets live in the non-negative integers")
         object.__setattr__(self, "members", ms)
@@ -532,12 +535,13 @@ def estimate_densities(
 
     upper_density = Fraction(upto[q] - upto[0], q * s)
     t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
-    lower_density = upper_density
-    lower_at = q * s
+    # the lowest checkpoint ratio best_num / best_at, compared by cross-multiplication
+    best_num, best_at = upto[q] - upto[0], q * s
     for t in range(t0, q + 1):
-        r = Fraction(upto[t] - upto[0], t * s)
-        if r < lower_density:
-            lower_density, lower_at = r, t * s
+        c = upto[t] - upto[0]
+        if c * best_at < best_num * (t * s):
+            best_num, best_at = c, t * s
+    lower_density, lower_at = Fraction(best_num, best_at), best_at
 
     per_window = {}
     for si in grid:
@@ -615,28 +619,28 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
     Verdict true means the gap pattern is not growing: the maximum gap
     whose start lies in the second half of the range does not exceed the
     maximum over the first half, and the second half is populated at all.
-    This is evidence at the horizon, never a proof.
+    The largest gap is reported at its latest start.  This is evidence at
+    the horizon, never a proof.
     """
     members = A.members_in(0, horizon)
     if not members:
         raise NoDataError(f"no members of the set in [0, {horizon}]")
-    gaps = []  # (gap, start)
-    prev = 0
-    for m in members:
-        gaps.append((m - prev, prev))
-        prev = m
-    gaps.append((horizon - members[-1], members[-1]))
+    # gap i starts at 0 (i = 0) or at members[i - 1], and ends at members[i] or the horizon
+    gaps = list(map(operator.sub, itertools.chain(members, (horizon,)), itertools.chain((0,), members)))
     mid = horizon // 2
-    g1 = max((g for g, at in gaps if at < mid), default=0)
-    g2 = max((g for g, at in gaps if at >= mid), default=0)
+    first_half = bisect.bisect_left(members, mid) + 1 if mid > 0 else 0  # gaps starting below mid
+    g1 = max(itertools.islice(gaps, first_half), default=0)
+    g2 = max(itertools.islice(gaps, first_half, None), default=0)
+    largest = max(g1, g2)
+    gaps.reverse()
+    last = len(gaps) - 1 - gaps.index(largest)
     populated = members[-1] >= mid
-    largest, at = max(gaps, key=lambda t: (t[0], t[1]))
     verdict = populated and g2 <= g1
     return SyndeticEvidence(
         syndetic=verdict,
         gap_bound=largest if verdict else 0,
         largest_gap=largest,
-        largest_gap_at=at,
+        largest_gap_at=members[last - 1] if last else 0,
         horizon=horizon,
         members=len(members),
     )
@@ -647,31 +651,31 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
 
 
 def difference_set(A: IndexSet, horizon: int) -> ExplicitSet:
-    """{a - a' : a, a' in A ∩ [0, horizon], a >= a'} as an explicit set."""
+    """{a - a' : a, a' in A ∩ [0, horizon], a >= a'} as an explicit set.
+
+    D is one Python int used as a bitset: the OR over members a of the
+    member mask shifted down by a.  Pairs are enumerated instead only when
+    the bitset, top member + 1 bits, would be larger than the n**2 pairs.
+    """
     members = A.members_in(0, horizon)
     if not members:
         return ExplicitSet(())
-    if len(members) > 1500 and members[-1] < 2**62:
-        return ExplicitSet(tuple(_difference_bitmap(members)))
-    out = set()
-    for i, a in enumerate(members):
-        for b in members[: i + 1]:
-            out.add(a - b)
-    return ExplicitSet(tuple(sorted(out)))
+    top = members[-1]
+    if top + 1 > len(members) ** 2:
+        return ExplicitSet(tuple(sorted({a - b for i, a in enumerate(members) for b in members[: i + 1]})))
+    mask = bytearray((top >> 3) + 1)
+    for m in members:
+        mask[m >> 3] |= 1 << (m & 7)
+    mask = int.from_bytes(mask, "little")
+    diffs = 0
+    for a in members:
+        diffs |= mask >> a
+    # bit d of diffs, for d = 0, 1, ..., read off its binary digits lowest first
+    flags = format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS)
+    return ExplicitSet(tuple(itertools.compress(range(len(flags)), flags)))
 
 
-def _difference_bitmap(members):
-    import numpy as np
-
-    arr = np.asarray(members, dtype=np.int64)
-    top = int(arr[-1])
-    hit = np.zeros(top + 1, dtype=bool)
-    rows = max(1, min(len(arr), 10_000_000 // max(len(arr), 1)))
-    for i in range(0, len(arr), rows):
-        block = arr[i : i + rows, None] - arr[None, :]
-        np.abs(block, out=block)
-        hit[block.ravel()] = True
-    return np.nonzero(hit)[0].tolist()
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------

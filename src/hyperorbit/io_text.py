@@ -6,15 +6,11 @@ and outputs stay byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sys
 from fractions import Fraction
-
-# exact dyadic vector entries can carry denominators with tens of thousands
-# of decimal digits; lift the int-to-str guard high enough to print them
-if hasattr(sys, "set_int_max_str_digits") and sys.get_int_max_str_digits() < 200_000:
-    sys.set_int_max_str_digits(200_000)
 
 from . import counterexample as cx
 from .constructor import dyadic_block_family, prime_power_family
@@ -183,8 +179,27 @@ def parse_family_spec(spec: str) -> SetFamily:
 # vectors and targets
 
 
+@contextlib.contextmanager
+def _long_int_text():
+    """Lift the interpreter's int <-> str digit guard to 200 000 digits inside the block, then restore it.
+
+    Exact dyadic vector entries can carry denominators with tens of
+    thousands of decimal digits.  The guard is process-wide, so it is
+    raised only around vector files, never for the library user at large.
+    """
+    before = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if not 0 < before < 200_000:
+        yield
+        return
+    sys.set_int_max_str_digits(200_000)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def write_vector(path, v: SparseVec):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _long_int_text(), open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# space {v.space.describe()}\n")
         for idx in v.support():
             val = v.entries[idx]
@@ -194,7 +209,7 @@ def write_vector(path, v: SparseVec):
 def read_vector(path) -> SparseVec:
     space = None
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _long_int_text(), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:

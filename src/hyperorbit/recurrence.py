@@ -27,9 +27,9 @@ itself.  On a unilateral space an orbit whose entries have all passed
 index 0 is zero from then on, and the remaining times are decided by one
 ball test of the zero vector.
 
-The scan runs on the standard library's C iterators (`map`, `zip`), not
-numpy: importing numpy alone would add about 12 MB of resident memory to
-every recurrence run.
+The scan runs on the standard library's C iterators (`map`, `zip`), like
+the rest of the package, which depends on nothing outside the standard
+library.
 
 `return_weight_sums` tabulates alpha once and sums each member's row left
 to right, so its betas have the bits of the old double loop.

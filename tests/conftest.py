@@ -10,7 +10,15 @@ from math import frexp, ldexp, log2
 
 import pytest
 
-from hyperorbit import SparseVec, apply_backward, apply_right_inverse, ball_contains, norm_sq_exact, proof_bound
+from hyperorbit import (
+    SparseVec,
+    apply_backward,
+    apply_right_inverse,
+    ball_contains,
+    norm_sq_exact,
+    proof_bound,
+    s_contains,
+)
 from hyperorbit.constructor import (
     OrbitBoundReport,
     OrbitBoundRow,
@@ -24,6 +32,22 @@ from hyperorbit.constructor import (
 
 def brute_count(A, a, b):
     return sum(1 for n in range(a, b + 1) if A.contains(n))
+
+
+def brute_lower_density(A, horizon, s, tail_factor):
+    """(lower density, its checkpoint) of estimate_densities: Fraction prefix ratios over ]0, t*s],
+    counted by scanning, for t from ceil(q / tail_factor) to q = horizon // s; the first strict
+    minimum below the full-prefix ratio wins, else the full prefix."""
+    q = horizon // s
+    prefix = [0]
+    for n in range(1, q * s + 1):
+        prefix.append(prefix[-1] + (1 if A.contains(n) else 0))
+    lower, at = Fraction(prefix[q * s], q * s), q * s
+    for t in range(max(1, -(-q // tail_factor)), q + 1):
+        r = Fraction(prefix[t * s], t * s)
+        if r < lower:
+            lower, at = r, t * s
+    return lower, at
 
 
 def brute_window_extremes(A, horizon, s):
@@ -69,6 +93,33 @@ def brute_difference(members):
             if a >= b:
                 out.add(a - b)
     return sorted(out)
+
+
+def brute_syndetic(A, horizon):
+    """is_syndetic's fields by the list of (gap, start) pairs, each gap ending at a member or the horizon."""
+    members = A.members_in(0, horizon)
+    gaps = []
+    prev = 0
+    for m in members:
+        gaps.append((m - prev, prev))
+        prev = m
+    gaps.append((horizon - members[-1], members[-1]))
+    mid = horizon // 2
+    g1 = max((g for g, at in gaps if at < mid), default=0)
+    g2 = max((g for g, at in gaps if at >= mid), default=0)
+    largest, at = max(gaps, key=lambda t: (t[0], t[1]))
+    verdict = members[-1] >= mid and g2 <= g1
+    return verdict, largest if verdict else 0, largest, at, len(members)
+
+
+def brute_run_lengths(horizon):
+    """c(1..horizon), the S-run length ending at each n, by one s_contains test per n."""
+    runs = []
+    run = 0
+    for n in range(1, horizon + 1):
+        run = run + 1 if s_contains(n) else 0
+        runs.append(run)
+    return runs
 
 
 def periodic_eta(period, residues, k):

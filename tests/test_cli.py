@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hyperorbit as h
 from hyperorbit import counterexample as cx
 from hyperorbit.cli import main
 
@@ -124,6 +127,37 @@ def test_classify_command(tmp_path):
     assert "frequent" in body
 
 
+def test_orbit_on_a_bilateral_space(tmp_path):
+    # no dense: spec, so no dense enumeration (which is unilateral) is built
+    code, _ = run(tmp_path, "bo", "orbit", "--space", "l2:bilateral", "--operator", "constant:1/2",
+                  "--vector", "ones:0-40", "--targets", "e:0@1/2", "--horizon", "3000")
+    assert code == 0
+    code, out = run(tmp_path, "bz", "orbit", "--space", "l2:bilateral", "--operator", "constant:1/2",
+                    "--vector", "ones:0-40", "--targets", "zero:@1/1000;e:-5@1", "--horizon", "300")
+    assert code == 0
+    space = h.lp(2.0, True)
+    T = h.ShiftOperator(h.ConstantWeights(0.5), space)
+    x = h.SparseVec({i: 1 for i in range(41)}, space)
+    reports = h.hitting_times(T, x, [(h.SparseVec.zero(space), 0.001), (h.SparseVec.basis(space, -5), 1.0)], 300)
+    want = "target,n\n" + "".join(f"{r.target_index},{n}\n" for r in reports for n in r.times.members)
+    assert (out / "hits.csv").read_text() == want
+    assert all(r.times.members for r in reports)
+
+
+def test_classify_on_a_bilateral_space(tmp_path):
+    code, out = run(tmp_path, "bc", "classify", "--space", "l2:bilateral", "--operator", "constant:1/2",
+                    "--vector", "ones:0-40", "--targets", "e:0@1/2;zero:@1/1000", "--horizon", "3000")
+    assert code == 0
+    rows = (out / "classification.csv").read_text().splitlines()
+    assert rows[1].startswith("0,none,") and rows[2].startswith("1,frequent,")
+
+
+def test_dense_target_on_a_bilateral_space_is_a_usage_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "bd", "orbit", "--space", "l2:bilateral", "--vector", "e:0", "--targets", "dense:1@1/2")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: the dense enumeration is unilateral\n"
+
+
 def test_return_set_command(tmp_path):
     code, out = run(
         tmp_path,
@@ -174,6 +208,23 @@ def test_diff_set_command(tmp_path):
     code, out = run(tmp_path, "ds", "diff-set", "--set", "arith:128:64", "--horizon", "20000")
     assert code == 0
     assert "true" in (out / "difference_summary.csv").read_text()
+
+
+def test_set_and_counterexample_commands_run_without_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "from hyperorbit.cli import main\n"
+        "for argv in (['diff-set', '--set', 'squares', '--horizon', '40000'],\n"
+        "             ['dj-scan', '--horizon', '20000'],\n"
+        "             ['verify-counterexample', '--kmax', '3', '--lmax', '10', '--product-horizon', '5000']):\n"
+        "    assert main(argv + ['--workers', '1', '--out', 'out-' + argv[0]]) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperorbit import (
     DigitNeighborhoodSet,
@@ -19,10 +22,11 @@ from hyperorbit import (
     verify_block_conditions,
     verify_scale_exclusion,
 )
+from hyperorbit import counterexample as cx
 from hyperorbit.counterexample import InsufficientBlockError, Block
 from hyperorbit.errors import UsageError
 
-from conftest import brute_s_member
+from conftest import brute_run_lengths, brute_s_member
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +108,9 @@ def test_run_characterization():
 
 
 def test_run_length_array_matches_pointwise():
-    runs = run_length_array(20000)
-    assert [int(x) for x in runs] == [product_exponent(n) for n in range(1, 20001)]
+    assert run_length_array(20000) == [product_exponent(n) for n in range(1, 20001)]
+    assert run_length_array(123457) == brute_run_lengths(123457)
+    assert run_length_array(0) == [] and run_length_array(-5) == []
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +255,18 @@ def test_threshold_level_one_is_s():
 
 
 def test_threshold_monotone_in_j():
-    runs = run_length_array(10**5)
+    runs = brute_run_lengths(10**5)
     prev = None
     for j in (1, 2, 3, 5, 8, 13):
-        cur = runs >= j
+        cur = [c >= j for c in runs]
         if prev is not None:
-            assert not (cur & ~prev).any()  # D_j shrinks as j grows
+            assert not any(c and not p for c, p in zip(cur, prev))  # D_j shrinks as j grows
         prev = cur
 
 
 def test_threshold_empty_when_j_exceeds_runs():
-    runs = run_length_array(10**5)
-    jmax = int(runs.max())
+    runs = brute_run_lengths(10**5)
+    jmax = max(runs)
     rep = product_threshold_scan(jmax + 1, 10**5)
     assert all(r.count == 0 for r in rep.rows)
 
@@ -269,12 +274,38 @@ def test_threshold_empty_when_j_exceeds_runs():
 def test_threshold_mass_at_longest_run():
     # the longest full run below 1e5 is the radius-4 window at 10^4:
     # {9997..10003}, length 7, ending at 10003
-    runs = run_length_array(10**5)
-    assert int(runs.max()) == 7
-    assert int(runs.argmax()) + 1 == 10003
+    runs = brute_run_lengths(10**5)
+    assert max(runs) == 7
+    assert runs.index(7) + 1 == 10003
     assert product_exponent(10003) == 7
     rep = product_threshold_scan(7, 10**5)
     assert rep.rows[-1].count > 0
+
+
+@given(
+    j=st.one_of(st.integers(1, 9), st.sampled_from([30, 31, 61])),
+    horizon=st.integers(100, 40000),
+    samples=st.integers(1, 700),
+)
+@settings(max_examples=60, deadline=None)
+def test_threshold_scan_matches_brute_run_lengths(j, horizon, samples):
+    runs = brute_run_lengths(horizon)
+    members = [n for n, c in enumerate(runs, start=1) if c >= j]  # D_j ∩ [1, horizon]
+    prefixes = [10**t for t in range(2, 6) if 10**t <= horizon]
+    if prefixes[-1] != horizon:
+        prefixes.append(horizon)
+    picked = members[:: max(1, len(members) // samples)] if len(members) > samples else members
+    for runs in (None, s_intervals_in(1, horizon)):
+        rep = product_threshold_scan(j, horizon, samples, runs=runs)
+        assert [(r.prefix, r.count) for r in rep.rows] == [(p, sum(1 for n in members if n <= p)) for p in prefixes]
+        assert all(r.ratio == Fraction(r.count, r.prefix) and r.bound == threshold_bound(j) for r in rep.rows)
+        assert rep.bound_respected == all(r.ratio <= r.bound for r in rep.rows if r.bound < 1)
+        assert rep.envelope_samples == len(picked)
+        assert rep.envelope_ok == all(envelope_contains(n, j) for n in picked)
+        tested = []
+        with mock.patch.object(cx, "envelope_contains", lambda n, jj: tested.append((n, jj)) or True):
+            product_threshold_scan(j, horizon, samples, runs=runs)
+        assert tested == [(n, j) for n in picked]  # the samples are these members, in order
 
 
 def test_threshold_bound_values():

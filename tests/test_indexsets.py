@@ -24,7 +24,14 @@ from hyperorbit.counterexample import DigitNeighborhoodSet
 from hyperorbit.errors import NoDataError, UsageError, WindowGridError
 from hyperorbit.io_text import parse_set_spec
 
-from conftest import brute_count, brute_difference, brute_gap_ok, brute_window_extremes
+from conftest import (
+    brute_count,
+    brute_difference,
+    brute_gap_ok,
+    brute_lower_density,
+    brute_syndetic,
+    brute_window_extremes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +197,19 @@ def test_density_chain_property(period, res, horizon):
     assert 0 <= lb <= ld <= ud <= ub <= 1
 
 
+@given(
+    members=st.lists(st.integers(0, 3000), max_size=300),
+    horizon=st.integers(100, 3000),
+    s=st.sampled_from([1, 7, 10, 50]),
+    tail_factor=st.integers(1, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_lower_density_and_checkpoint_match_fraction_oracle(members, horizon, s, tail_factor):
+    A = ExplicitSet(tuple(members))
+    r = estimate_densities(A, horizon, [s], tail_factor)
+    assert (r.lower_density, r.lower_density_at) == brute_lower_density(A, horizon, s, tail_factor)
+
+
 # ---------------------------------------------------------------------------
 # syndeticity evidence
 
@@ -223,6 +243,26 @@ def test_dying_set_not_syndetic():
     assert not ev.syndetic
 
 
+@given(st.sets(st.integers(0, 400), min_size=1, max_size=60), st.integers(0, 500))
+@settings(max_examples=200, deadline=None)
+def test_syndetic_matches_gap_list_oracle(members, horizon):
+    A = ExplicitSet(tuple(members))
+    if not A.members_in(0, horizon):
+        return
+    ev = is_syndetic(A, horizon)
+    got = (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members)
+    assert got == brute_syndetic(A, horizon)
+    assert ev.horizon == horizon
+
+
+def test_syndetic_largest_gap_ties_go_to_the_latest_start():
+    ev = is_syndetic(ExplicitSet((3, 6, 9, 12)), 15)
+    assert (ev.largest_gap, ev.largest_gap_at) == (3, 12)
+    assert (ev.syndetic, ev.gap_bound) == (True, 3)
+    ev = is_syndetic(ExplicitSet((0,)), 1)  # horizon 1: no gap starts below mid = 0
+    assert (ev.syndetic, ev.largest_gap, ev.largest_gap_at) == (False, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # difference sets
 
@@ -249,10 +289,44 @@ def test_difference_matches_pair_oracle(members):
     assert list(D.members) == brute_difference(sorted(members))
 
 
-def test_difference_numpy_path_matches_oracle():
-    A = PeriodicSet(2, (0,))  # 2001 members below 4000: bitmap path
+def test_difference_bitset_path_matches_oracle():
+    A = PeriodicSet(2, (0,))  # 2001 members below 4000: bitset path
     D = difference_set(A, 4000)
     assert list(D.members) == list(range(0, 4001, 2))
+
+
+@st.composite
+def _difference_inputs(draw, bitset):
+    """n distinct members whose top member + 1 is at most n**2 (bitset side) or above it (pair side)."""
+    n = draw(st.integers(1, 60 if bitset else 30))
+    if bitset:
+        return sorted(draw(st.sets(st.integers(0, n * n - 1), min_size=n, max_size=n)))
+    rest = draw(st.sets(st.integers(0, 10**7), min_size=n - 1, max_size=n - 1))
+    return sorted(rest) + [draw(st.integers(max(n * n, max(rest, default=0) + 1), 2 * 10**7))]
+
+
+@pytest.mark.parametrize("bitset", [True, False], ids=["bitset", "pairs"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_difference_both_paths_match_pair_oracle(bitset, data):
+    members = data.draw(_difference_inputs(bitset))
+    assert (members[-1] + 1 <= len(members) ** 2) == bitset
+    D = difference_set(ExplicitSet(tuple(members)), members[-1])
+    assert list(D.members) == brute_difference(members)
+
+
+@pytest.mark.parametrize("members", [(0, 3), (0, 4), (5, 9), (1, 2, 8), (1, 2, 9)])
+def test_difference_at_the_path_switch(members):
+    # top + 1 == n**2 takes the bitset, top + 1 == n**2 + 1 the pairs
+    assert list(difference_set(ExplicitSet(members), 100).members) == brute_difference(members)
+
+
+def test_explicit_set_sorts_only_unsorted_input():
+    assert ExplicitSet((5, 1, 5, 3)).members == (1, 3, 5)
+    assert ExplicitSet((1, 3, 3)).members == (1, 3)
+    assert ExplicitSet([1, 3, 5]).members == (1, 3, 5)
+    with pytest.raises(UsageError):
+        ExplicitSet((-1, 2))
 
 
 # ---------------------------------------------------------------------------
