@@ -650,6 +650,9 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
 # difference sets
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def difference_set(A: IndexSet, horizon: int) -> ExplicitSet:
     """{a - a' : a, a' in A ∩ [0, horizon], a >= a'} as an explicit set.
 
@@ -663,19 +666,16 @@ def difference_set(A: IndexSet, horizon: int) -> ExplicitSet:
     top = members[-1]
     if top + 1 > len(members) ** 2:
         return ExplicitSet(tuple(sorted({a - b for i, a in enumerate(members) for b in members[: i + 1]})))
-    mask = bytearray((top >> 3) + 1)
+    bits = bytearray((top >> 3) + 1)
     for m in members:
-        mask[m >> 3] |= 1 << (m & 7)
-    mask = int.from_bytes(mask, "little")
+        bits[m >> 3] |= 1 << (m & 7)
+    mask = int.from_bytes(bits, "little")
     diffs = 0
     for a in members:
         diffs |= mask >> a
     # bit d of diffs, for d = 0, 1, ..., read off its binary digits lowest first
     flags = format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS)
     return ExplicitSet(tuple(itertools.compress(range(len(flags)), flags)))
-
-
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
