@@ -3,7 +3,8 @@
 Every analysis is a subcommand writing CSV tables plus a manifest into an
 output directory.  Identical configurations produce byte-identical CSVs,
 whatever the worker count; run variability (wall time) lives only in the
-manifest.  Exit codes: 0 success, 2 usage, 3 a verification check failed,
+manifest.  Exit codes: 0 success, 2 usage (malformed flags or config,
+unsupported structures, empty data), 3 a verification check failed,
 4 numeric overflow forced truncation (partial outputs are kept).
 """
 
@@ -398,6 +399,7 @@ def run_diff_set(args, out):
 
 
 _RUNNERS = {}
+_PARSERS = {}
 
 
 def _sub(subparsers, name, fn, **kwargs):
@@ -409,8 +411,11 @@ def _sub(subparsers, name, fn, **kwargs):
         default=None,
         help="worker processes of the verify-counterexample exclusion sweep (default: HYPERORBIT_WORKERS or auto)",
     )
-    p.add_argument("--config", default=None, help="JSON config file; flags override its values")
+    p.add_argument(
+        "--config", default=None, help="JSON file of flag defaults keyed by dest name (window_grid); flags win"
+    )
     _RUNNERS[name] = fn
+    _PARSERS[name] = p
     return p
 
 
@@ -513,7 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    # the first pass finds the subcommand and its config file, which may hold required flags
+    required = [a for p in _PARSERS.values() for a in p._actions if a.required]
+    for action in required:
+        action.required = False
     args = ap.parse_args(argv)
+    for action in required:
+        action.required = True
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -521,15 +532,20 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"usage error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        merged = dict(stored)
-        explicit = _explicit_flags(argv if argv is not None else sys.argv[1:])
-        for key, val in vars(args).items():
-            if key in ("command", "config"):
-                continue
-            if key in explicit or key not in merged:
-                merged[key] = val
-        for key, val in merged.items():
-            setattr(args, key, val)
+        if not isinstance(stored, dict):
+            print(f"usage error: config {args.config} must hold a JSON object", file=sys.stderr)
+            return EXIT_USAGE
+        actions = {a.dest: a for a in _PARSERS[args.command]._actions if a.dest not in ("config", "help")}
+        unknown = sorted(set(stored) - set(actions))
+        if unknown:
+            print(f"usage error: config {args.config}: {args.command} takes no {', '.join(unknown)}", file=sys.stderr)
+            return EXIT_USAGE
+        # a config value is a default typed as a flag: argparse converts it, and flags given in argv win
+        for key, val in stored.items():
+            if val is not None:
+                actions[key].default = str(val)
+                actions[key].required = False
+    args = ap.parse_args(argv)
     args.workers = resolve_workers(args.workers)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -558,14 +574,6 @@ def main(argv=None) -> int:
         args.workers,
     )
     return code
-
-
-def _explicit_flags(argv):
-    keys = set()
-    for token in argv:
-        if token.startswith("--"):
-            keys.add(token[2:].split("=")[0].replace("-", "_"))
-    return keys
 
 
 if __name__ == "__main__":

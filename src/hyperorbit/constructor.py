@@ -172,15 +172,11 @@ class ConstructionPlan:
         return "\n".join(lines) + "\n"
 
 
-class _Unsupported(Exception):
-    pass
-
-
 def _progression(s) -> tuple:
     """(gap, offset) for a single-residue periodic set."""
     if isinstance(s, PeriodicSet) and len(s.residues) == 1:
         return s.period, s.residues[0]
-    raise _Unsupported("certificates need single-residue periodic levels")
+    raise UsageError("certificates need single-residue periodic levels")
 
 
 def _pow2_rate(T: ShiftOperator):
@@ -204,7 +200,7 @@ def _int_p(space: SpaceSpec):
         return None
     if space.p == int(space.p):
         return int(space.p)
-    raise _Unsupported("certificates need an integer lp exponent or c0")
+    raise UsageError("certificates need an integer lp exponent or c0")
 
 
 def _norm_pow(y: SparseVec, ip) -> Fraction:
@@ -243,11 +239,11 @@ def _min_cross_distance(family: SetFamily, k: int, forward: bool) -> int:
         gm, om = _progression(s)
         if gm <= gk:
             if gk % gm:
-                raise _Unsupported("periods must be nested")
+                raise UsageError("periods must be nested")
             residues = [(om + t * gm) % gk for t in range(gk // gm)]
         else:
             if gm % gk:
-                raise _Unsupported("periods must be nested")
+                raise UsageError("periods must be nested")
             residues = [om % gk]
         for r in residues:
             d = (ok - r) % gk if forward else (r - ok) % gk
@@ -288,7 +284,9 @@ def select_subsequence(
 
     plus a support-gap certificate making all backward cross-terms vanish.
     Certificates are closed geometric forms; weights without a positive
-    exact growth rate cannot be certified and exhaust the family.
+    exact growth rate cannot be certified and exhaust the family.  Levels
+    that are not single-residue periodic sets with nested periods, and lp
+    exponents that are not integers, raise UsageError.
     """
     gaps = check_gap_family(family, horizon)
     if not gaps.ok:
@@ -300,57 +298,53 @@ def select_subsequence(
             1,
             "condition i: no positive exact growth rate, right-inverse tails do not shrink",
         )
-    try:
-        ip = _int_p(T.space)
-        targets = tuple(dense.item(l) for l in range(1, depth + 1))
-        width = _support_width(targets)
-        min_gap = min(_progression(s)[0] for _, s in family.enumerate_levels())
-        if min_gap <= width:
-            raise FamilyExhaustedError(
-                "support-gap", 1, f"family gap {min_gap} does not clear support width {width}"
-            )
-
-        certificates = [
-            Certificate(
-                "support-gap",
-                0,
-                None,
-                float(width),
-                float(min_gap),
-                min_gap > width,
-                f"backward cross-terms vanish: min gap {min_gap} > support width {width}",
-            )
-        ]
-        selected: list[int] = []
-        for l in range(1, depth + 1):
-            y_l = targets[l - 1]
-            placed = False
-            first_failure = None
-            for k in range((selected[-1] + 1) if selected else 1, len(family) + 1):
-                certs = _certify_level(T, family, selected, k, l, targets, rate, ip)
-                bad = next((c for c in certs if not c.ok), None)
-                if bad is None:
-                    selected.append(k)
-                    certificates.extend(certs)
-                    placed = True
-                    break
-                if first_failure is None:
-                    first_failure = bad
-            if not placed:
-                cond = first_failure.condition if first_failure else "i"
-                raise FamilyExhaustedError(
-                    cond, l, f"no admissible level for l={l}; condition {cond} failed last"
-                )
-        return ConstructionPlan(
-            family=family,
-            selected=tuple(selected),
-            targets=targets,
-            certificates=tuple(certificates),
-            horizon=horizon,
-            operator=T.describe(),
+    ip = _int_p(T.space)
+    targets = tuple(dense.item(l) for l in range(1, depth + 1))
+    width = _support_width(targets)
+    min_gap = min(_progression(s)[0] for _, s in family.enumerate_levels())
+    if min_gap <= width:
+        raise FamilyExhaustedError(
+            "support-gap", 1, f"family gap {min_gap} does not clear support width {width}"
         )
-    except _Unsupported as exc:
-        raise FamilyExhaustedError("structure", 0, str(exc)) from exc
+
+    certificates = [
+        Certificate(
+            "support-gap",
+            0,
+            None,
+            float(width),
+            float(min_gap),
+            min_gap > width,
+            f"backward cross-terms vanish: min gap {min_gap} > support width {width}",
+        )
+    ]
+    selected: list[int] = []
+    for l in range(1, depth + 1):
+        placed = False
+        first_failure = None
+        for k in range((selected[-1] + 1) if selected else 1, len(family) + 1):
+            certs = _certify_level(T, family, selected, k, l, targets, rate, ip)
+            bad = next((c for c in certs if not c.ok), None)
+            if bad is None:
+                selected.append(k)
+                certificates.extend(certs)
+                placed = True
+                break
+            if first_failure is None:
+                first_failure = bad
+        if not placed:
+            cond = first_failure.condition if first_failure else "i"
+            raise FamilyExhaustedError(
+                cond, l, f"no admissible level for l={l}; condition {cond} failed last"
+            )
+    return ConstructionPlan(
+        family=family,
+        selected=tuple(selected),
+        targets=targets,
+        certificates=tuple(certificates),
+        horizon=horizon,
+        operator=T.describe(),
+    )
 
 
 def _pow_need(need: Fraction, ip):
@@ -435,7 +429,7 @@ def _min_distance_between(family, k_from, k_to) -> int:
     gt, ot = _progression(family.level(k_to))
     g = max(gf, gt)
     if g % min(gf, gt):
-        raise _Unsupported("periods must be nested")
+        raise UsageError("periods must be nested")
     best = None
     for a in range(0, g, gf):
         for b in range(0, g, gt):
@@ -539,10 +533,7 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
     for i in range(len(keys) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + x_sq[keys[i]]
     den_sq = den * den
-    try:
-        kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
-    except _Unsupported as exc:
-        raise UsageError(f"exact verification: {exc}") from exc
+    kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
     rows = []
     violations = []
     worst: dict = {}

@@ -395,9 +395,6 @@ class Block:
     def members(self):
         return tuple(HugeInt(self.exponent, self.step * l) for l in range(self.count))
 
-    def min_member(self):
-        return HugeInt(self.exponent, 0)
-
 
 class HugeExplicitSet(IndexSet):
     """Finite set of HugeInt members; supports symbolic family checks."""
@@ -423,9 +420,6 @@ class BlockFamily:
     levels: int
     reps: int
     blocks: tuple  # Block, in build order
-
-    def phi(self, index: int) -> int:
-        return (index - 1) % self.levels + 1
 
     def level_blocks(self, k: int):
         return [b for b in self.blocks if b.level == k]

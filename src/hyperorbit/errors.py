@@ -9,23 +9,8 @@ class UsageError(HyperorbitError):
     """Invalid configuration or arguments."""
 
 
-class VerificationFailure(HyperorbitError):
-    """A combinatorial or analytic check that was expected to hold did not."""
-
-
-class OverflowTruncated(HyperorbitError):
-    """A computation hit the numeric overflow cap and was truncated.
-
-    Carries the partial result so callers can still report it.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class NoDataError(HyperorbitError):
-    """An estimate was requested on an empty sample."""
+class NoDataError(UsageError):
+    """An estimate was requested on an empty sample: the chosen set has no members in range."""
 
 
 class WindowGridError(UsageError):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -248,8 +248,8 @@ def intervals_set(intervals) -> SegmentPatternSet:
     return SegmentPatternSet(tuple((a, b + 1, 1, 1) for a, b in merged))
 
 
-class BlockFunctionSet(IndexSet):
-    """Union of blocks [start(j), end(j)], j >= j_min, with strictly growing starts.
+class FactorialBlockSet(IndexSet):
+    """Union of blocks [j!, j! + j], j >= 1: density zero along prefixes, full windows at j!.
 
     The blocks built so far are kept, merged, as full segments of a
     `SegmentPatternSet`, which answers every query; it is rebuilt only when
@@ -257,13 +257,9 @@ class BlockFunctionSet(IndexSet):
     that start, so a scan up to n rebuilds it O(log n) times.
     """
 
-    def __init__(self, j_min=1):
-        self.j_min = j_min
-        self._built = []  # (start, end) of blocks j_min, j_min + 1, ...
+    def __init__(self):
+        self._built = []  # (j!, j! + j) of blocks j = 1, 2, ...
         self._cover = SegmentPatternSet(())
-
-    def block(self, j):
-        raise NotImplementedError
 
     def _upto(self, n) -> SegmentPatternSet:
         """The built blocks, once some block starts after n (so all members <= n are in)."""
@@ -272,7 +268,8 @@ class BlockFunctionSet(IndexSet):
             return self._cover
         target = max(n, 2 * built[-1][0]) if built else n
         while not built or built[-1][0] <= target:
-            built.append(self.block(self.j_min + len(built)))
+            j = len(built) + 1
+            built.append((factorial(j), factorial(j) + j))
         self._cover = intervals_set(built)
         return self._cover
 
@@ -287,14 +284,6 @@ class BlockFunctionSet(IndexSet):
 
     def anchors(self, horizon):
         return self._upto(horizon).anchors(horizon)
-
-
-class FactorialBlockSet(BlockFunctionSet):
-    """Union of blocks [j!, j! + j]: density zero along prefixes, full windows at j!."""
-
-    def block(self, j):
-        f = factorial(j)
-        return f, f + j
 
     def describe(self):
         return "factorial-blocks"
@@ -443,15 +432,6 @@ def count_window(A: IndexSet, a, b) -> int:
 
 
 @dataclass(frozen=True)
-class WindowStats:
-    window: int
-    min_ratio: Fraction
-    max_ratio: Fraction
-    argmin: int
-    argmax: int
-
-
-@dataclass(frozen=True)
 class DensityReport:
     lower_banach: Fraction
     lower_density: Fraction
@@ -465,8 +445,6 @@ class DensityReport:
     banach_argmin: int
     banach_argmax: int
     lower_density_at: int
-    per_window: dict = field(default_factory=dict)
-    anchor_positions: tuple = ()
 
     def __post_init__(self):
         chain = (self.lower_banach, self.lower_density, self.upper_density, self.upper_banach)
@@ -522,8 +500,7 @@ def estimate_densities(
         if c < best_min:
             best_min, argmin = c, i * s
 
-    anchor_pos = _anchor_positions(A, horizon, s)
-    for k in anchor_pos:
+    for k in _anchor_positions(A, horizon, s):
         c = A.count_in(k + 1, k + s)
         if c > best_max:
             best_max, argmax = c, k
@@ -543,23 +520,6 @@ def estimate_densities(
             best_num, best_at = c, t * s
     lower_density, lower_at = Fraction(best_num, best_at), best_at
 
-    per_window = {}
-    for si in grid:
-        if si == s:
-            per_window[si] = WindowStats(si, lower_banach, upper_banach, argmin, argmax)
-            continue
-        qi = horizon // si
-        stride = max(1, qi // 2048)
-        mn = mx = None
-        ami = amx = 0
-        for i in range(0, qi, stride):
-            c = A.count_in(i * si + 1, i * si + si)
-            if mx is None or c > mx:
-                mx, amx = c, i * si
-            if mn is None or c < mn:
-                mn, ami = c, i * si
-        per_window[si] = WindowStats(si, Fraction(mn, si), Fraction(mx, si), ami, amx)
-
     return DensityReport(
         lower_banach=lower_banach,
         lower_density=lower_density,
@@ -573,18 +533,12 @@ def estimate_densities(
         banach_argmin=argmin,
         banach_argmax=argmax,
         lower_density_at=lower_at,
-        per_window=per_window,
-        anchor_positions=tuple(anchor_pos[:64]),
     )
 
 
 def _anchor_positions(A, horizon, s):
     out = set()
-    try:
-        raw = A.anchors(horizon)
-    except NotImplementedError:
-        raw = []
-    for a in raw:
+    for a in A.anchors(horizon):
         if not isinstance(a, int):
             continue
         for k in (a - 1, a):

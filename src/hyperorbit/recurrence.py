@@ -246,14 +246,13 @@ class _Ball:
         return sqrt(total) if 1e-290 < total < float("inf") else None
 
 
-def _scan(orbit: _Orbit, targets, horizon: int, empty_is_dead: bool = False):
+def _scan(orbit: _Orbit, targets, horizon: int):
     """Hit times n <= horizon of the orbit in each (center, radius) ball, and the truncation step.
 
     The orbit moves a block of rows at a time; a row with an exponent past
     `orbit.overflow_log2` ends the scan (its step is returned, None if no
     row overflows).  From the step at which a unilateral orbit has no entry
-    left (with `empty_is_dead`, no nonzero entry) every row is the zero
-    vector, decided by one `ball_contains`.
+    left every row is the zero vector, decided by one `ball_contains`.
     """
     space = orbit.space
     balls = [_Ball(center, radius, space) for center, radius in targets]
@@ -274,12 +273,6 @@ def _scan(orbit: _Orbit, targets, horizon: int, empty_is_dead: bool = False):
         rows, over = orbit.step(count)
         if over is not None:
             truncated_at = start + over
-        if empty_is_dead and not space.bilateral:
-            empty = next((r for r, row in enumerate(rows) if not any(row)), None)
-            if empty is not None:
-                truncated_at = None
-                dead_from = start + empty
-                rows = rows[:empty]
         at = {idx: j for j, idx in enumerate(index)}
         for n, row in enumerate(rows, start):
             terms = list(map(abs, row)) if space.kind == "c0" else list(map(mul, row, row))
@@ -292,7 +285,7 @@ def _scan(orbit: _Orbit, targets, horizon: int, empty_is_dead: bool = False):
                     inside = size < ball.radius
                 if inside:
                     times.append(n)
-        if truncated_at is not None or dead_from is not None:
+        if truncated_at is not None:
             break
         start += count
     if dead_from is not None:
@@ -460,6 +453,8 @@ def return_set(
     (uc, ur), (vc, vr) = U, V
     if ur <= 0 or vr <= 0:
         raise UsageError("ball radii must be positive")
+    if witness_stride < 1:
+        raise UsageError("the witness stride must be >= 1")
     found = set()
 
     probes = [uc]
@@ -469,7 +464,7 @@ def return_set(
     for probe in probes:
         if not ball_contains(uc, ur, probe):
             continue
-        (times,), _ = _scan(_Orbit(T, probe, reach=horizon), [(vc, vr)], horizon, empty_is_dead=True)
+        (times,), _ = _scan(_Orbit(T, probe, reach=horizon), [(vc, vr)], horizon)
         found.update(times)
 
     for t in range(0, horizon + 1, witness_stride):

@@ -119,10 +119,6 @@ def _same_space(u: SparseVec, v: SparseVec):
         raise SpaceMismatchError(f"{u.space.describe()} vs {v.space.describe()}")
 
 
-def _all_exact(v: SparseVec) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in v.entries.values())
-
-
 def norm_sq_exact(v: SparseVec) -> Fraction:
     """Exact sum of squared entries; only meaningful for the l2 norm."""
     if v.space.kind != "lp" or v.space.p != 2.0:

@@ -208,8 +208,7 @@ def brute_hitting_times(T, x, targets, horizon, overflow_log2=996):
 
 
 def brute_return_times(T, U, V, horizon, probe_grid=8, witness_stride=50):
-    """Sorted return times of return_set: every probe stepped to the horizon (a unilateral
-    probe's first empty orbit point settles the rest by one ball test of the zero vector),
+    """Sorted return times of return_set: the hitting times of every probe inside U,
     then the pulled-back witnesses."""
     (uc, ur), (vc, vr) = U, V
     found = set()
@@ -218,17 +217,9 @@ def brute_return_times(T, U, V, horizon, probe_grid=8, witness_stride=50):
         bump = SparseVec.basis(uc.space, i, Fraction(1, 2) * Fraction(int(ur * 2**20), 2**20) / (i + 2))
         probes.append(uc + bump)
     for probe in probes:
-        if not ball_contains(uc, ur, probe):
-            continue
-        for n, v in brute_orbit(T, probe, horizon, 996):
-            if v is None:
-                break
-            if not v.entries and not probe.space.bilateral:
-                if ball_contains(vc, vr, SparseVec.zero(probe.space)):
-                    found.update(range(n, horizon + 1))
-                break
-            if ball_contains(vc, vr, v):
-                found.add(n)
+        if ball_contains(uc, ur, probe):
+            (times,), _ = brute_hitting_times(T, probe, [(vc, vr)], horizon)
+            found.update(times)
     for t in range(0, horizon + 1, witness_stride):
         witness = uc + apply_right_inverse(T, vc - apply_backward(T, uc, t), t)
         if ball_contains(uc, ur, witness) and ball_contains(vc, vr, apply_backward(T, witness, t)):

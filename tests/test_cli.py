@@ -9,6 +9,8 @@ import hyperorbit as h
 from hyperorbit import counterexample as cx
 from hyperorbit.cli import main
 
+from test_acceptance import CLI_MATRIX
+
 
 def run(tmp_path, name, *argv):
     out = tmp_path / name
@@ -248,9 +250,16 @@ def test_usage_error_exit_code(tmp_path):
         ["densities", "--set", "segments:0:10:1:1;5:15:1:1"],
         ["series-tests", "--weights", "counterexample-c0:junk"],
         ["orbit", "--vector", "e:0", "--targets", "zero:junk@1/2"],
+        ["construct", "--space", "lp:1.5", "--depth", "2", "--horizon", "200"],
+        ["construct", "--space", "c0", "--depth", "2", "--horizon", "200"],
+        ["construct", "--family", "prime-power:3", "--depth", "2", "--horizon", "200"],
+        ["beta", "--set", "explicit:5", "--horizon", "1"],
+        ["diff-set", "--set", "explicit:500", "--horizon", "10"],
+        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "10", "--stride", "0"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
-         "segment-overlap", "nullary-weight-junk", "zero-vector-junk"],
+         "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
+         "construct-prime-power", "beta-no-members", "diff-set-no-members", "return-set-stride-0"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)
@@ -326,3 +335,78 @@ def test_config_hash_ignores_out_and_workers(tmp_path):
     assert len(hashes) == 1
     _, other = run(tmp_path, "other", "densities", "--set", "evens", "--horizon", "3000")
     assert _config_hash(other) not in hashes  # a different computation
+
+
+def _config(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--hor", "500"], ["--horizon=500"], ["--hor=500"]], ids=["abbreviated", "joined", "both"]
+)
+def test_config_loses_to_every_form_of_an_explicit_flag(tmp_path, flag):
+    cfg = _config(tmp_path, {"horizon": 1000})
+    code, out = run(tmp_path, "d", "densities", "--set", "evens", *flag, "--config", cfg)
+    assert code == 0
+    assert (out / "densities.csv").read_text().splitlines()[1] == "evens,1/2,1/2,1/2,1/2,500,100,0,0"
+
+
+def test_config_string_converts_like_a_flag(tmp_path):
+    cfg = _config(tmp_path, {"horizon": "1000"})
+    code, out = run(tmp_path, "d", "densities", "--set", "evens", "--config", cfg)
+    assert code == 0
+    assert ",1000," in (out / "densities.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"command": "diff-set"}, "command"),
+        ({"sett": "squares"}, "sett"),
+        ({"config": "x", "help": True}, "config, help"),
+    ],
+    ids=["command", "misspelled", "config-and-help"],
+)
+def test_config_key_the_subcommand_lacks_exit_code(tmp_path, capsys, data, named):
+    code, out = run(tmp_path, "d", "densities", "--set", "evens", "--config", _config(tmp_path, data))
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.endswith(f"densities takes no {named}\n") and err.count("\n") == 1
+
+
+def test_config_null_keeps_the_default(tmp_path):
+    _, plain = run(tmp_path, "plain", "beta", "--set", "evens", "--horizon", "400")
+    cfg = _config(tmp_path, {"cutoff": None, "workers": None})
+    code, nulled = run(tmp_path, "null", "beta", "--set", "evens", "--horizon", "400", "--config", cfg)
+    assert code == 0
+    assert read_files(nulled) == read_files(plain)
+
+
+def _as_config(argv):
+    """A flag list as a config object: dest names as keys, numbers as JSON numbers."""
+    data = {}
+    for flag, value in zip(argv[::2], argv[1::2]):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass
+        data[flag[2:].replace("-", "_")] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "row, extra",
+    [(0, []), (8, []), (10, []), (13, ["--p", "1.5"])],
+    ids=["densities-window-grid", "classify-c0", "return-set", "eqbeta-float-p"],
+)
+def test_config_gives_the_bytes_of_the_same_flags(tmp_path, row, extra):
+    name, argv = CLI_MATRIX[row]
+    argv = [*argv, *extra]
+    code, flags = run(tmp_path, "flags", name, *argv)
+    assert code == 0
+    code, config = run(tmp_path, "config", name, "--config", _config(tmp_path, _as_config(argv)))
+    assert code == 0
+    assert read_files(config) == read_files(flags)
+    assert _config_hash(config) == _config_hash(flags)

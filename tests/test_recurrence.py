@@ -303,16 +303,24 @@ def test_return_set_matches_brute_oracle(case, horizon, probes, stride, block):
     assert list(rep.times.members) == brute_return_times(T, U, V, horizon, probes, stride)
 
 
-def test_return_set_probe_below_float_range_is_settled_at_once():
-    # every entry of the probe materializes to 0.0 at n = 0, so return_set settles all
-    # times by the zero vector there, although the orbit grows back into range later
+def test_return_set_probe_below_float_range_keeps_only_true_returns():
+    # every entry of the probe materializes to 0.0 at n = 0, but the orbit is alive:
+    # the orbit point is 2**(n - 1150) at index 1200 - n, outside from n = 1149 until it leaves at 1201
     x = SparseVec({1200: Fraction(1, 2**1150)}, L2)
     U, V = (x, 0.5), (SparseVec.zero(L2), 0.5)
     rep = return_set(DOUBLING, U, V, 1300, probe_grid=0, witness_stride=5000)
-    assert list(rep.times.members) == brute_return_times(DOUBLING, U, V, 1300, 0, 5000) == list(range(1301))
     hits = hitting_times(DOUBLING, x, [V], 1300, window_grid=())[0].times.members
-    # the orbit point itself is 2**(n - 1150) at index 1200 - n: outside from n = 1149 until it leaves at 1201
     assert hits == tuple(range(1149)) + tuple(range(1201, 1301))
+    assert rep.times.members == hits == tuple(brute_return_times(DOUBLING, U, V, 1300, 0, 5000))
+
+
+def test_return_set_probe_below_float_range_finds_a_late_return():
+    # the orbit point 2**(n - 1200) at index 1200 - n is e_0 at n = 1200
+    x = SparseVec({1200: Fraction(1, 2**1200)}, L2)
+    U, V = (x, 0.5), (SparseVec.basis(L2, 0), 0.5)
+    rep = return_set(DOUBLING, U, V, 1300, probe_grid=0, witness_stride=5000)
+    hits = hitting_times(DOUBLING, x, [V], 1300, window_grid=())[0].times.members
+    assert rep.times.members == hits == tuple(brute_return_times(DOUBLING, U, V, 1300, 0, 5000)) == (1200,)
 
 
 # ---------------------------------------------------------------------------
