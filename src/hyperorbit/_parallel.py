@@ -1,16 +1,13 @@
-"""Deterministic work partitioning.
+"""The worker count a run records, and an in-order map.
 
-Results are assembled in submission order, so output never depends on the
-worker count.  Small inputs run inline; the pool is only worth its startup
-cost for wide sweeps.
+Every subcommand runs in one process.  `--workers` (or
+`HYPERORBIT_WORKERS`) is still accepted and resolved here, only so that
+the manifest can record it; outputs never depend on it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-
-_MIN_PARALLEL_ITEMS = 512
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -22,17 +19,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def pmap(fn, items, workers: int = 1):
-    """Map `fn` over `items`, preserving order exactly.
-
-    `fn` must be picklable (top-level) when workers > 1.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (workers * 4))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunk))
-    except (OSError, ValueError):
-        return [fn(it) for it in items]
+def pmap(fn, items):
+    """`fn` over `items`, in order, in this process."""
+    return [fn(it) for it in items]

@@ -29,12 +29,12 @@ from .indexsets import (
     make_prescribed_density_set,
 )
 from .io_text import (
-    format_fraction,
+    parse_densities,
     parse_family_spec,
     parse_fraction,
-    parse_int,
+    parse_int_list,
+    parse_operator_spec,
     parse_set_spec,
-    parse_space_spec,
     parse_target_spec,
     parse_vector_spec,
     parse_weight_spec,
@@ -43,7 +43,7 @@ from .io_text import (
     write_manifest,
     write_vector,
 )
-from .shifts import ShiftOperator, mixing_test, reciprocal_product_series
+from .shifts import mixing_test, reciprocal_product_series
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,10 +55,7 @@ def _density_rows(tag, report):
     return [
         (
             tag,
-            format_fraction(report.lower_banach),
-            format_fraction(report.lower_density),
-            format_fraction(report.upper_density),
-            format_fraction(report.upper_banach),
+            *report.as_tuple(),
             report.effective_horizon,
             report.window,
             report.banach_argmin,
@@ -82,16 +79,14 @@ DENSITY_HEADER = (
 
 def run_densities(args, out):
     A = parse_set_spec(args.set)
-    grid = [parse_int(s) for s in args.window_grid.split(",")] if args.window_grid else None
+    grid = parse_int_list(args.window_grid) if args.window_grid else None
     report = estimate_densities(A, args.horizon, grid, args.tail_factor)
     write_csv(os.path.join(out, "densities.csv"), DENSITY_HEADER, _density_rows(args.set, report))
     return EXIT_OK
 
 
 def run_make_set(args, out):
-    targets = [parse_fraction(x) for x in args.targets.split(",")]
-    if len(targets) != 4:
-        raise UsageError("make-set takes four target densities")
+    targets = parse_densities(args.targets)
     A = make_prescribed_density_set(*targets, eras=args.eras, window=args.window)
     with open(os.path.join(out, "set.txt"), "w", encoding="utf-8") as fh:
         fh.write(A.describe() + "\n")
@@ -122,7 +117,7 @@ def run_check_family(args, out):
 
 
 def run_verify_counterexample(args, out):
-    report = cx.verify_scale_exclusion(args.kmax, args.lmax, workers=args.workers, keep_rows=True)
+    report = cx.verify_scale_exclusion(args.kmax, args.lmax, keep_rows=True)
     write_csv(
         os.path.join(out, "exclusion.csv"),
         ("k", "l", "m", "hit_scale", "ok"),
@@ -160,11 +155,10 @@ def run_verify_counterexample(args, out):
 
 
 def run_dj_scan(args, out):
-    js = [parse_int(j) for j in args.j.split(",")]
     rows = []
     all_ok = True
     runs = cx.s_intervals_in(1, args.horizon)
-    for j in js:
+    for j in parse_int_list(args.j):
         rep = cx.product_threshold_scan(j, args.horizon, runs=runs)
         all_ok = all_ok and rep.bound_respected and rep.envelope_ok
         for r in rep.rows:
@@ -178,10 +172,9 @@ def run_dj_scan(args, out):
 
 
 def run_construct(args, out):
-    space = parse_space_spec(args.space)
-    T = ShiftOperator(parse_weight_spec(args.operator), space)
+    T = parse_operator_spec(args.operator, args.space)
     family = parse_family_spec(args.family)
-    dense = constructor.DenseDyadicSequence(space)
+    dense = constructor.DenseDyadicSequence(T.space)
     plan = constructor.select_subsequence(T, family, dense, args.depth, args.horizon)
     with open(os.path.join(out, "plan.txt"), "w", encoding="utf-8") as fh:
         fh.write(plan.serialize())
@@ -204,23 +197,14 @@ def run_construct(args, out):
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def _dense_for(space, *specs):
-    """The dense enumeration, built only when a vector or target spec is `dense:` (it is unilateral)."""
-    if any(spec.strip().startswith("dense:") for spec in specs):
-        return constructor.DenseDyadicSequence(space)
-    return None
-
-
 def _vector_and_targets(args, space):
-    specs = [t for t in args.targets.split(";") if t]
-    dense = _dense_for(space, args.vector, *specs)
-    return parse_vector_spec(args.vector, space, dense), [parse_target_spec(t, space, dense) for t in specs]
+    targets = [parse_target_spec(t, space) for t in args.targets.split(";") if t]
+    return parse_vector_spec(args.vector, space), targets
 
 
 def run_orbit(args, out):
-    space = parse_space_spec(args.space)
-    T = ShiftOperator(parse_weight_spec(args.operator), space)
-    x, targets = _vector_and_targets(args, space)
+    T = parse_operator_spec(args.operator, args.space)
+    x, targets = _vector_and_targets(args, T.space)
     reports = recurrence.hitting_times(T, x, targets, args.horizon)
     hit_rows = []
     dens_rows = []
@@ -238,24 +222,23 @@ def run_orbit(args, out):
 
 
 def run_classify(args, out):
-    space = parse_space_spec(args.space)
-    T = ShiftOperator(parse_weight_spec(args.operator), space)
-    x, targets = _vector_and_targets(args, space)
+    T = parse_operator_spec(args.operator, args.space)
+    x, targets = _vector_and_targets(args, T.space)
     reports = recurrence.hitting_times(T, x, targets, args.horizon)
     label = recurrence.classify(reports, parse_fraction(args.theta))
     rows = [
         (
             t.target_index,
             t.level,
-            format_fraction(t.lower_density),
-            format_fraction(t.upper_density),
-            format_fraction(t.upper_banach),
-            format_fraction(label.theta),
+            t.lower_density,
+            t.upper_density,
+            t.upper_banach,
+            label.theta,
             label.horizon,
         )
         for t in label.per_target
     ]
-    rows.append(("overall", label.overall, "", "", "", format_fraction(label.theta), label.horizon))
+    rows.append(("overall", label.overall, "", "", "", label.theta, label.horizon))
     write_csv(
         os.path.join(out, "classification.csv"),
         ("target", "level", "lower_density", "upper_density", "upper_banach", "theta", "horizon"),
@@ -267,11 +250,9 @@ def run_classify(args, out):
 
 
 def run_return_set(args, out):
-    space = parse_space_spec(args.space)
-    T = ShiftOperator(parse_weight_spec(args.operator), space)
-    dense = _dense_for(space, args.u, args.v)
-    U = parse_target_spec(args.u, space, dense)
-    V = parse_target_spec(args.v, space, dense)
+    T = parse_operator_spec(args.operator, args.space)
+    U = parse_target_spec(args.u, T.space)
+    V = parse_target_spec(args.v, T.space)
     rep = recurrence.return_set(T, U, V, args.horizon, args.probes, args.stride)
     write_csv(os.path.join(out, "return_times.csv"), ("n",), [(n,) for n in rep.times.members])
     synd = rep.syndetic
@@ -293,17 +274,12 @@ def run_return_set(args, out):
 
 def run_correlate(args, out):
     A = parse_set_spec(args.set)
-    windows = []
-    for part in args.windows.split(","):
-        m, sep, s = part.partition(":")
-        if not sep:
-            raise UsageError(f"window {part!r} needs the form <start>:<length>")
-        windows.append((parse_int(m), parse_int(s)))
+    windows = parse_int_list(args.windows, ":")
     rep = recurrence.correlation_scan(A, parse_fraction(args.epsilon), args.kmax, windows)
     write_csv(
         os.path.join(out, "correlation.csv"),
         ("k", "eta_k", "in_f"),
-        [(k, format_fraction(rep.eta[k]), k in rep.levels_in_f.members) for k in sorted(rep.eta)],
+        [(k, rep.eta[k], k in rep.levels_in_f.members) for k in sorted(rep.eta)],
     )
     synd = rep.syndetic
     write_csv(
@@ -311,11 +287,11 @@ def run_correlate(args, out):
         ("delta", "f_syndetic", "f_gap", "antichain_size", "antichain_bound"),
         [
             (
-                format_fraction(rep.delta),
+                rep.delta,
                 bool(synd) if synd else False,
                 synd.gap_bound if synd else "",
                 len(rep.antichain),
-                format_fraction(rep.antichain_bound),
+                rep.antichain_bound,
             )
         ],
     )
@@ -343,7 +319,7 @@ def run_eqbeta(args, out):
     w = parse_weight_spec(args.operator)
     A = parse_set_spec(args.set)
     if args.n:
-        ns = [parse_int(x) for x in args.n.split(",")]
+        ns = parse_int_list(args.n)
     else:
         ns = A.members_in(1, args.horizon)[: args.sample]
     rows = []
@@ -409,7 +385,7 @@ def _sub(subparsers, name, fn, **kwargs):
         "--workers",
         type=int,
         default=None,
-        help="worker processes of the verify-counterexample exclusion sweep (default: HYPERORBIT_WORKERS or auto)",
+        help="recorded in the manifest only; every subcommand runs in one process (default: HYPERORBIT_WORKERS or auto)",
     )
     p.add_argument(
         "--config", default=None, help="JSON file of flag defaults keyed by dest name (window_grid); flags win"

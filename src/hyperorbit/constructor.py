@@ -47,6 +47,8 @@ def dyadic_block_family(k_max: int, spread: int = 6) -> SetFamily:
     """
     if k_max < 1:
         raise UsageError("k_max must be >= 1")
+    if spread < 0:
+        raise UsageError("spread must be >= 0")
     sets = tuple(
         PeriodicSet(2 ** (k + spread), (2 ** (k + spread - 1),)) for k in range(1, k_max + 1)
     )
@@ -227,33 +229,6 @@ def _first_member_at_least(gap: int, offset: int, cutoff: int) -> int:
     return offset + -((offset - cutoff) // gap) * gap
 
 
-def _min_cross_distance(family: SetFamily, k: int, forward: bool) -> int:
-    """Minimum positive distance from any family member to the next level-k
-    member (forward=True), or from a level-k member to the next family
-    member (forward=False).  Exact via residue arithmetic: all levels are
-    single-residue progressions whose periods divide or contain each other.
-    """
-    gk, ok = _progression(family.level(k))
-    best = None
-    for _, s in family.enumerate_levels():
-        gm, om = _progression(s)
-        if gm <= gk:
-            if gk % gm:
-                raise UsageError("periods must be nested")
-            residues = [(om + t * gm) % gk for t in range(gk // gm)]
-        else:
-            if gm % gk:
-                raise UsageError("periods must be nested")
-            residues = [om % gk]
-        for r in residues:
-            d = (ok - r) % gk if forward else (r - ok) % gk
-            if d == 0:
-                d = gk
-            if best is None or d < best:
-                best = d
-    return best
-
-
 def _support_width(targets) -> int:
     width = 0
     for y in targets:
@@ -378,7 +353,7 @@ def _certify_level(T, family, selected, k, l, targets, rate, ip):
 
     # condition ii: sums over the candidate level seen from any family time
     gk, okr = _progression(family.level(k))
-    d0 = _min_cross_distance(family, k, forward=True)
+    d0 = min(_min_distance_between(family, m, k) for m in range(1, len(family) + 1))
     wt = _norm_pow(targets[l - 1], ip)
     tail_ii = _geom_tail(rate, ip, d0, gk, wt)
     certs.append(

@@ -23,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._parallel import pmap
 from .errors import HyperorbitError, UsageError
 from .indexsets import IndexSet, SetFamily, merge_intervals
 from .shifts import WeightSequence
@@ -588,15 +589,13 @@ def _exclusion_cell(args):
     return [ExclusionRow(k, l, m, _hits_scale_at_most(m, k)) for m in (base - repunit, base + repunit)]
 
 
-def verify_scale_exclusion(k_max: int, l_max: int, workers: int = 1, keep_rows: bool = False) -> ExclusionReport:
+def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> ExclusionReport:
     """For every k <= k_max, l <= l_max, both repunit perturbations of l*10^k
     avoid every digit neighborhood of scale <= k (so any S-witness they admit
     must live at a scale above k).  Exhaustive over the requested ranges.
     """
-    from ._parallel import pmap
-
     cells = [(k, l) for k in range(1, k_max + 1) for l in range(1, l_max + 1)]
-    rows = [r for chunk in pmap(_exclusion_cell, cells, workers) for r in chunk]
+    rows = [r for chunk in pmap(_exclusion_cell, cells) for r in chunk]
     violations = tuple(r for r in rows if not r.ok)
     return ExclusionReport(
         ok=not violations,

@@ -295,6 +295,8 @@ class GeometricSet(IndexSet):
     def __init__(self, base, min_exponent=0):
         if base < 2:
             raise UsageError("base must be >= 2")
+        if min_exponent < 0:
+            raise UsageError("the minimum exponent must be >= 0")
         self.base = base
         self.min_exponent = min_exponent
 

@@ -1,7 +1,11 @@
-"""Text formats: set/weight/family/target specs, vector files, CSV, manifests.
+"""Text formats: set/weight/space/family/target specs, vector files, CSV, manifests.
 
-Everything round-trips through plain strings so configurations hash stably
-and outputs stay byte-identical across runs and worker counts.
+This is the one module that turns command-line text into values.  Every
+real number has one reader (`parse_real`: a rational inside the float
+range), every comma list one rule (`_items`: the empty text is the empty
+list, an empty item is an error), and every spec kind's `describe()`
+parses back to the same object, so configurations hash stably and outputs
+stay byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import counterexample as cx
-from .constructor import dyadic_block_family, prime_power_family
+from .constructor import DenseDyadicSequence, dyadic_block_family, prime_power_family
 from .errors import UsageError
 from .indexsets import (
     ExplicitSet,
@@ -26,12 +30,12 @@ from .indexsets import (
     intervals_set,
     make_prescribed_density_set,
 )
-from .shifts import ConstantWeights, RatioPowerWeights, TableWeights
+from .shifts import ConstantWeights, RatioPowerWeights, ShiftOperator, TableWeights
 from .spaces import SparseVec, SpaceSpec, c0, lp
 
 
 # ---------------------------------------------------------------------------
-# fractions and numbers
+# numbers and lists
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -42,6 +46,15 @@ def parse_fraction(text: str) -> Fraction:
         raise UsageError(f"cannot parse {text!r} as a rational") from exc
 
 
+def parse_real(text: str) -> float:
+    """A rational inside the float range, as its nearest float."""
+    q = parse_fraction(text)
+    try:
+        return float(q)
+    except OverflowError as exc:
+        raise UsageError(f"{text.strip()!r} lies outside the float range") from exc
+
+
 def parse_int(text: str) -> int:
     try:
         return int(text)
@@ -49,11 +62,38 @@ def parse_int(text: str) -> int:
         raise UsageError(f"cannot parse {text!r} as an integer") from exc
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse {text!r} as a number") from exc
+def _items(text: str) -> list:
+    """The items of a comma list: none for the empty text; an empty item is kept for its reader to reject."""
+    return text.split(",") if text.strip() else []
+
+
+def parse_int_pair(text: str, sep: str) -> tuple:
+    a, found, b = text.partition(sep)
+    if not found:
+        raise UsageError(f"{text!r} needs the form <int>{sep}<int>")
+    return parse_int(a), parse_int(b)
+
+
+def parse_int_list(text: str, sep: str | None = None) -> list:
+    """A comma list of integers, or of `<int><sep><int>` pairs when `sep` is given."""
+    return [parse_int(x) if sep is None else parse_int_pair(x, sep) for x in _items(text)]
+
+
+def parse_densities(text: str) -> list:
+    """The four target densities r1,r2,r3,r4 of a prescribed-density set."""
+    rs = [parse_fraction(x) for x in text.split(",")]
+    if len(rs) != 4:
+        raise UsageError(f"{text!r} needs four target densities r1,r2,r3,r4")
+    return rs
+
+
+def _one_or_two_ints(spec: str, rest: str, second: int) -> tuple:
+    """The one or two ':'-separated integer fields after a spec's head, `second` standing in for a missing one."""
+    fields = rest.split(":")
+    if len(fields) > 2 or "" in fields:
+        raise UsageError(f"spec {spec!r} takes one or two non-empty ':' fields")
+    first, *more = map(parse_int, fields)
+    return first, (more[0] if more else second)
 
 
 def format_fraction(x) -> str:
@@ -78,40 +118,29 @@ def parse_set_spec(spec: str):
     head, _, rest = spec.partition(":")
     if head == "periodic":
         p, _, residues = rest.partition(":")
-        rs = tuple(parse_int(r) for r in residues.split(",") if r != "")
-        return PeriodicSet(parse_int(p), rs)
+        return PeriodicSet(parse_int(p), tuple(parse_int_list(residues)))
     if head == "arith":
-        g, _, o = rest.partition(":")
-        return PeriodicSet(parse_int(g), (parse_int(o or 0),))
+        gap, offset = _one_or_two_ints(spec, rest, 0)
+        return PeriodicSet(gap, (offset,))
     if head == "explicit":
-        return ExplicitSet(tuple(parse_int(x) for x in rest.split(",") if x != ""))
+        return ExplicitSet(tuple(parse_int_list(rest)))
     if head == "explicit-file":
         with open(rest, "r", encoding="utf-8") as fh:
             return ExplicitSet(tuple(parse_int(line) for line in fh if line.strip()))
     if head == "intervals":
-        ivs = []
-        for part in rest.split(","):
-            a, _, b = part.partition("-")
-            ivs.append((parse_int(a), parse_int(b)))
-        return intervals_set(ivs)
+        return intervals_set(parse_int_list(rest, "-"))
     if head == "powers":
-        parts = rest.split(":")
-        base = parse_int(parts[0])
-        min_exp = parse_int(parts[1]) if len(parts) > 1 else 0
-        return GeometricSet(base, min_exp)
+        return GeometricSet(*_one_or_two_ints(spec, rest, 0))
     if head == "segments":
         segs = []
-        for part in rest.split(";"):
+        for part in rest.split(";") if rest else ():
             fields = part.split(":")
             if len(fields) != 4:
                 raise UsageError(f"segment {part!r} needs the form <start>:<end>:<num>:<den>")
             segs.append(tuple(parse_int(x) for x in fields))
         return SegmentPatternSet(tuple(segs))
     if head == "prescribed":
-        rs = [parse_fraction(x) for x in rest.split(",")]
-        if len(rs) != 4:
-            raise UsageError("prescribed sets take four target densities")
-        return make_prescribed_density_set(*rs)
+        return make_prescribed_density_set(*parse_densities(rest))
     raise UsageError(f"unknown set spec {spec!r}")
 
 
@@ -122,7 +151,7 @@ def write_explicit_set(path, s: ExplicitSet):
 
 
 # ---------------------------------------------------------------------------
-# weight and operator specs
+# weight, space, operator and family specs
 
 
 def parse_weight_spec(spec: str):
@@ -133,13 +162,14 @@ def parse_weight_spec(spec: str):
         return cx.DoublingResetWeights()
     head, _, rest = spec.partition(":")
     if head == "constant":
-        return ConstantWeights(float(parse_fraction(rest)))
+        return ConstantWeights(parse_real(rest))
     if head == "ratio-power":
-        return RatioPowerWeights(float(parse_fraction(rest)))
+        return RatioPowerWeights(parse_real(rest))
     if head == "table":
         with open(rest, "r", encoding="utf-8") as fh:
-            values = [_parse_float(line) for line in fh if line.strip()]
-        return TableWeights(values)
+            return TableWeights([parse_real(line) for line in fh if line.strip()])
+    if head == "table-values":
+        return TableWeights([parse_real(x) for x in _items(rest)])
     raise UsageError(f"unknown weight spec {spec!r}")
 
 
@@ -154,20 +184,21 @@ def parse_space_spec(spec: str) -> SpaceSpec:
         return lp(float(spec[1]), bilateral)
     head, _, rest = spec.partition(":")
     if head == "lp":
-        return lp(float(parse_fraction(rest)), bilateral)
+        return lp(parse_real(rest), bilateral)
     raise UsageError(f"unknown space spec {spec!r}")
 
 
+def parse_operator_spec(weights: str, space: str) -> ShiftOperator:
+    return ShiftOperator(parse_weight_spec(weights), parse_space_spec(space))
+
+
 def parse_family_spec(spec: str) -> SetFamily:
-    head, _, rest = spec.strip().partition(":")
-    parts = [p for p in rest.split(":") if p != ""]
+    spec = spec.strip()
+    head, _, rest = spec.partition(":")
     second_default = {"dyadic-block": 6, "prime-power": 5, "counterexample": 3}
     if head not in second_default:
         raise UsageError(f"unknown family spec {spec!r}")
-    if not parts:
-        raise UsageError(f"family spec {spec!r} needs a level count")
-    k_max = parse_int(parts[0])
-    second = parse_int(parts[1]) if len(parts) > 1 else second_default[head]
+    k_max, second = _one_or_two_ints(spec, rest, second_default[head])
     if head == "dyadic-block":
         return dyadic_block_family(k_max, second)
     if head == "prime-power":
@@ -219,13 +250,13 @@ def read_vector(path) -> SparseVec:
                 continue
             idx, _, val = line.partition(" ")
             exact = "/" in val or val.lstrip("-").isdigit()
-            entries[parse_int(idx)] = parse_fraction(val) if exact else _parse_float(val)
+            entries[parse_int(idx)] = parse_fraction(val) if exact else parse_real(val)
     if space is None:
         raise UsageError(f"{path} is missing its space header")
     return SparseVec(entries, space)
 
 
-def parse_vector_spec(spec: str, space: SpaceSpec, dense=None) -> SparseVec:
+def parse_vector_spec(spec: str, space: SpaceSpec) -> SparseVec:
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head == "e":
@@ -235,23 +266,21 @@ def parse_vector_spec(spec: str, space: SpaceSpec, dense=None) -> SparseVec:
             raise UsageError(f"vector spec {spec!r}: zero takes no argument")
         return SparseVec.zero(space)
     if head == "dense":
-        if dense is None:
-            raise UsageError("dense targets need a dense sequence")
-        return dense.item(parse_int(rest))
+        return DenseDyadicSequence(space).item(parse_int(rest))
     if head == "ones":
-        a, _, b = rest.partition("-")
-        return SparseVec({i: 1 for i in range(parse_int(a), parse_int(b) + 1)}, space)
+        a, b = parse_int_pair(rest, "-")
+        return SparseVec({i: 1 for i in range(a, b + 1)}, space)
     if head == "file":
         return read_vector(rest)
     raise UsageError(f"unknown vector spec {spec!r}")
 
 
-def parse_target_spec(spec: str, space: SpaceSpec, dense=None):
+def parse_target_spec(spec: str, space: SpaceSpec):
     """`<vector-spec>@<radius>` -> (center, radius)."""
     body, _, radius = spec.rpartition("@")
     if not body:
         raise UsageError(f"target spec {spec!r} needs the form <vector>@<radius>")
-    return parse_vector_spec(body, space, dense), float(parse_fraction(radius))
+    return parse_vector_spec(body, space), parse_real(radius)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, frexp, ldexp, log2, sqrt
+from math import floor, frexp, inf, ldexp, log2, sqrt
 from operator import mul
 
 from .errors import NoDataError, UsageError
@@ -666,8 +666,8 @@ def bilateral_tail_sums(w, p: float, A: IndexSet, n: int, horizon: int) -> TailS
     right: members m > n weighted by 1 / |w_1 ... w_{m-n}|**p.
     Requires bilateral weights (the left products reach indices <= 0).
     """
-    if p < 1:
-        raise UsageError("p must be >= 1")
+    if not 1 <= p < inf:
+        raise UsageError("p must be a finite number >= 1")
     if not w.bilateral:
         raise UsageError("left sums need bilateral weights")
     if not A.contains(n):

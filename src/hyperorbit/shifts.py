@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import isfinite, ldexp, log2
+from math import inf, isfinite, ldexp, log2
 
 from .errors import UsageError, ZeroWeightError
 from .spaces import SparseVec, SpaceSpec
@@ -138,7 +138,7 @@ class TableWeights(WeightSequence):
         return self._negatives[min(n, len(self.values))]
 
     def describe(self):
-        return "table:" + ",".join(repr(v) for v in self.values)
+        return "table-values:" + ",".join(repr(v) for v in self.values)
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,8 @@ def reciprocal_product_series(w: WeightSequence, p: float, horizon: int) -> Seri
     converging evidence, anything flat or growing as diverging.  Evidence
     only; no tail is certified.
     """
-    if p < 1:
-        raise UsageError("p must be >= 1")
+    if not 1 <= p < inf:
+        raise UsageError("p must be a finite number >= 1")
     if horizon < 8:
         raise UsageError("horizon too small to split into comparison blocks")
     h2, h4 = horizon // 2, horizon // 4

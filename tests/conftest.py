@@ -76,6 +76,12 @@ def brute_gap_ok(tagged_members):
     return True
 
 
+def brute_min_distance(A, B, period):
+    """Least b - a > 0 over members a of A and b of B, for periodic A and B whose periods divide `period`:
+    every a in one period, every b up to two periods past it."""
+    return min(b - a for a in A.members_in(0, period - 1) for b in B.members_in(a + 1, a + 2 * period))
+
+
 def brute_s_member(m, j_cap=12, l_factor=2):
     """Membership in the digit-neighborhood set by scanning (j, l) directly."""
     for j in range(1, j_cap + 1):

@@ -282,7 +282,7 @@ CLI_MATRIX = [
     ("densities", ["--set", "evens", "--horizon", "100000", "--window-grid", "10,100"]),
     ("make-set", ["--targets", "0,1/5,1/2,1", "--eras", "3", "--window", "200"]),
     ("check-family", ["--family", "dyadic-block:4", "--horizon", "20000"]),
-    # wide enough that the worker pool actually engages (>= 512 work items)
+    # 600 exclusion cells, all in this process: --workers is only recorded, so 1 and 8 give the same bytes
     (
         "verify-counterexample",
         ["--kmax", "6", "--lmax", "100", "--product-horizon", "2000", "--family-levels", "2", "--family-reps", "2"],

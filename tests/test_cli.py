@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,23 @@ def test_make_set(tmp_path):
     code, out = run(tmp_path, "m", "make-set", "--targets", "0,1/5,1/2,1", "--eras", "4", "--window", "200")
     assert code == 0
     assert (out / "set.txt").read_text().startswith("segments:")
+
+
+def test_make_set_spec_reads_back_to_its_self_check(tmp_path):
+    targets, eras, window = "0,1/5,1/2,1", 4, 200
+    code, out = run(tmp_path, "m", "make-set", "--targets", targets, "--eras", str(eras), "--window", str(window))
+    assert code == 0
+    made = h.make_prescribed_density_set(*(Fraction(t) for t in targets.split(",")), eras=eras, window=window)
+    spec = (out / "set.txt").read_text().strip()
+    code, back = run(tmp_path, "d", "densities", "--set", spec, "--horizon", str(made.recommended_horizon),
+                     "--window-grid", str(made.recommended_window),
+                     "--tail-factor", str(made.recommended_tail_factor))
+    assert code == 0
+
+    def columns(path):  # the four densities, counted from the end: make-set's target tag holds commas
+        return path.read_text().splitlines()[1].split(",")[-8:-4]
+
+    assert columns(back / "densities.csv") == columns(out / "self_check.csv")
 
 
 def test_check_family(tmp_path):
@@ -229,6 +247,19 @@ def test_set_and_counterexample_commands_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_starts_no_process_machinery():
+    script = (
+        "import sys\n"
+        "import hyperorbit.cli\n"
+        "loaded = sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -256,10 +287,30 @@ def test_usage_error_exit_code(tmp_path):
         ["beta", "--set", "explicit:5", "--horizon", "1"],
         ["diff-set", "--set", "explicit:500", "--horizon", "10"],
         ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "10", "--stride", "0"],
+        ["series-tests", "--weights", "constant:1e400"],
+        ["orbit", "--vector", "e:0", "--targets", "e:0@1e400"],
+        ["check-family", "--family", "prime-power:2:-1", "--horizon", "1000"],
+        ["check-family", "--family", "dyadic-block:2:-1", "--horizon", "1000"],
+        ["densities", "--set", "powers:2:-1", "--horizon", "100"],
+        ["check-family", "--family", "dyadic-block::3", "--horizon", "1000"],
+        ["densities", "--set", "powers:2:3:junk", "--horizon", "100"],
+        ["check-family", "--family", "dyadic-block:3:6:junk", "--horizon", "1000"],
+        ["series-tests", "--p", "nan"],
+        ["series-tests", "--p", "inf"],
+        ["eqbeta", "--set", "explicit:0,10,20", "--n", "10", "--horizon", "100", "--p", "nan"],
+        ["densities", "--set", "explicit:1,,3", "--horizon", "100"],
+        ["densities", "--set", "periodic:5:1,,3", "--horizon", "100"],
+        ["series-tests", "--weights", "ratio-power:1e400"],
+        ["orbit", "--vector", "e:0", "--space", "lp:1e400", "--targets", "zero:@1"],
+        ["densities", "--set", "arith:3:", "--horizon", "100"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
          "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
-         "construct-prime-power", "beta-no-members", "diff-set-no-members", "return-set-stride-0"],
+         "construct-prime-power", "beta-no-members", "diff-set-no-members", "return-set-stride-0",
+         "constant-overflow", "radius-overflow", "prime-power-negative-exponent", "dyadic-block-negative-spread",
+         "powers-negative-exponent", "family-empty-field", "powers-extra-field", "family-extra-field",
+         "series-p-nan", "series-p-inf", "eqbeta-p-nan", "explicit-empty-item", "periodic-empty-item",
+         "ratio-power-overflow", "lp-overflow", "arith-empty-offset"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)

@@ -23,11 +23,11 @@ from hyperorbit import (
     select_subsequence,
     verify_orbit_bounds,
 )
-from hyperorbit.constructor import ConstructionPlan, HCVector
+from hyperorbit.constructor import ConstructionPlan, HCVector, _min_distance_between
 from hyperorbit.errors import FamilyExhaustedError, UsageError
 from hyperorbit.indexsets import ExplicitSet, PeriodicSet
 
-from conftest import brute_gap_ok, brute_orbit_bounds
+from conftest import brute_gap_ok, brute_min_distance, brute_orbit_bounds
 
 L2 = lp(2.0)
 DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
@@ -375,3 +375,24 @@ def test_verifier_needs_a_dyadic_rate_on_l2(verified_run, weights, space):
     _, hc, _ = verified_run
     with pytest.raises(UsageError):
         verify_orbit_bounds(hc, ShiftOperator(weights, space), 6000)
+
+
+@st.composite
+def _nested_families(draw):
+    """Single-residue periodic levels whose periods divide one another, in shuffled order."""
+    periods = [1]
+    for factor in draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)):
+        periods.append(periods[-1] * factor)
+    periods = draw(st.permutations(periods[1:]))
+    sets = tuple(PeriodicSet(p, (draw(st.integers(0, p - 1)),)) for p in periods)
+    return SetFamily("nested", sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_families(), st.data())
+def test_min_distance_between_matches_a_scan_of_members(family, data):
+    k_from = data.draw(st.integers(1, len(family)))
+    k_to = data.draw(st.integers(1, len(family)))
+    period = max(s.period for s in family.sets)
+    expected = brute_min_distance(family.level(k_from), family.level(k_to), period)
+    assert _min_distance_between(family, k_from, k_to) == expected

@@ -4,13 +4,36 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperorbit import SparseVec, lp
-from hyperorbit.io_text import read_vector, write_vector
+from hyperorbit import SparseVec, c0, lp
+from hyperorbit import counterexample as cx
+from hyperorbit.constructor import dyadic_block_family, prime_power_family
+from hyperorbit.indexsets import (
+    ExplicitSet,
+    FactorialBlockSet,
+    GeometricSet,
+    PeriodicSet,
+    SegmentPatternSet,
+    SquareSet,
+    intervals_set,
+)
+from hyperorbit.io_text import (
+    parse_family_spec,
+    parse_set_spec,
+    parse_space_spec,
+    parse_weight_spec,
+    read_vector,
+    write_vector,
+)
+from hyperorbit.shifts import ConstantWeights, RatioPowerWeights, TableWeights
 
-pytestmark = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before 3.11")
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="no int digit limit before 3.11")
 
 
+@needs_digit_limit
 def test_import_leaves_the_int_digit_limit_alone():
     script = (
         "import sys\n"
@@ -24,6 +47,7 @@ def test_import_leaves_the_int_digit_limit_alone():
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_digit_limit
 def test_long_numerators_round_trip_and_the_limit_is_restored(tmp_path):
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -38,3 +62,94 @@ def test_long_numerators_round_trip_and_the_limit_is_restored(tmp_path):
         assert back.entries == v.entries and back.space == v.space
     finally:
         sys.set_int_max_str_digits(before)
+
+
+# ---------------------------------------------------------------------------
+# every spec kind reads back from its describe()
+
+
+@st.composite
+def _segment_sets(draw):
+    segs, at = [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        start = at + draw(st.integers(0, 50))
+        end = start + draw(st.integers(1, 80))
+        den = draw(st.integers(1, 7))
+        segs.append((start, end, draw(st.integers(0, den)), den))
+        at = end
+    return SegmentPatternSet(tuple(segs))
+
+
+_SETS = st.one_of(
+    st.sampled_from([SquareSet(), cx.DigitNeighborhoodSet(), FactorialBlockSet(), parse_set_spec("evens"),
+                     parse_set_spec("prescribed:0,1/5,1/2,1")]),
+    st.builds(lambda p, rs: PeriodicSet(p, tuple(rs)), st.integers(1, 40), st.lists(st.integers(0, 100), max_size=6)),
+    st.builds(lambda ms: ExplicitSet(tuple(ms)), st.lists(st.integers(0, 600), max_size=30)),
+    st.builds(GeometricSet, st.integers(2, 12), st.integers(0, 6)),
+    _segment_sets(),
+    st.lists(st.tuples(st.integers(0, 400), st.integers(0, 60)), max_size=6).map(
+        lambda ivs: intervals_set([(a, a + w) for a, w in ivs])
+    ),
+)
+
+_FINITE_NONZERO = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0)
+
+_WEIGHTS = st.one_of(
+    st.builds(ConstantWeights, _FINITE_NONZERO),
+    st.builds(RatioPowerWeights, st.floats(min_value=1, allow_infinity=False)),
+    st.builds(TableWeights, st.lists(_FINITE_NONZERO, max_size=60)),
+    st.just(cx.DoublingResetWeights()),
+    st.just(parse_weight_spec("rolewicz2")),
+)
+
+_SPACES = st.one_of(
+    st.builds(lp, st.floats(min_value=1, allow_infinity=False), st.booleans()),
+    st.builds(c0, st.booleans()),
+)
+
+_FAMILIES = st.one_of(
+    st.builds(dyadic_block_family, st.integers(1, 8), st.integers(0, 8)),
+    st.builds(prime_power_family, st.integers(1, 12), st.integers(0, 8)),
+    st.builds(lambda k, reps: cx.build_block_family(k, reps).set_family(), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SETS)
+def test_set_specs_read_back_from_describe(A):
+    back = parse_set_spec(A.describe())
+    assert back.describe() == A.describe()
+    assert back.members_in(0, 500) == A.members_in(0, 500)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHTS)
+def test_weight_specs_read_back_from_describe(w):
+    back = parse_weight_spec(w.describe())
+    assert type(back) is type(w)
+    assert [back.weight(k) for k in range(1, 51)] == [w.weight(k) for k in range(1, 51)]
+    assert [back.log2_product(n) for n in range(51)] == [w.log2_product(n) for n in range(51)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPACES)
+def test_space_specs_read_back_from_describe(space):
+    assert parse_space_spec(space.describe()) == space
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FAMILIES)
+def test_family_specs_read_back_from_their_label(family):
+    back = parse_family_spec(family.label)
+    assert back.label == family.label and len(back) == len(family)
+    for k in range(1, len(family) + 1):
+        assert back.level(k).describe() == family.level(k).describe()
+        assert back.level(k).members_in(0, 5000) == family.level(k).members_in(0, 5000)
+
+
+def test_inline_table_weights_are_not_a_path(tmp_path):
+    table = tmp_path / "table.txt"
+    table.write_text("0.5\n2.0\n")
+    from_file = parse_weight_spec(f"table:{table}")
+    assert from_file.describe() == "table-values:0.5,2.0"
+    assert parse_weight_spec(from_file.describe()).values == (0.5, 2.0)
