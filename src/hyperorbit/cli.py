@@ -117,6 +117,8 @@ def run_check_family(args, out):
 
 
 def run_verify_counterexample(args, out):
+    if args.product_horizon < 1:
+        raise UsageError("--product-horizon must be >= 1")
     report = cx.verify_scale_exclusion(args.kmax, args.lmax, keep_rows=True)
     write_csv(
         os.path.join(out, "exclusion.csv"),
@@ -124,20 +126,21 @@ def run_verify_counterexample(args, out):
         [(r.k, r.l, r.m, "" if r.hit_scale is None else r.hit_scale, r.ok) for r in report.rows],
     )
 
-    # product law: the exponents of the weights, each an exact power of two,
-    # sum to the run length read off S's merged runs, 0 exactly off S
+    # product law: the exponents of the streamed weights, each an exact power
+    # of two, sum to the run length read off S's merged runs, 0 exactly off S
     mism = 0
     exponent = 0
-    weights = cx.DoublingResetWeights()
+    stride = max(1, args.product_horizon // 20)
     runs = cx.run_length_array(args.product_horizon)
+    weights = cx.DoublingResetWeights().stream(args.product_horizon)
     rows = []
-    for n, c in enumerate(runs, start=1):
-        mantissa, e = frexp(weights.weight(n))
+    for n, (c, (in_s, w)) in enumerate(zip(runs, weights, strict=True), start=1):
+        mantissa, e = frexp(w)
         exponent += e - 1
-        ok = mantissa == 0.5 and exponent == c and (exponent == 0) == (not cx.s_contains(n))
+        ok = mantissa == 0.5 and exponent == c and (exponent == 0) == (not in_s)
         if not ok:
             mism += 1
-        if n % max(1, args.product_horizon // 20) == 0:
+        if n % stride == 0:
             rows.append((n, c, ok))
     write_csv(os.path.join(out, "products.csv"), ("n", "run_exponent", "ok"), rows)
 
@@ -157,8 +160,11 @@ def run_verify_counterexample(args, out):
 def run_dj_scan(args, out):
     rows = []
     all_ok = True
+    js = parse_int_list(args.j)
+    if not js:
+        raise UsageError("--j needs at least one threshold")
     runs = cx.s_intervals_in(1, args.horizon)
-    for j in parse_int_list(args.j):
+    for j in js:
         rep = cx.product_threshold_scan(j, args.horizon, runs=runs)
         all_ok = all_ok and rep.bound_respected and rep.envelope_ok
         for r in rep.rows:

@@ -9,10 +9,11 @@ inside S, reset the running product back to 1 on leaving S, and are 1
 elsewhere, so the partial product at n is exactly 2**c(n) where c(n) is
 the length of the maximal S-run ending at n.  Everything here is exact:
 membership by digit arithmetic, enumeration by interval merging (an
-independent route used to cross-check membership), run lengths by walking
-back through S, and the block family by lazy power-tower integers, since
-the construction forces each block's exponent past the largest previously
-built element.
+independent route used to cross-check membership), run lengths filled in
+from the merged runs, the weights streamed forward with one membership
+test per index (the product law checks that stream against the runs), and
+the block family by lazy power-tower integers, since the construction
+forces each block's exponent past the largest previously built element.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ class DoublingResetWeights(WeightSequence):
     """Weights 2 on S, product-reset on leaving S, 1 elsewhere.
 
     The partial product of w_1..w_n is exactly 2**c(n) with c the run
-    length; log2-domain values are exact integers.
+    length; log2-domain values are exact integers.  `weight(k)` is the
+    random-access path (it walks back through the run before k); `stream`
+    gives w_1..w_horizon in order with one membership test per index.
     """
 
     bilateral = False
@@ -212,6 +215,22 @@ class DoublingResetWeights(WeightSequence):
             return 2.0
         c = product_exponent(k - 1)
         return 1.0 if c == 0 else 2.0 ** (-c)
+
+    def stream(self, horizon):
+        """Yield (k in S, w_k) for k = 1..horizon, testing `s_contains(k)` once each.
+
+        The run length c(k - 1) is carried forward: in S the weight is 2 and
+        the run grows by one; outside it the weight is 2**-run (1 after no
+        run) and the run resets to 0.
+        """
+        run = 0
+        for k in range(1, horizon + 1):
+            if s_contains(k):
+                run += 1
+                yield True, 2.0
+            else:
+                yield False, 2.0**-run
+                run = 0
 
     def log2_product(self, n):
         if n < 0:
@@ -594,6 +613,8 @@ def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> E
     avoid every digit neighborhood of scale <= k (so any S-witness they admit
     must live at a scale above k).  Exhaustive over the requested ranges.
     """
+    if k_max < 1 or l_max < 1:
+        raise UsageError("k_max and l_max must be >= 1")
     cells = [(k, l) for k in range(1, k_max + 1) for l in range(1, l_max + 1)]
     rows = [r for chunk in pmap(_exclusion_cell, cells) for r in chunk]
     violations = tuple(r for r in rows if not r.ok)

@@ -395,8 +395,11 @@ def classify(reports, theta=Fraction(1, 100)) -> Classification:
 
     frequent: lower density > theta; u-frequent: upper density > theta;
     reiterative: upper Banach > theta.  The chain property of the density
-    report makes the levels nested.
+    report makes the levels nested.  theta must lie in [0, 1): below 0 a
+    target never hit would be frequent, from 1 on no target could be.
     """
+    if not 0 <= theta < 1:
+        raise UsageError(f"theta must lie in [0, 1), got {theta}")
     if not reports:
         raise NoDataError("no hitting reports to classify")
     labels = []

@@ -90,16 +90,42 @@ def test_verify_counterexample(tmp_path):
     assert (out / "blocks.csv").exists()
 
 
-@pytest.mark.parametrize("bad", [3.0, 4.0], ids=["not-a-power-of-two", "wrong-power"])
+@pytest.mark.parametrize(
+    "bad",
+    [{99: (True, 3.0)}, {99: (True, 4.0)}, {99: (False, 1.0)}, {99: (False, 2.0)},
+     {99: (True, 4.0), 102: (False, 2.0**-4)}],
+    ids=["not-a-power-of-two", "wrong-power", "outside-s", "wrong-membership-bit", "wrong-power-reset-to-match"],
+)
 def test_product_law_rejects_a_wrong_weight(tmp_path, monkeypatch, bad):
-    # w_99 is 2 (99 lies in S); 3 has no exact exponent, 4 shifts every later partial product
-    weight = cx.DoublingResetWeights.weight
-    monkeypatch.setattr(cx.DoublingResetWeights, "weight", lambda self, k: bad if k == 99 else weight(self, k))
+    # w_99 is 2 (99 starts the run {99, 100, 101} of S, and w_102 = 2**-3 resets it);
+    # 3 has no exact exponent, 4 shifts every later partial product, 1 says 99 lies
+    # outside S, so the run is one short, and the right weight under a wrong membership
+    # bit is caught only by comparing the bit with the runs.  The last stream is 0
+    # exactly off S but one too high on the run: only the run lengths catch it.
+    stream = cx.DoublingResetWeights.stream
+
+    def bad_stream(self, horizon):
+        for k, item in enumerate(stream(self, horizon), start=1):
+            yield bad.get(k, item)
+
+    monkeypatch.setattr(cx.DoublingResetWeights, "stream", bad_stream)
     code, _ = run(
         tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "200",
         "--family-levels", "2", "--family-reps", "2",
     )
     assert code == 3
+
+
+def test_product_law_tests_membership_once_per_index(tmp_path, monkeypatch):
+    calls = []
+    s_contains = cx.s_contains
+    monkeypatch.setattr(cx, "s_contains", lambda m: calls.append(m) or s_contains(m))
+    code, _ = run(
+        tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "200",
+        "--family-levels", "2", "--family-reps", "2",
+    )
+    assert code == 0
+    assert sorted(calls) == list(range(1, 201))
 
 
 def test_dj_scan(tmp_path):
@@ -303,6 +329,13 @@ def test_usage_error_exit_code(tmp_path):
         ["series-tests", "--weights", "ratio-power:1e400"],
         ["orbit", "--vector", "e:0", "--space", "lp:1e400", "--targets", "zero:@1"],
         ["densities", "--set", "arith:3:", "--horizon", "100"],
+        ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "-1"],
+        ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "1"],
+        ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "-5"],
+        ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "0"],
+        ["verify-counterexample", "--kmax", "0", "--lmax", "5", "--product-horizon", "200"],
+        ["verify-counterexample", "--kmax", "2", "--lmax", "0", "--product-horizon", "200"],
+        ["dj-scan", "--j=", "--horizon", "10000"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
          "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
@@ -310,7 +343,8 @@ def test_usage_error_exit_code(tmp_path):
          "constant-overflow", "radius-overflow", "prime-power-negative-exponent", "dyadic-block-negative-spread",
          "powers-negative-exponent", "family-empty-field", "powers-extra-field", "family-extra-field",
          "series-p-nan", "series-p-inf", "eqbeta-p-nan", "explicit-empty-item", "periodic-empty-item",
-         "ratio-power-overflow", "lp-overflow", "arith-empty-offset"],
+         "ratio-power-overflow", "lp-overflow", "arith-empty-offset", "classify-theta-negative",
+         "classify-theta-one", "product-horizon-negative", "product-horizon-0", "kmax-0", "lmax-0", "dj-scan-no-j"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import frexp
 from unittest import mock
 
 import pytest
@@ -111,6 +113,25 @@ def test_run_length_array_matches_pointwise():
     assert run_length_array(20000) == [product_exponent(n) for n in range(1, 20001)]
     assert run_length_array(123457) == brute_run_lengths(123457)
     assert run_length_array(0) == [] and run_length_array(-5) == []
+
+
+def _stream_matches_oracles(horizon):
+    w = DoublingResetWeights()
+    got = list(w.stream(horizon))
+    assert got == [(s_contains(k), w.weight(k)) for k in range(1, horizon + 1)]
+    assert list(itertools.accumulate(frexp(wk)[1] - 1 for _, wk in got)) == brute_run_lengths(horizon)
+
+
+@given(horizon=st.integers(1, 30000))
+@settings(max_examples=30, deadline=None)
+def test_weight_stream_matches_the_oracles(horizon):
+    _stream_matches_oracles(horizon)
+
+
+@pytest.mark.parametrize("horizon", [*range(99, 102), *range(9990, 10011)])
+def test_weight_stream_at_run_ends(horizon):
+    # the runs {99, 100, 101} and {9997, ..., 10003}: horizons inside, at and past their ends
+    _stream_matches_oracles(horizon)
 
 
 # ---------------------------------------------------------------------------
