@@ -4,6 +4,7 @@ backward shifts over integer index sets."""
 __version__ = "0.1.0"
 
 from .indexsets import (
+    BitmapSet,
     DensityReport,
     ExplicitSet,
     FactorialBlockSet,

@@ -370,12 +370,12 @@ def run_diff_set(args, out):
     D = difference_set(A, args.horizon)
     write_explicit_set(os.path.join(out, "difference.txt"), D)
     # gaps are judged over the realizable difference range: beyond the largest
-    # member every gap is a truncation artifact
-    evidence = is_syndetic(D, D.members[-1] if D.members else args.horizon)
+    # member every gap is a truncation artifact (an empty D, judged at --horizon, has no members)
+    evidence = is_syndetic(D, D.top if D.top >= 0 else args.horizon)
     write_csv(
         os.path.join(out, "difference_summary.csv"),
         ("members", "syndetic", "gap_bound", "largest_gap"),
-        [(len(D.members), evidence.syndetic, evidence.gap_bound, evidence.largest_gap)],
+        [(evidence.members, evidence.syndetic, evidence.gap_bound, evidence.largest_gap)],
     )
     return EXIT_OK
 

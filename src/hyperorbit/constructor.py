@@ -263,6 +263,8 @@ def select_subsequence(
     that are not single-residue periodic sets with nested periods, and lp
     exponents that are not integers, raise UsageError.
     """
+    if depth < 1:
+        raise UsageError("depth must be >= 1")
     gaps = check_gap_family(family, horizon)
     if not gaps.ok:
         raise UsageError(f"family fails the pairwise gap property: {gaps.violation}")

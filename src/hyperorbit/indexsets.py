@@ -123,6 +123,46 @@ class ExplicitSet(IndexSet):
     def describe(self):
         return "explicit:" + ",".join(str(m) for m in self.members)
 
+    @property
+    def top(self):
+        """The largest member; -1 for the empty set."""
+        return self.members[-1] if self.members else -1
+
+
+class BitmapSet(IndexSet):
+    """A finite set held as one flag byte per integer 0..top: `flags[n]` is 1 for a member, else 0.
+
+    Counting is `bytes.count` over a prefix and listing is one
+    `itertools.compress`, so no Python int is made per member until a
+    caller asks for the members themselves.  It describes itself in the
+    `explicit:` form, which parses back to an `ExplicitSet` with the same
+    members.
+    """
+
+    def __init__(self, flags: bytes):
+        self.flags = bytes(flags)
+
+    @property
+    def top(self):
+        """The largest member; -1 for the empty set."""
+        return self.flags.rfind(1)
+
+    def contains(self, n):
+        return 0 <= n < len(self.flags) and self.flags[n] == 1
+
+    def count_upto(self, n):
+        return self.flags.count(1, 0, n + 1) if n >= 0 else 0
+
+    def members_in(self, lo, hi):
+        lo = max(lo, 0)
+        return list(itertools.compress(range(lo, hi + 1), self.flags[lo : hi + 1]))
+
+    def all_members(self):
+        return self.members_in(0, len(self.flags) - 1)
+
+    def describe(self):
+        return "explicit:" + ",".join(map(str, self.all_members()))
+
 
 @dataclass(frozen=True)
 class PeriodicSet(IndexSet):
@@ -572,12 +612,22 @@ class SyndeticEvidence:
 def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
     """Bounded-gap evidence over [0, horizon].
 
-    Verdict true means the gap pattern is not growing: the maximum gap
-    whose start lies in the second half of the range does not exceed the
-    maximum over the first half, and the second half is populated at all.
-    The largest gap is reported at its latest start.  This is evidence at
-    the horizon, never a proof.
+    The gaps run from 0 to the first member, between consecutive members,
+    and from the last member to the horizon; a gap's start is 0 or the
+    member it leaves.  Verdict true means the gap pattern is not growing:
+    the maximum gap whose start lies in the second half of the range
+    (at or after horizon // 2) does not exceed the maximum over the first
+    half, and the second half is populated at all.  The largest gap is
+    reported at its latest start.  This is evidence at the horizon, never
+    a proof, and a horizon below 1 holds no gap to judge (`NoDataError`).
+
+    A `BitmapSet` has its gaps read off the zero runs of its flag bytes
+    (`_bitmap_syndetic`); every other kind lists its members.
     """
+    if horizon < 1:
+        raise NoDataError(f"horizon {horizon} holds no gap: syndeticity needs a horizon >= 1")
+    if isinstance(A, BitmapSet):
+        return _bitmap_syndetic(A, horizon)
     members = A.members_in(0, horizon)
     if not members:
         raise NoDataError(f"no members of the set in [0, {horizon}]")
@@ -602,6 +652,61 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
     )
 
 
+def _bitmap_syndetic(A: BitmapSet, horizon: int) -> SyndeticEvidence:
+    """`is_syndetic` of a bitmap, read off its zero runs with no int per member.
+
+    `bounds` is the flags over [0, horizon] with a 1 put at 0 and at the
+    horizon, so its 1 bytes are exactly the starts and ends of the gaps:
+    a gap of length at least g starts at s when b"\\x01" and g - 1 zero
+    bytes occur at s.  The two halves' longest gaps come from
+    `_longest_gap`, and the latest start of the largest gap L from one
+    `rfind` of that pattern closed by the 1 that ends it.  Zero-length
+    gaps, which a member at 0 or at the horizon adds to the list form,
+    change neither maximum, since the gaps of a horizon >= 1 sum to it.
+    """
+    count = A.count_upto(horizon)
+    if not count:
+        raise NoDataError(f"no members of the set in [0, {horizon}]")
+    flags = A.flags
+    bounds = b"\x01" + flags[1:horizon].ljust(horizon - 1, b"\x00") + b"\x01"
+    mid = horizon // 2
+    g1 = _longest_gap(bounds, 0, mid) if mid > 0 else 0
+    g2 = _longest_gap(bounds, mid, horizon)
+    largest = max(g1, g2)
+    verdict = flags.find(1, mid, horizon + 1) >= 0 and g2 <= g1
+    return SyndeticEvidence(
+        syndetic=verdict,
+        gap_bound=largest if verdict else 0,
+        largest_gap=largest,
+        largest_gap_at=bounds.rfind(b"\x01" + bytes(largest - 1) + b"\x01"),
+        horizon=horizon,
+        members=count,
+    )
+
+
+def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:
+    """The largest g >= 1 such that a gap of length >= g starts in [lo, hi).
+
+    A search for b"\\x01" + (g - 1) zero bytes finds such a gap; g doubles
+    until it fails and is then bisected, O(log g) `bytes.find` calls.
+    """
+
+    def found(g):
+        return bounds.find(b"\x01" + bytes(g - 1), lo, hi + g - 1) >= 0
+
+    good = 1
+    while found(2 * good):
+        good *= 2
+    bad = 2 * good
+    while bad - good > 1:
+        g = (good + bad) // 2
+        if found(g):
+            good = g
+        else:
+            bad = g
+    return good
+
+
 # ---------------------------------------------------------------------------
 # difference sets
 
@@ -609,12 +714,15 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def difference_set(A: IndexSet, horizon: int) -> ExplicitSet:
-    """{a - a' : a, a' in A ∩ [0, horizon], a >= a'} as an explicit set.
+def difference_set(A: IndexSet, horizon: int) -> IndexSet:
+    """{a - a' : a, a' in A ∩ [0, horizon], a >= a'}, a `BitmapSet` or an `ExplicitSet`.
 
-    D is one Python int used as a bitset: the OR over members a of the
-    member mask shifted down by a.  Pairs are enumerated instead only when
-    the bitset, top member + 1 bits, would be larger than the n**2 pairs.
+    D is computed as one Python int used as a bitset: the OR over members
+    a of the member mask shifted down by a.  Its binary digits, lowest
+    first, become the flag bytes of a `BitmapSet`, one byte per integer
+    0..max D, so no int is made per member of D.  Pairs are enumerated
+    instead, into an `ExplicitSet`, only when the bitset, top member + 1
+    bits, would be larger than the n**2 pairs; the input alone decides.
     """
     members = A.members_in(0, horizon)
     if not members:
@@ -629,9 +737,8 @@ def difference_set(A: IndexSet, horizon: int) -> ExplicitSet:
     diffs = 0
     for a in members:
         diffs |= mask >> a
-    # bit d of diffs, for d = 0, 1, ..., read off its binary digits lowest first
-    flags = format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS)
-    return ExplicitSet(tuple(itertools.compress(range(len(flags)), flags)))
+    # bit d of diffs, for d = 0, 1, ..., as byte d
+    return BitmapSet(format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS))
 
 
 # ---------------------------------------------------------------------------

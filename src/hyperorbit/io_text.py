@@ -11,7 +11,9 @@ stay byte-identical across runs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -20,6 +22,7 @@ from . import counterexample as cx
 from .constructor import DenseDyadicSequence, dyadic_block_family, prime_power_family
 from .errors import UsageError
 from .indexsets import (
+    BitmapSet,
     ExplicitSet,
     FactorialBlockSet,
     GeometricSet,
@@ -144,10 +147,38 @@ def parse_set_spec(spec: str):
     raise UsageError(f"unknown set spec {spec!r}")
 
 
-def write_explicit_set(path, s: ExplicitSet):
+_BLOCK = 10_000
+
+
+@functools.cache
+def _block_lines():
+    """The lines `f"{j}\\n"` of block 0 and the suffixes `f"{j:04d}\\n"` of blocks k >= 1, for j < 10**4.
+
+    Built on the first bitmap written, not at import, so that commands
+    writing none do not pay for the 2 * 10**4 strings.
+    """
+    return tuple(f"{j}\n" for j in range(_BLOCK)), tuple(f"{j:04d}\n" for j in range(_BLOCK))
+
+
+def write_explicit_set(path, s: ExplicitSet | BitmapSet):
+    """The members of a finite set, one decimal line each, in increasing order.
+
+    A `BitmapSet` is written in blocks of 10**4 flag bytes: every member
+    of block k >= 1 starts with the digits of k, so the block's text is
+    `str(k)` joined with the suffixes its flags select, and no int or
+    str is made per member.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        for m in s.members:
-            fh.write(f"{m}\n")
+        if not isinstance(s, BitmapSet):
+            fh.write("".join(f"{m}\n" for m in s.all_members()))
+            return
+        flags = s.flags
+        heads, tails = _block_lines()
+        fh.write("".join(itertools.compress(heads, flags[:_BLOCK])))
+        for k in range(1, -(-len(flags) // _BLOCK)):
+            text = str(k).join(itertools.compress(tails, flags[k * _BLOCK : (k + 1) * _BLOCK]))
+            if text:
+                fh.write(str(k) + text)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,8 @@ def return_set(
     syndetic subset was found.
     """
     (uc, ur), (vc, vr) = U, V
+    if horizon < 1:
+        raise UsageError("horizon must be >= 1")
     if ur <= 0 or vr <= 0:
         raise UsageError("ball radii must be positive")
     if witness_stride < 1:
@@ -513,6 +515,8 @@ def correlation_scan(A: IndexSet, epsilon, k_max: int, windows) -> CorrelationRe
     tested for bounded gaps.  A greedy antichain (pairwise differences
     outside F) is compared against the bound (1 - delta(1-eps)) / (delta eps).
     """
+    if k_max < 1:
+        raise UsageError("k_max must be >= 1")
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise UsageError("epsilon must lie strictly between 0 and 1")

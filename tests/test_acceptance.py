@@ -307,6 +307,8 @@ CLI_MATRIX = [
     ("eqbeta", ["--set", "explicit:0,10,20", "--n", "10", "--horizon", "100"]),
     ("series-tests", ["--horizon", "2000"]),
     ("diff-set", ["--set", "arith:128:64", "--horizon", "20000"]),
+    # the bitmap path (501 members, top + 1 <= 501**2) across 25 decimal blocks of difference.txt
+    ("diff-set", ["--set", "squares", "--horizon", "250000"]),
 ]
 
 

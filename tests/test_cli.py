@@ -336,6 +336,10 @@ def test_usage_error_exit_code(tmp_path):
         ["verify-counterexample", "--kmax", "0", "--lmax", "5", "--product-horizon", "200"],
         ["verify-counterexample", "--kmax", "2", "--lmax", "0", "--product-horizon", "200"],
         ["dj-scan", "--j=", "--horizon", "10000"],
+        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
+        ["correlate", "--set", "arith:3:0", "--kmax", "0"],
+        ["construct", "--depth", "0", "--horizon", "200"],
+        ["diff-set", "--set", "explicit:5"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
          "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
@@ -344,13 +348,29 @@ def test_usage_error_exit_code(tmp_path):
          "powers-negative-exponent", "family-empty-field", "powers-extra-field", "family-extra-field",
          "series-p-nan", "series-p-inf", "eqbeta-p-nan", "explicit-empty-item", "periodic-empty-item",
          "ratio-power-overflow", "lp-overflow", "arith-empty-offset", "classify-theta-negative",
-         "classify-theta-one", "product-horizon-negative", "product-horizon-0", "kmax-0", "lmax-0", "dj-scan-no-j"],
+         "classify-theta-one", "product-horizon-negative", "product-horizon-0", "kmax-0", "lmax-0", "dj-scan-no-j",
+         "return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "diff-set-difference-zero-only"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
+        ["correlate", "--set", "arith:3:0", "--kmax", "0"],
+        ["construct", "--depth", "0", "--horizon", "200"],
+    ],
+    ids=["return-set-horizon-0", "correlate-kmax-0", "construct-depth-0"],
+)
+def test_empty_ranges_are_rejected_before_any_csv(tmp_path, argv):
+    code, out = run(tmp_path, "empty", *argv)
+    assert code == 2
+    assert not list(out.glob("*.csv"))
 
 
 def test_zero_table_weight_exit_code(tmp_path, capsys):

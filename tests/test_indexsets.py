@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import (
+    BitmapSet,
     ExplicitSet,
     FactorialBlockSet,
     GeometricSet,
@@ -247,7 +248,9 @@ def test_dying_set_not_syndetic():
 @settings(max_examples=200, deadline=None)
 def test_syndetic_matches_gap_list_oracle(members, horizon):
     A = ExplicitSet(tuple(members))
-    if not A.members_in(0, horizon):
+    if horizon < 1 or not A.members_in(0, horizon):
+        with pytest.raises(NoDataError):
+            is_syndetic(A, horizon)
         return
     ev = is_syndetic(A, horizon)
     got = (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members)
@@ -263,18 +266,79 @@ def test_syndetic_largest_gap_ties_go_to_the_latest_start():
     assert (ev.syndetic, ev.largest_gap, ev.largest_gap_at) == (False, 1, 0)
 
 
+def _bitmap(members, length):
+    flags = bytearray(length)
+    for m in members:
+        flags[m] = 1
+    return BitmapSet(bytes(flags))
+
+
+@st.composite
+def _bitmaps(draw):
+    """(members, flag length, horizon): dense coin flips, or a few members with long zero runs between them."""
+    if draw(st.booleans()):
+        flags = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=300))
+        members, length = [i for i, f in enumerate(flags) if f], len(flags)
+    else:
+        length = draw(st.integers(1, 3000))
+        members = sorted(draw(st.sets(st.integers(0, length - 1), max_size=12)))
+    return members, length, draw(st.integers(1, length + 40))
+
+
+@given(_bitmaps())
+@settings(max_examples=300, deadline=None)
+def test_bitmap_syndetic_matches_gap_list_oracle(case):
+    members, length, horizon = case
+    A = _bitmap(members, length)
+    if not any(m <= horizon for m in members):
+        with pytest.raises(NoDataError):
+            is_syndetic(A, horizon)
+        return
+    ev = is_syndetic(A, horizon)
+    got = (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members)
+    assert got == brute_syndetic(ExplicitSet(tuple(members)), horizon)
+
+
+@pytest.mark.parametrize(
+    "members, horizon",
+    [
+        ((0, 3, 40, 44, 50), 50),  # the largest gap, 3 -> 40, starts below mid = 25 and ends above it
+        ((1, 30, 31, 60), 60),  # a gap of 29 from 1 and from 31: the tie goes to the later start
+        ((3, 6, 9, 12), 15),  # gaps of 3 everywhere, the last one running to the horizon
+        ((0, 5000, 9998, 10000), 10000),  # the top on a 10**4 block edge
+        ((0, 9999, 10000, 10001, 19999, 20000), 20000),
+        ((0,), 1),
+        ((1,), 1),
+        ((0, 1), 1),
+        ((7,), 7),  # one member at the horizon: a single gap from 0
+        ((2,), 9),  # the largest gap runs from the last member to the horizon
+    ],
+)
+def test_bitmap_syndetic_edge_cases(members, horizon):
+    ev = is_syndetic(_bitmap(members, members[-1] + 1), horizon)
+    got = (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members)
+    assert got == brute_syndetic(ExplicitSet(members), horizon)
+
+
+def test_syndetic_rejects_a_horizon_below_one():
+    for A in (ExplicitSet((0,)), _bitmap((0,), 1)):
+        for horizon in (0, -3):
+            with pytest.raises(NoDataError):
+                is_syndetic(A, horizon)
+
+
 # ---------------------------------------------------------------------------
 # difference sets
 
 
 def test_difference_examples():
-    assert difference_set(ExplicitSet((0, 3, 6)), 10).members == (0, 3, 6)
-    assert difference_set(ExplicitSet((1, 4)), 10).members == (0, 3)
+    assert difference_set(ExplicitSet((0, 3, 6)), 10).all_members() == [0, 3, 6]
+    assert difference_set(ExplicitSet((1, 4)), 10).all_members() == [0, 3]
 
 
 def test_difference_multiples_of_three():
     D = difference_set(PeriodicSet(3, (0,)), 30)
-    assert D.members == tuple(range(0, 31, 3))
+    assert D.all_members() == list(range(0, 31, 3))
 
 
 def test_difference_contains_zero_when_nonempty():
@@ -286,13 +350,13 @@ def test_difference_contains_zero_when_nonempty():
 def test_difference_matches_pair_oracle(members):
     A = ExplicitSet(tuple(members))
     D = difference_set(A, 200)
-    assert list(D.members) == brute_difference(sorted(members))
+    assert D.all_members() == brute_difference(sorted(members))
 
 
 def test_difference_bitset_path_matches_oracle():
     A = PeriodicSet(2, (0,))  # 2001 members below 4000: bitset path
     D = difference_set(A, 4000)
-    assert list(D.members) == list(range(0, 4001, 2))
+    assert D.all_members() == list(range(0, 4001, 2))
 
 
 @st.composite
@@ -312,13 +376,28 @@ def test_difference_both_paths_match_pair_oracle(bitset, data):
     members = data.draw(_difference_inputs(bitset))
     assert (members[-1] + 1 <= len(members) ** 2) == bitset
     D = difference_set(ExplicitSet(tuple(members)), members[-1])
-    assert list(D.members) == brute_difference(members)
+    assert D.all_members() == brute_difference(members)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_bitmap_difference_set_counts_like_the_pair_oracle(data):
+    members = data.draw(_difference_inputs(True))
+    D = difference_set(ExplicitSet(tuple(members)), members[-1])
+    assert isinstance(D, BitmapSet)
+    want = brute_difference(members)
+    span = range(-2, want[-1] + 3)
+    assert [D.count_upto(n) for n in span] == [sum(1 for d in want if d <= n) for n in span]
+    assert [n for n in span if D.contains(n)] == want
+    lo, hi = data.draw(st.integers(-3, want[-1] + 3)), data.draw(st.integers(-3, want[-1] + 3))
+    assert D.members_in(lo, hi) == [d for d in want if lo <= d <= hi]
+    assert D.top == want[-1]
 
 
 @pytest.mark.parametrize("members", [(0, 3), (0, 4), (5, 9), (1, 2, 8), (1, 2, 9)])
 def test_difference_at_the_path_switch(members):
     # top + 1 == n**2 takes the bitset, top + 1 == n**2 + 1 the pairs
-    assert list(difference_set(ExplicitSet(members), 100).members) == brute_difference(members)
+    assert difference_set(ExplicitSet(members), 100).all_members() == brute_difference(members)
 
 
 def test_explicit_set_sorts_only_unsorted_input():

@@ -11,6 +11,7 @@ from hyperorbit import SparseVec, c0, lp
 from hyperorbit import counterexample as cx
 from hyperorbit.constructor import dyadic_block_family, prime_power_family
 from hyperorbit.indexsets import (
+    BitmapSet,
     ExplicitSet,
     FactorialBlockSet,
     GeometricSet,
@@ -25,6 +26,7 @@ from hyperorbit.io_text import (
     parse_space_spec,
     parse_weight_spec,
     read_vector,
+    write_explicit_set,
     write_vector,
 )
 from hyperorbit.shifts import ConstantWeights, RatioPowerWeights, TableWeights
@@ -85,6 +87,7 @@ _SETS = st.one_of(
                      parse_set_spec("prescribed:0,1/5,1/2,1")]),
     st.builds(lambda p, rs: PeriodicSet(p, tuple(rs)), st.integers(1, 40), st.lists(st.integers(0, 100), max_size=6)),
     st.builds(lambda ms: ExplicitSet(tuple(ms)), st.lists(st.integers(0, 600), max_size=30)),
+    st.builds(lambda fl: BitmapSet(bytes(fl)), st.lists(st.sampled_from((0, 1)), max_size=600)),
     st.builds(GeometricSet, st.integers(2, 12), st.integers(0, 6)),
     _segment_sets(),
     st.lists(st.tuples(st.integers(0, 400), st.integers(0, 60)), max_size=6).map(
@@ -153,3 +156,39 @@ def test_inline_table_weights_are_not_a_path(tmp_path):
     from_file = parse_weight_spec(f"table:{table}")
     assert from_file.describe() == "table-values:0.5,2.0"
     assert parse_weight_spec(from_file.describe()).values == (0.5, 2.0)
+
+
+def _flags(members, length):
+    flags = bytearray(length)
+    for m in members:
+        flags[m] = 1
+    return bytes(flags)
+
+
+@pytest.mark.parametrize(
+    "members, length",
+    [
+        ((0, 9999, 10000, 10001, 19999), 20000),  # both edges of blocks 0 and 1
+        ((0, 9999, 10000, 10001, 19999, 50000), 50001),  # blocks 2 to 4 empty, the top at exactly 5 * 10**4
+        ((10000,), 10001),  # block 0 empty
+        ((3, 123456, 1000000), 1000001),
+        ((5, 17), 30017),  # trailing zero flags, one whole empty block among them
+        ((), 0),
+    ],
+)
+def test_bitmap_writer_matches_one_line_per_member(tmp_path, members, length):
+    bitmap, listed = tmp_path / "bitmap.txt", tmp_path / "listed.txt"
+    write_explicit_set(bitmap, BitmapSet(_flags(members, length)))
+    write_explicit_set(listed, ExplicitSet(members))
+    expected = "".join(f"{m}\n" for m in members)
+    assert bitmap.read_text() == expected
+    assert listed.read_text() == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sets(st.integers(0, 70000), max_size=200), st.integers(0, 20000))
+def test_bitmap_writer_matches_one_line_per_member_at_random(tmp_path_factory, members, pad):
+    members = sorted(members)
+    path = tmp_path_factory.mktemp("bitmap") / "d.txt"
+    write_explicit_set(path, BitmapSet(_flags(members, (members[-1] + 1 if members else 0) + pad)))
+    assert path.read_text() == "".join(f"{m}\n" for m in members)
