@@ -20,7 +20,7 @@ from math import frexp
 
 from . import constructor, counterexample as cx, recurrence
 from ._parallel import resolve_workers
-from .errors import FamilyExhaustedError, HyperorbitError, UsageError
+from .errors import FamilyExhaustedError, HyperorbitError, NoDataError, UsageError
 from .indexsets import (
     check_gap_family,
     difference_set,
@@ -328,6 +328,8 @@ def run_eqbeta(args, out):
         ns = parse_int_list(args.n)
     else:
         ns = A.members_in(1, args.horizon)[: args.sample]
+    if not ns:
+        raise NoDataError(f"no time n to check: the sample of members in [1, {args.horizon}] is empty")
     rows = []
     ok = True
     for n in ns:
@@ -368,10 +370,10 @@ def run_series_tests(args, out):
 def run_diff_set(args, out):
     A = parse_set_spec(args.set)
     D = difference_set(A, args.horizon)
-    write_explicit_set(os.path.join(out, "difference.txt"), D)
     # gaps are judged over the realizable difference range: beyond the largest
     # member every gap is a truncation artifact (an empty D, judged at --horizon, has no members)
     evidence = is_syndetic(D, D.top if D.top >= 0 else args.horizon)
+    write_explicit_set(os.path.join(out, "difference.txt"), D)
     write_csv(
         os.path.join(out, "difference_summary.csv"),
         ("members", "syndetic", "gap_bound", "largest_gap"),

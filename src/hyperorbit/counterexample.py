@@ -8,12 +8,14 @@ i.e. radius-j digit neighborhoods of multiples of 10^j.  The weights are 2
 inside S, reset the running product back to 1 on leaving S, and are 1
 elsewhere, so the partial product at n is exactly 2**c(n) where c(n) is
 the length of the maximal S-run ending at n.  Everything here is exact:
-membership by digit arithmetic, enumeration by interval merging (an
-independent route used to cross-check membership), run lengths filled in
-from the merged runs, the weights streamed forward with one membership
-test per index (the product law checks that stream against the runs), and
-the block family by lazy power-tower integers, since the construction
-forces each block's exponent past the largest previously built element.
+membership by digit arithmetic; S's maximal runs read off the valuations
+of the centres 10k, each the middle of one interval whose radius is the
+number of trailing zeros of k (an independent route used to cross-check
+membership); run lengths filled in from those runs; the weights streamed
+forward with one membership test per index (the product law checks that
+stream against the runs); and the block family by lazy power-tower
+integers, since the construction forces each block's exponent past the
+largest previously built element.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, sub
 
 from ._parallel import pmap
 from .errors import HyperorbitError, UsageError
-from .indexsets import IndexSet, SetFamily, merge_intervals
+from .indexsets import IndexSet, SetFamily
 from .shifts import WeightSequence
 
 
@@ -53,28 +56,73 @@ def s_contains(m: int) -> bool:
 
 
 def s_intervals_in(lo: int, hi: int) -> list:
-    """Merged closed intervals of S ∩ [lo, hi], enumerated scale by scale.
+    """Maximal runs of S ∩ [lo, hi] as closed intervals (a, b), in order, read off the centre valuations.
 
-    Independent of `s_contains`: this walks the defining intervals
-    ]l*10^j - j, l*10^j + j[ directly.
+    S is the union, over the centres c = 10k (k >= 1), of I_c = [c - r, c + r]
+    with r = v(k) the number of trailing zeros of k (the scales j <= r + 1
+    all nest inside I_c).  The radii of the window's centres are filled in
+    with one strided slice per power of ten, and the pairs (c - r, c + r)
+    are built at C level.  Centres 10 apart meet or touch only when
+    r + r' >= 9, so at a multiple of 10^10; intervals are merged only around
+    those centres, in one left-to-right pass.  Independent of `s_contains`:
+    no membership is tested.
     """
     lo = max(lo, 0)
     if lo > hi:
         return []
-    raw = []
-    scale = 10
-    j = 1
-    while scale <= hi + j:
-        l_min = max(1, (lo - j + 1 + scale - 1) // scale - 1)
-        l_max = (hi + j) // scale
-        for l in range(l_min, l_max + 1):
-            center = l * scale
-            a, b = center - j + 1, center + j - 1
-            if b >= lo and a <= hi:
-                raw.append((max(a, lo), min(b, hi)))
-        scale *= 10
+    # a centre c <= hi + reach has radius below digits(hi) + 1 <= reach
+    reach = hi.bit_length() * 31 // 100 + 2
+    k0 = max(1, -(-(lo - reach) // 10))
+    k1 = (hi + reach) // 10
+    n = k1 - k0 + 1
+    if n <= 0:
+        return []
+    radii = [0] * n  # a list, not bytes: past 10^256 a radius exceeds 255
+    p, j = 10, 1
+    while p <= k1:
+        first = -k0 % p
+        if first < n:
+            radii[first::p] = [j] * ((n - 1 - first) // p + 1)
+        p *= 10
         j += 1
-    return merge_intervals(raw)
+    centres = range(10 * k0, 10 * k1 + 1, 10)
+    pairs = list(zip(map(sub, centres, radii), map(add, centres, radii)))
+
+    # Between the centres with r >= 9 the pairs are disjoint, apart and in
+    # order.  Around one, walk out while neighbours touch the run (the first
+    # neighbour that does not touch is followed only by ones farther away),
+    # and join it to an emitted run it touches.
+    out = []
+    done = 0  # pairs[:done] are in out
+    for i in range(-k0 % 10**9, n, 10**9):
+        if i < done:
+            continue  # swallowed by the run of an earlier centre
+        a, b = pairs[i]
+        left = i
+        while left > done and pairs[left - 1][1] >= a - 1:
+            left -= 1
+            a = min(a, pairs[left][0])
+        out += pairs[done:left]
+        while out and out[-1][1] >= a - 1:
+            a = min(a, out.pop()[0])
+        done = i + 1
+        while done < n and pairs[done][0] <= b + 1:
+            b = max(b, pairs[done][1])
+            done += 1
+        out.append((a, b))
+    out += pairs[done:]
+
+    # clip to the window: drop the runs outside it, cut the first and last
+    first, last = 0, len(out)
+    while first < last and out[first][1] < lo:
+        first += 1
+    while last > first and out[last - 1][0] > hi:
+        last -= 1
+    del out[last:], out[:first]
+    if out:
+        out[0] = (max(out[0][0], lo), out[0][1])
+        out[-1] = (out[-1][0], min(out[-1][1], hi))
+    return out
 
 
 def _trailing_zeros(c: int) -> int:
@@ -116,10 +164,7 @@ class DigitNeighborhoodSet(IndexSet):
         return s_contains(n)
 
     def members_in(self, lo, hi):
-        out = []
-        for a, b in s_intervals_in(lo, hi):
-            out.extend(range(a, b + 1))
-        return out
+        return [m for a, b in s_intervals_in(lo, hi) for m in range(a, b + 1)]
 
     def count_upto(self, n):
         """|S ∩ [0, n]| in closed form, with O(digits(n)) big-int steps.
@@ -630,6 +675,9 @@ def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> E
 # threshold sets D_j = {n : product >= 2^j} and their envelope
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 def envelope_contains(n: int, j: int) -> bool:
     """Membership in the union over k >= ceil(j/30) of ]l*10^k - 31k, l*10^k + 31k[."""
     if n < 0:
@@ -684,9 +732,11 @@ def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500, ru
         raise UsageError("j must be >= 1")
     if runs is None:
         runs = s_intervals_in(1, horizon)
-    starts = [a + j - 1 for a, b in runs if b - a + 1 >= j]
-    ends = [b for a, b in runs if b - a + 1 >= j]
-    before = list(itertools.accumulate((b - a + 1 for a, b in zip(starts, ends)), initial=0))
+    # the runs of length >= j (every run when j == 1), then their parts in D_j and the counts before each
+    long = runs if j == 1 else [r for r in runs if r[1] - r[0] >= j - 1]
+    starts = list(map(add, map(_first, long), itertools.repeat(j - 1)))
+    ends = list(map(_second, long))
+    before = list(itertools.accumulate(map(sub, map(add, ends, itertools.repeat(1)), starts), initial=0))
 
     def count_upto(n):
         """|D_j ∩ [1, n]|: whole runs before n, less the part of the last one past n."""

@@ -319,6 +319,19 @@ def parse_target_spec(spec: str, space: SpaceSpec):
 
 
 def format_value(x) -> str:
+    """One CSV field.  The exact type is tried first: `isinstance(x, Fraction)`
+    goes through `ABCMeta.__instancecheck__`, which every int and float would pay."""
+    kind = type(x)
+    if kind is int:
+        return str(x)
+    if kind is float:
+        return repr(x)
+    if kind is bool:
+        return "true" if x else "false"
+    if kind is Fraction:
+        return format_fraction(x)
+    if kind is str:
+        return x
     if isinstance(x, Fraction):
         return format_fraction(x)
     if isinstance(x, bool):
@@ -332,7 +345,7 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(x) for x in row) + "\n")
+            fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def config_hash(params: dict) -> str:

@@ -626,6 +626,8 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
     The growth curve re-evaluates max beta at nested sub-horizons; strictly
     increasing maxima are unboundedness evidence.
     """
+    if horizon < 1:
+        raise UsageError("horizon must be >= 1")
     alpha.validate(horizon)
     members = A.members_in(0, horizon)
     if not members:

@@ -92,6 +92,28 @@ def brute_s_member(m, j_cap=12, l_factor=2):
     return False
 
 
+def brute_s_intervals(lo, hi):
+    """Maximal runs of S ∩ [lo, hi], from the defining intervals ]l*10^j - j, l*10^j + j[ walked scale by
+    scale (every l whose interval can meet the window), clipped, sorted and merged."""
+    lo = max(lo, 0)
+    raw = []
+    scale, j = 10, 1
+    while scale <= hi + j:
+        for l in range(max(1, (lo - j) // scale), (hi + j) // scale + 1):
+            a, b = max(l * scale - j + 1, lo), min(l * scale + j - 1, hi)
+            if a <= b:
+                raw.append((a, b))
+        scale *= 10
+        j += 1
+    merged = []
+    for a, b in sorted(raw):
+        if merged and a <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
 def brute_difference(members):
     out = set()
     for a in members:

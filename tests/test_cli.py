@@ -340,6 +340,10 @@ def test_usage_error_exit_code(tmp_path):
         ["correlate", "--set", "arith:3:0", "--kmax", "0"],
         ["construct", "--depth", "0", "--horizon", "200"],
         ["diff-set", "--set", "explicit:5"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "0"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
+        ["beta", "--set", "evens", "--horizon", "0"],
     ],
     ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
          "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
@@ -349,7 +353,8 @@ def test_usage_error_exit_code(tmp_path):
          "series-p-nan", "series-p-inf", "eqbeta-p-nan", "explicit-empty-item", "periodic-empty-item",
          "ratio-power-overflow", "lp-overflow", "arith-empty-offset", "classify-theta-negative",
          "classify-theta-one", "product-horizon-negative", "product-horizon-0", "kmax-0", "lmax-0", "dj-scan-no-j",
-         "return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "diff-set-difference-zero-only"],
+         "return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "diff-set-difference-zero-only",
+         "eqbeta-horizon-0", "eqbeta-horizon-negative", "eqbeta-no-member-sampled", "beta-horizon-0"],
 )
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)
@@ -364,13 +369,35 @@ def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
         ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
         ["correlate", "--set", "arith:3:0", "--kmax", "0"],
         ["construct", "--depth", "0", "--horizon", "200"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "0"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
+        ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
+        ["beta", "--set", "evens", "--horizon", "0"],
     ],
-    ids=["return-set-horizon-0", "correlate-kmax-0", "construct-depth-0"],
+    ids=["return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "eqbeta-horizon-0",
+         "eqbeta-horizon-negative", "eqbeta-no-member-sampled", "beta-horizon-0"],
 )
 def test_empty_ranges_are_rejected_before_any_csv(tmp_path, argv):
     code, out = run(tmp_path, "empty", *argv)
     assert code == 2
     assert not list(out.glob("*.csv"))
+
+
+def test_beta_names_the_horizon_bound(tmp_path, capsys):
+    code, _ = run(tmp_path, "b0", "beta", "--set", "evens", "--horizon", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: horizon must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["diff-set", "--set", "explicit:5"], ["diff-set", "--set", "explicit:500", "--horizon", "10"]],
+    ids=["difference-zero-only", "no-members"],
+)
+def test_rejected_diff_set_leaves_no_difference_file(tmp_path, argv):
+    code, out = run(tmp_path, "ds", *argv)
+    assert code == 2
+    assert not (out / "difference.txt").exists()
 
 
 def test_zero_table_weight_exit_code(tmp_path, capsys):

@@ -28,7 +28,7 @@ from hyperorbit import counterexample as cx
 from hyperorbit.counterexample import InsufficientBlockError, Block
 from hyperorbit.errors import UsageError
 
-from conftest import brute_run_lengths, brute_s_member
+from conftest import brute_run_lengths, brute_s_intervals, brute_s_member
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +69,63 @@ def test_count_window_first_120():
     assert S.count_in(1, 120) == want == 14
 
 
-@pytest.mark.parametrize("e", [11, 12, 100])
+@pytest.mark.parametrize("e", [10, 11, 12, 100])
 def test_closed_form_counts_near_overlapping_scales(e):
-    # from scale 11 on, a centre's interval swallows its neighbours' intervals;
-    # the closed form must agree with summing the merged intervals directly
+    # from scale 10 on, a centre's interval touches its neighbours' intervals, and from 11 on it swallows
+    # them; the closed form must agree with the scale-by-scale oracle's merged intervals
     S = DigitNeighborhoodSet()
     for l in (1, 3, 10):
         c = l * 10**e
         for lo, hi in ((c - 2 * e, c + 2 * e), (c - e, c), (c, c + 15), (c - 25, c - 3), (c + 9, c + 11),
                        (c - 2 * e, c - e)):
-            assert S.count_in(lo, hi) == sum(b - a + 1 for a, b in s_intervals_in(lo, hi)), (l, lo - c, hi - c)
+            assert S.count_in(lo, hi) == sum(b - a + 1 for a, b in brute_s_intervals(lo, hi)), (l, lo - c, hi - c)
+
+
+def _runs_from_intervals(intervals, horizon):
+    """c(1..horizon) from the maximal runs of S ∩ [1, horizon]: n - a + 1 on a run [a, b]."""
+    runs = [0] * horizon
+    for a, b in intervals:
+        for n in range(a, b + 1):
+            runs[n - 1] = n - a + 1
+    return runs
+
+
+# windows around centres whose intervals touch a neighbour (l*10^10, radius 9) or swallow several
+# (l*10^11, l*10^100; past 10^256 a radius no longer fits a byte), besides plain windows near zero
+_S_WINDOWS = st.one_of(
+    st.tuples(st.integers(-20, 30000), st.integers(-20, 2000)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(
+        st.sampled_from([10, 11, 12, 100, 300]),
+        st.sampled_from([1, 2, 7, 10, 11, 99, 10**5 + 1]),
+        st.integers(-350, 350),
+        st.integers(-5, 500),
+    ).map(lambda t: (t[1] * 10 ** t[0] + t[2], t[1] * 10 ** t[0] + t[2] + t[3])),
+)
+
+
+@given(window=_S_WINDOWS)
+@settings(max_examples=300, deadline=None)
+def test_s_runs_match_the_scale_by_scale_oracle(window):
+    lo, hi = window
+    want = brute_s_intervals(lo, hi)
+    assert s_intervals_in(lo, hi) == want
+    assert DigitNeighborhoodSet().members_in(lo, hi) == [n for a, b in want for n in range(a, b + 1)]
+
+
+@given(horizon=st.integers(-3, 25000))
+@settings(max_examples=40, deadline=None)
+def test_run_length_array_matches_the_scale_by_scale_oracle(horizon):
+    assert run_length_array(horizon) == _runs_from_intervals(brute_s_intervals(1, horizon), max(horizon, 0))
+
+
+def test_s_runs_test_no_membership(monkeypatch):
+    def refuse(m):
+        raise AssertionError("s_intervals_in tested membership")
+
+    monkeypatch.setattr(cx, "s_contains", refuse)
+    runs = s_intervals_in(1, 10**6)
+    assert runs[0] == (10, 10) and runs[-1] == (999995, 10**6)  # 10^6's interval is cut at the window
+    assert sum(b - a + 1 for a, b in runs) == DigitNeighborhoodSet().count_in(1, 10**6)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from hyperorbit.indexsets import (
     intervals_set,
 )
 from hyperorbit.io_text import (
+    format_value,
     parse_family_spec,
     parse_set_spec,
     parse_space_spec,
@@ -192,3 +193,36 @@ def test_bitmap_writer_matches_one_line_per_member_at_random(tmp_path_factory, m
     path = tmp_path_factory.mktemp("bitmap") / "d.txt"
     write_explicit_set(path, BitmapSet(_flags(members, (members[-1] + 1 if members else 0) + pad)))
     assert path.read_text() == "".join(f"{m}\n" for m in members)
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0, "0"),
+        (-12, "-12"),
+        (10**30, "1" + "0" * 30),
+        (0.1, "0.1"),
+        (-0.0, "-0.0"),
+        (1e300, "1e+300"),
+        (float("inf"), "inf"),
+        (True, "true"),
+        (False, "false"),
+        (Fraction(3, 4), "3/4"),
+        (Fraction(-4, 2), "-2"),
+        ("s-set", "s-set"),
+        ("", ""),
+        (None, "None"),
+        (_Count(7), "7"),
+        (_Ratio(1, 3), "1/3"),
+    ],
+)
+def test_csv_field_text_per_type(value, text):
+    assert format_value(value) == text
