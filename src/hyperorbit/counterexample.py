@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from ._parallel import pmap
 from .errors import HyperorbitError, UsageError
@@ -90,19 +90,15 @@ def s_intervals_in(lo: int, hi: int) -> list:
 
     # Between the centres with r >= 9 the pairs are disjoint, apart and in
     # order.  Around one, walk out while neighbours touch the run (the first
-    # neighbour that does not touch is followed only by ones farther away),
-    # and join it to an emitted run it touches.
+    # neighbour that does not touch is followed only by ones farther away):
+    # leftwards through the runs already emitted, then rightwards.
     out = []
     done = 0  # pairs[:done] are in out
     for i in range(-k0 % 10**9, n, 10**9):
         if i < done:
             continue  # swallowed by the run of an earlier centre
         a, b = pairs[i]
-        left = i
-        while left > done and pairs[left - 1][1] >= a - 1:
-            left -= 1
-            a = min(a, pairs[left][0])
-        out += pairs[done:left]
+        out += pairs[done:i]
         while out and out[-1][1] >= a - 1:
             a = min(a, out.pop()[0])
         done = i + 1
@@ -675,9 +671,6 @@ def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> E
 # threshold sets D_j = {n : product >= 2^j} and their envelope
 
 
-_first, _second = itemgetter(0), itemgetter(1)
-
-
 def envelope_contains(n: int, j: int) -> bool:
     """Membership in the union over k >= ceil(j/30) of ]l*10^k - 31k, l*10^k + 31k[."""
     if n < 0:
@@ -732,11 +725,11 @@ def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500, ru
         raise UsageError("j must be >= 1")
     if runs is None:
         runs = s_intervals_in(1, horizon)
-    # the runs of length >= j (every run when j == 1), then their parts in D_j and the counts before each
-    long = runs if j == 1 else [r for r in runs if r[1] - r[0] >= j - 1]
-    starts = list(map(add, map(_first, long), itertools.repeat(j - 1)))
-    ends = list(map(_second, long))
-    before = list(itertools.accumulate(map(sub, map(add, ends, itertools.repeat(1)), starts), initial=0))
+    # the runs of length >= j, their parts in D_j, and the counts before each
+    long = [r for r in runs if r[1] - r[0] >= j - 1]
+    starts = [a + j - 1 for a, b in long]
+    ends = [b for a, b in long]
+    before = list(itertools.accumulate((b - a + 1 for a, b in zip(starts, ends)), initial=0))
 
     def count_upto(n):
         """|D_j ∩ [1, n]|: whole runs before n, less the part of the last one past n."""

@@ -319,25 +319,16 @@ def parse_target_spec(spec: str, space: SpaceSpec):
 
 
 def format_value(x) -> str:
-    """One CSV field.  The exact type is tried first: `isinstance(x, Fraction)`
-    goes through `ABCMeta.__instancecheck__`, which every int and float would pay."""
-    kind = type(x)
-    if kind is int:
-        return str(x)
-    if kind is float:
-        return repr(x)
-    if kind is bool:
-        return "true" if x else "false"
-    if kind is Fraction:
-        return format_fraction(x)
-    if kind is str:
-        return x
-    if isinstance(x, Fraction):
-        return format_fraction(x)
+    """One CSV field.  Fraction is tested last: `isinstance(x, Fraction)` goes
+    through `ABCMeta.__instancecheck__`, which every int and float would pay."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, (int, str)):
+        return str(x)
+    if isinstance(x, Fraction):
+        return format_fraction(x)
     return str(x)
 
 
