@@ -5,7 +5,8 @@ output directory.  Identical configurations produce byte-identical CSVs,
 whatever the worker count; run variability (wall time) lives only in the
 manifest.  Exit codes: 0 success, 2 usage (malformed flags or config,
 unsupported structures, empty data), 3 a verification check failed,
-4 numeric overflow forced truncation (partial outputs are kept).
+4 numeric overflow forced truncation (partial outputs are kept).  Files
+reach the output directory only when the runner returns, so an exit 2 leaves none.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import frexp
@@ -386,6 +389,18 @@ _RUNNERS = {}
 _PARSERS = {}
 
 
+def _run_staged(runner, args, out):
+    """Run `runner` on a staging directory inside `out`; its files move to `out` only if it returns."""
+    stage = tempfile.mkdtemp(dir=out)
+    try:
+        code = runner(args, stage)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        return code
+    finally:
+        shutil.rmtree(stage)
+
+
 def _sub(subparsers, name, fn, **kwargs):
     p = subparsers.add_parser(name, **kwargs)
     p.add_argument("--out", default=f"out-{name}", help="output directory")
@@ -537,7 +552,7 @@ def main(argv=None) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("config", "out", "workers")}
     started = time.monotonic()
     try:
-        code = _RUNNERS[args.command](args, out)
+        code = _run_staged(_RUNNERS[args.command], args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -401,21 +401,15 @@ def _certify_level(T, family, selected, k, l, targets, rate, ip):
 
 
 def _min_distance_between(family, k_from, k_to) -> int:
-    """Min positive distance from a level-k_from member to a later level-k_to member."""
+    """Min positive distance from a level-k_from member to a later level-k_to member.
+
+    With nested periods the distances are ot - of plus the multiples of the smaller period.
+    """
     gf, of = _progression(family.level(k_from))
     gt, ot = _progression(family.level(k_to))
-    g = max(gf, gt)
-    if g % min(gf, gt):
+    if max(gf, gt) % min(gf, gt):
         raise UsageError("periods must be nested")
-    best = None
-    for a in range(0, g, gf):
-        for b in range(0, g, gt):
-            d = ((ot + b) - (of + a)) % g
-            if d == 0:
-                d = g
-            if best is None or d < best:
-                best = d
-    return best
+    return (ot - of - 1) % min(gf, gt) + 1
 
 
 def _root_float(x: Fraction, ip) -> float:

@@ -15,7 +15,8 @@ membership); run lengths filled in from those runs; the weights streamed
 forward with one membership test per index (the product law checks that
 stream against the runs); and the block family by lazy power-tower
 integers, since the construction forces each block's exponent past the
-largest previously built element.
+largest previously built element.  Those integers (`HugeInt`) order
+themselves, so the family's levels are plain `ExplicitSet`s, checked with the ordinary operators.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from operator import add, sub
 
 from ._parallel import pmap
 from .errors import HyperorbitError, UsageError
-from .indexsets import IndexSet, SetFamily
+from .indexsets import ExplicitSet, IndexSet, SetFamily
 from .shifts import WeightSequence
 
 
@@ -311,7 +312,7 @@ def _cmp_values(a, b) -> int:
         return -_cmp_values(b, a)
     # a is HugeInt
     if isinstance(b, int):
-        if isinstance(a.exponent, int) and a.exponent <= _MATERIAL_EXP_LIMIT:
+        if a._materializable():
             av = a.to_int()
             return (av > b) - (av < b)
         return 1 if _int_lt_pow10(b, a.exponent) else -1
@@ -321,11 +322,13 @@ def _cmp_values(a, b) -> int:
     return (a.offset > b.offset) - (a.offset < b.offset)
 
 
+@functools.total_ordering
 class HugeInt:
     """Exact value 10**exponent + offset with |offset| tiny against 10**exponent.
 
     `exponent` may itself be a HugeInt, so iterated-exponential values are
-    representable and comparable without materialization.
+    representable and comparable without materialization.  One comparator orders HugeInt and int
+    values together, so `sorted`, `max`, `bisect` and the operators work on mixed data.
     """
 
     __slots__ = ("exponent", "offset")
@@ -341,8 +344,11 @@ class HugeInt:
         self.exponent = exponent
         self.offset = offset
 
+    def _materializable(self) -> bool:
+        return isinstance(self.exponent, int) and self.exponent <= _MATERIAL_EXP_LIMIT
+
     def to_int(self) -> int:
-        if isinstance(self.exponent, int) and self.exponent <= _MATERIAL_EXP_LIMIT:
+        if self._materializable():
             return 10**self.exponent + self.offset
         raise UsageError("value too large to materialize")
 
@@ -354,21 +360,9 @@ class HugeInt:
     def __sub__(self, other):
         if isinstance(other, int):
             return HugeInt(self.exponent, self.offset - other)
-        if _cmp_values(self.exponent, other.exponent) == 0:
+        if self.exponent == other.exponent:
             return self.offset - other.offset
         raise UsageError("difference of values at different magnitudes is not representable")
-
-    def gap_at_least(self, other, bound: int) -> bool:
-        """|self - other| >= bound, decided without materialization."""
-        if bound > _OFFSET_LIMIT:
-            raise UsageError("bound out of the supported range")
-        if isinstance(other, int):
-            if isinstance(self.exponent, int) and self.exponent <= _MATERIAL_EXP_LIMIT:
-                return abs(self.to_int() - other) >= bound
-            return True  # separated by >= 10**exponent / 2
-        if _cmp_values(self.exponent, other.exponent) == 0:
-            return abs(self.offset - other.offset) >= bound
-        return True
 
     def in_digit_neighborhoods(self) -> bool:
         """Membership of 10**E + r in S, decided from (E, r) alone.
@@ -387,7 +381,7 @@ class HugeInt:
                 return True
             scale *= 10
             j += 1
-        return _cmp_values(r, self.exponent) < 0 if isinstance(self.exponent, HugeInt) else r < self.exponent
+        return r < self.exponent
 
     def __eq__(self, other):
         if isinstance(other, (int, HugeInt)):
@@ -397,21 +391,11 @@ class HugeInt:
     def __lt__(self, other):
         return _cmp_values(self, other) < 0
 
-    def __le__(self, other):
-        return _cmp_values(self, other) <= 0
-
-    def __gt__(self, other):
-        return _cmp_values(self, other) > 0
-
-    def __ge__(self, other):
-        return _cmp_values(self, other) >= 0
-
     def __hash__(self):
-        return hash(("HugeInt", self._key()))
-
-    def _key(self):
-        e = self.exponent
-        return (e._key() if isinstance(e, HugeInt) else e, self.offset)
+        # equal to an int only when materializable, and then it hashes as that int
+        if self._materializable():
+            return hash(self.to_int())
+        return hash((self.exponent, self.offset))
 
     def __repr__(self):
         e = self.exponent
@@ -424,21 +408,13 @@ class HugeInt:
 def pow10_ceil_exponent(value) -> object:
     """Minimal e with 10**e >= value (value an int or HugeInt)."""
     if isinstance(value, HugeInt):
-        return value.exponent if value.offset <= 0 else _bump(value.exponent, 1)
+        return value.exponent + (value.offset > 0)
     e = 0
     p = 1
     while p < value:
         p *= 10
         e += 1
     return e
-
-
-def _bump(e, k: int):
-    return e + k if isinstance(e, int) else HugeInt(e.exponent, e.offset + k)
-
-
-def _max_value(a, b):
-    return a if _cmp_values(a, b) >= 0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +433,6 @@ class Block:
         return tuple(HugeInt(self.exponent, self.step * l) for l in range(self.count))
 
 
-class HugeExplicitSet(IndexSet):
-    """Finite set of HugeInt members; supports symbolic family checks."""
-
-    def __init__(self, members):
-        self._members = tuple(sorted(members, key=functools.cmp_to_key(_cmp_values)))
-
-    def contains(self, n):
-        return any(_cmp_values(m, n) == 0 for m in self._members)
-
-    def members_in(self, lo, hi):
-        return [m for m in self._members if _cmp_values(m, lo) >= 0 and _cmp_values(m, hi) <= 0]
-
-    def all_members(self):
-        return list(self._members)
-
-    def describe(self):
-        return "huge-explicit:" + ",".join(repr(m) for m in self._members)
-
-
 @dataclass(frozen=True)
 class BlockFamily:
     levels: int
@@ -486,13 +443,11 @@ class BlockFamily:
         return [b for b in self.blocks if b.level == k]
 
     def set_family(self) -> SetFamily:
-        sets = []
-        for k in range(1, self.levels + 1):
-            members = []
-            for b in self.level_blocks(k):
-                members.extend(b.members())
-            sets.append(HugeExplicitSet(members))
-        return SetFamily(label=f"counterexample:{self.levels}:{self.reps}", sets=tuple(sets))
+        # blocks are built in increasing order, so each level's members arrive sorted
+        sets = tuple(
+            ExplicitSet(tuple(m for b in self.level_blocks(k) for m in b.members())) for k in range(1, self.levels + 1)
+        )
+        return SetFamily(label=f"counterexample:{self.levels}:{self.reps}", sets=sets)
 
 
 def build_block_family(k_max: int, reps: int) -> BlockFamily:
@@ -521,7 +476,7 @@ def build_block_family(k_max: int, reps: int) -> BlockFamily:
         lb2 = pow10_ceil_exponent(max_elem + k + max_level_seen)
         lb3 = max(index, step * l0 + k + 1)
         lb4 = max_elem + max_level_seen + 2 * k + 1
-        j0 = _max_value(_max_value(lb2, lb3), lb4)
+        j0 = max(lb2, lb3, lb4)
         # condition 3 keeps j0 >= 10**(2k)*l0 + k + 1 >= 102, so members are HugeInt
         blocks.append(Block(index=index, level=k, exponent=j0, step=step, count=l0))
         max_elem = HugeInt(j0, step * (l0 - 1))
@@ -546,9 +501,9 @@ def verify_block_conditions(family: BlockFamily) -> list:
     for b in family.blocks:
         k, l0, j0, step = b.level, b.count, b.exponent, b.step
         c1 = l0 >= b.index
-        c2 = _cmp_values(_pow10(j0), max_elem + k + max_level_seen) >= 0
-        c3 = _cmp_values(j0, b.index) >= 0 and _cmp_values(j0, step * l0 + k) > 0
-        c4 = _cmp_values(j0, max_elem + max_level_seen + 2 * k) > 0
+        c2 = _pow10(j0) >= max_elem + k + max_level_seen
+        c3 = j0 >= b.index and j0 > step * l0 + k
+        c4 = j0 > max_elem + max_level_seen + 2 * k
         out.append(ConditionCheck(b.index, (c1, c2, c3, c4)))
         members = b.members()
         max_elem = members[-1]
@@ -598,18 +553,6 @@ def banach_window_ratio(family: BlockFamily, k: int) -> WindowRatioCheck:
 # exclusion sweep: repunit-perturbed multiples avoid all small scales
 
 
-def _scale_count(k: int) -> int:
-    """n with 10**(n-1) < k <= 10**n (0 for k = 1)."""
-    if k < 1:
-        raise UsageError("k >= 1")
-    n = 0
-    p = 1
-    while p < k:
-        p *= 10
-        n += 1
-    return n
-
-
 def _hits_scale_at_most(m: int, k: int):
     """Smallest scale j1 <= k whose digit neighborhood contains m, else None."""
     scale = 10
@@ -643,7 +586,7 @@ class ExclusionReport:
 
 def _exclusion_cell(args):
     k, l = args
-    n = _scale_count(k)
+    n = pow10_ceil_exponent(k)
     repunit = (10 ** (n + 1) - 1) // 9
     base = l * 10**k
     return [ExclusionRow(k, l, m, _hits_scale_at_most(m, k)) for m in (base - repunit, base + repunit)]

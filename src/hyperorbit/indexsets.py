@@ -434,21 +434,13 @@ class GapCheckResult:
         return self.ok
 
 
-def _gap_at_least(x, y, bound):
-    """|y - x| >= bound for plain ints or lazily huge values (x <= y)."""
-    if isinstance(x, int) and isinstance(y, int):
-        return y - x >= bound
-    # lazily huge values implement gap_at_least themselves
-    big, small = (x, y) if not isinstance(x, int) else (y, x)
-    return big.gap_at_least(small, bound)
-
-
 def check_gap_family(family: SetFamily, horizon=None) -> GapCheckResult:
     """Verify |j - j'| >= max(k, k') for distinct members across all levels.
 
     Checking consecutive members of the merged sorted list suffices: gaps of
     non-adjacent members are sums of consecutive gaps, and each consecutive
-    gap already dominates the larger of its two level indices.
+    gap already dominates the larger of its two level indices.  Members may be
+    ints or lazy tower integers (`HugeInt`): both sort together, and `v2 - need < v1` is exact.
     """
     tagged = []
     for k, s in family.enumerate_levels():
@@ -457,7 +449,7 @@ def check_gap_family(family: SetFamily, horizon=None) -> GapCheckResult:
     tagged.sort(key=lambda t: t[0])
     for (v1, k1), (v2, k2) in itertools.pairwise(tagged):
         need = max(k1, k2)
-        if v1 == v2 or not _gap_at_least(v1, v2, need):
+        if v1 == v2 or v2 - need < v1:
             return GapCheckResult(False, len(tagged), (v1, k1, v2, k2, need))
     return GapCheckResult(True, len(tagged))
 

@@ -309,6 +309,8 @@ CLI_MATRIX = [
     ("diff-set", ["--set", "arith:128:64", "--horizon", "20000"]),
     # the bitmap path (501 members, top + 1 <= 501**2) across 25 decimal blocks of difference.txt
     ("diff-set", ["--set", "squares", "--horizon", "250000"]),
+    # the block family's tower members through the gap check
+    ("check-family", ["--family", "counterexample:3:3"]),
 ]
 
 

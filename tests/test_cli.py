@@ -286,6 +286,25 @@ def test_cli_import_starts_no_process_machinery():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bench_tracer_finds_every_traced_name():
+    # install() raises LookupError when a name in bench/tracing.py's tables is gone from the package
+    script = (
+        "import tracing\n"
+        "from hyperorbit import indexsets\n"
+        "before = indexsets.check_gap_family\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "assert indexsets.check_gap_family is not before\n"
+        "tracer.uninstall()\n"
+        "assert indexsets.check_gap_family is before\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = (os.path.join(root, "bench"), os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -295,67 +314,65 @@ def test_usage_error_exit_code(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["densities", "--set", "periodic:x:1"],
-        ["densities", "--set", "evens", "--window-grid", "a"],
-        ["correlate", "--set", "evens", "--windows", "0-10"],
-        ["orbit", "--vector", "e:0", "--targets", "e:0@abc"],
-        ["densities", "--set", "segments:0:10:1:0"],
-        ["densities", "--set", "segments:0:10:3:2"],
-        ["densities", "--set", "segments:0:10:1:1;5:15:1:1"],
-        ["series-tests", "--weights", "counterexample-c0:junk"],
-        ["orbit", "--vector", "e:0", "--targets", "zero:junk@1/2"],
-        ["construct", "--space", "lp:1.5", "--depth", "2", "--horizon", "200"],
-        ["construct", "--space", "c0", "--depth", "2", "--horizon", "200"],
-        ["construct", "--family", "prime-power:3", "--depth", "2", "--horizon", "200"],
-        ["beta", "--set", "explicit:5", "--horizon", "1"],
-        ["diff-set", "--set", "explicit:500", "--horizon", "10"],
-        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "10", "--stride", "0"],
-        ["series-tests", "--weights", "constant:1e400"],
-        ["orbit", "--vector", "e:0", "--targets", "e:0@1e400"],
-        ["check-family", "--family", "prime-power:2:-1", "--horizon", "1000"],
-        ["check-family", "--family", "dyadic-block:2:-1", "--horizon", "1000"],
-        ["densities", "--set", "powers:2:-1", "--horizon", "100"],
-        ["check-family", "--family", "dyadic-block::3", "--horizon", "1000"],
-        ["densities", "--set", "powers:2:3:junk", "--horizon", "100"],
-        ["check-family", "--family", "dyadic-block:3:6:junk", "--horizon", "1000"],
-        ["series-tests", "--p", "nan"],
-        ["series-tests", "--p", "inf"],
-        ["eqbeta", "--set", "explicit:0,10,20", "--n", "10", "--horizon", "100", "--p", "nan"],
-        ["densities", "--set", "explicit:1,,3", "--horizon", "100"],
-        ["densities", "--set", "periodic:5:1,,3", "--horizon", "100"],
-        ["series-tests", "--weights", "ratio-power:1e400"],
-        ["orbit", "--vector", "e:0", "--space", "lp:1e400", "--targets", "zero:@1"],
-        ["densities", "--set", "arith:3:", "--horizon", "100"],
-        ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "-1"],
-        ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "1"],
-        ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "-5"],
-        ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "0"],
-        ["verify-counterexample", "--kmax", "0", "--lmax", "5", "--product-horizon", "200"],
-        ["verify-counterexample", "--kmax", "2", "--lmax", "0", "--product-horizon", "200"],
-        ["dj-scan", "--j=", "--horizon", "10000"],
-        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
-        ["correlate", "--set", "arith:3:0", "--kmax", "0"],
-        ["construct", "--depth", "0", "--horizon", "200"],
-        ["diff-set", "--set", "explicit:5"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "0"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
-        ["beta", "--set", "evens", "--horizon", "0"],
-    ],
-    ids=["set-spec", "window-grid", "windows", "target-radius", "segment-den-0", "segment-num-over-den",
-         "segment-overlap", "nullary-weight-junk", "zero-vector-junk", "construct-lp-1.5", "construct-c0",
-         "construct-prime-power", "beta-no-members", "diff-set-no-members", "return-set-stride-0",
-         "constant-overflow", "radius-overflow", "prime-power-negative-exponent", "dyadic-block-negative-spread",
-         "powers-negative-exponent", "family-empty-field", "powers-extra-field", "family-extra-field",
-         "series-p-nan", "series-p-inf", "eqbeta-p-nan", "explicit-empty-item", "periodic-empty-item",
-         "ratio-power-overflow", "lp-overflow", "arith-empty-offset", "classify-theta-negative",
-         "classify-theta-one", "product-horizon-negative", "product-horizon-0", "kmax-0", "lmax-0", "dj-scan-no-j",
-         "return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "diff-set-difference-zero-only",
-         "eqbeta-horizon-0", "eqbeta-horizon-negative", "eqbeta-no-member-sampled", "beta-horizon-0"],
-)
+# each of these exits 2 with a one-line usage error
+REJECTED = {
+    "set-spec": ["densities", "--set", "periodic:x:1"],
+    "window-grid": ["densities", "--set", "evens", "--window-grid", "a"],
+    "windows": ["correlate", "--set", "evens", "--windows", "0-10"],
+    "target-radius": ["orbit", "--vector", "e:0", "--targets", "e:0@abc"],
+    "segment-den-0": ["densities", "--set", "segments:0:10:1:0"],
+    "segment-num-over-den": ["densities", "--set", "segments:0:10:3:2"],
+    "segment-overlap": ["densities", "--set", "segments:0:10:1:1;5:15:1:1"],
+    "nullary-weight-junk": ["series-tests", "--weights", "counterexample-c0:junk"],
+    "zero-vector-junk": ["orbit", "--vector", "e:0", "--targets", "zero:junk@1/2"],
+    "construct-lp-1.5": ["construct", "--space", "lp:1.5", "--depth", "2", "--horizon", "200"],
+    "construct-c0": ["construct", "--space", "c0", "--depth", "2", "--horizon", "200"],
+    "construct-prime-power": ["construct", "--family", "prime-power:3", "--depth", "2", "--horizon", "200"],
+    "beta-no-members": ["beta", "--set", "explicit:5", "--horizon", "1"],
+    "diff-set-no-members": ["diff-set", "--set", "explicit:500", "--horizon", "10"],
+    "return-set-stride-0": ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "10", "--stride", "0"],
+    "constant-overflow": ["series-tests", "--weights", "constant:1e400"],
+    "radius-overflow": ["orbit", "--vector", "e:0", "--targets", "e:0@1e400"],
+    "prime-power-negative-exponent": ["check-family", "--family", "prime-power:2:-1", "--horizon", "1000"],
+    "dyadic-block-negative-spread": ["check-family", "--family", "dyadic-block:2:-1", "--horizon", "1000"],
+    "powers-negative-exponent": ["densities", "--set", "powers:2:-1", "--horizon", "100"],
+    "family-empty-field": ["check-family", "--family", "dyadic-block::3", "--horizon", "1000"],
+    "powers-extra-field": ["densities", "--set", "powers:2:3:junk", "--horizon", "100"],
+    "family-extra-field": ["check-family", "--family", "dyadic-block:3:6:junk", "--horizon", "1000"],
+    "series-p-nan": ["series-tests", "--p", "nan"],
+    "series-p-inf": ["series-tests", "--p", "inf"],
+    "eqbeta-p-nan": ["eqbeta", "--set", "explicit:0,10,20", "--n", "10", "--horizon", "100", "--p", "nan"],
+    "explicit-empty-item": ["densities", "--set", "explicit:1,,3", "--horizon", "100"],
+    "periodic-empty-item": ["densities", "--set", "periodic:5:1,,3", "--horizon", "100"],
+    "ratio-power-overflow": ["series-tests", "--weights", "ratio-power:1e400"],
+    "lp-overflow": ["orbit", "--vector", "e:0", "--space", "lp:1e400", "--targets", "zero:@1"],
+    "arith-empty-offset": ["densities", "--set", "arith:3:", "--horizon", "100"],
+    "classify-theta-negative": ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "-1"],
+    "classify-theta-one": ["classify", "--vector", "e:0", "--targets", "e:5@1/1000", "--horizon", "200", "--theta", "1"],
+    "product-horizon-negative": ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "-5"],
+    "product-horizon-0": ["verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "0"],
+    "kmax-0": ["verify-counterexample", "--kmax", "0", "--lmax", "5", "--product-horizon", "200"],
+    "lmax-0": ["verify-counterexample", "--kmax", "2", "--lmax", "0", "--product-horizon", "200"],
+    "dj-scan-no-j": ["dj-scan", "--j=", "--horizon", "10000"],
+    "return-set-horizon-0": ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
+    "correlate-kmax-0": ["correlate", "--set", "arith:3:0", "--kmax", "0"],
+    "construct-depth-0": ["construct", "--depth", "0", "--horizon", "200"],
+    "diff-set-difference-zero-only": ["diff-set", "--set", "explicit:5"],
+    "eqbeta-horizon-0": ["eqbeta", "--set", "explicit:3,5", "--horizon", "0"],
+    "eqbeta-horizon-negative": ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
+    "eqbeta-no-member-sampled": ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
+    "beta-horizon-0": ["beta", "--set", "evens", "--horizon", "0"],
+}
+
+# exit 2 only after the runner has written some of its files
+REJECTED_AFTER_WRITING = {
+    "family-levels-0": ["verify-counterexample", "--family-levels", "0", "--product-horizon", "1000"],
+    "construct-c0-certified": ["construct", "--space", "c0", "--horizon", "500", "--depth", "2"],
+    "construct-lp-3-certified": ["construct", "--space", "lp:3", "--horizon", "500", "--depth", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REJECTED.values()), ids=list(REJECTED))
 def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
     code, _ = run(tmp_path, "bad", *argv)
     assert code == 2
@@ -365,22 +382,13 @@ def test_malformed_numbers_exit_code(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["return-set", "--u", "e:0@1/2", "--v", "e:0@1/2", "--horizon", "0"],
-        ["correlate", "--set", "arith:3:0", "--kmax", "0"],
-        ["construct", "--depth", "0", "--horizon", "200"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "0"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
-        ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
-        ["beta", "--set", "evens", "--horizon", "0"],
-    ],
-    ids=["return-set-horizon-0", "correlate-kmax-0", "construct-depth-0", "eqbeta-horizon-0",
-         "eqbeta-horizon-negative", "eqbeta-no-member-sampled", "beta-horizon-0"],
+    [*REJECTED.values(), *REJECTED_AFTER_WRITING.values()],
+    ids=[*REJECTED, *REJECTED_AFTER_WRITING],
 )
 def test_empty_ranges_are_rejected_before_any_csv(tmp_path, argv):
     code, out = run(tmp_path, "empty", *argv)
     assert code == 2
-    assert not list(out.glob("*.csv"))
+    assert not list(out.iterdir())
 
 
 def test_beta_names_the_horizon_bound(tmp_path, capsys):
@@ -397,7 +405,7 @@ def test_beta_names_the_horizon_bound(tmp_path, capsys):
 def test_rejected_diff_set_leaves_no_difference_file(tmp_path, argv):
     code, out = run(tmp_path, "ds", *argv)
     assert code == 2
-    assert not (out / "difference.txt").exists()
+    assert not list(out.iterdir())
 
 
 def test_zero_table_weight_exit_code(tmp_path, capsys):

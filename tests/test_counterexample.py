@@ -1,3 +1,4 @@
+import bisect
 import itertools
 from fractions import Fraction
 from math import frexp
@@ -27,6 +28,7 @@ from hyperorbit import (
 from hyperorbit import counterexample as cx
 from hyperorbit.counterexample import InsufficientBlockError, Block
 from hyperorbit.errors import UsageError
+from hyperorbit.indexsets import ExplicitSet
 
 from conftest import brute_run_lengths, brute_s_intervals, brute_s_member
 
@@ -200,10 +202,50 @@ def test_hugeint_gap_decisions():
     a = HugeInt(102, 0)
     b = HugeInt(102, 100)
     c = HugeInt(HugeInt(102, 6), 0)
-    assert a.gap_at_least(b, 100)
-    assert not a.gap_at_least(b, 101)
-    assert c.gap_at_least(a, 10**9)
-    assert a.gap_at_least(0, 10**9)
+    assert b - 100 >= a
+    assert not b - 101 >= a
+    assert c - 10**9 >= a
+    assert a - 10**9 >= 0
+
+
+def test_hugeint_hash_agrees_with_equality():
+    assert HugeInt(19, 0) == 10**19
+    assert hash(HugeInt(19, 0)) == hash(10**19)
+    assert len({HugeInt(19, 0), 10**19}) == 1
+    assert ExplicitSet((10**19, HugeInt(19, 0), 5)).members == (5, 10**19)
+    tower = HugeInt(HugeInt(102, 6), 3)
+    assert len({tower, HugeInt(HugeInt(102, 6), 3), HugeInt(HugeInt(102, 6), 4)}) == 2
+
+
+_materializable = st.builds(HugeInt, st.integers(19, 40), st.integers(-(10**6), 10**6))
+_towers = st.builds(HugeInt, st.builds(HugeInt, st.integers(19, 40), st.integers(0, 10**6)), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_materializable, st.one_of(_materializable, st.integers(-(10**41), 10**41)))
+def test_hugeint_order_matches_the_materialized_ints(a, b):
+    x, y = a.to_int(), b.to_int() if isinstance(b, HugeInt) else b
+    assert (a < b, a <= b, a == b, a != b, a >= b, a > b) == (x < y, x <= y, x == y, x != y, x >= y, x > y)
+    assert (b < a, b == a, b > a) == (y < x, y == x, y > x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_towers, st.one_of(_materializable, st.integers(-(10**41), 10**41)))
+def test_towers_compare_above_every_materializable_value(t, v):
+    assert t > v and v < t and t != v and max(v, t) is t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_materializable, _towers, st.integers(-(10**41), 10**41)), max_size=12), st.data())
+def test_builtins_on_mixed_values_agree_with_the_comparator(values, data):
+    ordered = sorted(values)
+    assert all(cx._cmp_values(p, q) <= 0 for p, q in itertools.pairwise(ordered))
+    if values:
+        top = max(values)
+        assert all(cx._cmp_values(top, v) >= 0 for v in values)
+        probe = data.draw(st.sampled_from(values))
+        assert bisect.bisect_left(ordered, probe) == sum(cx._cmp_values(v, probe) < 0 for v in values)
+        assert bisect.bisect_right(ordered, probe) == sum(cx._cmp_values(v, probe) <= 0 for v in values)
 
 
 def test_hugeint_membership_in_s():
@@ -247,6 +289,18 @@ def test_conditions_reverify():
 def test_family_gap_property_symbolic():
     fam = build_block_family(3, 3)
     assert check_gap_family(fam.set_family()).ok
+
+
+def test_block_level_counts_match_a_linear_filter():
+    fam = build_block_family(3, 3)
+    level = fam.set_family().level(2)
+    members = [m for b in fam.level_blocks(2) for m in b.members()]
+    assert level.all_members() == members
+    probes = [0, 10**150, *members, *(m + 1 for m in members), *(m - 1 for m in members), HugeInt(HugeInt(HugeInt(5000), 0))]
+    for lo, hi in itertools.product(probes, repeat=2):
+        inside = [m for m in members if lo <= m <= hi]
+        assert level.members_in(lo, hi) == inside
+        assert level.count_in(lo, hi) == len(inside)
 
 
 def test_block_members_lie_in_s_after_shift():
