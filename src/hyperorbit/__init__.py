@@ -46,6 +46,7 @@ from .counterexample import (
     product_threshold_scan,
     run_length_array,
     s_contains,
+    s_flags,
     s_intervals_in,
     threshold_bound,
     verify_block_conditions,

@@ -19,7 +19,9 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from itertools import accumulate, tee
 from math import frexp
+from operator import and_, eq, not_
 
 from . import constructor, counterexample as cx, recurrence
 from ._parallel import resolve_workers
@@ -119,6 +121,20 @@ def run_check_family(args, out):
     return EXIT_OK if result.ok else EXIT_VERIFICATION
 
 
+def _first_product_law_failure(law, runs, in_s, weights, pow2, exps) -> str:
+    """The first n whose flag in `law` is 0, and which conjunct of the product law fails there."""
+    n = law.find(0) + 1
+    if n > min(len(runs), len(in_s), len(weights)):
+        return f"n = {n}: the stream has {len(weights)} weights and {len(in_s)} membership flags for {len(runs)} run lengths"
+    w = weights[n - 1]
+    if not pow2[w]:
+        return f"n = {n}: weight {w!r} is not a power of two"
+    total = sum(map(exps.__getitem__, weights[:n]))
+    if total != runs[n - 1]:
+        return f"n = {n}: exponent sum {total}, run length {runs[n - 1]}"
+    return f"n = {n}: exponent sum {total} with n {'in' if in_s[n - 1] else 'outside'} S"
+
+
 def run_verify_counterexample(args, out):
     if args.product_horizon < 1:
         raise UsageError("--product-horizon must be >= 1")
@@ -129,22 +145,34 @@ def run_verify_counterexample(args, out):
         [(r.k, r.l, r.m, "" if r.hit_scale is None else r.hit_scale, r.ok) for r in report.rows],
     )
 
-    # product law: the exponents of the streamed weights, each an exact power
-    # of two, sum to the run length read off S's merged runs, 0 exactly off S
-    mism = 0
-    exponent = 0
-    stride = max(1, args.product_horizon // 20)
-    runs = cx.run_length_array(args.product_horizon)
-    weights = cx.DoublingResetWeights().stream(args.product_horizon)
-    rows = []
-    for n, (c, (in_s, w)) in enumerate(zip(runs, weights, strict=True), start=1):
+    # product law, per index n: w_n is an exact power of two, the exponents
+    # sum to the run length read off S's merged runs, and the sum is 0
+    # exactly off S; each conjunct is one C-level pass over the sequences
+    horizon = args.product_horizon
+    runs = cx.run_length_array(horizon)
+    in_s, weights = cx.DoublingResetWeights().stream(horizon)
+    # mantissa and exponent depend on the value alone: one frexp per distinct weight
+    pow2, exps = {}, {}
+    for w in set(weights):
         mantissa, e = frexp(w)
-        exponent += e - 1
-        ok = mantissa == 0.5 and exponent == c and (exponent == 0) == (not in_s)
-        if not ok:
-            mism += 1
-        if n % stride == 0:
-            rows.append((n, c, ok))
+        pow2[w], exps[w] = mantissa == 0.5, e - 1
+    # the prefix sums feed two conjuncts in step, so tee holds about one of them at a time
+    sums, sums_again = tee(accumulate(map(exps.__getitem__, weights)))
+    law = bytes(
+        map(
+            and_,
+            map(and_, map(pow2.__getitem__, weights), map(eq, sums, runs)),
+            map(eq, map(not_, sums_again), map(not_, in_s)),
+        )
+    )
+    # map stops at the shortest sequence: an index missing from one of them fails
+    law += bytes(max(len(runs), len(in_s), len(weights)) - len(law))
+    mism = law.count(0)
+    if mism:
+        why = _first_product_law_failure(law, runs, in_s, weights, pow2, exps)
+        print(f"verification failure: product law fails at {why}", file=sys.stderr)
+    stride = max(1, horizon // 20)
+    rows = [(n, runs[n - 1], bool(law[n - 1])) for n in range(stride, horizon + 1, stride)]
     write_csv(os.path.join(out, "products.csv"), ("n", "run_exponent", "ok"), rows)
 
     family = cx.build_block_family(args.family_levels, args.family_reps)

@@ -8,15 +8,18 @@ i.e. radius-j digit neighborhoods of multiples of 10^j.  The weights are 2
 inside S, reset the running product back to 1 on leaving S, and are 1
 elsewhere, so the partial product at n is exactly 2**c(n) where c(n) is
 the length of the maximal S-run ending at n.  Everything here is exact:
-membership by digit arithmetic; S's maximal runs read off the valuations
-of the centres 10k, each the middle of one interval whose radius is the
-number of trailing zeros of k (an independent route used to cross-check
-membership); run lengths filled in from those runs; the weights streamed
-forward with one membership test per index (the product law checks that
-stream against the runs); and the block family by lazy power-tower
-integers, since the construction forces each block's exponent past the
-largest previously built element.  Those integers (`HugeInt`) order
-themselves, so the family's levels are plain `ExplicitSet`s, checked with the ordinary operators.
+membership by digit arithmetic (`s_contains`, for random access) and, over
+a whole range, as flag bytes filled in from the definition with one strided
+slice per scale and offset (`s_flags`); S's maximal runs read off the
+valuations of the centres 10k, each the middle of one interval whose radius
+is the number of trailing zeros of k; run lengths filled in from those runs;
+the weights of 1..horizon built from the runs of the flags, one slice per
+run (the product law checks them against the valuation runs, so it compares
+two routes to S that share no code); and the block family by lazy
+power-tower integers, since the construction forces each block's exponent
+past the largest previously built element.  Those integers (`HugeInt`) order
+themselves, so the family's levels are plain `ExplicitSet`s, checked with
+the ordinary operators.
 """
 
 from __future__ import annotations
@@ -54,6 +57,24 @@ def s_contains(m: int) -> bool:
         scale *= 10
         j += 1
     return False
+
+
+def s_flags(horizon: int) -> bytes:
+    """The indicator of S over 0..horizon, one byte per index, built from the definition.
+
+    Every interval ]l*10^j - j, l*10^j + j[ of scale j is one offset
+    |d| < j from a multiple of 10^j, so each scale j and offset d is one
+    strided slice assignment `flags[10^j + d :: 10^j]`.  Independent of
+    `s_contains` and of the centre valuations of `s_intervals_in`.
+    """
+    flags = bytearray(max(horizon + 1, 0))
+    p, j = 10, 1
+    while p - j < horizon:  # the smallest member of scale j is 10^j - j + 1
+        for start in range(p - j + 1, min(p + j, horizon + 1)):
+            flags[start::p] = b"\x01" * ((horizon - start) // p + 1)
+        p *= 10
+        j += 1
+    return bytes(flags)
 
 
 def s_intervals_in(lo: int, hi: int) -> list:
@@ -244,8 +265,9 @@ class DoublingResetWeights(WeightSequence):
 
     The partial product of w_1..w_n is exactly 2**c(n) with c the run
     length; log2-domain values are exact integers.  `weight(k)` is the
-    random-access path (it walks back through the run before k); `stream`
-    gives w_1..w_horizon in order with one membership test per index.
+    random-access path (it tests membership digit by digit and walks back
+    through the run before k); `stream` gives w_1..w_horizon at once, from
+    the runs of `s_flags`, so it shares no code with `run_length_array`.
     """
 
     bilateral = False
@@ -259,20 +281,23 @@ class DoublingResetWeights(WeightSequence):
         return 1.0 if c == 0 else 2.0 ** (-c)
 
     def stream(self, horizon):
-        """Yield (k in S, w_k) for k = 1..horizon, testing `s_contains(k)` once each.
+        """(in_s, weights) for k = 1..horizon: the flag bytes of S and the list of w_k.
 
-        The run length c(k - 1) is carried forward: in S the weight is 2 and
-        the run grows by one; outside it the weight is 2**-run (1 after no
-        run) and the run resets to 0.
+        The weights start at 1; each run of flags, found with `bytes.find`,
+        gets its 2s in one slice, and the index after it the reset 2**-run.
         """
-        run = 0
-        for k in range(1, horizon + 1):
-            if s_contains(k):
-                run += 1
-                yield True, 2.0
+        in_s = s_flags(horizon)[1:]
+        weights = [1.0] * len(in_s)
+        a = in_s.find(1)
+        while a >= 0:
+            b = in_s.find(0, a)
+            if b < 0:
+                b = len(in_s)
             else:
-                yield False, 2.0**-run
-                run = 0
+                weights[b] = 2.0 ** (a - b)
+            weights[a:b] = [2.0] * (b - a)
+            a = in_s.find(1, b)
+        return in_s, weights
 
     def log2_product(self, n):
         if n < 0:

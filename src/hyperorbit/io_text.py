@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -63,6 +64,33 @@ def parse_int(text: str) -> int:
         return int(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse {text!r} as an integer") from exc
+
+
+# a tower integer as `HugeInt.__repr__` prints it: 10^e, 10^e±k, 10^(tower)±k
+_TOWER = r"(?P<open>(?:10\^\()*)10\^(?P<exp>\d+)(?P<off>[+-]\d+)?(?P<close>(?:\)(?:[+-]\d+)?)*)"
+_TOWER_CLOSE = r"\)([+-]\d+)?"
+_TOWER_DEPTH = 300  # tower integers are compared and printed recursively, one frame per level
+
+
+def _explicit_member(text: str):
+    """An `explicit:` item: a plain integer, or, when it starts with 10^, the `HugeInt` written
+    10^e, 10^e±k or 10^(...)±k (as its repr prints it), parsed without recursion."""
+    token = text.strip()
+    if not token.startswith("10^"):
+        return parse_int(text)
+    m = re.fullmatch(_TOWER, token)
+    closers = re.findall(_TOWER_CLOSE, m["close"]) if m else ()
+    if not m or len(closers) != len(m["open"]) // 4:
+        raise UsageError(f"cannot parse {token!r} as a tower integer 10^e, 10^e+k or 10^(...)+k")
+    if len(closers) > _TOWER_DEPTH:
+        raise UsageError(f"tower integer nested deeper than {_TOWER_DEPTH} levels")
+    try:
+        value = cx.HugeInt(parse_int(m["exp"]), parse_int(m["off"] or "0"))
+        for off in closers:
+            value = cx.HugeInt(value, parse_int(off or "0"))
+    except UsageError as exc:
+        raise UsageError(f"cannot parse {token!r} as a tower integer: {exc}") from exc
+    return value
 
 
 def _items(text: str) -> list:
@@ -126,7 +154,7 @@ def parse_set_spec(spec: str):
         gap, offset = _one_or_two_ints(spec, rest, 0)
         return PeriodicSet(gap, (offset,))
     if head == "explicit":
-        return ExplicitSet(tuple(parse_int_list(rest)))
+        return ExplicitSet(tuple(map(_explicit_member, _items(rest))))
     if head == "explicit-file":
         with open(rest, "r", encoding="utf-8") as fh:
             return ExplicitSet(tuple(parse_int(line) for line in fh if line.strip()))

@@ -91,41 +91,52 @@ def test_verify_counterexample(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{99: (True, 3.0)}, {99: (True, 4.0)}, {99: (False, 1.0)}, {99: (False, 2.0)},
-     {99: (True, 4.0), 102: (False, 2.0**-4)}],
-    ids=["not-a-power-of-two", "wrong-power", "outside-s", "wrong-membership-bit", "wrong-power-reset-to-match"],
+    "bad, why, failed_at",
+    [
+        ({99: (1, 3.0)}, "n = 99: weight 3.0 is not a power of two", ()),
+        ({99: (1, 4.0)}, "n = 99: exponent sum 2, run length 1", range(100, 201, 10)),
+        ({99: (0, 1.0)}, "n = 99: exponent sum 0, run length 1", range(100, 201, 10)),
+        ({99: (0, 2.0)}, "n = 99: exponent sum 1 with n outside S", ()),
+        ({99: (1, 4.0), 102: (0, 2.0**-4)}, "n = 99: exponent sum 2, run length 1", (100,)),
+        ({200: None}, "n = 200: the stream has 199 weights and 199 membership flags for 200 run lengths", (200,)),
+    ],
+    ids=["not-a-power-of-two", "wrong-power", "outside-s", "wrong-membership-bit", "wrong-power-reset-to-match",
+         "one-entry-short"],
 )
-def test_product_law_rejects_a_wrong_weight(tmp_path, monkeypatch, bad):
+def test_product_law_rejects_a_wrong_weight(tmp_path, monkeypatch, capsys, bad, why, failed_at):
     # w_99 is 2 (99 starts the run {99, 100, 101} of S, and w_102 = 2**-3 resets it);
     # 3 has no exact exponent, 4 shifts every later partial product, 1 says 99 lies
     # outside S, so the run is one short, and the right weight under a wrong membership
-    # bit is caught only by comparing the bit with the runs.  The last stream is 0
-    # exactly off S but one too high on the run: only the run lengths catch it.
+    # bit is caught only by comparing the bit with the runs.  The fifth stream is 0
+    # exactly off S but one too high on the run: only the run lengths catch it.  The
+    # last stream lacks its final entry, which zip or map would drop without a word.
     stream = cx.DoublingResetWeights.stream
 
     def bad_stream(self, horizon):
-        for k, item in enumerate(stream(self, horizon), start=1):
-            yield bad.get(k, item)
+        in_s, weights = stream(self, horizon)
+        in_s = bytearray(in_s)
+        for k, item in sorted(bad.items(), reverse=True):
+            if item is None:
+                del in_s[k - 1], weights[k - 1]
+            else:
+                in_s[k - 1], weights[k - 1] = item
+        return bytes(in_s), weights
 
     monkeypatch.setattr(cx.DoublingResetWeights, "stream", bad_stream)
-    code, _ = run(
+    code, out = run(
         tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "200",
         "--family-levels", "2", "--family-reps", "2",
     )
     assert code == 3
-
-
-def test_product_law_tests_membership_once_per_index(tmp_path, monkeypatch):
-    calls = []
-    s_contains = cx.s_contains
-    monkeypatch.setattr(cx, "s_contains", lambda m: calls.append(m) or s_contains(m))
-    code, _ = run(
-        tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "200",
-        "--family-levels", "2", "--family-reps", "2",
-    )
-    assert code == 0
-    assert sorted(calls) == list(range(1, 201))
+    # the failure names itself in one line, and the rows sampled at n = 10, 20, ..., 200
+    # fail at `failed_at` (w_99 = 3 and the wrong bit fail at 99 alone, which is not sampled)
+    assert capsys.readouterr().err == f"verification failure: product law fails at {why}\n"
+    lines = (out / "products.csv").read_text().splitlines()
+    assert lines[0] == "n,run_exponent,ok" and len(lines) == 21
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+        "false" if n in failed_at else "true" for n in range(10, 201, 10)
+    ]
+    assert (out / "blocks.csv").exists()
 
 
 def test_dj_scan(tmp_path):
@@ -362,6 +373,13 @@ REJECTED = {
     "eqbeta-horizon-negative": ["eqbeta", "--set", "explicit:3,5", "--horizon", "-1"],
     "eqbeta-no-member-sampled": ["eqbeta", "--set", "explicit:3,5", "--horizon", "2"],
     "beta-horizon-0": ["beta", "--set", "evens", "--horizon", "0"],
+    "explicit-tower-no-exponent": ["densities", "--set", "explicit:5,10^", "--horizon", "100"],
+    "explicit-tower-unclosed": ["densities", "--set", "explicit:10^(5", "--horizon", "100"],
+    "explicit-tower-unclosed-nested": ["densities", "--set", "explicit:10^(10^102+6", "--horizon", "100"],
+    "explicit-tower-not-digits": ["densities", "--set", "explicit:10^x", "--horizon", "100"],
+    "explicit-tower-below-minimum": ["densities", "--set", "explicit:10^5", "--horizon", "100"],
+    "explicit-tower-offset-out-of-range": ["densities", "--set", "explicit:10^19+10000000000000000000", "--horizon", "100"],
+    "explicit-tower-too-deep": ["densities", "--set", "explicit:" + "10^(" * 301 + "10^19" + ")" * 301, "--horizon", "100"],
 }
 
 # exit 2 only after the runner has written some of its files

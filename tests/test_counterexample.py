@@ -20,6 +20,7 @@ from hyperorbit import (
     product_threshold_scan,
     run_length_array,
     s_contains,
+    s_flags,
     s_intervals_in,
     threshold_bound,
     verify_block_conditions,
@@ -120,6 +121,38 @@ def test_run_length_array_matches_the_scale_by_scale_oracle(horizon):
     assert run_length_array(horizon) == _runs_from_intervals(brute_s_intervals(1, horizon), max(horizon, 0))
 
 
+@given(horizon=st.integers(-3, 3000))
+@settings(max_examples=40, deadline=None)
+def test_s_flags_match_the_brute_scan(horizon):
+    assert s_flags(horizon) == bytes(brute_s_member(m) for m in range(horizon + 1))
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_s_flags_at_horizons_around_each_scale(j):
+    # the slices of scale j start at 10^j - j + 1: horizons before, at and past each of them
+    top = 10**j + j
+    want = bytearray(top + 1)
+    for a, b in brute_s_intervals(0, top):
+        want[a : b + 1] = b"\x01" * (b - a + 1)
+    for horizon in range(10**j - j, top + 1):
+        flags = s_flags(horizon)
+        assert flags == want[: horizon + 1]
+        assert flags[horizon] == brute_s_member(horizon)
+
+
+def test_weight_stream_uses_neither_digit_membership_nor_the_valuation_runs(monkeypatch):
+    # the product law checks the stream against run_length_array (through s_intervals_in),
+    # so the stream must not reach S through that route, nor through s_contains
+    want = DoublingResetWeights().stream(123457)
+
+    def refuse(*args):
+        raise AssertionError("the weight stream borrowed a membership route")
+
+    monkeypatch.setattr(cx, "s_contains", refuse)
+    monkeypatch.setattr(cx, "s_intervals_in", refuse)
+    assert DoublingResetWeights().stream(123457) == want
+
+
 def test_s_runs_test_no_membership(monkeypatch):
     def refuse(m):
         raise AssertionError("s_intervals_in tested membership")
@@ -166,9 +199,10 @@ def test_run_length_array_matches_pointwise():
 
 def _stream_matches_oracles(horizon):
     w = DoublingResetWeights()
-    got = list(w.stream(horizon))
-    assert got == [(s_contains(k), w.weight(k)) for k in range(1, horizon + 1)]
-    assert list(itertools.accumulate(frexp(wk)[1] - 1 for _, wk in got)) == brute_run_lengths(horizon)
+    in_s, weights = w.stream(horizon)
+    assert len(in_s) == len(weights) == horizon
+    assert list(zip(map(bool, in_s), weights)) == [(s_contains(k), w.weight(k)) for k in range(1, horizon + 1)]
+    assert list(itertools.accumulate(frexp(wk)[1] - 1 for wk in weights)) == brute_run_lengths(horizon)
 
 
 @given(horizon=st.integers(1, 30000))

@@ -83,11 +83,19 @@ def _segment_sets(draw):
     return SegmentPatternSet(tuple(segs))
 
 
+# tower integers as the block family builds them: int exponents from 19 up, nested a few levels
+_TOWER_INTS = st.recursive(
+    st.builds(cx.HugeInt, st.integers(19, 10**30), st.integers(-(10**18), 10**18)),
+    lambda inner: st.builds(cx.HugeInt, inner, st.integers(-(10**18), 10**18)),
+    max_leaves=4,
+)
+
 _SETS = st.one_of(
     st.sampled_from([SquareSet(), cx.DigitNeighborhoodSet(), FactorialBlockSet(), parse_set_spec("evens"),
                      parse_set_spec("prescribed:0,1/5,1/2,1")]),
     st.builds(lambda p, rs: PeriodicSet(p, tuple(rs)), st.integers(1, 40), st.lists(st.integers(0, 100), max_size=6)),
     st.builds(lambda ms: ExplicitSet(tuple(ms)), st.lists(st.integers(0, 600), max_size=30)),
+    st.builds(lambda ms: ExplicitSet(tuple(ms)), st.lists(st.one_of(st.integers(0, 600), _TOWER_INTS), max_size=8)),
     st.builds(lambda fl: BitmapSet(bytes(fl)), st.lists(st.sampled_from((0, 1)), max_size=600)),
     st.builds(GeometricSet, st.integers(2, 12), st.integers(0, 6)),
     _segment_sets(),
@@ -124,6 +132,31 @@ def test_set_specs_read_back_from_describe(A):
     back = parse_set_spec(A.describe())
     assert back.describe() == A.describe()
     assert back.members_in(0, 500) == A.members_in(0, 500)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TOWER_INTS)
+def test_tower_members_read_back_from_their_repr(t):
+    (back,) = parse_set_spec(f"explicit:{t!r}").members
+    assert repr(back) == repr(t) and back == t
+
+
+def test_the_deepest_accepted_tower_reads_back():
+    # 300 levels are accepted (301 exit 2, see tests/test_cli.py), and still compare and print
+    spec = "explicit:5," + "10^(" * 300 + "10^19" + ")" * 300 + "+7"
+    back = parse_set_spec(spec)
+    assert back.describe() == spec and parse_set_spec(back.describe()) == back
+
+
+def test_block_family_levels_read_back_from_describe():
+    family = cx.build_block_family(2, 1).set_family()
+    assert [family.level(k).describe() for k in (1, 2)] == [
+        "explicit:10^102",
+        "explicit:10^(10^102+6),10^(10^102+6)+10000",
+    ]
+    for k in (1, 2):
+        back = parse_set_spec(family.level(k).describe())
+        assert back == family.level(k) and back.describe() == family.level(k).describe()
 
 
 @settings(max_examples=300, deadline=None)
