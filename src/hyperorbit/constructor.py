@@ -324,70 +324,38 @@ def select_subsequence(
     )
 
 
-def _pow_need(need: Fraction, ip):
-    return need if ip is None else need**ip
-
-
 def _certify_level(T, family, selected, k, l, targets, rate, ip):
-    certs = []
     need_i = Fraction(1, l * 2**l)
     need_ii = Fraction(1, 2**l)
 
+    def tail_cert(condition, j, start, gap, y, need, detail):
+        """The geometric tail of y's terms from `start` on, every `gap`, against need (to the p-th power)."""
+        tail = _geom_tail(rate, ip, start, gap, _norm_pow(y, ip))
+        ok = tail <= (need if ip is None else need**ip)
+        return Certificate(condition, l, j, _root_float(tail, ip), float(need), ok, detail)
+
     # condition i: full tails of earlier levels past position k, and of level
     # k itself, must stay below 1/(l 2^l)
+    certs = []
     for j in range(1, l + 1):
         kj = selected[j - 1] if j < l else k
         gj, oj = _progression(family.level(kj))
         n0 = _first_member_at_least(gj, oj, k)
-        wt = _norm_pow(targets[j - 1], ip)
-        tail = _geom_tail(rate, ip, n0, gj, wt)
-        certs.append(
-            Certificate(
-                "i",
-                l,
-                j,
-                _root_float(tail, ip),
-                float(need_i),
-                tail <= _pow_need(need_i, ip),
-                f"tail over level {kj} from n={n0}, gap {gj}",
-            )
-        )
+        detail = f"tail over level {kj} from n={n0}, gap {gj}"
+        certs.append(tail_cert("i", j, n0, gj, targets[j - 1], need_i, detail))
 
     # condition ii: sums over the candidate level seen from any family time
     gk, okr = _progression(family.level(k))
     d0 = min(_min_distance_between(family, m, k) for m in range(1, len(family) + 1))
-    wt = _norm_pow(targets[l - 1], ip)
-    tail_ii = _geom_tail(rate, ip, d0, gk, wt)
-    certs.append(
-        Certificate(
-            "ii",
-            l,
-            None,
-            _root_float(tail_ii, ip),
-            float(need_ii),
-            tail_ii <= _pow_need(need_ii, ip),
-            f"forward terms from distance {d0}, gap {gk}",
-        )
-    )
+    certs.append(tail_cert("ii", None, d0, gk, targets[l - 1], need_ii, f"forward terms from distance {d0}, gap {gk}"))
 
     # condition iii: sums over earlier chosen levels seen from level-k times
     for j in range(1, l):
         kj = selected[j - 1]
         gj, oj = _progression(family.level(kj))
         dj = _min_distance_between(family, k, kj)
-        wt = _norm_pow(targets[j - 1], ip)
-        tail = _geom_tail(rate, ip, dj, gj, wt)
-        certs.append(
-            Certificate(
-                "iii",
-                l,
-                j,
-                _root_float(tail, ip),
-                float(need_i),
-                tail <= _pow_need(need_i, ip),
-                f"level {kj} seen from level {k}, distance {dj}",
-            )
-        )
+        detail = f"level {kj} seen from level {k}, distance {dj}"
+        certs.append(tail_cert("iii", j, dj, gj, targets[j - 1], need_i, detail))
 
     # condition iv: the right inverse is exact, checked on the first time
     n0 = _first_member_at_least(gk, okr, 0)

@@ -8,18 +8,20 @@ i.e. radius-j digit neighborhoods of multiples of 10^j.  The weights are 2
 inside S, reset the running product back to 1 on leaving S, and are 1
 elsewhere, so the partial product at n is exactly 2**c(n) where c(n) is
 the length of the maximal S-run ending at n.  Everything here is exact:
-membership by digit arithmetic (`s_contains`, for random access) and, over
-a whole range, as flag bytes filled in from the definition with one strided
-slice per scale and offset (`s_flags`); S's maximal runs read off the
-valuations of the centres 10k, each the middle of one interval whose radius
-is the number of trailing zeros of k; run lengths filled in from those runs;
-the weights of 1..horizon built from the runs of the flags, one slice per
-run (the product law checks them against the valuation runs, so it compares
+membership by one digit-scale scan (`_hit_scale`, which also serves the
+exclusion sweep and the envelope of the threshold sets) and, over a whole
+range, as flag bytes filled in from the definition with one strided slice
+per scale and offset (`s_flags`); S's maximal runs read off the valuations
+of the centres 10k, each the middle of one interval whose radius is the
+number of trailing zeros of k; run lengths filled in from those runs; the
+weights of 1..horizon built from the runs of the flags, one slice per run
+(the product law checks them against the valuation runs, so it compares
 two routes to S that share no code); and the block family by lazy
 power-tower integers, since the construction forces each block's exponent
-past the largest previously built element.  Those integers (`HugeInt`) order
-themselves, so the family's levels are plain `ExplicitSet`s, checked with
-the ordinary operators.
+past the largest previously built element.  Those integers (`HugeInt`)
+order, hash and print themselves in loops over their levels, at any depth,
+so the family's levels are plain `ExplicitSet`s, checked with the ordinary
+operators.
 """
 
 from __future__ import annotations
@@ -41,22 +43,26 @@ from .shifts import WeightSequence
 # the set S
 
 
-def s_contains(m: int) -> bool:
-    """Exact membership of m in S by per-scale digit arithmetic."""
-    if m <= 0:
-        return False
-    scale = 10
-    j = 1
-    while scale < m + j:
+def _hit_scale(m: int, last=None, width: int = 1, first: int = 1):
+    """The smallest scale j in [first, last] whose intervals ]l*10^j - width*j, l*10^j + width*j[,
+    l >= 1, hold m (no upper end when `last` is None), by digit arithmetic; None when there is none.
+
+    Only the multiples l*10^j next to m, below and above, can be the nearest; the
+    scan stops at the first scale whose lowest interval starts past m.
+    """
+    scale, j = 10**first, first
+    while scale < m + width * j and (last is None or j <= last):
         r = m % scale
-        if r < j:
-            if m // scale >= 1:
-                return True
-        elif scale - r < j:
-            return True
+        if (r < width * j and m >= scale) or scale - r < width * j:
+            return j
         scale *= 10
         j += 1
-    return False
+    return None
+
+
+def s_contains(m: int) -> bool:
+    """Exact membership of m in S by per-scale digit arithmetic."""
+    return _hit_scale(m) is not None
 
 
 def s_flags(horizon: int) -> bytes:
@@ -330,21 +336,30 @@ def _int_lt_pow10(x: int, e) -> bool:
 
 
 def _cmp_values(a, b) -> int:
-    """Three-way compare of int | HugeInt values."""
+    """Three-way compare of int | HugeInt values, walking both exponent chains in one loop.
+
+    Two towers order as their exponents do, and on equal exponents as their
+    offsets do; so where the chains meet, or their ends compare equal, the
+    innermost offsets that differ on the way down decide.  The walk stops at
+    once on a shared exponent object, as the members of one block have.
+    """
+    tie = 0
+    while a is not b and isinstance(a, HugeInt) and isinstance(b, HugeInt):
+        if a.offset != b.offset:
+            tie = 1 if a.offset > b.offset else -1
+        a, b = a.exponent, b.exponent
+    if a is b:
+        return tie
     if isinstance(a, int) and isinstance(b, int):
-        return (a > b) - (a < b)
-    if isinstance(a, int):
-        return -_cmp_values(b, a)
-    # a is HugeInt
-    if isinstance(b, int):
-        if a._materializable():
-            av = a.to_int()
-            return (av > b) - (av < b)
-        return 1 if _int_lt_pow10(b, a.exponent) else -1
-    ce = _cmp_values(a.exponent, b.exponent)
-    if ce != 0:
-        return ce
-    return (a.offset > b.offset) - (a.offset < b.offset)
+        c = (a > b) - (a < b)
+    elif isinstance(a, int):
+        c = -_cmp_values(b, a)  # one call with the HugeInt first, not one per level
+    elif a._materializable():
+        av = a.to_int()
+        c = (av > b) - (av < b)
+    else:
+        c = 1 if _int_lt_pow10(b, a.exponent) else -1
+    return c or tie
 
 
 @functools.total_ordering
@@ -356,7 +371,7 @@ class HugeInt:
     values together, so `sorted`, `max`, `bisect` and the operators work on mixed data.
     """
 
-    __slots__ = ("exponent", "offset")
+    __slots__ = ("exponent", "offset", "_hash")
 
     def __init__(self, exponent, offset=0):
         if isinstance(exponent, int):
@@ -368,6 +383,8 @@ class HugeInt:
             raise UsageError("offset out of the supported range")
         self.exponent = exponent
         self.offset = offset
+        # equal to an int only when materializable, and then it hashes as that int
+        self._hash = hash(self.to_int()) if self._materializable() else hash((exponent, offset))
 
     def _materializable(self) -> bool:
         return isinstance(self.exponent, int) and self.exponent <= _MATERIAL_EXP_LIMIT
@@ -417,17 +434,16 @@ class HugeInt:
         return _cmp_values(self, other) < 0
 
     def __hash__(self):
-        # equal to an int only when materializable, and then it hashes as that int
-        if self._materializable():
-            return hash(self.to_int())
-        return hash((self.exponent, self.offset))
+        return self._hash
 
     def __repr__(self):
-        e = self.exponent
-        es = f"({e!r})" if isinstance(e, HugeInt) else str(e)
-        if self.offset:
-            return f"10^{es}{self.offset:+d}"
-        return f"10^{es}"
+        suffixes = []  # each level's offset, outermost first
+        e = self
+        while isinstance(e, HugeInt):
+            suffixes.append(f"{e.offset:+d}" if e.offset else "")
+            e = e.exponent
+        inner = f"10^{e}{suffixes.pop()}"
+        return "10^(" * len(suffixes) + inner + "".join(")" + k for k in reversed(suffixes))
 
 
 def pow10_ceil_exponent(value) -> object:
@@ -578,17 +594,6 @@ def banach_window_ratio(family: BlockFamily, k: int) -> WindowRatioCheck:
 # exclusion sweep: repunit-perturbed multiples avoid all small scales
 
 
-def _hits_scale_at_most(m: int, k: int):
-    """Smallest scale j1 <= k whose digit neighborhood contains m, else None."""
-    scale = 10
-    for j1 in range(1, k + 1):
-        r = m % scale
-        if (r < j1 and m // scale >= 1) or (scale - r < j1):
-            return j1
-        scale *= 10
-    return None
-
-
 @dataclass(frozen=True)
 class ExclusionRow:
     k: int
@@ -614,7 +619,7 @@ def _exclusion_cell(args):
     n = pow10_ceil_exponent(k)
     repunit = (10 ** (n + 1) - 1) // 9
     base = l * 10**k
-    return [ExclusionRow(k, l, m, _hits_scale_at_most(m, k)) for m in (base - repunit, base + repunit)]
+    return [ExclusionRow(k, l, m, _hit_scale(m, k)) for m in (base - repunit, base + repunit)]
 
 
 def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> ExclusionReport:
@@ -641,18 +646,7 @@ def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> E
 
 def envelope_contains(n: int, j: int) -> bool:
     """Membership in the union over k >= ceil(j/30) of ]l*10^k - 31k, l*10^k + 31k[."""
-    if n < 0:
-        return False
-    k_min = -(-j // 30)
-    scale = 10**k_min
-    k = k_min
-    while scale < n + 31 * k + 1:
-        r = n % scale
-        if (r < 31 * k and n // scale >= 1) or (scale - r < 31 * k):
-            return True
-        scale *= 10
-        k += 1
-    return False
+    return n >= 0 and _hit_scale(n, width=31, first=-(-j // 30)) is not None
 
 
 def threshold_bound(j: int) -> Fraction:

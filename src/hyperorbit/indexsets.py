@@ -281,7 +281,10 @@ class SegmentPatternSet(IndexSet):
 
 
 def intervals_set(intervals) -> SegmentPatternSet:
-    """The union of closed intervals [a, b], as full segments."""
+    """The union of closed intervals [a, b], a <= b, as full segments."""
+    for a, b in intervals:
+        if a > b:
+            raise UsageError(f"interval {a}-{b} runs backwards")
     merged = merge_intervals(intervals)
     if merged and merged[0][0] < 0:
         raise UsageError("intervals live in the non-negative integers")
@@ -393,9 +396,8 @@ class SquareSet(IndexSet):
 
 
 def merge_intervals(intervals):
-    ivs = sorted((a, b) for a, b in intervals if a <= b)
     merged = []
-    for a, b in ivs:
+    for a, b in sorted(intervals):
         if merged and a <= merged[-1][1] + 1:
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
@@ -507,6 +509,8 @@ def estimate_densities(
     window counts are the differences of the q + 1 prefix counts
     `A.count_upto(i * s)`, i = 0..q, all taken in this process.
     """
+    if tail_factor < 1:
+        raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
     if window_grid is None:
         grid = tuple(s for s in (10, 100, 1000, 10000) if s <= max(1, horizon // 4)) or (1,)
     else:
@@ -753,6 +757,9 @@ def make_prescribed_density_set(r1, r2, r3, r4, eras: int = 6, window: int = 100
     inside the lower-density checkpoint range).  Convergence speed is a
     property of this construction, not of anything it models.
     """
+    if window < 1 or eras < 1:
+        raise UsageError(f"window and eras must be >= 1, got window {window} and eras {eras}")
+
     def _rat(r):
         if isinstance(r, float):
             return Fraction(r).limit_denominator(10**6)

@@ -69,12 +69,12 @@ def parse_int(text: str) -> int:
 # a tower integer as `HugeInt.__repr__` prints it: 10^e, 10^e±k, 10^(tower)±k
 _TOWER = r"(?P<open>(?:10\^\()*)10\^(?P<exp>\d+)(?P<off>[+-]\d+)?(?P<close>(?:\)(?:[+-]\d+)?)*)"
 _TOWER_CLOSE = r"\)([+-]\d+)?"
-_TOWER_DEPTH = 300  # tower integers are compared and printed recursively, one frame per level
 
 
 def _explicit_member(text: str):
     """An `explicit:` item: a plain integer, or, when it starts with 10^, the `HugeInt` written
-    10^e, 10^e±k or 10^(...)±k (as its repr prints it), parsed without recursion."""
+    10^e, 10^e±k or 10^(...)±k (as its repr prints it), nested to any depth: it is parsed,
+    compared and printed without recursion."""
     token = text.strip()
     if not token.startswith("10^"):
         return parse_int(text)
@@ -82,8 +82,6 @@ def _explicit_member(text: str):
     closers = re.findall(_TOWER_CLOSE, m["close"]) if m else ()
     if not m or len(closers) != len(m["open"]) // 4:
         raise UsageError(f"cannot parse {token!r} as a tower integer 10^e, 10^e+k or 10^(...)+k")
-    if len(closers) > _TOWER_DEPTH:
-        raise UsageError(f"tower integer nested deeper than {_TOWER_DEPTH} levels")
     try:
         value = cx.HugeInt(parse_int(m["exp"]), parse_int(m["off"] or "0"))
         for off in closers:
@@ -328,6 +326,8 @@ def parse_vector_spec(spec: str, space: SpaceSpec) -> SparseVec:
         return DenseDyadicSequence(space).item(parse_int(rest))
     if head == "ones":
         a, b = parse_int_pair(rest, "-")
+        if b < a:
+            raise UsageError(f"vector spec {spec!r}: the range runs backwards")
         return SparseVec({i: 1 for i in range(a, b + 1)}, space)
     if head == "file":
         return read_vector(rest)

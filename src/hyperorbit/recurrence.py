@@ -333,6 +333,8 @@ def hitting_times(
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
+    if not targets:
+        raise NoDataError("no target ball to hit")
     for _, r in targets:
         if r <= 0:
             raise UsageError("target radii must be positive")
@@ -460,6 +462,8 @@ def return_set(
         raise UsageError("ball radii must be positive")
     if witness_stride < 1:
         raise UsageError("the witness stride must be >= 1")
+    if probe_grid < 0:
+        raise UsageError("the probe grid must be >= 0")
     found = set()
 
     probes = [uc]

@@ -28,6 +28,7 @@ from hyperorbit.constructor import (
     _pow2_rate,
     _progression,
 )
+from hyperorbit.counterexample import _int_lt_pow10
 
 
 def brute_count(A, a, b):
@@ -90,6 +91,37 @@ def brute_s_member(m, j_cap=12, l_factor=2):
             if l * step - j < m < l * step + j:
                 return True
     return False
+
+
+def brute_hit_scale(m, last=None, width=1, first=1):
+    """The smallest scale j in [first, last] with some l >= 1 and l*10^j - width*j < m < l*10^j + width*j,
+    by scanning (j, l) directly; with no `last`, up to two scales past the digits of m, beyond
+    which every interval lies above m."""
+    top = len(str(abs(m))) + 2 if last is None else last
+    for j in range(first, top + 1):
+        step = 10**j
+        for l in range(1, (m + width * j) // step + 1):
+            if l * step - width * j < m < l * step + width * j:
+                return j
+    return None
+
+
+def brute_tower_cmp(a, b):
+    """Three-way compare of int | HugeInt values, recursing one frame per tower level: a tower
+    orders as its exponent, and on equal exponents as its offset."""
+    if isinstance(a, int) and isinstance(b, int):
+        return (a > b) - (a < b)
+    if isinstance(a, int):
+        return -brute_tower_cmp(b, a)
+    if isinstance(b, int):
+        if a._materializable():
+            av = a.to_int()
+            return (av > b) - (av < b)
+        return 1 if _int_lt_pow10(b, a.exponent) else -1
+    ce = brute_tower_cmp(a.exponent, b.exponent)
+    if ce != 0:
+        return ce
+    return (a.offset > b.offset) - (a.offset < b.offset)
 
 
 def brute_s_intervals(lo, hi):

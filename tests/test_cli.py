@@ -9,6 +9,7 @@ import pytest
 import hyperorbit as h
 from hyperorbit import counterexample as cx
 from hyperorbit.cli import main
+from hyperorbit.io_text import parse_set_spec
 
 from test_acceptance import CLI_MATRIX
 
@@ -379,7 +380,14 @@ REJECTED = {
     "explicit-tower-not-digits": ["densities", "--set", "explicit:10^x", "--horizon", "100"],
     "explicit-tower-below-minimum": ["densities", "--set", "explicit:10^5", "--horizon", "100"],
     "explicit-tower-offset-out-of-range": ["densities", "--set", "explicit:10^19+10000000000000000000", "--horizon", "100"],
-    "explicit-tower-too-deep": ["densities", "--set", "explicit:" + "10^(" * 301 + "10^19" + ")" * 301, "--horizon", "100"],
+    "densities-tail-factor-0": ["densities", "--set", "evens", "--horizon", "100", "--tail-factor", "0"],
+    "densities-tail-factor-negative": ["densities", "--set", "evens", "--horizon", "100", "--tail-factor", "-3"],
+    "make-set-window-0": ["make-set", "--targets", "0,1/5,1/2,1", "--window", "0"],
+    "make-set-eras-0": ["make-set", "--targets", "0,1/5,1/2,1", "--eras", "0"],
+    "return-set-probes-negative": ["return-set", "--u", "e:0@1", "--v", "e:0@1", "--horizon", "10", "--probes", "-1"],
+    "intervals-reversed": ["densities", "--set", "intervals:5-3", "--horizon", "100"],
+    "ones-reversed": ["orbit", "--vector", "ones:5-2", "--targets", "e:0@1", "--horizon", "10"],
+    "orbit-no-target": ["orbit", "--vector", "e:0", "--targets", "", "--horizon", "10"],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -407,6 +415,37 @@ def test_empty_ranges_are_rejected_before_any_csv(tmp_path, argv):
     code, out = run(tmp_path, "empty", *argv)
     assert code == 2
     assert not list(out.iterdir())
+
+
+def test_make_set_names_the_eras_bound(tmp_path, capsys):
+    code, _ = run(tmp_path, "e0", "make-set", "--targets", "0,1/5,1/2,1", "--eras", "0")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: window and eras must be >= 1, got window 1000 and eras 0\n"
+
+
+def test_a_301_level_tower_reads_back(tmp_path):
+    # towers nest to any depth
+    spec = "explicit:" + "10^(" * 301 + "10^19" + ")" * 301
+    code, _ = run(tmp_path, "deep", "densities", "--set", spec, "--horizon", "100")
+    assert code == 0
+    assert parse_set_spec(spec).describe() == spec
+
+
+def test_check_family_on_deep_towers_needs_no_recursion(tmp_path):
+    # block i of counterexample:1:600 nests about i levels deep; a recursion limit of 120 leaves
+    # no room for a frame per level
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(120)\n"
+        "from hyperorbit.cli import main\n"
+        "sys.exit(main(['check-family', '--family', 'counterexample:1:600', '--out', 'out']))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "true,180300" in (tmp_path / "out" / "gap_check.csv").read_text()
 
 
 def test_beta_names_the_horizon_bound(tmp_path, capsys):

@@ -30,8 +30,9 @@ from hyperorbit import counterexample as cx
 from hyperorbit.counterexample import InsufficientBlockError, Block
 from hyperorbit.errors import UsageError
 from hyperorbit.indexsets import ExplicitSet
+from hyperorbit.io_text import parse_set_spec
 
-from conftest import brute_run_lengths, brute_s_intervals, brute_s_member
+from conftest import brute_hit_scale, brute_run_lengths, brute_s_intervals, brute_s_member, brute_tower_cmp
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +283,64 @@ def test_builtins_on_mixed_values_agree_with_the_comparator(values, data):
         assert bisect.bisect_right(ordered, probe) == sum(cx._cmp_values(v, probe) <= 0 for v in values)
 
 
+# towers as the block family builds them: each level an exponent for the next, with the
+# second tower often built on one of the first's level objects or rebuilt from its parts
+_LEVEL_OFFSETS = st.one_of(st.sampled_from([-1, 0, 1, 7]), st.integers(-(10**18), 10**18))
+_BOTTOMS = st.one_of(st.sampled_from([19, 20, 102, 20000, 20001]), st.integers(19, 10**30))
+
+
+def _levels(bottom, offsets):
+    """[bottom, HugeInt(bottom, o1), HugeInt(HugeInt(bottom, o1), o2), ...]"""
+    out = [bottom]
+    for off in offsets:
+        out.append(HugeInt(out[-1], off))
+    return out
+
+
+@st.composite
+def _tower_pairs(draw):
+    bottom, offsets = draw(_BOTTOMS), draw(st.lists(_LEVEL_OFFSETS, max_size=8))
+    a = _levels(bottom, offsets)
+    how = draw(st.sampled_from(["apart", "shared", "rebuilt"]))
+    if how == "apart":
+        b = _levels(draw(_BOTTOMS), draw(st.lists(_LEVEL_OFFSETS, max_size=8)))
+    elif how == "shared":
+        i = draw(st.integers(0, len(a) - 1))
+        b = _levels(a[i], draw(st.lists(_LEVEL_OFFSETS, max_size=8 - i)))[1:] or [a[i]]
+    else:
+        changed = list(offsets)
+        if changed and draw(st.booleans()):
+            changed[draw(st.integers(0, len(changed) - 1))] = draw(_LEVEL_OFFSETS)
+        b = _levels(bottom, changed)
+    return a[-1], b[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tower_pairs())
+def test_tower_comparator_matches_the_recursive_oracle(pair):
+    a, b = pair
+    want = brute_tower_cmp(a, b)
+    assert (cx._cmp_values(a, b), cx._cmp_values(b, a)) == (want, -want)
+    if want == 0:
+        assert hash(a) == hash(b)
+
+
+def test_towers_of_1200_levels_compare_hash_and_read_back():
+    # far past the default recursion limit: ordering, hashing and printing walk the levels in loops
+    def tower(top_offset):
+        t = 19
+        for i in range(1199):
+            t = HugeInt(t, i % 3)
+        return HugeInt(t, top_offset)
+
+    t, u = tower(7), tower(8)  # built apart, so no level object is shared
+    assert t < u and t == tower(7) and t != tower(6)
+    assert ExplicitSet((u, t, 5)).members == (5, t, u)
+    assert len({t, u, tower(7)}) == 2
+    (back,) = parse_set_spec("explicit:" + repr(t)).members
+    assert back == t and repr(back) == repr(t)
+
+
 def test_hugeint_membership_in_s():
     assert HugeInt(102, 0).in_digit_neighborhoods()  # the radius-102 window at 10^102
     assert HugeInt(102, 10).in_digit_neighborhoods()  # scale-1 window at a multiple of 10
@@ -387,16 +446,31 @@ def test_exclusion_small_cases():
         assert not s_contains(m)
 
 
+# m drawn anywhere in 0..10^7, and also near the multiples l*10^j, where the intervals end
+_NEAR_MULTIPLES = st.builds(
+    lambda l, j, d: max(0, l * 10**j + d), st.integers(1, 99), st.integers(1, 5), st.integers(-40, 40)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.integers(0, 10**7), _NEAR_MULTIPLES),
+    st.one_of(st.none(), st.integers(1, 7)),
+    st.sampled_from([1, 31]),
+    st.integers(1, 3),
+)
+def test_hit_scale_matches_the_scale_scan(m, last, width, first):
+    assert cx._hit_scale(m, last, width, first) == brute_hit_scale(m, last, width, first)
+
+
 def test_exclusion_sweep_medium():
     assert verify_scale_exclusion(3, 30).ok
 
 
 def test_exclusion_catches_planted_violation():
     # sanity for the checker itself: 10 is inside the scale-1 window of 10
-    from hyperorbit.counterexample import _hits_scale_at_most
-
-    assert _hits_scale_at_most(10, 1) == 1
-    assert _hits_scale_at_most(11, 1) is None
+    assert cx._hit_scale(10, 1) == 1
+    assert cx._hit_scale(11, 1) is None
 
 
 # ---------------------------------------------------------------------------
