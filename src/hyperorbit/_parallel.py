@@ -1,8 +1,8 @@
 """The worker count a run records, and an in-order map.
 
-Every subcommand runs in one process.  `--workers` (or
-`HYPERORBIT_WORKERS`) is still accepted and resolved here, only so that
-the manifest can record it; outputs never depend on it.
+Every subcommand runs in one process.  `--workers` is still accepted and
+resolved here, only so that the manifest can record it; outputs never
+depend on it.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ import os
 def resolve_workers(requested: int | None = None) -> int:
     if requested is not None and requested >= 1:
         return int(requested)
-    env = os.environ.get("HYPERORBIT_WORKERS", "")
-    if env.strip().isdigit() and int(env) >= 1:
-        return int(env)
     return min(os.cpu_count() or 1, 8)
 
 

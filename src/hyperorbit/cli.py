@@ -138,7 +138,7 @@ def _first_product_law_failure(law, runs, in_s, weights, pow2, exps) -> str:
 def run_verify_counterexample(args, out):
     if args.product_horizon < 1:
         raise UsageError("--product-horizon must be >= 1")
-    report = cx.verify_scale_exclusion(args.kmax, args.lmax, keep_rows=True)
+    report = cx.verify_scale_exclusion(args.kmax, args.lmax)
     write_csv(
         os.path.join(out, "exclusion.csv"),
         ("k", "l", "m", "hit_scale", "ok"),
@@ -226,6 +226,8 @@ def run_construct(args, out):
     hc = constructor.assemble_vector(plan, T, args.horizon + args.truncation_margin)
     write_vector(os.path.join(out, "vector.txt"), hc.x)
     report = constructor.verify_orbit_bounds(hc, T, args.horizon)
+    if not report.rows:
+        raise NoDataError(f"no level time lies in [0, {args.horizon}]: the orbit bounds check nothing")
     write_csv(
         os.path.join(out, "orbit_bounds.csv"),
         ("level", "n", "achieved", "bound", "truncation_term", "ok"),
@@ -355,6 +357,8 @@ def run_beta(args, out):
 def run_eqbeta(args, out):
     w = parse_weight_spec(args.operator)
     A = parse_set_spec(args.set)
+    if args.sample < 1:
+        raise UsageError(f"--sample must be >= 1, got {args.sample}")
     if args.n:
         ns = parse_int_list(args.n)
     else:
@@ -436,7 +440,7 @@ def _sub(subparsers, name, fn, **kwargs):
         "--workers",
         type=int,
         default=None,
-        help="recorded in the manifest only; every subcommand runs in one process (default: HYPERORBIT_WORKERS or auto)",
+        help="recorded in the manifest only; every subcommand runs in one process (default: auto)",
     )
     p.add_argument(
         "--config", default=None, help="JSON file of flag defaults keyed by dest name (window_grid); flags win"

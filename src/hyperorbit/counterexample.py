@@ -622,7 +622,7 @@ def _exclusion_cell(args):
     return [ExclusionRow(k, l, m, _hit_scale(m, k)) for m in (base - repunit, base + repunit)]
 
 
-def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> ExclusionReport:
+def verify_scale_exclusion(k_max: int, l_max: int) -> ExclusionReport:
     """For every k <= k_max, l <= l_max, both repunit perturbations of l*10^k
     avoid every digit neighborhood of scale <= k (so any S-witness they admit
     must live at a scale above k).  Exhaustive over the requested ranges.
@@ -636,7 +636,7 @@ def verify_scale_exclusion(k_max: int, l_max: int, keep_rows: bool = False) -> E
         ok=not violations,
         checked=len(rows),
         violations=violations,
-        rows=tuple(rows) if keep_rows else (),
+        rows=tuple(rows),
     )
 
 

@@ -6,22 +6,23 @@ original index, a float mantissa and an int power-of-two exponent, so that
 dyadic data stays exact far beyond double range in both directions.  A step
 multiplies each mantissa by the weight at its position and renormalizes
 with one `frexp`, exact for power-of-two weights.  The weights come from a
-table fetched once per index the orbit can visit.  Magnitudes past the
-overflow cap truncate the orbit with the truncation recorded on every
-report.
+table built once for the orbit's horizon, past which no step reads.
+Magnitudes past the overflow cap truncate the orbit with the truncation
+recorded on every report.
 
 One scan serves `hitting_times` and the probes of `return_set`.  It moves
 the orbit a block of about 2**15 entry-steps at a time.  Within a block
 each row is the previous row times the weights, one product per entry,
 started from each entry's value (or, far from 1, its mantissa) and
-renormalized with `frexp` once at the end of the block; the block is
-short enough that every running product stays a normal float, where
-rounding commutes with powers of two, so the rows have the bits of
-stepping with `frexp` one step at a time.  Each row is tested against every target in
+renormalized with `frexp` once at the end of the block; the block is short
+enough that every running product stays a normal float, where rounding
+commutes with powers of two, so the rows have the bits of stepping with
+`frexp` one step at a time.  Each row is tested against every target in
 the order `spaces.norm` sums, so each verdict is the one `ball_contains`
 gives: first v's nonzero entries in x order, then the centre entries no
 nonzero entry meets at that step, in centre order; the c0 norm is the row
-maximum.  Rows whose sum leaves the normal float range, lp spaces with
+maximum, and `spaces`' own size rule (`_float_size`) turns the terms into
+the norm.  Rows for which that rule asks to rescale, lp spaces with
 p != 2, and centres without a float value go through `ball_contains`
 itself.  On a unilateral space an orbit whose entries have all passed
 index 0 is zero from then on, and the remaining times are decided by one
@@ -43,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, frexp, inf, ldexp, log2, sqrt
+from math import floor, frexp, inf, ldexp, log2
 from operator import mul
 
 from .errors import NoDataError, UsageError
@@ -56,9 +57,10 @@ from .indexsets import (
     is_syndetic,
 )
 from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
-from .spaces import SparseVec, _same_space, ball_contains
+from .spaces import SparseVec, _float_size, _same_space, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
+DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; those that fit in the horizon are used
 _BLOCK = 2**15  # orbit cells (entries plus centre entries, times steps) per block
 _DRIFT = 500  # most bits a running product may move within one block
 
@@ -78,14 +80,6 @@ def _split(value):
     return m, e
 
 
-def _materialize(m, e):
-    if e >= 1024:
-        raise OverflowError("entry beyond float range")
-    if e < -1100:
-        return 0.0
-    return ldexp(m, e)
-
-
 class _Orbit:
     """Backward-shift orbit as three lists in the insertion order of x.
 
@@ -94,16 +88,16 @@ class _Orbit:
     `step(count)` moves the state on by a block of `count` steps and returns
     the orbit points it passed.  On a unilateral space an entry that steps
     past index 0 meets a table weight of 0.0, so its mantissa is 0 from then
-    on; `vector()` leaves it out and `prune()` drops it.  The weight table
-    holds, from each entry's index downwards, the weights at every index it
-    stands on in its first `reach` steps (0.0 for k < 1 on unilateral
-    spaces, never fetched) and grows when a step needs more.
+    on, and `prune()` drops it.  The weight table is built once: from each
+    entry's index downwards it holds the weights at every index the entry
+    stands on up to step `reach`, the horizon (on a unilateral space at most
+    the step at which the last entry has left; 0.0 for k < 1, never fetched).
+    Magnitudes past `OVERFLOW_LOG2`, read when the orbit is built, end a block.
     """
 
-    def __init__(self, T: ShiftOperator, x: SparseVec, overflow_log2: float = OVERFLOW_LOG2, reach: int = 64):
-        self.T = T
+    def __init__(self, T: ShiftOperator, x: SparseVec, horizon: int):
         self.space = x.space
-        self.overflow_log2 = overflow_log2
+        self.overflow_log2 = OVERFLOW_LOG2
         self.index, self.mantissa, self.exponent = [], [], []
         for idx, val in x.entries.items():
             if val != 0:
@@ -112,13 +106,11 @@ class _Orbit:
                 self.mantissa.append(m)
                 self.exponent.append(e)
         self.steps = 0
-        if not self.space.bilateral and self.index:
-            reach = min(reach, max(self.index) + 1)  # every entry has left by then
-        self._fetch(max(reach, 1))
-
-    def _fetch(self, reach):
-        """Tabulate w_k for k from i down to i - reach around every original index i."""
-        w, bilateral = self.T.weights, self.space.bilateral
+        w, bilateral = T.weights, self.space.bilateral
+        if not bilateral and self.index:
+            horizon = min(horizon, max(self.index) + 1)  # every entry has left by then
+        self.reach = reach = max(horizon, 1)
+        # tabulate w_k for k from i down to i - reach around every original index i
         runs = []  # merged [low, high] index ranges
         for i in sorted(set(self.index)):
             if runs and i - reach <= runs[-1][1] + 1:
@@ -135,27 +127,16 @@ class _Orbit:
         # entry j's weight at step s sits at base[j] + s
         self._base = [top[highs[bisect_right(highs, i - 1)]] - i for i in self.index]
         self._table = table
-        self._reach = reach
         self._steepest = max((abs(log2(abs(v))) for v in table if v), default=0.0)
         # rows per block that keep every running product within 2**±_DRIFT of its start
         self.stride = max(1, floor(_DRIFT / self._steepest)) if self._steepest else _BLOCK
 
-    def vector(self) -> SparseVec:
-        keep = self.space.bilateral
-        return SparseVec(
-            {
-                idx - self.steps: _materialize(m, e)
-                for idx, m, e in zip(self.index, self.mantissa, self.exponent)
-                if keep or idx >= self.steps
-            },
-            self.space,
-        )
-
-    def step(self, count=1):
+    def step(self, count):
         """Move on by `count` steps; return the orbit points at steps `steps` ..
         `steps + count - 1` (before the move), as rows of values in x order, and
         the first of those rows with an exponent past the overflow cap (None if
-        there is none).
+        there is none).  A block longer than `stride`, or one whose last step
+        lies past `reach`, the end of the weight table, raises ValueError.
 
         Each row is the previous one times the weights, one product per entry,
         from a start row of values (or of mantissas, for entries far from 1);
@@ -166,8 +147,8 @@ class _Orbit:
         if count > self.stride:
             raise ValueError(f"a block holds at most {self.stride} rows")
         start = self.steps
-        if start + count - 1 > self._reach:
-            self._fetch(max(2 * self._reach, start + count - 1))
+        if start + count - 1 > self.reach:
+            raise ValueError(f"the weight table ends at step {self.reach}")
         drift = count * self._steepest  # most bits a running product moves in this block
         room = 1000 - drift  # values within 2**±room stay normal floats through the block
         scales = [0 if m and -room <= e <= room else e for m, e in zip(self.mantissa, self.exponent)]
@@ -218,8 +199,8 @@ class _Ball:
             self.direct = False
 
     def norm(self, row, terms, at, n):
-        """‖v - c‖ as `spaces.norm` sums it, or None where `spaces.norm` rescales
-        (an l2 sum outside (1e-290, inf), a c0 maximum of 0).
+        """‖v - c‖ by the size rule of `spaces.norm`, or None where `spaces.norm`
+        rescales.
 
         `row` holds the orbit point's entries in x order at step n, `terms` their
         squares (l2) or magnitudes (c0), and `at` maps an original index to its
@@ -235,24 +216,17 @@ class _Ball:
                 terms, shared = list(terms), False
             d = row[j] - c
             terms[j] = abs(d) if self.c0 else d * d
-        if self.c0:
-            size = max(max(terms), max(rest, default=0.0))
-            return size if size > 0.0 else None
-        total = 0.0
-        for t in terms:
-            total += t
-        for t in rest:
-            total += t
-        return sqrt(total) if 1e-290 < total < float("inf") else None
+        return _float_size(terms + rest if rest else terms, self.c0)
 
 
 def _scan(orbit: _Orbit, targets, horizon: int):
     """Hit times n <= horizon of the orbit in each (center, radius) ball, and the truncation step.
 
-    The orbit moves a block of rows at a time; a row with an exponent past
-    `orbit.overflow_log2` ends the scan (its step is returned, None if no
-    row overflows).  From the step at which a unilateral orbit has no entry
-    left every row is the zero vector, decided by one `ball_contains`.
+    The orbit moves a block of rows at a time, never past the horizon it was
+    built for; a row with an exponent past `orbit.overflow_log2` ends the
+    scan (its step is returned, None if no row overflows).  From the step at
+    which a unilateral orbit has no entry left every row is the zero vector,
+    decided by one `ball_contains`.
     """
     space = orbit.space
     balls = [_Ball(center, radius, space) for center, radius in targets]
@@ -315,21 +289,15 @@ class HittingReport:
         return self.truncated_at is not None
 
 
-def hitting_times(
-    T: ShiftOperator,
-    x: SparseVec,
-    targets,
-    horizon: int,
-    window_grid=None,
-    tail_factor: int = 8,
-    overflow_log2: float = OVERFLOW_LOG2,
-) -> list:
+def hitting_times(T: ShiftOperator, x: SparseVec, targets, horizon: int) -> list:
     """Times n <= horizon with B^n x inside each target ball, plus densities.
 
-    `targets` is a list of (center, radius).  The orbit is stepped once per
-    time unit; an entry past the overflow cap (log2 scale, default about
-    1e300; it must stay below 1024, the float exponent range) truncates the
-    scan and the truncation point is recorded on every report.
+    `targets` is a list of (center, radius).  The orbit is scanned in blocks
+    of steps up to the horizon; an entry past the fixed overflow cap
+    `OVERFLOW_LOG2` (log2 scale, about 1e300) truncates the scan and the
+    truncation point is recorded on every report.  The densities are
+    estimated over the fixed windows `DENSITY_WINDOWS` that fit in the
+    horizon, and are None below the smallest.
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
@@ -338,14 +306,12 @@ def hitting_times(
     for _, r in targets:
         if r <= 0:
             raise UsageError("target radii must be positive")
-    if overflow_log2 >= 1024:
-        raise UsageError("overflow_log2 must be below 1024, the float exponent range")
-    found, truncated_at = _scan(_Orbit(T, x, overflow_log2, horizon), targets, horizon)
+    found, truncated_at = _scan(_Orbit(T, x, horizon), targets, horizon)
     reports = []
-    grid = _fitting_grid(window_grid, horizon)
+    grid = tuple(s for s in DENSITY_WINDOWS if s <= horizon)
     for t, (center, radius) in enumerate(targets):
         tset = ExplicitSet(tuple(found[t]))
-        dens = estimate_densities(tset, horizon, grid, tail_factor) if grid else None
+        dens = estimate_densities(tset, horizon, grid) if grid else None
         reports.append(
             HittingReport(
                 target_index=t,
@@ -358,13 +324,6 @@ def hitting_times(
             )
         )
     return reports
-
-
-def _fitting_grid(window_grid, horizon):
-    if window_grid is not None:
-        return window_grid
-    grid = tuple(s for s in (10, 100, 1000) if s <= horizon)
-    return grid or None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +367,8 @@ def classify(reports, theta=Fraction(1, 100)) -> Classification:
     for r in reports:
         d = r.densities
         if d is None:
-            raise UsageError("reports must carry density estimates")
+            smallest = DENSITY_WINDOWS[0]
+            raise UsageError(f"classify needs a horizon of at least {smallest}, the smallest density window; got {r.horizon}")
         if d.lower_density > theta:
             level = "frequent"
         elif d.upper_density > theta:
@@ -473,7 +433,7 @@ def return_set(
     for probe in probes:
         if not ball_contains(uc, ur, probe):
             continue
-        (times,), _ = _scan(_Orbit(T, probe, reach=horizon), [(vc, vr)], horizon)
+        (times,), _ = _scan(_Orbit(T, probe, horizon), [(vc, vr)], horizon)
         found.update(times)
 
     for t in range(0, horizon + 1, witness_stride):
@@ -578,38 +538,27 @@ class AlphaProfile:
     """Non-negative weights with a one-sided ratio floor.
 
     kinds: "constant" (alpha_n = 1 for 1 <= n < cutoff) with ratio floor 1,
-    "harmonic" (alpha_n = 1/n for 1 <= n < cutoff) with ratio floor 1/2,
-    "table" (explicit values from n = 1).  cutoff None means no cutoff.
+    "harmonic" (alpha_n = 1/n for 1 <= n < cutoff) with ratio floor 1/2;
+    each meets its floor, alpha_n >= floor * alpha_{n-1}, by construction.
+    cutoff None means no cutoff; a cutoff below 2 would leave every alpha_n
+    at 0 and is rejected.
     """
 
     kind: str
     cutoff: int | None = None
-    table: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "harmonic"):
+            raise UsageError(f"unknown profile kind {self.kind!r}")
+        if self.cutoff is not None and self.cutoff < 2:
+            raise UsageError(f"the cutoff must be >= 2, got {self.cutoff}: below 2 every alpha_n is 0")
 
     def value(self, n: int) -> float:
-        if n < 1:
+        if n < 1 or (self.cutoff is not None and n >= self.cutoff):
             return 0.0
-        if self.cutoff is not None and n >= self.cutoff:
-            return 0.0
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "harmonic":
-            return 1.0 / n
-        if self.kind == "table":
-            return self.table[n - 1] if n <= len(self.table) else 0.0
-        raise UsageError(f"unknown profile kind {self.kind!r}")
-
-    def ratio_floor(self) -> float:
-        return {"constant": 1.0, "harmonic": 0.5, "table": 0.0}.get(self.kind, 0.0)
+        return 1.0 if self.kind == "constant" else 1.0 / n
 
     def validate(self, horizon: int):
-        c = self.ratio_floor()
-        upper = min(horizon, 512)
-        for n in range(2, upper):
-            if self.value(n) + 1e-15 < c * self.value(n - 1) and (
-                self.cutoff is None or n < self.cutoff
-            ):
-                raise UsageError(f"profile violates the ratio floor at n={n}")
         total = sum(self.value(n) for n in range(1, horizon + 1))
         late = sum(self.value(n) for n in range(horizon // 2 + 1, horizon + 1))
         if late <= 1e-12 * max(total, 1.0):
@@ -685,6 +634,8 @@ def bilateral_tail_sums(w, p: float, A: IndexSet, n: int, horizon: int) -> TailS
         raise UsageError("left sums need bilateral weights")
     if not A.contains(n):
         raise UsageError(f"n={n} is not a member of the set")
+    if n > horizon:
+        raise UsageError(f"n={n} lies past the horizon {horizon}")
     left = 0.0
     left_terms = 0
     for m in A.members_in(0, n - 1) if n > 0 else []:

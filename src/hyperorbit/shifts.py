@@ -266,29 +266,19 @@ class MixingReport:
     horizon: int
 
 
-def mixing_test(w: WeightSequence, horizon: int, blocks: int = 4, margin: float = 0.5) -> MixingReport:
+def mixing_test(w: WeightSequence, horizon: int) -> MixingReport:
     """Evidence that the partial products tend to infinity.
 
-    Splits (0, horizon] into dyadic blocks and records the minimum
-    log2-product on each; verdict true when the minima increase from block
-    to block and gain at least `margin` overall.  Products that return to 1
-    infinitely often keep a block minimum at 0 and read as not mixing.
+    Splits (0, horizon] into the five dyadic blocks (0, horizon/16], ...,
+    (horizon/2, horizon] and records the minimum log2-product on each;
+    verdict true when the minima increase from block to block and gain at
+    least 1/2 overall.  Products that return to 1 infinitely often keep a
+    block minimum at 0 and read as not mixing.
     """
-    if horizon < 2 ** (blocks + 1):
-        raise UsageError("horizon too small for the requested block count")
-    edges = [horizon >> t for t in range(blocks, -1, -1)]  # ascending
-    minima = []
-    lo = 0
-    for hi in edges:
-        if hi <= lo:
-            continue
-        m = None
-        for n in range(lo + 1, hi + 1):
-            e = float(w.log2_product(n))
-            if m is None or e < m:
-                m = e
-        minima.append(m)
-        lo = hi
-    ascending = all(minima[i] < minima[i + 1] for i in range(len(minima) - 1))
-    grew = minima[-1] - minima[0] >= margin
+    if horizon < 32:
+        raise UsageError(f"the mixing test needs a horizon of at least 32, got {horizon}")
+    edges = [0] + [horizon >> t for t in (4, 3, 2, 1, 0)]  # strictly ascending, since horizon >> 4 >= 2
+    minima = [min(float(w.log2_product(n)) for n in range(lo + 1, hi + 1)) for lo, hi in zip(edges, edges[1:])]
+    ascending = all(a < b for a, b in zip(minima, minima[1:]))
+    grew = minima[-1] - minima[0] >= 0.5
     return MixingReport(ascending and grew, tuple(minima), horizon)

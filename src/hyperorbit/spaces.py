@@ -8,6 +8,9 @@ the l2 norm.  Ball tests compare `norm(v - center) < radius` strictly, with
 the norm and the comparison in floats, so a point within rounding of the
 sphere can fall on either side.  Tolerance policy belongs to callers, not
 to this module.
+
+One size rule, `_float_size`, says when the float c0 maximum or l2 sum is
+the norm and when `norm` must rescale; the orbit scan shares it.
 """
 
 from __future__ import annotations
@@ -141,29 +144,36 @@ def norm(v: SparseVec) -> float:
     """
     if not v.entries:
         return 0.0
-    inf = float("inf")
-    if v.space.kind == "c0":
-        try:
-            best = max(abs(float(x)) for x in v.entries.values())
-        except OverflowError:
-            return inf
-        return best if best > 0.0 else _float_saturated(_max_magnitude(v))
-    p = v.space.p
-    total = 0.0
     try:
-        if p == 2.0:
-            for val in v.entries.values():
-                f = float(val)
-                total += f * f
-        else:
-            for val in v.entries.values():
-                total += _safe_pow(abs(float(val)), p)
-    except OverflowError:
-        total = inf
+        magnitudes = [abs(float(x)) for x in v.entries.values()]
+    except OverflowError:  # an entry, so the largest magnitude too, is beyond float range
+        return float("inf")
+    c0, p = v.space.kind == "c0", v.space.p
+    if c0 or p == 2.0:
+        size = _float_size(magnitudes if c0 else [f * f for f in magnitudes], c0)
+        if size is not None:
+            return size
+        return _float_saturated(_max_magnitude(v)) if c0 else _scaled_norm(v, p)
+    total = 0.0
+    for f in magnitudes:
+        total += _safe_pow(f, p)
     # below the normal float range the power sum loses precision: recompute scaled
-    if 1e-290 < total < inf:
-        return sqrt(total) if p == 2.0 else _safe_pow(total, 1.0 / p)
+    if 1e-290 < total < float("inf"):
+        return _safe_pow(total, 1.0 / p)
     return _scaled_norm(v, p)
+
+
+def _float_size(terms, c0: bool):
+    """The largest of the magnitudes `terms` (c0), or the root of the squares
+    `terms` summed left to right (l2); None where `norm` must rescale: a c0
+    maximum of 0, or an l2 sum outside (1e-290, inf), where it loses bits."""
+    if c0:
+        best = max(terms)
+        return best if best > 0.0 else None
+    total = 0.0
+    for t in terms:
+        total += t
+    return sqrt(total) if 1e-290 < total < float("inf") else None
 
 
 def _max_magnitude(v: SparseVec) -> Fraction:

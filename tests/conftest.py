@@ -6,7 +6,7 @@ be traced to these.
 """
 
 from fractions import Fraction
-from math import frexp, ldexp, log2
+from math import frexp, ldexp, log2, sqrt
 
 import pytest
 
@@ -234,6 +234,59 @@ def _brute_materialize(m, e):
     if e >= 1024:
         raise OverflowError("entry beyond float range")
     return 0.0 if e < -1100 else ldexp(m, e)
+
+
+def brute_norm(v):
+    """Norm as a float, by the rule `spaces.norm` had before its float size rule was shared:
+    plain float arithmetic, recomputed with the entries scaled by their largest magnitude in
+    exact rationals when the float sum or maximum leaves the normal range."""
+    if not v.entries:
+        return 0.0
+    inf = float("inf")
+    if v.space.kind == "c0":
+        try:
+            best = max(abs(float(x)) for x in v.entries.values())
+        except OverflowError:
+            return inf
+        return best if best > 0.0 else _brute_saturated(max(abs(Fraction(x)) for x in v.entries.values()))
+    p = v.space.p
+    total = 0.0
+    try:
+        if p == 2.0:
+            for val in v.entries.values():
+                f = float(val)
+                total += f * f
+        else:
+            for val in v.entries.values():
+                total += _brute_pow(abs(float(val)), p)
+    except OverflowError:
+        total = inf
+    if 1e-290 < total < inf:
+        return sqrt(total) if p == 2.0 else _brute_pow(total, 1.0 / p)
+    m = max(abs(Fraction(x)) for x in v.entries.values())
+    scale = _brute_saturated(m)
+    if scale == inf:
+        return scale
+    if p == int(p):
+        root = float(sum((abs(Fraction(x)) / m) ** int(p) for x in v.entries.values())) ** (1.0 / int(p))
+    else:
+        root = sum(float(abs(Fraction(x)) / m) ** p for x in v.entries.values()) ** (1.0 / p)
+    return scale * root if scale * root > 0.0 else scale
+
+
+def _brute_saturated(f):
+    try:
+        val = float(f)
+    except OverflowError:
+        return float("inf")
+    return 5e-324 if val == 0.0 and f != 0 else val
+
+
+def _brute_pow(x, p):
+    try:
+        return x**p
+    except OverflowError:
+        return float("inf")
 
 
 def brute_orbit(T, x, horizon, overflow_log2):

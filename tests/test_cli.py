@@ -388,6 +388,14 @@ REJECTED = {
     "intervals-reversed": ["densities", "--set", "intervals:5-3", "--horizon", "100"],
     "ones-reversed": ["orbit", "--vector", "ones:5-2", "--targets", "e:0@1", "--horizon", "10"],
     "orbit-no-target": ["orbit", "--vector", "e:0", "--targets", "", "--horizon", "10"],
+    "eqbeta-sample-negative": ["eqbeta", "--set", "explicit:3,5,7", "--horizon", "100", "--sample", "-2"],
+    "eqbeta-sample-0": ["eqbeta", "--set", "explicit:3,5,7", "--horizon", "100", "--sample", "0"],
+    "eqbeta-n-past-horizon": ["eqbeta", "--set", "explicit:3,5", "--n", "3", "--horizon", "2"],
+    "beta-cutoff-1": ["beta", "--set", "evens", "--horizon", "100", "--cutoff", "1"],
+    "beta-cutoff-0": ["beta", "--set", "evens", "--horizon", "100", "--cutoff", "0"],
+    "beta-cutoff-negative": ["beta", "--set", "evens", "--horizon", "100", "--cutoff", "-1"],
+    "construct-horizon-0": ["construct", "--horizon", "0", "--depth", "2"],
+    "classify-horizon-below-a-window": ["classify", "--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "9"],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -446,6 +454,35 @@ def test_check_family_on_deep_towers_needs_no_recursion(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "true,180300" in (tmp_path / "out" / "gap_check.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["classify", "--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "9"],
+         "classify needs a horizon of at least 10, the smallest density window; got 9"),
+        (["beta", "--set", "evens", "--horizon", "100", "--cutoff", "0"],
+         "the cutoff must be >= 2, got 0: below 2 every alpha_n is 0"),
+        (["eqbeta", "--set", "explicit:3,5,7", "--horizon", "100", "--sample", "-2"], "--sample must be >= 1, got -2"),
+        (["eqbeta", "--set", "explicit:3,5", "--n", "3", "--horizon", "2"], "n=3 lies past the horizon 2"),
+        (["construct", "--horizon", "0", "--depth", "2"],
+         "no level time lies in [0, 0]: the orbit bounds check nothing"),
+    ],
+    ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon"],
+)
+def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
+    code, _ = run(tmp_path, "r", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_manifest_records_the_automatic_worker_count(tmp_path, monkeypatch):
+    # without --workers the manifest records min(cpu count, 8); HYPERORBIT_WORKERS is not read
+    auto = min(os.cpu_count() or 1, 8)
+    monkeypatch.setenv("HYPERORBIT_WORKERS", "5" if auto != 5 else "6")
+    code, out = run(tmp_path, "w", "densities", "--set", "evens", "--horizon", "2000")
+    assert code == 0
+    assert f"workers: {auto}" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_beta_names_the_horizon_bound(tmp_path, capsys):

@@ -438,7 +438,7 @@ def test_banach_window_ratio_k2():
 
 
 def test_exclusion_small_cases():
-    rep = verify_scale_exclusion(2, 1, keep_rows=True)
+    rep = verify_scale_exclusion(2, 1)
     by_m = {r.m: r for r in rep.rows}
     assert set(by_m) == {9, 11, 89, 111}
     assert rep.ok

@@ -78,11 +78,15 @@ DOUBLING = ShiftOperator(ConstantWeights(2.0), L2)
 def test_orbit_steps_match_apply_backward(w, space, entries, n):
     T = ShiftOperator(w, space)
     x = SparseVec(entries, space)
-    orbit = _Orbit(T, x)
-    for _ in range(n):
-        orbit.step()
+    if not space.bilateral:
+        n = min(n, max(x.entries))  # a unilateral orbit stops at its last entry, as _scan does
+    orbit = _Orbit(T, x, n)
+    for _ in range(n + 1):
+        (row,), over = orbit.step(1)
     exact = apply_backward(T, x, n)
-    assert orbit.vector().entries == {k: float(v) for k, v in exact.entries.items()}
+    assert {idx - n: val for idx, val in zip(orbit.index, row) if val != 0} == {
+        k: float(v) for k, v in exact.entries.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +121,8 @@ def test_orbit_overflow_truncates():
 
 def test_overflow_cap_beyond_float_range_rejected():
     x = SparseVec.basis(L2, 3)
-    with pytest.raises(UsageError):
-        hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 10, overflow_log2=1024)
-    reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 10, overflow_log2=1023)
+    with patch.object(recurrence, "OVERFLOW_LOG2", 1023):
+        reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), 0.5)], 10)
     assert reports[0].times.members == (4, 5, 6, 7, 8, 9, 10)  # e_3 reaches index 0 at n = 3, then leaves
 
 
@@ -169,8 +172,8 @@ def orbit_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_hitting_times_match_brute_oracle(case, horizon, block, cap):
     T, x, targets = case
-    with patch.object(recurrence, "_BLOCK", block):
-        reports = hitting_times(T, x, targets, horizon, window_grid=(), overflow_log2=cap)
+    with patch.object(recurrence, "_BLOCK", block), patch.object(recurrence, "OVERFLOW_LOG2", cap):
+        reports = hitting_times(T, x, targets, horizon)
     times, truncated_at = brute_hitting_times(T, x, targets, horizon, cap)
     assert [list(r.times.members) for r in reports] == times
     assert all(r.truncated_at == truncated_at for r in reports)
@@ -180,7 +183,9 @@ def _check_rows_and_norms(T, x, targets, horizon):
     points = [v for _, v in brute_orbit(T, x, horizon, recurrence.OVERFLOW_LOG2)]
     if points[-1] is None:
         points.pop()
-    orbit = _Orbit(T, x, reach=horizon)
+    if not x.space.bilateral:
+        del points[max(x.entries) + 1 :]  # a unilateral orbit stops at its last entry, as _scan does
+    orbit = _Orbit(T, x, horizon)
     rows = []
     while len(rows) < len(points):
         block, over = orbit.step(min(orbit.stride, len(points) - len(rows)))
@@ -228,7 +233,7 @@ def test_underflowed_entry_leaves_its_centre_term_to_the_end():
     # the centre's 0.61²; summing the centre term first gives 1.1163780721601442, not ...144
     x = SparseVec({3: Fraction(1, 2**1150), 0: 0.11, 1: 0.61, 2: 0.7}, L2)
     target = (SparseVec.basis(L2, 3, 0.61), 1.1163780721601442)
-    reports = hitting_times(DOUBLING, x, [target], 2, window_grid=())
+    reports = hitting_times(DOUBLING, x, [target], 2)
     assert 0 in reports[0].times.members
     assert brute_hitting_times(DOUBLING, x, [target], 2)[0] == [list(reports[0].times.members)]
 
@@ -243,20 +248,33 @@ def test_sums_below_the_normal_range_are_left_to_spaces_norm():
 
 def test_blocks_stay_within_their_stride():
     T = ShiftOperator(ConstantWeights(2.0**300), lp(2.0, bilateral=True))
-    orbit = _Orbit(T, SparseVec.basis(T.space, 0, 3), reach=10)
+    orbit = _Orbit(T, SparseVec.basis(T.space, 0, 3), 10)
     assert orbit.stride == 1
     with pytest.raises(ValueError):
         orbit.step(2)
     rows, over = orbit.step(1)
     assert rows == [(3.0,)] and over is None
-    assert orbit.vector().entries == {-1: 3 * 2.0**300}
+    assert orbit.step(1) == ([(3 * 2.0**300,)], None)
+
+
+@pytest.mark.parametrize(
+    "space,horizon,reach",
+    [(L2, 3, 3), (lp(2.0, bilateral=True), 3, 3), (L2, 50, 6)],  # e_5 has left a unilateral space by step 6
+)
+def test_steps_past_the_weight_table_are_refused(space, horizon, reach):
+    orbit = _Orbit(ShiftOperator(ConstantWeights(2.0), space), SparseVec.basis(space, 5), horizon)
+    assert orbit.reach == reach
+    rows, over = orbit.step(reach + 1)
+    assert len(rows) == reach + 1 and over is None
+    with pytest.raises(ValueError):
+        orbit.step(1)
 
 
 def test_fraction_radius_compared_exactly():
     # float(1/3) < 1/3 < nextafter(float(1/3), 1) and float(1/10) > 1/10
     for value, radius, inside in ((1 / 3, Fraction(1, 3), True), (0.1, Fraction(1, 10), False)):
         x = SparseVec.basis(L2, 0, value)
-        reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), radius)], 1, window_grid=())
+        reports = hitting_times(DOUBLING, x, [(SparseVec.zero(L2), radius)], 1)
         assert reports[0].times.members == ((0, 1) if inside else (1,))
         assert brute_hitting_times(DOUBLING, x, [(SparseVec.zero(L2), radius)], 1)[0] == [list(reports[0].times.members)]
 
@@ -267,7 +285,8 @@ def test_entries_that_left_never_reach_the_cap():
     x = SparseVec({2: Fraction(1, 16), 40: Fraction(1, 1024)}, L2)
     T = ShiftOperator(ConstantWeights(0.5), L2)
     targets = [(SparseVec.zero(L2), 0.01)]
-    reports = hitting_times(T, x, targets, 60, window_grid=(), overflow_log2=-3)
+    with patch.object(recurrence, "OVERFLOW_LOG2", -3):
+        reports = hitting_times(T, x, targets, 60)
     assert reports[0].truncated_at is None
     assert brute_hitting_times(T, x, targets, 60, -3) == ([list(reports[0].times.members)], None)
 
@@ -280,7 +299,7 @@ def test_hitting_times_cross_a_full_block():
     targets = [(SparseVec({0: 1, -5: Fraction(1, 4)}, space), 1.2), (SparseVec.zero(space), 1e-3)]
     rows = recurrence._BLOCK // 10
     horizon = 2 * rows + 17
-    reports = hitting_times(T, x, targets, horizon, window_grid=())
+    reports = hitting_times(T, x, targets, horizon)
     times, truncated_at = brute_hitting_times(T, x, targets, horizon)
     assert [list(r.times.members) for r in reports] == times
     assert truncated_at is None and reports[0].truncated_at is None
@@ -309,7 +328,7 @@ def test_return_set_probe_below_float_range_keeps_only_true_returns():
     x = SparseVec({1200: Fraction(1, 2**1150)}, L2)
     U, V = (x, 0.5), (SparseVec.zero(L2), 0.5)
     rep = return_set(DOUBLING, U, V, 1300, probe_grid=0, witness_stride=5000)
-    hits = hitting_times(DOUBLING, x, [V], 1300, window_grid=())[0].times.members
+    hits = hitting_times(DOUBLING, x, [V], 1300)[0].times.members
     assert hits == tuple(range(1149)) + tuple(range(1201, 1301))
     assert rep.times.members == hits == tuple(brute_return_times(DOUBLING, U, V, 1300, 0, 5000))
 
@@ -319,7 +338,7 @@ def test_return_set_probe_below_float_range_finds_a_late_return():
     x = SparseVec({1200: Fraction(1, 2**1200)}, L2)
     U, V = (x, 0.5), (SparseVec.basis(L2, 0), 0.5)
     rep = return_set(DOUBLING, U, V, 1300, probe_grid=0, witness_stride=5000)
-    hits = hitting_times(DOUBLING, x, [V], 1300, window_grid=())[0].times.members
+    hits = hitting_times(DOUBLING, x, [V], 1300)[0].times.members
     assert rep.times.members == hits == tuple(brute_return_times(DOUBLING, U, V, 1300, 0, 5000)) == (1200,)
 
 
@@ -505,11 +524,7 @@ def test_beta_factorial_blocks_grow():
 
 @given(
     members=st.lists(st.integers(0, 300), max_size=60),
-    alpha=st.one_of(
-        st.builds(AlphaProfile, st.sampled_from(["constant", "harmonic"]), st.none() | st.integers(2, 200)),
-        st.builds(lambda t: AlphaProfile("table", table=tuple(t)), st.lists(st.floats(0.01, 10.0), min_size=300,
-                                                                           max_size=300)),
-    ),
+    alpha=st.builds(AlphaProfile, st.sampled_from(["constant", "harmonic"]), st.none() | st.integers(2, 200)),
     horizon=st.integers(20, 300),
 )
 @settings(max_examples=80, deadline=None)
@@ -527,9 +542,11 @@ def test_return_weight_sums_match_brute_oracle(members, alpha, horizon):
 
 
 def test_alpha_profile_validation():
-    bad = AlphaProfile("table", table=tuple([1.0, 0.0, 1.0]))
-    with pytest.raises(UsageError):
-        bad.validate(100)
+    # below a cutoff of 2 every alpha_n is 0: the cutoff is named, not the dying mass
+    for cutoff in (1, 0, -1):
+        with pytest.raises(UsageError, match=f"the cutoff must be >= 2, got {cutoff}"):
+            AlphaProfile("constant", cutoff)
+    assert AlphaProfile("harmonic", 2).value(1) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import sqrt
+from math import ldexp, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hyperorbit import SparseVec, ball_contains, c0, lp, norm, norm_sq_exact
 from hyperorbit.errors import SpaceMismatchError, UsageError
+
+from conftest import brute_norm
 
 L2 = lp(2.0)
 L1 = lp(1.0)
@@ -117,6 +119,43 @@ def test_scaling_never_exceeds_f_norm_bound(a):
     for lam in (-2.5, -1.0, 0.25, 3.0):
         v = SparseVec(a, L2)
         assert norm(v.scale(lam)) <= (abs(lam) + 1) * norm(v) + 1e-9
+
+
+@st.composite
+def wide_entries(draw):
+    """Entries from 2**-1100 to 2**1100: up to 12 at one shared scale, so that their float sums
+    and maxima underflow, overflow, fall just below 1e-290 or stay normal, with rounding to
+    order, and up to 2 anywhere in that range."""
+    scale = draw(st.sampled_from([-1074, -1050, -600, -530, -495, -485, 0, 500, 1000]))
+    mantissas = st.builds(lambda i, sign: sign * i, st.integers(2**52, 2**53 - 1), st.sampled_from([1, -1]))
+    shared = mantissas.map(lambda i: ldexp(i, scale - 52))
+    anywhere = st.one_of(
+        st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**53), 2**53).filter(bool),
+                  st.integers(-1100, 1047)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    entries = draw(st.dictionaries(st.integers(0, 50), shared, max_size=12))
+    return {**entries, **draw(st.dictionaries(st.integers(51, 60), anywhere, max_size=2))}
+
+
+@given(space=st.sampled_from([L1, L2, lp(3.0), SUP]), entries=wide_entries())
+@settings(max_examples=400, deadline=None)
+def test_norm_matches_the_brute_oracle_bit_for_bit(space, entries):
+    v = SparseVec(entries, space)
+    assert norm(v) == brute_norm(v)
+
+
+def test_norm_matches_the_brute_oracle_at_the_edges_of_the_float_range():
+    tiny, huge = Fraction(1, 2**1100), Fraction(2**1100)
+    for space in (L1, L2, lp(3.0), SUP):
+        for entries in (
+            {0: tiny}, {0: tiny, 3: tiny * 3}, {0: huge}, {0: 1.0, 1: huge}, {0: 2.0**-540, 1: 2.0**-541},
+            {0: 1e300, 1: 1e300}, {0: 2.0**-1074}, {0: 0.5, 2: tiny},
+            # an l2 sum just below 1e-290: the float root and the rescaled one differ in the last bit
+            {0: float.fromhex("0x1.8b33277560eafp-495"), 1: float.fromhex("0x1.cc8ab80544914p-496")},
+        ):
+            v = SparseVec(entries, space)
+            assert norm(v) == brute_norm(v), (space, entries)
 
 
 def test_ball_translation_invariance():
