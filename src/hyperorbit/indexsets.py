@@ -7,6 +7,15 @@ count is a difference of two prefix counts.  Structured sets answer
 `count_upto` in closed form, never by scanning from zero, so sets whose
 interesting members sit near 10**100 remain usable.
 
+Sets that are periodic piece by piece also say so through `pieces(n)`:
+segment sets (and so `intervals:` and `prescribed:` sets), periodic sets
+and the factorial blocks.  The estimator then counts a period's worth of
+windows per piece instead of one per aligned window, so it does not scan
+from zero either, and its time is set by the structure, not the horizon.
+Every other kind (S, explicit lists, bitmaps, squares, powers) has no
+pieces and is scanned window by window, and so is a set with more pieces
+than windows, where one count per window costs less.
+
 Density estimates are `fractions.Fraction` ratios.  The estimator is
 designed so that the chain
 
@@ -34,7 +43,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from .errors import NoDataError, UsageError, WindowGridError
 
@@ -77,6 +86,15 @@ class IndexSet:
     def anchors(self, horizon) -> list:
         """Structural window-anchor candidates (block starts and the like)."""
         return self.members_in(0, horizon)[:32]
+
+    def pieces(self, n) -> list | None:
+        """The periodic pieces of [0, n], or None for a set without that structure.
+
+        Pieces are contiguous half-open ranges (start, end, period), the
+        first starting at 0 and the last ending past n, such that inside
+        a piece membership of m depends only on (m - start) % period.
+        """
+        return None
 
     def all_members(self):
         """All members, for finite sets only."""
@@ -203,6 +221,9 @@ class PeriodicSet(IndexSet):
     def anchors(self, horizon):
         return [r for r in self.residues if r <= horizon][:8]
 
+    def pieces(self, n):
+        return [(0, n + 1, self.period)]
+
     def describe(self):
         return f"periodic:{self.period}:" + ",".join(str(r) for r in self.residues)
 
@@ -275,6 +296,18 @@ class SegmentPatternSet(IndexSet):
     def anchors(self, horizon):
         return [s for s in self._starts if s <= horizon][:64]
 
+    def pieces(self, n):
+        """Each segment, cut at n + 1, with the gaps between them and the tail as period-1 pieces."""
+        out, at = [], 0
+        for start, end, num, den in self.segments[: bisect.bisect_right(self._starts, n)]:
+            if start > at:
+                out.append((at, start, 1))
+            out.append((start, min(end, n + 1), den))
+            at = end
+        if at <= n:
+            out.append((at, n + 1, 1))
+        return out
+
     def describe(self):
         parts = [f"{s}:{e}:{n}:{d}" for s, e, n, d in self.segments]
         return "segments:" + ";".join(parts)
@@ -327,6 +360,9 @@ class FactorialBlockSet(IndexSet):
 
     def anchors(self, horizon):
         return self._upto(horizon).anchors(horizon)
+
+    def pieces(self, n):
+        return self._upto(n).pieces(n)
 
     def describe(self):
         return "factorial-blocks"
@@ -506,8 +542,19 @@ def estimate_densities(
     bounds how deep into the prefix the lower-density checkpoints reach:
     checkpoints are the multiples of the largest window length s inside
     [effective_horizon / tail_factor, effective_horizon].  The aligned
-    window counts are the differences of the q + 1 prefix counts
-    `A.count_upto(i * s)`, i = 0..q, all taken in this process.
+    window counts are differences of the prefix counts `A.count_upto(i * s)`.
+
+    A set without pieces (`IndexSet.pieces` is None: S, explicit lists,
+    bitmaps, squares, powers), or with more pieces up to q * s than there
+    are windows, has all q + 1 prefix counts taken, one per aligned
+    window.  Otherwise (segment sets, and so `intervals:` and
+    `prescribed:` sets, periodic sets and the factorial blocks) only the
+    windows and checkpoints that `_piece_positions` picks are counted,
+    O(pieces * period) of them, and the report is the same: both
+    paths walk their positions in increasing order through the same
+    selection loops, so the earliest extreme window wins, and the
+    full-prefix checkpoint wins a tie for the lowest ratio, else the
+    earliest checkpoint.
     """
     if tail_factor < 1:
         raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
@@ -527,12 +574,20 @@ def estimate_densities(
     if q < 1:
         raise WindowGridError(f"horizon {horizon} holds no window of length {s}")
 
-    upto = [A.count_upto(i * s) for i in range(q + 1)]
-    counts = [b - a for a, b in itertools.pairwise(upto)]
+    t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
+    pieces = A.pieces(q * s)
+    if pieces is None or len(pieces) > q:  # past one piece per window the scan's q + 1 counts cost less
+        upto = [A.count_upto(i * s) for i in range(q + 1)]
+        windows, checkpoints = range(q), range(t0, q + 1)
+    else:
+        windows, checkpoints = _piece_positions(pieces, s, q, t0)
+        needed = {0, q, *checkpoints, *windows, *(i + 1 for i in windows)}
+        upto = {i: A.count_upto(i * s) for i in sorted(needed)}
 
-    best_max, argmax = counts[0], 0
-    best_min, argmin = counts[0], 0
-    for i, c in enumerate(counts):
+    best_max = best_min = upto[1] - upto[0]
+    argmax = argmin = 0
+    for i in windows:
+        c = upto[i + 1] - upto[i]
         if c > best_max:
             best_max, argmax = c, i * s
         if c < best_min:
@@ -549,10 +604,9 @@ def estimate_densities(
     lower_banach = Fraction(best_min, s)
 
     upper_density = Fraction(upto[q] - upto[0], q * s)
-    t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
     # the lowest checkpoint ratio best_num / best_at, compared by cross-multiplication
     best_num, best_at = upto[q] - upto[0], q * s
-    for t in range(t0, q + 1):
+    for t in checkpoints:
         c = upto[t] - upto[0]
         if c * best_at < best_num * (t * s):
             best_num, best_at = c, t * s
@@ -572,6 +626,42 @@ def estimate_densities(
         banach_argmax=argmax,
         lower_density_at=lower_at,
     )
+
+
+def _piece_positions(pieces, s, q, t0):
+    """The windows i < q and checkpoints t in [t0, q] whose counts settle the scan, in increasing order.
+
+    Inside a piece (start, end, period) the prefix count C(m) = count_upto(m),
+    for start <= m + 1 <= end, is C(start - 1) plus an affine function of
+    (m - start + 1) // period, with a term that depends on (m - start + 1) % period.
+    Moving i or t on by `step` = period / gcd(s, period) moves i * s on by
+    lcm(s, period), so within one residue class of i (or t) modulo `step`:
+
+    * a window ]i*s, (i+1)*s] that lies inside the piece has one count, and
+      the earliest window of the class gives it;
+    * the checkpoint ratio C(t*s) - C(0) over t*s is a ratio of two affine
+      functions of the class index with a positive denominator, hence
+      monotone, and it is lowest at the class's first or last checkpoint.
+
+    So each piece gives its first `step` windows and the first and last
+    checkpoint of each class, and every window that reaches over a piece
+    start is taken as it is.  The earliest window with the extreme count,
+    and the earliest checkpoint with the lowest ratio, are always among
+    these, which is all the scan's tie rules look at.
+    """
+    windows, checkpoints = [], []
+    nxt = 0  # the first window not yet taken or passed over
+    for start, end, period in pieces:
+        step = period // gcd(s, period)
+        lo = max(0, -((1 - start) // s))  # the first window inside the piece: i * s >= start - 1
+        hi = min(q - 1, (end - 1) // s - 1)  # the last: (i + 1) * s <= end - 1
+        windows.extend(range(nxt, lo))  # these reach over the piece's start
+        windows.extend(range(lo, min(hi + 1, lo + step)))
+        nxt = max(lo, hi + 1)
+        first, last = max(t0, -(-start // s)), min(q, (end - 1) // s)  # checkpoints t*s in [start, end)
+        for t in range(first, min(last + 1, first + step)):
+            checkpoints.extend((t, t + (last - t) // step * step))
+    return windows, sorted(set(checkpoints))
 
 
 def _anchor_positions(A, horizon, s):

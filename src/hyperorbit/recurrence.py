@@ -562,6 +562,12 @@ class AlphaProfile:
         total = sum(self.value(n) for n in range(1, horizon + 1))
         late = sum(self.value(n) for n in range(horizon // 2 + 1, horizon + 1))
         if late <= 1e-12 * max(total, 1.0):
+            h = horizon // 2
+            if self.cutoff is not None and self.cutoff <= h + 1:
+                raise UsageError(
+                    f"cutoff {self.cutoff} leaves no profile mass in ({h}, {horizon}]:"
+                    f" at horizon {horizon} the cutoff must exceed horizon // 2 + 1 = {h + 1}"
+                )
             raise UsageError("profile mass dies out; divergence evidence fails at this horizon")
 
 

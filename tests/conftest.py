@@ -5,6 +5,7 @@ the closed forms in the package, so frozen expected values in the tests can
 be traced to these.
 """
 
+import itertools
 from fractions import Fraction
 from math import frexp, ldexp, log2, sqrt
 
@@ -29,6 +30,8 @@ from hyperorbit.constructor import (
     _progression,
 )
 from hyperorbit.counterexample import _int_lt_pow10
+from hyperorbit.errors import WindowGridError
+from hyperorbit.indexsets import DensityReport
 
 
 def brute_count(A, a, b):
@@ -49,6 +52,91 @@ def brute_lower_density(A, horizon, s, tail_factor):
         if r < lower:
             lower, at = r, t * s
     return lower, at
+
+
+def brute_estimate_densities(A, horizon, window_grid=None, tail_factor=8):
+    """The scan estimator: one `count_upto` per aligned window up to the horizon, on every set kind.
+
+    This is `estimate_densities` before sets gave it their periodic pieces,
+    kept as it was, so the piece path can be held to it field for field.
+    """
+    if tail_factor < 1:
+        raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
+    if window_grid is None:
+        grid = tuple(s for s in (10, 100, 1000, 10000) if s <= max(1, horizon // 4)) or (1,)
+    else:
+        grid = tuple(sorted(set(int(s) for s in window_grid)))
+        if not grid or grid[0] < 1:
+            raise WindowGridError("window lengths must be >= 1")
+        if horizon < grid[-1]:
+            raise WindowGridError(
+                f"horizon {horizon} is smaller than the largest window {grid[-1]};"
+                " shrink the grid or extend the horizon"
+            )
+    s = grid[-1]
+    q = horizon // s
+    if q < 1:
+        raise WindowGridError(f"horizon {horizon} holds no window of length {s}")
+
+    upto = [A.count_upto(i * s) for i in range(q + 1)]
+    counts = [b - a for a, b in itertools.pairwise(upto)]
+
+    best_max, argmax = counts[0], 0
+    best_min, argmin = counts[0], 0
+    for i, c in enumerate(counts):
+        if c > best_max:
+            best_max, argmax = c, i * s
+        if c < best_min:
+            best_min, argmin = c, i * s
+
+    for k in _brute_anchor_positions(A, horizon, s):
+        c = A.count_in(k + 1, k + s)
+        if c > best_max:
+            best_max, argmax = c, k
+        if c < best_min:
+            best_min, argmin = c, k
+
+    upper_banach = Fraction(best_max, s)
+    lower_banach = Fraction(best_min, s)
+
+    upper_density = Fraction(upto[q] - upto[0], q * s)
+    t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
+    # the lowest checkpoint ratio best_num / best_at, compared by cross-multiplication
+    best_num, best_at = upto[q] - upto[0], q * s
+    for t in range(t0, q + 1):
+        c = upto[t] - upto[0]
+        if c * best_at < best_num * (t * s):
+            best_num, best_at = c, t * s
+    lower_density, lower_at = Fraction(best_num, best_at), best_at
+
+    return DensityReport(
+        lower_banach=lower_banach,
+        lower_density=lower_density,
+        upper_density=upper_density,
+        upper_banach=upper_banach,
+        horizon=horizon,
+        effective_horizon=q * s,
+        window_grid=grid,
+        window=s,
+        tail_factor=tail_factor,
+        banach_argmin=argmin,
+        banach_argmax=argmax,
+        lower_density_at=lower_at,
+    )
+
+
+def _brute_anchor_positions(A, horizon, s):
+    out = set()
+    for a in A.anchors(horizon):
+        if not isinstance(a, int):
+            continue
+        for k in (a - 1, a):
+            if 0 <= k <= horizon - s:
+                out.add(k)
+    stride = max(1, (horizon - s) // 64)
+    for k in range(0, horizon - s + 1, stride):
+        out.add(k)
+    return sorted(out)
 
 
 def brute_window_extremes(A, horizon, s):

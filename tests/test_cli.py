@@ -43,6 +43,23 @@ def test_make_set(tmp_path):
     assert (out / "set.txt").read_text().startswith("segments:")
 
 
+@pytest.mark.parametrize("targets", ["0,0,1/2,1/2", "1/4,1/4,3/4,3/4", "0,0,1/2,1"])
+def test_make_set_checks_the_class_separating_targets(tmp_path, capsys, targets):
+    # recommended horizons of 2.1e11 to 6.5e16: the self-check reads the set's periodic pieces
+    code, out = run(tmp_path, "m", "make-set", "--targets", targets)
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code == 3 and err.startswith("make-set: worst deviation") and err.count("\n") == 1)
+    assert (out / "self_check.csv").read_text().splitlines()[1].startswith(targets + ",")
+
+
+def test_factorial_blocks_densities_at_a_trillion(tmp_path):
+    code, out = run(tmp_path, "f", "densities", "--set", "factorial-blocks", "--horizon", "1000000000000")
+    assert code == 0
+    assert (out / "densities.csv").read_text().splitlines()[1] == (
+        "factorial-blocks,0,59/500000000000,59/500000000000,17/5000,1000000000000,10000,10000,0"
+    )
+
+
 def test_make_set_spec_reads_back_to_its_self_check(tmp_path):
     targets, eras, window = "0,1/5,1/2,1", 4, 200
     code, out = run(tmp_path, "m", "make-set", "--targets", targets, "--eras", str(eras), "--window", str(window))
@@ -467,8 +484,11 @@ def test_check_family_on_deep_towers_needs_no_recursion(tmp_path):
         (["eqbeta", "--set", "explicit:3,5", "--n", "3", "--horizon", "2"], "n=3 lies past the horizon 2"),
         (["construct", "--horizon", "0", "--depth", "2"],
          "no level time lies in [0, 0]: the orbit bounds check nothing"),
+        (["beta", "--set", "evens", "--cutoff", "500"],
+         "cutoff 500 leaves no profile mass in (1000, 2000]: at horizon 2000 the cutoff must exceed"
+         " horizon // 2 + 1 = 1001"),
     ],
-    ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon"],
+    ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import (
@@ -12,6 +13,7 @@ from hyperorbit import (
     FactorialBlockSet,
     GeometricSet,
     PeriodicSet,
+    SegmentPatternSet,
     SetFamily,
     SquareSet,
     check_gap_family,
@@ -23,11 +25,13 @@ from hyperorbit import (
 )
 from hyperorbit.counterexample import DigitNeighborhoodSet
 from hyperorbit.errors import NoDataError, UsageError, WindowGridError
+from hyperorbit.indexsets import _anchor_positions
 from hyperorbit.io_text import parse_set_spec
 
 from conftest import (
     brute_count,
     brute_difference,
+    brute_estimate_densities,
     brute_gap_ok,
     brute_lower_density,
     brute_syndetic,
@@ -209,6 +213,103 @@ def test_lower_density_and_checkpoint_match_fraction_oracle(members, horizon, s,
     A = ExplicitSet(tuple(members))
     r = estimate_densities(A, horizon, [s], tail_factor)
     assert (r.lower_density, r.lower_density_at) == brute_lower_density(A, horizon, s, tail_factor)
+
+
+@st.composite
+def _piece_cases(draw):
+    """A set with periodic pieces, a window grid (largest window 1-12), a horizon and a tail factor.
+
+    Segment sets have up to 5 segments of period 1-8, and their horizons
+    end inside a segment, inside a gap (or before the first segment), or
+    past the last segment.
+    """
+    grid = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    s = max(grid)
+    kind = draw(st.sampled_from(["segments", "periodic", "factorial"]))
+    if kind == "segments":
+        segments, at = [], draw(st.integers(0, 40))
+        for _ in range(draw(st.integers(0, 5))):
+            den = draw(st.integers(1, 8))
+            end = at + draw(st.integers(1, 90))
+            segments.append((at, end, draw(st.integers(0, den)), den))
+            at = end + draw(st.sampled_from([0, 1, draw(st.integers(2, 60))]))
+        A = SegmentPatternSet(tuple(segments))
+        ends = [0] + [e for _, e, _, _ in segments]
+        where = draw(st.sampled_from(["segment", "gap", "past"]) if segments else st.just("past"))
+        if where == "segment":
+            start, end, _, _ = draw(st.sampled_from(segments))
+            horizon = draw(st.integers(start, end - 1))
+        elif where == "gap":
+            i = draw(st.integers(0, len(segments) - 1))
+            horizon = draw(st.integers(ends[i], segments[i][0]))
+        else:
+            horizon = draw(st.integers(ends[-1], ends[-1] + 200))
+    elif kind == "periodic":
+        period = draw(st.integers(1, 40))
+        A = PeriodicSet(period, tuple(draw(st.sets(st.integers(0, period - 1), max_size=period))))
+        horizon = draw(st.integers(1, 2000))
+    else:
+        A = FactorialBlockSet()
+        j = draw(st.integers(1, 7))
+        horizon = draw(st.one_of(st.integers(1, 6000), st.integers(math.factorial(j) - j, math.factorial(j) + 2 * j)))
+    assume(horizon >= s)
+    return A, horizon, grid, draw(st.integers(1, 128))
+
+
+@given(_piece_cases())
+@settings(max_examples=400, deadline=None)
+def test_piece_path_matches_the_scan_oracle(case):
+    # about one draw in twenty has more pieces than windows and takes the scan itself
+    A, horizon, grid, tail_factor = case
+    assert A.pieces(horizon // max(grid) * max(grid)) is not None
+    got = estimate_densities(A, horizon, grid, tail_factor)
+    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, grid, tail_factor))
+
+
+@given(_piece_cases())
+@settings(max_examples=200, deadline=None)
+def test_pieces_cover_the_range_and_repeat_by_their_period(case):
+    A, n, _, _ = case
+    pieces = A.pieces(n)
+    assert pieces[0][0] == 0 and pieces[-1][1] > n
+    for (_, end, _), (start, _, _) in zip(pieces, pieces[1:]):
+        assert end == start
+    for start, end, period in pieces:
+        assert start < end and period >= 1
+        for m in range(start, min(end, n + 1) - period):
+            assert A.contains(m) == A.contains(m + period)
+
+
+def test_kinds_without_pieces_keep_the_scan():
+    for A in (ExplicitSet((1, 5)), BitmapSet(b"\x01\x00\x01"), SquareSet(), GeometricSet(2), DigitNeighborhoodSet()):
+        assert A.pieces(100) is None
+
+
+@pytest.mark.parametrize("case", ["prescribed-0,0,1/2,1/2", "factorial-blocks-1e12"])
+def test_piece_path_counts_stay_within_pieces_times_period(case, monkeypatch):
+    if case.startswith("prescribed"):
+        A = make_prescribed_density_set(0, 0, Fraction(1, 2), Fraction(1, 2))
+        horizon, grid, tail_factor = A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor
+    else:
+        A, horizon, grid, tail_factor = FactorialBlockSet(), 10**12, None, 8
+    s = 10000 if grid is None else grid[0]
+    pieces = A.pieces(horizon // s * s)
+    # per piece: the windows reaching over its start (2 counts), a period of windows (period + 1) and the
+    # first and last checkpoint of each class (2 * period); then 0 and q, and 2 per anchor window
+    bound = sum(2 + 3 * period + 1 for *_, period in pieces) + 2 + 2 * len(_anchor_positions(A, horizon, s))
+    assert bound < 2000
+    calls = 0
+    count_upto = type(A).count_upto
+
+    def counted(self, n):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "the estimator counts more than its pieces need"
+        return count_upto(self, n)
+
+    monkeypatch.setattr(type(A), "count_upto", counted)
+    estimate_densities(A, horizon, grid, tail_factor)
+    assert 0 < calls <= bound
 
 
 # ---------------------------------------------------------------------------

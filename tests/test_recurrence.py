@@ -547,6 +547,10 @@ def test_alpha_profile_validation():
         with pytest.raises(UsageError, match=f"the cutoff must be >= 2, got {cutoff}"):
             AlphaProfile("constant", cutoff)
     assert AlphaProfile("harmonic", 2).value(1) == 1.0
+    # the late half (1000, 2000] needs mass: alpha_1001 is nonzero only for a cutoff above 1001
+    with pytest.raises(UsageError, match=r"cutoff 1001 leaves no profile mass in \(1000, 2000\]"):
+        AlphaProfile("harmonic", 1001).validate(2000)
+    AlphaProfile("harmonic", 1002).validate(2000)
 
 
 # ---------------------------------------------------------------------------
