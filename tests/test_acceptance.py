@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 status lines.  Tolerances are pinned here and nowhere else.
 """
 
+import hashlib
+import json
 import os
 import random
 import time
@@ -324,7 +326,31 @@ def _snapshot(out):
     return data
 
 
+# the sha256 of every non-manifest file of each CLI_MATRIX row, taken from a tree whose bytes are
+# known good; a change that moves bytes on purpose regenerates it (README, Tests) and names the files
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_matrix.json")
+
+
+def _digests(snapshot):
+    return {fn: hashlib.sha256(data).hexdigest() for fn, data in snapshot.items()}
+
+
+def write_golden(directory):
+    """Run every CLI_MATRIX row once into `directory` and write its file digests to GOLDEN."""
+    rows = []
+    for row, (name, argv) in enumerate(CLI_MATRIX):
+        out = os.path.join(directory, f"{row}-{name}")
+        assert cli_main([name, *argv, "--workers", "1", "--out", out]) == 0, name
+        rows.append({"command": [name, *argv], "files": _digests(_snapshot(out))})
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=1)
+        fh.write("\n")
+
+
 def test_criterion_13_cli_determinism(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert [g["command"] for g in golden] == [[name, *argv] for name, argv in CLI_MATRIX], "regenerate GOLDEN"
     for row, (name, argv) in enumerate(CLI_MATRIX):
         outs = []
         for tag, workers in (("a", 1), ("b", 8)):
@@ -334,4 +360,5 @@ def test_criterion_13_cli_determinism(tmp_path):
             outs.append(_snapshot(out))
         assert outs[0] == outs[1], f"{name}: outputs differ between worker counts"
         assert outs[0], f"{name}: produced no outputs"
-    _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} commands, workers 1 vs 8")
+        assert _digests(outs[0]) == golden[row]["files"], f"{name}: outputs differ from {GOLDEN}"
+    _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} commands, workers 1 vs 8, against the stored digests")
