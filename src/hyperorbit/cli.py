@@ -34,11 +34,13 @@ from .indexsets import (
     make_prescribed_density_set,
 )
 from .io_text import (
+    _items,
     parse_densities,
     parse_family_spec,
     parse_fraction,
     parse_int_list,
     parse_operator_spec,
+    parse_real,
     parse_set_spec,
     parse_target_spec,
     parse_vector_spec,
@@ -208,6 +210,9 @@ def run_dj_scan(args, out):
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
+TRUNCATION_MARGIN = 64  # the vector sums its pieces S^n y_l this many steps past the verified horizon
+
+
 def run_construct(args, out):
     T = parse_operator_spec(args.operator, args.space)
     family = parse_family_spec(args.family)
@@ -223,7 +228,7 @@ def run_construct(args, out):
             for c in plan.certificates
         ],
     )
-    hc = constructor.assemble_vector(plan, T, args.horizon + args.truncation_margin)
+    hc = constructor.assemble_vector(plan, T, args.horizon + TRUNCATION_MARGIN)
     write_vector(os.path.join(out, "vector.txt"), hc.x)
     report = constructor.verify_orbit_bounds(hc, T, args.horizon)
     if not report.rows:
@@ -237,8 +242,7 @@ def run_construct(args, out):
 
 
 def _vector_and_targets(args, space):
-    targets = [parse_target_spec(t, space) for t in args.targets.split(";") if t]
-    return parse_vector_spec(args.vector, space), targets
+    return parse_vector_spec(args.vector, space), [parse_target_spec(t, space) for t in _items(args.targets, ";")]
 
 
 def run_orbit(args, out):
@@ -365,10 +369,11 @@ def run_eqbeta(args, out):
         ns = A.members_in(1, args.horizon)[: args.sample]
     if not ns:
         raise NoDataError(f"no time n to check: the sample of members in [1, {args.horizon}] is empty")
+    p = parse_real(args.p)
     rows = []
     ok = True
     for n in ns:
-        sums = recurrence.bilateral_tail_sums(w, args.p, A, n, args.horizon)
+        sums = recurrence.bilateral_tail_sums(w, p, A, n, args.horizon)
         ok = ok and sums.both_within(1.0)
         rows.append((n, sums.left, sums.right, sums.left_terms, sums.right_terms))
     write_csv(
@@ -380,10 +385,13 @@ def run_eqbeta(args, out):
 
 
 def run_series_tests(args, out):
+    weights = [(spec, parse_weight_spec(spec)) for spec in _items(args.weights, ";")]
+    if not weights:
+        raise UsageError("--weights needs at least one weight spec")
+    p = parse_real(args.p)
     rows = []
-    for spec in args.weights.split(";"):
-        w = parse_weight_spec(spec)
-        series = reciprocal_product_series(w, args.p, args.horizon)
+    for spec, w in weights:
+        series = reciprocal_product_series(w, p, args.horizon)
         mixing = mixing_test(w, args.horizon)
         rows.append(
             (
@@ -489,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="dyadic-block:8")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--horizon", type=int, default=10000)
-    p.add_argument("--truncation-margin", type=int, default=64)
 
     p = _sub(sub, "orbit", run_orbit, help="hitting times of an orbit against target balls")
     p.add_argument("--operator", default="constant:2")
@@ -529,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _sub(sub, "eqbeta", run_eqbeta, help="two-sided reciprocal-product tail sums")
     p.add_argument("--operator", default="constant:2")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", default="2")
     p.add_argument("--set", required=True)
     p.add_argument("--n", default=None, help="comma-separated times; default samples members")
     p.add_argument("--sample", type=int, default=5)
@@ -537,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _sub(sub, "series-tests", run_series_tests, help="reciprocal-product series and mixing evidence")
     p.add_argument("--weights", default="constant:2;ratio-power:2;counterexample-c0")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", default="2")
     p.add_argument("--horizon", type=int, default=10000)
 
     p = _sub(sub, "diff-set", run_diff_set, help="difference set with syndeticity evidence")

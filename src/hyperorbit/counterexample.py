@@ -9,7 +9,8 @@ inside S, reset the running product back to 1 on leaving S, and are 1
 elsewhere, so the partial product at n is exactly 2**c(n) where c(n) is
 the length of the maximal S-run ending at n.  Everything here is exact:
 membership by one digit-scale scan (`_hit_scale`, which also serves the
-exclusion sweep and the envelope of the threshold sets) and, over a whole
+tower integers, the exclusion sweep and the envelope of the threshold
+sets) and, over a whole
 range, as flag bytes filled in from the definition with one strided slice
 per scale and offset (`s_flags`); S's maximal runs read off the valuations
 of the centres 10k, each the middle of one interval whose radius is the
@@ -320,6 +321,7 @@ class DoublingResetWeights(WeightSequence):
 
 _MATERIAL_EXP_LIMIT = 20000  # 10**e is materialized only up to this many digits
 _OFFSET_LIMIT = 10**18
+_OFFSET_SCALES = len(str(_OFFSET_LIMIT))  # 19: each scale past it exceeds every offset
 
 
 def _int_lt_pow10(x: int, e) -> bool:
@@ -407,23 +409,14 @@ class HugeInt:
         raise UsageError("difference of values at different magnitudes is not representable")
 
     def in_digit_neighborhoods(self) -> bool:
-        """Membership of 10**E + r in S, decided from (E, r) alone.
-
-        Small scales are checked on the offset; any scale j with r < j <= E
-        hits via the interval around 10**E itself.
+        """Membership of 10**E + r in S by the one digit-scale scan: as 0 <= r <= `_OFFSET_LIMIT`
+        and E >= 19, the scales up to 19 see 10**E + r as they see 10**19 + r, a scale j in
+        (19, E] holds it iff r < j, so one does iff r < E, and no scale past E holds it.
         """
         r = self.offset
         if r < 0:
             raise UsageError("negative offsets unsupported here")
-        scale = 10
-        j = 1
-        while scale < r + j + 2:
-            rr = r % scale
-            if rr < j or scale - rr < j:
-                return True
-            scale *= 10
-            j += 1
-        return r < self.exponent
+        return r < self.exponent or _hit_scale(10**_OFFSET_SCALES + r, _OFFSET_SCALES) is not None
 
     def __eq__(self, other):
         if isinstance(other, (int, HugeInt)):
@@ -575,16 +568,17 @@ class WindowRatioCheck:
 
 
 def banach_window_ratio(family: BlockFamily, k: int) -> WindowRatioCheck:
-    """Window count of a level-k block over the window [min, min + s) with
-    s = 10**(2k) * l0: exactly min(floor(s / 10**(2k)), l0) members, giving
-    ratio 1 / 10**(2k) >= (1 - 1/l0) / 10**(2k).
+    """Members of level k in the window [min, min + s) of its first block with l0 >= 2,
+    s = 10**(2k) * l0, counted on the level set: the block alone puts l0 there,
+    giving ratio 1 / 10**(2k) >= (1 - 1/l0) / 10**(2k).
     """
     candidates = [b for b in family.level_blocks(k) if b.count >= 2]
     if not candidates:
         raise InsufficientBlockError(f"level {k} has no block with l0 >= 2")
     b = candidates[0]
     s = b.step * b.count
-    count = min(s // b.step, b.count)
+    lo = b.members()[0]
+    count = family.set_family().level(k).count_in(lo, lo + (s - 1))
     ratio = Fraction(count, s)
     required = Fraction(b.count - 1, b.count) / Fraction(b.step)
     return WindowRatioCheck(k, b.index, s, count, ratio, required, ratio >= required)

@@ -2,8 +2,9 @@
 
 This is the one module that turns command-line text into values.  Every
 real number has one reader (`parse_real`: a rational inside the float
-range), every comma list one rule (`_items`: the empty text is the empty
-list, an empty item is an error), and every spec kind's `describe()`
+range, `--p` included), every list one rule (`_items`: comma lists and the
+`;` lists of targets, weights and segments alike: the empty text is the
+empty list, an empty item is an error), and every spec kind's `describe()`
 parses back to the same object, so configurations hash stably and outputs
 stay byte-identical across runs.
 """
@@ -91,9 +92,9 @@ def _explicit_member(text: str):
     return value
 
 
-def _items(text: str) -> list:
-    """The items of a comma list: none for the empty text; an empty item is kept for its reader to reject."""
-    return text.split(",") if text.strip() else []
+def _items(text: str, sep: str = ",") -> list:
+    """The items of a `sep` list: none for the empty text; an empty item is kept for its reader to reject."""
+    return text.split(sep) if text.strip() else []
 
 
 def parse_int_pair(text: str, sep: str) -> tuple:
@@ -110,7 +111,7 @@ def parse_int_list(text: str, sep: str | None = None) -> list:
 
 def parse_densities(text: str) -> list:
     """The four target densities r1,r2,r3,r4 of a prescribed-density set."""
-    rs = [parse_fraction(x) for x in text.split(",")]
+    rs = [parse_fraction(x) for x in _items(text)]
     if len(rs) != 4:
         raise UsageError(f"{text!r} needs four target densities r1,r2,r3,r4")
     return rs
@@ -162,7 +163,7 @@ def parse_set_spec(spec: str):
         return GeometricSet(*_one_or_two_ints(spec, rest, 0))
     if head == "segments":
         segs = []
-        for part in rest.split(";") if rest else ():
+        for part in _items(rest, ";"):
             fields = part.split(":")
             if len(fields) != 4:
                 raise UsageError(f"segment {part!r} needs the form <start>:<end>:<num>:<den>")
@@ -340,7 +341,6 @@ def parse_target_spec(spec: str, space: SpaceSpec):
     if not body:
         raise UsageError(f"target spec {spec!r} needs the form <vector>@<radius>")
     return parse_vector_spec(body, space), parse_real(radius)
-
 
 # ---------------------------------------------------------------------------
 # CSV and manifests

@@ -92,12 +92,11 @@ class _Orbit:
     entry's index downwards it holds the weights at every index the entry
     stands on up to step `reach`, the horizon (on a unilateral space at most
     the step at which the last entry has left; 0.0 for k < 1, never fetched).
-    Magnitudes past `OVERFLOW_LOG2`, read when the orbit is built, end a block.
+    Magnitudes past `OVERFLOW_LOG2`, read at each step, end a block.
     """
 
     def __init__(self, T: ShiftOperator, x: SparseVec, horizon: int):
         self.space = x.space
-        self.overflow_log2 = OVERFLOW_LOG2
         self.index, self.mantissa, self.exponent = [], [], []
         for idx, val in x.entries.items():
             if val != 0:
@@ -159,9 +158,9 @@ class _Orbit:
             rows.append(row)
         over = count
         for j, (idx, e, s) in enumerate(zip(self.index, self.exponent, scales)):
-            if e + drift + 2 > self.overflow_log2:  # the entry may pass the cap: find the row
+            if e + drift + 2 > OVERFLOW_LOG2:  # the entry may pass the cap: find the row
                 live = count if self.space.bilateral else min(count, idx - start + 1)
-                over = next((r for r in range(min(live, over)) if frexp(rows[r][j])[1] + s > self.overflow_log2), over)
+                over = next((r for r in range(min(live, over)) if frexp(rows[r][j])[1] + s > OVERFLOW_LOG2), over)
         ends = [frexp(c) for c in rows.pop()]
         self.mantissa = [m for m, _ in ends]
         self.exponent = [de + s for (_, de), s in zip(ends, scales)]
@@ -223,10 +222,10 @@ def _scan(orbit: _Orbit, targets, horizon: int):
     """Hit times n <= horizon of the orbit in each (center, radius) ball, and the truncation step.
 
     The orbit moves a block of rows at a time, never past the horizon it was
-    built for; a row with an exponent past `orbit.overflow_log2` ends the
-    scan (its step is returned, None if no row overflows).  From the step at
-    which a unilateral orbit has no entry left every row is the zero vector,
-    decided by one `ball_contains`.
+    built for; a row with an exponent past `OVERFLOW_LOG2` (read by each
+    block) ends the scan (its step is returned, None if no row overflows).
+    From the step at which a unilateral orbit has no entry left every row
+    is the zero vector, decided by one `ball_contains`.
     """
     space = orbit.space
     balls = [_Ball(center, radius, space) for center, radius in targets]
@@ -559,16 +558,14 @@ class AlphaProfile:
         return 1.0 if self.kind == "constant" else 1.0 / n
 
     def validate(self, horizon: int):
-        total = sum(self.value(n) for n in range(1, horizon + 1))
-        late = sum(self.value(n) for n in range(horizon // 2 + 1, horizon + 1))
-        if late <= 1e-12 * max(total, 1.0):
-            h = horizon // 2
-            if self.cutoff is not None and self.cutoff <= h + 1:
-                raise UsageError(
-                    f"cutoff {self.cutoff} leaves no profile mass in ({h}, {horizon}]:"
-                    f" at horizon {horizon} the cutoff must exceed horizon // 2 + 1 = {h + 1}"
-                )
-            raise UsageError("profile mass dies out; divergence evidence fails at this horizon")
+        """Require mass in (h, horizon], h = horizon // 2: both kinds are positive on [1, cutoff),
+        so there is mass exactly when there is no cutoff or it exceeds h + 1."""
+        h = horizon // 2
+        if self.cutoff is not None and self.cutoff <= h + 1:
+            raise UsageError(
+                f"cutoff {self.cutoff} leaves no profile mass in ({h}, {horizon}]:"
+                f" at horizon {horizon} the cutoff must exceed horizon // 2 + 1 = {h + 1}"
+            )
 
 
 @dataclass(frozen=True)

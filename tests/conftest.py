@@ -234,6 +234,14 @@ def brute_s_intervals(lo, hi):
     return merged
 
 
+def brute_profile_has_late_mass(profile, horizon):
+    """Whether `AlphaProfile.validate` accepts the horizon, by the float sums it once took: the late half
+    (horizon // 2, horizon] must carry more than 1e-12 of the profile's mass in [1, horizon]."""
+    total = sum(profile.value(n) for n in range(1, horizon + 1))
+    late = sum(profile.value(n) for n in range(horizon // 2 + 1, horizon + 1))
+    return late > 1e-12 * max(total, 1.0)
+
+
 def brute_difference(members):
     out = set()
     for a in members:

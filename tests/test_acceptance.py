@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 
@@ -335,13 +336,14 @@ def _digests(snapshot):
     return {fn: hashlib.sha256(data).hexdigest() for fn, data in snapshot.items()}
 
 
-def write_golden(directory):
-    """Run every CLI_MATRIX row once into `directory` and write its file digests to GOLDEN."""
+def write_golden():
+    """Run every CLI_MATRIX row once and write its file digests to GOLDEN."""
     rows = []
-    for row, (name, argv) in enumerate(CLI_MATRIX):
-        out = os.path.join(directory, f"{row}-{name}")
-        assert cli_main([name, *argv, "--workers", "1", "--out", out]) == 0, name
-        rows.append({"command": [name, *argv], "files": _digests(_snapshot(out))})
+    with tempfile.TemporaryDirectory() as directory:
+        for row, (name, argv) in enumerate(CLI_MATRIX):
+            out = os.path.join(directory, f"{row}-{name}")
+            assert cli_main([name, *argv, "--workers", "1", "--out", out]) == 0, name
+            rows.append({"command": [name, *argv], "files": _digests(_snapshot(out))})
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
         fh.write("\n")

@@ -272,6 +272,15 @@ def test_eqbeta_command(tmp_path):
     assert "9.5367431640625e-07" in body
 
 
+def test_eqbeta_reads_p_as_a_rational(tmp_path):
+    argv = ["eqbeta", "--set", "explicit:0,10,20", "--n", "10", "--horizon", "100"]
+    code, decimal = run(tmp_path, "decimal", *argv, "--p", "1.5")
+    assert code == 0
+    code, rational = run(tmp_path, "rational", *argv, "--p", "3/2")
+    assert code == 0
+    assert read_files(rational) == read_files(decimal)
+
+
 def test_series_command(tmp_path):
     code, out = run(tmp_path, "s", "series-tests", "--horizon", "2000")
     assert code == 0
@@ -413,6 +422,11 @@ REJECTED = {
     "beta-cutoff-negative": ["beta", "--set", "evens", "--horizon", "100", "--cutoff", "-1"],
     "construct-horizon-0": ["construct", "--horizon", "0", "--depth", "2"],
     "classify-horizon-below-a-window": ["classify", "--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "9"],
+    # `;` lists follow the comma rule: the empty text is no item, an empty item is an error
+    "orbit-empty-target": ["orbit", "--vector", "e:0", "--targets", "e:0@1;;e:1@1", "--horizon", "10"],
+    "classify-trailing-semicolon": ["classify", "--vector", "e:0", "--targets", "zero:@0.5;", "--horizon", "2000"],
+    "series-empty-weight": ["series-tests", "--weights", "constant:2;;ratio-power:2"],
+    "series-no-weights": ["series-tests", "--weights", ""],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -473,6 +487,10 @@ def test_check_family_on_deep_towers_needs_no_recursion(tmp_path):
     assert "true,180300" in (tmp_path / "out" / "gap_check.csv").read_text()
 
 
+# the construct margin is a constant now, so a config that sets it is refused by name
+TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "truncation_margin.json")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -487,8 +505,11 @@ def test_check_family_on_deep_towers_needs_no_recursion(tmp_path):
         (["beta", "--set", "evens", "--cutoff", "500"],
          "cutoff 500 leaves no profile mass in (1000, 2000]: at horizon 2000 the cutoff must exceed"
          " horizon // 2 + 1 = 1001"),
+        (["construct", "--config", TRUNCATION_MARGIN_CONFIG],
+         f"config {TRUNCATION_MARGIN_CONFIG}: construct takes no truncation_margin"),
     ],
-    ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late"],
+    ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late",
+         "construct-truncation-margin"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)

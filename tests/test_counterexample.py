@@ -350,6 +350,29 @@ def test_hugeint_membership_in_s():
     assert not HugeInt(102, 151).in_digit_neighborhoods()
 
 
+def _offsets_near_powers_of_ten():
+    # r just around 10^j, within j + 2 of it, inside the offset limit 10^18
+    return st.integers(1, 18).flatmap(lambda j: st.integers(-j - 2, j + 2).map(lambda d: 10**j + d)).filter(
+        lambda r: r <= 10**18
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(19, 40), st.integers(0, 59) | _offsets_near_powers_of_ten() | st.integers(0, 10**18))
+def test_hugeint_membership_matches_the_defining_intervals(exponent, offset):
+    m = 10**exponent + offset
+    assert HugeInt(exponent, offset).in_digit_neighborhoods() == bool(brute_s_intervals(m, m))
+
+
+def test_hugeint_membership_at_every_scale_edge():
+    # 10^j - (j - 1) lies in S through scale j alone, so each scale up to 18 is needed
+    for exponent in (19, 20, 40):
+        for j in range(1, 19):
+            for offset in range(10**j - j - 1, min(10**j + j + 2, 10**18 + 1)):
+                m = 10**exponent + offset
+                assert HugeInt(exponent, offset).in_digit_neighborhoods() == bool(brute_s_intervals(m, m))
+
+
 def test_hugeint_membership_top_scale():
     # 10^E + r with r < E is within the radius-E window of 10^E
     assert HugeInt(200, 199).in_digit_neighborhoods()
@@ -417,6 +440,19 @@ def test_banach_window_ratio_spec_example():
     assert r.ratio == Fraction(1, 100)
     assert r.required == Fraction(9, 10) / 100
     assert r.ok
+
+
+def test_banach_window_ratio_counts_the_level_in_the_window():
+    # the window [10^200, 10^200 + 199] of the first block also holds members of the second:
+    # the level puts 0, 50, 100 and 150 past 10^200 there, where the first block alone puts 2
+    first = Block(index=2, level=1, exponent=200, step=100, count=2)
+    second = Block(index=3, level=1, exponent=200, step=50, count=4)
+    fam = cx.BlockFamily(levels=1, reps=2, blocks=(first, second))
+    r = banach_window_ratio(fam, 1)
+    assert (r.window, r.count, r.ratio) == (200, 4, Fraction(4, 200))
+    # on the built family each window holds its own block alone
+    fam = build_block_family(3, 3)
+    assert [banach_window_ratio(fam, k).count for k in (1, 2, 3)] == [4, 2, 3]
 
 
 def test_banach_window_ratio_degenerate():

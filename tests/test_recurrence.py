@@ -3,7 +3,7 @@ from math import ldexp, sqrt
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import (
@@ -38,6 +38,7 @@ from hyperorbit.recurrence import _Orbit
 from conftest import (
     brute_hitting_times,
     brute_orbit,
+    brute_profile_has_late_mass,
     brute_return_times,
     brute_return_weight_sums,
     periodic_eta,
@@ -551,6 +552,30 @@ def test_alpha_profile_validation():
     with pytest.raises(UsageError, match=r"cutoff 1001 leaves no profile mass in \(1000, 2000\]"):
         AlphaProfile("harmonic", 1001).validate(2000)
     AlphaProfile("harmonic", 1002).validate(2000)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(("constant", "harmonic")),
+    st.integers(1, 3000).flatmap(
+        lambda horizon: st.tuples(st.just(horizon), st.none() | st.integers(max(2, horizon // 2 - 2), horizon // 2 + 4))
+    ),
+)
+@example("harmonic", (2000, 1001))
+@example("harmonic", (2000, 1002))
+@example("constant", (1, 2))
+@example("constant", (3, 2))
+@example("constant", (3000, None))
+def test_profile_check_matches_the_float_sums(kind, case):
+    # the closed form (a cutoff past horizon // 2 + 1, or none) against the late-half sums it replaced
+    horizon, cutoff = case
+    profile = AlphaProfile(kind, cutoff)
+    try:
+        profile.validate(horizon)
+        accepted = True
+    except UsageError:
+        accepted = False
+    assert accepted == brute_profile_has_late_mass(profile, horizon)
 
 
 # ---------------------------------------------------------------------------
