@@ -413,6 +413,10 @@ def run_series_tests(args, out):
 def run_diff_set(args, out):
     A = parse_set_spec(args.set)
     D = difference_set(A, args.horizon)
+    if D.top == 0:
+        raise NoDataError(
+            f"the difference set is {{0}}: one member of the set lies in [0, {args.horizon}], and a gap needs two"
+        )
     # gaps are judged over the realizable difference range: beyond the largest
     # member every gap is a truncation artifact (an empty D, judged at --horizon, has no members)
     evidence = is_syndetic(D, D.top if D.top >= 0 else args.horizon)

@@ -14,7 +14,10 @@ windows per piece instead of one per aligned window, so it does not scan
 from zero either, and its time is set by the structure, not the horizon.
 Every other kind (S, explicit lists, bitmaps, squares, powers) has no
 pieces and is scanned window by window, and so is a set with more pieces
-than windows, where one count per window costs less.
+than windows, where one count per window costs less.  The scan takes the
+prefix counts at every window boundary in one `prefix_counts` call: each
+kind answers it with one `count_upto` per boundary, except S, which
+reads windows of up to 2000 off its indicator, built block by block.
 
 Density estimates are `fractions.Fraction` ratios.  The estimator is
 designed so that the chain
@@ -57,8 +60,10 @@ class IndexSet:
     Subclasses implement `contains` and `members_in`.  `count_upto` is the
     one counting primitive: the generic version counts the listed members,
     and structured kinds override it with closed forms.  `count_in` is
-    defined here once, from `count_upto`, and no kind overrides it.  All
-    instances are immutable (up to caches) and safe to share.
+    defined here once, from `count_upto`, and no kind overrides it;
+    `prefix_counts` is too, and only S overrides it, with a bulk read of
+    its indicator.  All instances are immutable (up to caches) and safe to
+    share.
     """
 
     def contains(self, n) -> bool:
@@ -82,6 +87,14 @@ class IndexSet:
         if lo > hi:
             return 0
         return self.count_upto(hi) - self.count_upto(lo - 1)
+
+    def prefix_counts(self, step, q) -> list:
+        """[count_upto(i * step) for i in 0..q]: the prefix counts that bound q aligned windows of length step.
+
+        Defined here once, from `count_upto`; a kind overrides it only where
+        reading the windows in bulk is cheaper than q + 1 counts.
+        """
+        return list(map(self.count_upto, range(0, q * step + 1, step)))
 
     def anchors(self, horizon) -> list:
         """Structural window-anchor candidates (block starts and the like)."""
@@ -546,15 +559,17 @@ def estimate_densities(
 
     A set without pieces (`IndexSet.pieces` is None: S, explicit lists,
     bitmaps, squares, powers), or with more pieces up to q * s than there
-    are windows, has all q + 1 prefix counts taken, one per aligned
-    window.  Otherwise (segment sets, and so `intervals:` and
-    `prescribed:` sets, periodic sets and the factorial blocks) only the
-    windows and checkpoints that `_piece_positions` picks are counted,
-    O(pieces * period) of them, and the report is the same: both
-    paths walk their positions in increasing order through the same
-    selection loops, so the earliest extreme window wins, and the
-    full-prefix checkpoint wins a tie for the lowest ratio, else the
-    earliest checkpoint.
+    are windows, has all q + 1 prefix counts taken by one
+    `A.prefix_counts(s, q)`, and is scanned window by window.  Otherwise
+    (segment sets, and so `intervals:` and `prescribed:` sets, periodic
+    sets and the factorial blocks) only the windows and checkpoints that
+    `_piece_positions` picks are counted, O(pieces * period) of them,
+    and the report is the same: both paths list their windows in
+    increasing order from window 0 and walk their checkpoints in
+    increasing order, so the earliest extreme window wins (the first
+    index of each extreme in the window counts), and the full-prefix
+    checkpoint wins a tie for the lowest ratio, else the earliest
+    checkpoint.
     """
     if tail_factor < 1:
         raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
@@ -577,21 +592,19 @@ def estimate_densities(
     t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
     pieces = A.pieces(q * s)
     if pieces is None or len(pieces) > q:  # past one piece per window the scan's q + 1 counts cost less
-        upto = [A.count_upto(i * s) for i in range(q + 1)]
+        upto = A.prefix_counts(s, q)
         windows, checkpoints = range(q), range(t0, q + 1)
     else:
         windows, checkpoints = _piece_positions(pieces, s, q, t0)
         needed = {0, q, *checkpoints, *windows, *(i + 1 for i in windows)}
         upto = {i: A.count_upto(i * s) for i in sorted(needed)}
 
-    best_max = best_min = upto[1] - upto[0]
-    argmax = argmin = 0
-    for i in windows:
-        c = upto[i + 1] - upto[i]
-        if c > best_max:
-            best_max, argmax = c, i * s
-        if c < best_min:
-            best_min, argmin = c, i * s
+    # both paths list their windows in increasing order from window 0, so
+    # `index` finds the earliest window with each extreme count
+    counts = [upto[i + 1] - upto[i] for i in windows]
+    best_max, best_min = max(counts), min(counts)
+    argmax = windows[counts.index(best_max)] * s
+    argmin = windows[counts.index(best_min)] * s
 
     for k in _anchor_positions(A, horizon, s):
         c = A.count_in(k + 1, k + s)
@@ -630,6 +643,9 @@ def estimate_densities(
 
 def _piece_positions(pieces, s, q, t0):
     """The windows i < q and checkpoints t in [t0, q] whose counts settle the scan, in increasing order.
+
+    The windows start at window 0: it lies inside the first piece, which
+    starts at 0, or reaches over the start of a later one.
 
     Inside a piece (start, end, period) the prefix count C(m) = count_upto(m),
     for start <= m + 1 <= end, is C(start - 1) plus an affine function of

@@ -543,6 +543,15 @@ def test_rejected_diff_set_leaves_no_difference_file(tmp_path, argv):
     assert not list(out.iterdir())
 
 
+def test_diff_set_of_one_member_names_the_single_member(tmp_path, capsys):
+    code, out = run(tmp_path, "ds1", "diff-set", "--set", "explicit:5", "--horizon", "10")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: the difference set is {0}: one member of the set lies in [0, 10], and a gap needs two\n"
+    )
+    assert not list(out.iterdir())
+
+
 def test_zero_table_weight_exit_code(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("1.0\n0\n2.0\n")

@@ -1,5 +1,7 @@
 import bisect
 import itertools
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import frexp
 from unittest import mock
@@ -85,6 +87,51 @@ def test_closed_form_counts_near_overlapping_scales(e):
             assert S.count_in(lo, hi) == sum(b - a + 1 for a, b in brute_s_intervals(lo, hi)), (l, lo - c, hi - c)
 
 
+def _closed_form_prefix_counts(step, q):
+    S = DigitNeighborhoodSet()
+    return [S.count_upto(i * step) for i in range(q + 1)]
+
+
+@given(
+    step=st.one_of(st.integers(1, 60), st.integers(cx._INDICATOR_MAX_STEP - 3, cx._INDICATOR_MAX_STEP + 3),
+                   st.integers(1, 3 * cx._INDICATOR_MAX_STEP)),
+    q=st.integers(0, 400),
+    windows_per_block=st.integers(1, 50),
+)
+@settings(max_examples=150, deadline=None)
+def test_s_prefix_counts_match_the_closed_form(step, q, windows_per_block):
+    # small blocks, so that most draws cross block boundaries
+    with mock.patch.object(cx, "_INDICATOR_BLOCK", step * windows_per_block + step // 2):
+        assert DigitNeighborhoodSet().prefix_counts(step, q) == _closed_form_prefix_counts(step, q)
+
+
+@pytest.mark.parametrize("step, q", [(100, 6000), (7, 80000), (cx._INDICATOR_MAX_STEP, 400)])
+def test_s_prefix_counts_across_full_blocks(step, q):
+    assert DigitNeighborhoodSet().prefix_counts(step, q) == _closed_form_prefix_counts(step, q)
+
+
+def test_s_prefix_counts_keep_the_closed_form_past_the_step_rule(monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError("the indicator was built for a window past the step rule")
+
+    monkeypatch.setattr(cx, "s_flags", refuse)
+    step = cx._INDICATOR_MAX_STEP + 1
+    assert DigitNeighborhoodSet().prefix_counts(step, 300) == _closed_form_prefix_counts(step, 300)
+
+
+def test_s_prefix_counts_build_the_indicator_block_by_block():
+    # the indicator over ]0, 10^7] is 10 MB at once; block by block it stays below 1 MB
+    tracemalloc.start()
+    try:
+        counts = DigitNeighborhoodSet().prefix_counts(100, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == 10**5 + 1
+    result = sys.getsizeof(counts) + sum(map(sys.getsizeof, counts))
+    assert peak - result < 3 * 2**20, f"peak {peak} B for a result of {result} B"
+
+
 def _runs_from_intervals(intervals, horizon):
     """c(1..horizon) from the maximal runs of S ∩ [1, horizon]: n - a + 1 on a run [a, b]."""
     runs = [0] * horizon
@@ -125,18 +172,50 @@ def test_run_length_array_matches_the_scale_by_scale_oracle(horizon):
 @given(horizon=st.integers(-3, 3000))
 @settings(max_examples=40, deadline=None)
 def test_s_flags_match_the_brute_scan(horizon):
-    assert s_flags(horizon) == bytes(brute_s_member(m) for m in range(horizon + 1))
+    assert s_flags(0, horizon) == bytes(brute_s_member(m) for m in range(horizon + 1))
+
+
+@given(lo=st.integers(0, 30000), length=st.integers(-2, 400))
+@settings(max_examples=60, deadline=None)
+def test_s_flags_over_a_window_match_the_brute_scan(lo, length):
+    hi = lo + length
+    assert s_flags(lo, hi) == bytes(brute_s_member(m) for m in range(lo, hi + 1))
+
+
+def _flags_from_intervals(lo, hi):
+    """S's indicator over [lo, hi] from the defining intervals, walked scale by scale (`brute_s_intervals`)."""
+    want = bytearray(max(hi - lo + 1, 0))
+    for a, b in brute_s_intervals(lo, hi):
+        want[a - lo : b - lo + 1] = b"\x01" * (b - a + 1)
+    return bytes(want)
+
+
+@pytest.mark.parametrize("j", range(1, 12))
+def test_s_flags_over_windows_at_each_scale_edge(j):
+    # lo before, at and past the first interval of scale j, 10^j - j + 1, and 10^j +- (j + 3);
+    # brute_s_member tries every multiple below m, so past 10^5 the intervals near the window stand in
+    for lo in (10**j - j - 3, 10**j - j, 10**j - j + 1, 10**j - j + 2, 10**j + j + 3, 10**j + 7):
+        hi = lo + 2 * j + 9
+        flags = s_flags(lo, hi)
+        if hi < 10**5:
+            assert flags == bytes(brute_s_member(m) for m in range(lo, hi + 1)), lo
+        assert flags == _flags_from_intervals(lo, hi), lo
+
+
+@pytest.mark.parametrize("c", [10**10, 7 * 10**10, 10**11, 3 * 10**11])
+def test_s_flags_where_neighbouring_intervals_merge(c):
+    # the interval of l*10^10 (radius 9) touches its neighbours' intervals; that of l*10^11 (radius 10) meets them
+    for lo, hi in ((c - 60, c + 60), (c - 11, c + 11), (c + 9, c + 10), (c - 1, c - 1)):
+        assert s_flags(lo, hi) == _flags_from_intervals(lo, hi), (lo - c, hi - c)
 
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_s_flags_at_horizons_around_each_scale(j):
     # the slices of scale j start at 10^j - j + 1: horizons before, at and past each of them
     top = 10**j + j
-    want = bytearray(top + 1)
-    for a, b in brute_s_intervals(0, top):
-        want[a : b + 1] = b"\x01" * (b - a + 1)
+    want = _flags_from_intervals(0, top)
     for horizon in range(10**j - j, top + 1):
-        flags = s_flags(horizon)
+        flags = s_flags(0, horizon)
         assert flags == want[: horizon + 1]
         assert flags[horizon] == brute_s_member(horizon)
 

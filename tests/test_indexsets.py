@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import (
@@ -278,6 +278,25 @@ def test_pieces_cover_the_range_and_repeat_by_their_period(case):
         assert start < end and period >= 1
         for m in range(start, min(end, n + 1) - period):
             assert A.contains(m) == A.contains(m + period)
+
+
+@given(
+    s=st.one_of(st.integers(20, 300), st.integers(1990, 2010), st.integers(2001, 12000)),
+    horizon=st.one_of(st.integers(1, 20000), st.integers(10**5, 3 * 10**5)),
+    extra=st.lists(st.integers(1, 12000), max_size=2),
+    tail_factor=st.integers(1, 64),
+)
+@example(s=100, horizon=10**5, extra=[], tail_factor=8)
+@example(s=2000, horizon=3 * 10**5, extra=[10], tail_factor=8)
+@example(s=2001, horizon=3 * 10**5, extra=[], tail_factor=8)
+@settings(max_examples=40, deadline=None)
+def test_s_scan_matches_the_scan_oracle(s, horizon, extra, tail_factor):
+    # S reads windows up to the step rule off its indicator and counts longer ones in closed form
+    grid = [s, *(e for e in extra if e < s)]
+    assume(horizon >= s)
+    A = DigitNeighborhoodSet()
+    got = estimate_densities(A, horizon, grid, tail_factor)
+    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, grid, tail_factor))
 
 
 def test_kinds_without_pieces_keep_the_scan():
