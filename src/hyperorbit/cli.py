@@ -112,7 +112,9 @@ def run_make_set(args, out):
 
 def run_check_family(args, out):
     family = parse_family_spec(args.family)
-    horizon = args.horizon if args.horizon > 0 else None
+    if args.horizon < 0:
+        raise UsageError(f"--horizon must be >= 0 (0 checks every member of a finite family), got {args.horizon}")
+    horizon = args.horizon or None
     result = check_gap_family(family, horizon)
     rows = [(family.label, result.ok, result.pairs_checked, repr(result.violation))]
     write_csv(

@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
 from .shifts import ConstantWeights, ShiftOperator, apply_backward, apply_right_inverse
-from .spaces import SparseVec, SpaceSpec, norm
+from .spaces import SparseVec, SpaceSpec, _power_sum, _root_float, norm
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +205,6 @@ def _int_p(space: SpaceSpec):
     raise UsageError("certificates need an integer lp exponent or c0")
 
 
-def _norm_pow(y: SparseVec, ip) -> Fraction:
-    """Sum of |coord|**p (max for c0) as an exact fraction."""
-    if ip is None:
-        return max((abs(Fraction(v)) for v in y.entries.values()), default=Fraction(0))
-    return sum((abs(Fraction(v)) ** ip for v in y.entries.values()), Fraction(0))
-
-
 def _geom_tail(rate_bits: int, ip, first_exp: int, gap: int, weight: Fraction) -> Fraction:
     """Bound for sums/maxima of 2**(-rate*p*n) over n = first, first+gap, ...
 
@@ -330,7 +323,7 @@ def _certify_level(T, family, selected, k, l, targets, rate, ip):
 
     def tail_cert(condition, j, start, gap, y, need, detail):
         """The geometric tail of y's terms from `start` on, every `gap`, against need (to the p-th power)."""
-        tail = _geom_tail(rate, ip, start, gap, _norm_pow(y, ip))
+        tail = _geom_tail(rate, ip, start, gap, _power_sum(y, ip))
         ok = tail <= (need if ip is None else need**ip)
         return Certificate(condition, l, j, _root_float(tail, ip), float(need), ok, detail)
 
@@ -378,12 +371,6 @@ def _min_distance_between(family, k_from, k_to) -> int:
     if max(gf, gt) % min(gf, gt):
         raise UsageError("periods must be nested")
     return (ot - of - 1) % min(gf, gt) + 1
-
-
-def _root_float(x: Fraction, ip) -> float:
-    if ip is None or ip == 1:
-        return float(x)
-    return float(x) ** (1.0 / ip)
 
 
 # ---------------------------------------------------------------------------
@@ -549,5 +536,5 @@ def _truncation_constant(plan, rate, truncation) -> Fraction:
     for l, k in enumerate(plan.selected, start=1):
         g, o = _progression(plan.family.level(k))
         first = _first_member_at_least(g, o, truncation + 1)
-        total += _geom_tail(rate, 2, first, g, _norm_pow(plan.targets[l - 1], 2))
+        total += _geom_tail(rate, 2, first, g, _power_sum(plan.targets[l - 1], 2))
     return total

@@ -17,23 +17,23 @@ started from each entry's value (or, far from 1, its mantissa) and
 renormalized with `frexp` once at the end of the block; the block is short
 enough that every running product stays a normal float, where rounding
 commutes with powers of two, so the rows have the bits of stepping with
-`frexp` one step at a time.  Each row is tested against every target in
-the order `spaces.norm` sums, so each verdict is the one `ball_contains`
-gives: first v's nonzero entries in x order, then the centre entries no
-nonzero entry meets at that step, in centre order; the c0 norm is the row
-maximum, and `spaces`' own size rule (`_float_size`) turns the terms into
-the norm.  Rows for which that rule asks to rescale, lp spaces with
-p != 2, and centres without a float value go through `ball_contains`
-itself.  On a unilateral space an orbit whose entries have all passed
-index 0 is zero from then on, and the remaining times are decided by one
-ball test of the zero vector.
+`frexp` one step at a time.  Each row is tested against every target by
+the rule of `spaces.norm`, so each verdict is the one `ball_contains` gives
+on every space: `spaces._float_terms` turns v - c into terms, taken in the
+order of `spaces.norm` (v's nonzero entries in x order, then the centre
+entries no nonzero entry meets at that step, in centre order), and
+`spaces._float_size` turns them into the norm.  Rows for which that rule
+asks to rescale, and centres without a float value, go through
+`ball_contains` itself.  On a unilateral space an orbit whose entries have
+all passed index 0 is zero from then on, and the remaining times are
+decided by one ball test of the zero vector.
 
 The scan runs on the standard library's C iterators (`map`, `zip`), like
-the rest of the package, which depends on nothing outside the standard
-library.
+the rest of the package, which depends on nothing outside it.
 
 `return_weight_sums` tabulates alpha once and sums each member's row left
-to right, so its betas have the bits of the old double loop.
+to right, over the later members in increasing order, so each beta is the
+float sum of its definition taken term by term.
 
 Classification labels are evidence at a horizon, never proofs, and the
 threshold they use is always carried in the result.
@@ -57,7 +57,7 @@ from .indexsets import (
     is_syndetic,
 )
 from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
-from .spaces import SparseVec, _float_size, _same_space, ball_contains
+from .spaces import SparseVec, _float_size, _float_terms, _same_space, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
 DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; those that fit in the horizon are used
@@ -186,36 +186,39 @@ class _Ball:
     """One target ball, prepared to test the rows of a scan."""
 
     def __init__(self, center: SparseVec, radius, space):
-        _same_space(center, SparseVec.zero(space))
+        _same_space(center.space, space)
         self.center = center
         self.radius = radius
+        self.space = space
         self.index = list(center.entries)
-        self.c0 = space.kind == "c0"
-        self.direct = self.c0 or space.p == 2.0
         try:
             self.values = [float(val) for val in center.entries.values()]
-        except OverflowError:
-            self.direct = False
+            self.terms = _float_terms(self.values, space)
+        except OverflowError:  # no float value: every row goes through ball_contains
+            self.values = None
 
     def norm(self, row, terms, at, n):
-        """‖v - c‖ by the size rule of `spaces.norm`, or None where `spaces.norm`
-        rescales.
+        """‖v - c‖ by the rule of `spaces.norm`, or None where `spaces.norm`
+        rescales or the centre has no float value.
 
-        `row` holds the orbit point's entries in x order at step n, `terms` their
-        squares (l2) or magnitudes (c0), and `at` maps an original index to its
-        place in the row."""
-        rest = []  # centre entries no nonzero entry meets, in centre order
-        shared = True
-        for k, c in zip(self.index, self.values):
+        `row` holds the orbit point's entries in x order at step n, `terms`
+        their `_float_terms`, and `at` maps an original index to its place in
+        the row."""
+        if self.values is None:
+            return None
+        rest, met, diffs = [], [], []  # rest: centre terms no nonzero entry meets, in centre order
+        for k, c, t in zip(self.index, self.values, self.terms):
             j = at.get(k + n)
             if j is None or row[j] == 0:
-                rest.append(abs(c) if self.c0 else c * c)
-                continue
-            if shared:
-                terms, shared = list(terms), False
-            d = row[j] - c
-            terms[j] = abs(d) if self.c0 else d * d
-        return _float_size(terms + rest if rest else terms, self.c0)
+                rest.append(t)
+            else:
+                met.append(j)
+                diffs.append(row[j] - c)
+        if met:
+            terms = list(terms)
+            for j, t in zip(met, _float_terms(diffs, self.space)):
+                terms[j] = t
+        return _float_size(terms + rest if rest else terms, self.space)
 
 
 def _scan(orbit: _Orbit, targets, horizon: int):
@@ -248,9 +251,9 @@ def _scan(orbit: _Orbit, targets, horizon: int):
             truncated_at = start + over
         at = {idx: j for j, idx in enumerate(index)}
         for n, row in enumerate(rows, start):
-            terms = list(map(abs, row)) if space.kind == "c0" else list(map(mul, row, row))
+            terms = _float_terms(row, space)
             for times, ball in zip(found, balls):
-                size = ball.norm(row, terms, at, n) if ball.direct else None
+                size = ball.norm(row, terms, at, n)
                 if size is None:
                     point = SparseVec({idx - n: v for idx, v in zip(index, row) if v != 0}, space)
                     inside = ball_contains(ball.center, ball.radius, point)

@@ -9,8 +9,10 @@ the norm and the comparison in floats, so a point within rounding of the
 sphere can fall on either side.  Tolerance policy belongs to callers, not
 to this module.
 
-One size rule, `_float_size`, says when the float c0 maximum or l2 sum is
-the norm and when `norm` must rescale; the orbit scan shares it.
+One float rule serves every space, in two halves the orbit scan shares:
+`_float_terms` turns entries into terms and `_float_size` turns terms into
+the norm, or says that `norm` must rescale.  One exact power sum,
+`_power_sum`, serves the rescaled norm, `norm_sq_exact` and the certificates.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from operator import mul
 
 from .errors import SpaceMismatchError, UsageError
 
@@ -95,14 +98,14 @@ class SparseVec:
         return hash((self.space, tuple(sorted(self.entries.items()))))
 
     def __add__(self, other):
-        _same_space(self, other)
+        _same_space(self.space, other.space)
         out = dict(self.entries)
         for idx, val in other.entries.items():
             out[idx] = out.get(idx, 0) + val
         return SparseVec(out, self.space)
 
     def __sub__(self, other):
-        _same_space(self, other)
+        _same_space(self.space, other.space)
         out = dict(self.entries)
         for idx, val in other.entries.items():
             out[idx] = out.get(idx, 0) - val
@@ -117,20 +120,28 @@ class SparseVec:
         return f"SparseVec({{{items}{more}}}, {self.space.describe()})"
 
 
-def _same_space(u: SparseVec, v: SparseVec):
-    if u.space != v.space:
-        raise SpaceMismatchError(f"{u.space.describe()} vs {v.space.describe()}")
+def _same_space(a: SpaceSpec, b: SpaceSpec):
+    if a != b:
+        raise SpaceMismatchError(f"{a.describe()} vs {b.describe()}")
 
 
 def norm_sq_exact(v: SparseVec) -> Fraction:
     """Exact sum of squared entries; only meaningful for the l2 norm."""
     if v.space.kind != "lp" or v.space.p != 2.0:
         raise UsageError("norm_sq_exact is an l2 helper")
-    total = Fraction(0)
-    for val in v.entries.values():
-        f = Fraction(val) if not isinstance(val, Fraction) else val
-        total += f * f
-    return total
+    return _power_sum(v, 2)
+
+
+def _power_sum(v: SparseVec, ip) -> Fraction:
+    """The exact sum of |v_i|**ip, or the largest |v_i| for ip None (c0); 0 with no entry."""
+    if ip is None:
+        return max((abs(Fraction(x)) for x in v.entries.values()), default=Fraction(0))
+    return sum((abs(Fraction(x)) ** ip for x in v.entries.values()), Fraction(0))
+
+
+def _root_float(x: Fraction, ip) -> float:
+    """The float ip-th root of an exact power sum; x itself for c0 (x ** 1.0 is x)."""
+    return float(x) if ip is None else float(x) ** (1.0 / ip)
 
 
 def norm(v: SparseVec) -> float:
@@ -145,50 +156,45 @@ def norm(v: SparseVec) -> float:
     if not v.entries:
         return 0.0
     try:
-        magnitudes = [abs(float(x)) for x in v.entries.values()]
+        values = [float(x) for x in v.entries.values()]
     except OverflowError:  # an entry, so the largest magnitude too, is beyond float range
         return float("inf")
-    c0, p = v.space.kind == "c0", v.space.p
-    if c0 or p == 2.0:
-        size = _float_size(magnitudes if c0 else [f * f for f in magnitudes], c0)
-        if size is not None:
-            return size
-        return _float_saturated(_max_magnitude(v)) if c0 else _scaled_norm(v, p)
-    total = 0.0
-    for f in magnitudes:
-        total += _safe_pow(f, p)
-    # below the normal float range the power sum loses precision: recompute scaled
-    if 1e-290 < total < float("inf"):
-        return _safe_pow(total, 1.0 / p)
-    return _scaled_norm(v, p)
+    size = _float_size(_float_terms(values, v.space), v.space)
+    return _scaled_norm(v) if size is None else size
 
 
-def _float_size(terms, c0: bool):
-    """The largest of the magnitudes `terms` (c0), or the root of the squares
-    `terms` summed left to right (l2); None where `norm` must rescale: a c0
-    maximum of 0, or an l2 sum outside (1e-290, inf), where it loses bits."""
-    if c0:
+def _float_terms(values, space: SpaceSpec) -> list:
+    """The float terms of a norm: |v| (c0), v * v (l2) or |v|**p (other lp)."""
+    if space.kind == "c0":
+        return list(map(abs, values))
+    if space.p == 2.0:
+        return list(map(mul, values, values))
+    return [_safe_pow(abs(f), space.p) for f in values]
+
+
+def _float_size(terms, space: SpaceSpec):
+    """The norm from its `_float_terms`: their maximum (c0) or the root of their
+    sum, left to right (lp); None where `norm` must rescale: a c0 maximum of 0,
+    or an lp sum outside (1e-290, inf), where it loses bits."""
+    if space.kind == "c0":
         best = max(terms)
         return best if best > 0.0 else None
     total = 0.0
     for t in terms:
         total += t
-    return sqrt(total) if 1e-290 < total < float("inf") else None
+    if not 1e-290 < total < float("inf"):
+        return None
+    return sqrt(total) if space.p == 2.0 else _safe_pow(total, 1.0 / space.p)
 
 
-def _max_magnitude(v: SparseVec) -> Fraction:
-    return max(abs(Fraction(x)) for x in v.entries.values())
-
-
-def _scaled_norm(v: SparseVec, p: float) -> float:
-    m = _max_magnitude(v)
+def _scaled_norm(v: SparseVec) -> float:
+    m, p = _power_sum(v, None), v.space.p
     scale = _float_saturated(m)
-    if scale == float("inf"):
+    if p is None or scale == float("inf"):  # c0: the largest magnitude is the norm
         return scale
     if p == int(p):
         ip = int(p)
-        total = sum((abs(Fraction(x)) / m) ** ip for x in v.entries.values())
-        root = float(total) ** (1.0 / ip)
+        root = _root_float(_power_sum(v, ip) / m**ip, ip)
     else:
         total = sum(float(abs(Fraction(x)) / m) ** p for x in v.entries.values())
         root = total ** (1.0 / p)
@@ -218,7 +224,7 @@ def ball_contains(center: SparseVec, radius: float, v: SparseVec) -> bool:
     Not exact: the float norm is compared with the float radius, so a
     point within rounding of the sphere can be misjudged.
     """
-    _same_space(center, v)
+    _same_space(center.space, v.space)
     if radius <= 0:
         return False
     return norm(v - center) < radius

@@ -25,13 +25,13 @@ from hyperorbit.constructor import (
     OrbitBoundRow,
     _first_member_at_least,
     _geom_tail,
-    _norm_pow,
     _pow2_rate,
     _progression,
 )
 from hyperorbit.counterexample import _int_lt_pow10
 from hyperorbit.errors import WindowGridError
 from hyperorbit.indexsets import DensityReport
+from hyperorbit.spaces import _power_sum
 
 
 def brute_count(A, a, b):
@@ -299,7 +299,7 @@ def brute_orbit_bounds(hc, T, horizon):
             for j, kj in enumerate(plan.selected, start=1):
                 g, o = _progression(plan.family.level(kj))
                 first = _first_member_at_least(g, o, hc.truncation + 1)
-                trunc_sq += _geom_tail(rate, 2, first - n, g, _norm_pow(plan.targets[j - 1], 2))
+                trunc_sq += _geom_tail(rate, 2, first - n, g, _power_sum(plan.targets[j - 1], 2))
             err_sq = norm_sq_exact(apply_backward(T, hc.x, n) - y)
             ok = err_sq <= bound * bound + trunc_sq
             try:

@@ -4,10 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 status lines.  Tolerances are pinned here and nowhere else.
 """
 
+import ast
 import hashlib
 import json
 import os
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -364,3 +366,26 @@ def test_criterion_13_cli_determinism(tmp_path):
         assert outs[0], f"{name}: produced no outputs"
         assert _digests(outs[0]) == golden[row]["files"], f"{name}: outputs differ from {GOLDEN}"
     _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} commands, workers 1 vs 8, against the stored digests")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # README: the package runs on the Python standard library alone
+    package = os.path.dirname(h.__file__)
+    outside = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "hyperorbit" and top not in sys.stdlib_module_names:
+                    outside.append(f"{name}: {module}")
+    assert not outside, outside

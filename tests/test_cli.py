@@ -427,6 +427,7 @@ REJECTED = {
     "classify-trailing-semicolon": ["classify", "--vector", "e:0", "--targets", "zero:@0.5;", "--horizon", "2000"],
     "series-empty-weight": ["series-tests", "--weights", "constant:2;;ratio-power:2"],
     "series-no-weights": ["series-tests", "--weights", ""],
+    "check-family-horizon-negative": ["check-family", "--family", "counterexample:2:2", "--horizon", "-5"],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -507,9 +508,11 @@ TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__
          " horizon // 2 + 1 = 1001"),
         (["construct", "--config", TRUNCATION_MARGIN_CONFIG],
          f"config {TRUNCATION_MARGIN_CONFIG}: construct takes no truncation_margin"),
+        (["check-family", "--family", "dyadic-block:3", "--horizon", "-5"],
+         "--horizon must be >= 0 (0 checks every member of a finite family), got -5"),
     ],
     ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late",
-         "construct-truncation-margin"],
+         "construct-truncation-margin", "check-family-horizon"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)

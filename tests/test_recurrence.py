@@ -34,6 +34,7 @@ from hyperorbit.errors import NoDataError, UsageError
 from hyperorbit.indexsets import estimate_densities
 from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
+from hyperorbit.spaces import _float_terms
 
 from conftest import (
     brute_hitting_times,
@@ -135,7 +136,10 @@ UNILATERAL_WEIGHTS = [
     TableWeights([1.5, -2.0, 0.75, 3.0, -0.5, 1.25, 2.0, -1.0, 0.3, 4.0] * 4),
 ]
 CONSTANTS = [ConstantWeights(c) for c in (2.0, -2.0, 0.5, -0.5, 1.5, 3.0)]
-SPACES = [lp(2.0), c0(), lp(3.0), lp(2.0, bilateral=True), c0(bilateral=True)]
+SPACES = [
+    lp(2.0), c0(), lp(3.0), lp(1.0), lp(1.5),
+    lp(2.0, bilateral=True), lp(3.0, bilateral=True), c0(bilateral=True),
+]
 
 scalars = st.one_of(
     st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**20), 2**20).filter(bool),
@@ -197,10 +201,7 @@ def _check_rows_and_norms(T, x, targets, horizon):
         assert {idx - n: val for idx, val in zip(orbit.index, row) if val != 0} == v.entries
         for center, radius in targets:
             ball = recurrence._Ball(center, radius, x.space)
-            if not ball.direct:  # lp with p != 2: every row goes through ball_contains
-                continue
-            terms = [abs(val) for val in row] if ball.c0 else [val * val for val in row]
-            size = ball.norm(row, terms, at, n)
+            size = ball.norm(row, _float_terms(row, x.space), at, n)
             if size is not None:
                 assert size == norm(v - center)
 
@@ -245,6 +246,25 @@ def test_sums_below_the_normal_range_are_left_to_spaces_norm():
     assert ball.norm(row, [val * val for val in row], {0: 0, 1: 1}, 0) is None
     # the subnormal sum lost bits, which spaces.norm avoids by rescaling
     assert sqrt(row[0] ** 2 + row[1] ** 2) != norm(SparseVec(dict(enumerate(row)), L2))
+
+
+def test_lp_rows_take_the_direct_ball_test():
+    # every row of an lp:3 scan is decided from its float terms; only the dead orbit's zero
+    # vector, once per target, goes through ball_contains
+    space = lp(3.0)
+    T = ShiftOperator(RatioPowerWeights(2.0), space)
+    x = SparseVec({i: 1 for i in range(51)}, space)
+    targets = [(SparseVec.zero(space), 8), (SparseVec.basis(space, 0), Fraction(1, 2))]
+    calls = []
+
+    def counted(center, radius, v):
+        calls.append(v)
+        return ball_contains(center, radius, v)
+
+    with patch.object(recurrence, "ball_contains", counted):
+        reports = hitting_times(T, x, targets, 200)
+    assert calls == [SparseVec.zero(space)] * 2
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 200)[0]
 
 
 def test_blocks_stay_within_their_stride():

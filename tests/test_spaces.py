@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperorbit import SparseVec, ball_contains, c0, lp, norm, norm_sq_exact
 from hyperorbit.errors import SpaceMismatchError, UsageError
+from hyperorbit.spaces import _power_sum
 
 from conftest import brute_norm
 
@@ -138,7 +139,7 @@ def wide_entries(draw):
     return {**entries, **draw(st.dictionaries(st.integers(51, 60), anywhere, max_size=2))}
 
 
-@given(space=st.sampled_from([L1, L2, lp(3.0), SUP]), entries=wide_entries())
+@given(space=st.sampled_from([L1, L2, lp(1.5), lp(3.0), SUP]), entries=wide_entries())
 @settings(max_examples=400, deadline=None)
 def test_norm_matches_the_brute_oracle_bit_for_bit(space, entries):
     v = SparseVec(entries, space)
@@ -147,7 +148,7 @@ def test_norm_matches_the_brute_oracle_bit_for_bit(space, entries):
 
 def test_norm_matches_the_brute_oracle_at_the_edges_of_the_float_range():
     tiny, huge = Fraction(1, 2**1100), Fraction(2**1100)
-    for space in (L1, L2, lp(3.0), SUP):
+    for space in (L1, L2, lp(1.5), lp(3.0), SUP):
         for entries in (
             {0: tiny}, {0: tiny, 3: tiny * 3}, {0: huge}, {0: 1.0, 1: huge}, {0: 2.0**-540, 1: 2.0**-541},
             {0: 1e300, 1: 1e300}, {0: 2.0**-1074}, {0: 0.5, 2: tiny},
@@ -156,6 +157,29 @@ def test_norm_matches_the_brute_oracle_at_the_edges_of_the_float_range():
         ):
             v = SparseVec(entries, space)
             assert norm(v) == brute_norm(v), (space, entries)
+
+
+exact_scalars = st.one_of(
+    st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**40), 2**40).filter(bool),
+              st.integers(-16000, 100)),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.dictionaries(st.integers(0, 40), exact_scalars, max_size=8), st.sampled_from([None, 1, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_power_sum_matches_the_brute_sum_and_maximum(entries, ip):
+    magnitudes = [abs(Fraction(x)) for x in entries.values() if x != 0]
+    v = SparseVec(entries, L2)
+    if ip is None:
+        expected = max(magnitudes, default=Fraction(0))
+    else:
+        expected = Fraction(0)
+        for m in magnitudes:
+            expected += m**ip
+    assert _power_sum(v, ip) == expected
+    assert norm_sq_exact(v) == _power_sum(v, 2)
 
 
 def test_ball_translation_invariance():
