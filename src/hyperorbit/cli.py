@@ -86,7 +86,9 @@ DENSITY_HEADER = (
 
 def run_densities(args, out):
     A = parse_set_spec(args.set)
-    grid = parse_int_list(args.window_grid) if args.window_grid else None
+    grid = None if args.window_grid is None else parse_int_list(args.window_grid)
+    if grid == []:
+        raise UsageError("--window-grid needs at least one window length")
     report = estimate_densities(A, args.horizon, grid, args.tail_factor)
     write_csv(os.path.join(out, "densities.csv"), DENSITY_HEADER, _density_rows(args.set, report))
     return EXIT_OK
@@ -290,6 +292,7 @@ def run_classify(args, out):
         rows,
     )
     if any(rep.truncated for rep in reports):
+        print(f"classify: overflow truncation at n={reports[0].truncated_at}", file=sys.stderr)
         return EXIT_OVERFLOW
     return EXIT_OK
 
@@ -365,8 +368,10 @@ def run_eqbeta(args, out):
     A = parse_set_spec(args.set)
     if args.sample < 1:
         raise UsageError(f"--sample must be >= 1, got {args.sample}")
-    if args.n:
+    if args.n is not None:
         ns = parse_int_list(args.n)
+        if not ns:
+            raise UsageError("--n needs at least one time")
     else:
         ns = A.members_in(1, args.horizon)[: args.sample]
     if not ns:
@@ -586,6 +591,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         # a config value is a default typed as a flag: argparse converts it, and flags given in argv win
         for key, val in stored.items():
+            if isinstance(val, (bool, list, dict)):
+                print(f"usage error: config {args.config}: {key} must be a JSON string or number", file=sys.stderr)
+                return EXIT_USAGE
             if val is not None:
                 actions[key].default = str(val)
                 actions[key].required = False

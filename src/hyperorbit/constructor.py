@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
 from .shifts import ConstantWeights, ShiftOperator, apply_backward, apply_right_inverse
-from .spaces import SparseVec, SpaceSpec, _power_sum, _root_float, norm
+from .spaces import SparseVec, SpaceSpec, _power_sum, _root_ratio, norm
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _certify_level(T, family, selected, k, l, targets, rate, ip):
         """The geometric tail of y's terms from `start` on, every `gap`, against need (to the p-th power)."""
         tail = _geom_tail(rate, ip, start, gap, _power_sum(y, ip))
         ok = tail <= (need if ip is None else need**ip)
-        return Certificate(condition, l, j, _root_float(tail, ip), float(need), ok, detail)
+        return Certificate(condition, l, j, _root_ratio(*tail.as_integer_ratio(), ip), float(need), ok, detail)
 
     # condition i: full tails of earlier levels past position k, and of level
     # k itself, must stay below 1/(l 2^l)
@@ -476,8 +476,8 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
             dot = sum(xs.get(n + m, 0) * v for m, v in y.items())
             err = (tail << (2 * s)) - (dot << (s + 1)) + y_sq
             ok = err * err_scale <= fixed + (per_row << (2 * s))
-            achieved = _sqrt_ratio(err, den_sq)
-            trunc = _sqrt_ratio(kn << (2 * s), kd)
+            achieved = _root_ratio(err, den_sq, 2)
+            trunc = _root_ratio(kn << (2 * s), kd, 2)
             row = OrbitBoundRow(l, n, achieved, float(bound), trunc, ok)
             rows.append(row)
             slack = float(bound) + trunc - achieved
@@ -519,14 +519,6 @@ def _integer_entries(x: SparseVec, targets):
     x_sq = {i: lift(f, 2) for i, f in xf.items()}
     ys = [{i: lift(f) for i, f in vec.items()} for vec in yf]
     return xs, x_sq, ys, den
-
-
-def _sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) from the correctly rounded quotient, inf past the float range."""
-    try:
-        return (num / den) ** 0.5
-    except OverflowError:
-        return float("inf")
 
 
 def _truncation_constant(plan, rate, truncation) -> Fraction:

@@ -1,9 +1,10 @@
 """Exact integer index sets, window counts, and density estimation.
 
-A set of non-negative integers is exposed through a pure membership
-predicate, a member listing over closed windows [a, b], and one counting
-primitive, `count_upto(n)`: the number of members in [0, n].  Every window
-count is a difference of two prefix counts.  Structured sets answer
+A set of non-negative integers is exposed through a member listing over
+closed windows [a, b], `members_in`, and one counting primitive,
+`count_upto(n)`: the number of members in [0, n].  Membership of n is the
+listing of the one-point window [n, n], and every window count is a
+difference of two prefix counts.  Structured sets answer
 `count_upto` in closed form, never by scanning from zero, so sets whose
 interesting members sit near 10**100 remain usable.
 
@@ -57,9 +58,14 @@ from .errors import NoDataError, UsageError, WindowGridError
 class IndexSet:
     """Base class: a subset of the non-negative integers.
 
-    Subclasses implement `contains` and `members_in`.  `count_upto` is the
-    one counting primitive: the generic version counts the listed members,
-    and structured kinds override it with closed forms.  `count_in` is
+    Subclasses implement `members_in`.  `contains(n)` is defined here
+    once, as the listing of [n, n], not as `count_in(n, n)`, which must
+    form n - 1 (a tower member at the lowest offset has none); a kind
+    overrides it only where that listing costs measurably more than its
+    own rule: the periodic sets (a modulo) and S (the digit-scale scan,
+    which also serves tower integers).  `count_upto` is the one counting
+    primitive: the generic version counts the listed members, and
+    structured kinds override it with closed forms.  `count_in` is
     defined here once, from `count_upto`, and no kind overrides it;
     `prefix_counts` is too, and only S overrides it, with a bulk read of
     its indicator.  All instances are immutable (up to caches) and safe to
@@ -67,7 +73,7 @@ class IndexSet:
     """
 
     def contains(self, n) -> bool:
-        raise NotImplementedError
+        return bool(self.members_in(n, n))
 
     def __contains__(self, n) -> bool:
         return self.contains(n)
@@ -129,10 +135,6 @@ class ExplicitSet(IndexSet):
             raise UsageError("explicit sets live in the non-negative integers")
         object.__setattr__(self, "members", ms)
 
-    def contains(self, n):
-        i = bisect.bisect_left(self.members, n)
-        return i < len(self.members) and self.members[i] == n
-
     def members_in(self, lo, hi):
         i = bisect.bisect_left(self.members, lo)
         j = bisect.bisect_right(self.members, hi)
@@ -177,9 +179,6 @@ class BitmapSet(IndexSet):
     def top(self):
         """The largest member; -1 for the empty set."""
         return self.flags.rfind(1)
-
-    def contains(self, n):
-        return 0 <= n < len(self.flags) and self.flags[n] == 1
 
     def count_upto(self, n):
         return self.flags.count(1, 0, n + 1) if n >= 0 else 0
@@ -276,13 +275,6 @@ class SegmentPatternSet(IndexSet):
         object.__setattr__(self, "_starts", tuple(seg[0] for seg in self.segments))
         object.__setattr__(self, "_before", tuple(before))
 
-    def contains(self, n):
-        i = bisect.bisect_right(self._starts, n) - 1
-        if i < 0:
-            return False
-        start, end, num, den = self.segments[i]
-        return n < end and (n - start) % den < num
-
     def count_upto(self, n):
         i = bisect.bisect_right(self._starts, n) - 1
         if i < 0:
@@ -362,9 +354,6 @@ class FactorialBlockSet(IndexSet):
         self._cover = intervals_set(built)
         return self._cover
 
-    def contains(self, n):
-        return n >= 0 and self._upto(n).contains(n)
-
     def count_upto(self, n):
         return self._upto(n).count_upto(n)
 
@@ -392,14 +381,6 @@ class GeometricSet(IndexSet):
         self.base = base
         self.min_exponent = min_exponent
 
-    def contains(self, n):
-        if n < 1:
-            return False
-        p = self.base ** self.min_exponent
-        while p < n:
-            p *= self.base
-        return p == n
-
     def members_in(self, lo, hi):
         out = []
         p = self.base ** self.min_exponent
@@ -420,9 +401,6 @@ class GeometricSet(IndexSet):
 
 class SquareSet(IndexSet):
     """Perfect squares k*k, k >= 0."""
-
-    def contains(self, n):
-        return n >= 0 and isqrt(n) ** 2 == n
 
     def members_in(self, lo, hi):
         lo = max(lo, 0)
@@ -871,19 +849,14 @@ def make_prescribed_density_set(r1, r2, r3, r4, eras: int = 6, window: int = 100
             return Fraction(r).limit_denominator(10**6)
         return Fraction(r)
 
-    r1, r2, r3, r4 = (_rat(r) for r in (r1, r2, r3, r4))
+    r1, r2, r3, r4 = rs = tuple(_rat(r) for r in (r1, r2, r3, r4))
     if not (0 <= r1 <= r2 <= r3 <= r4 <= 1):
-        raise UsageError(f"need 0 <= r1 <= r2 <= r3 <= r4 <= 1, got {(r1, r2, r3, r4)}")
+        raise UsageError(f"need 0 <= r1 <= r2 <= r3 <= r4 <= 1, got {','.join(map(str, rs))}")
 
     if r1 == r4:
         # constant density: a plain periodic pattern realizes all four at once
-        num, den = r1.numerator, r1.denominator
-        out = PeriodicSet(den, tuple(range(num)))
-        object.__setattr__(out, "recommended_horizon", max(100 * den, 16 * window))
-        object.__setattr__(out, "recommended_window", window)
-        object.__setattr__(out, "recommended_tail_factor", 8)
-        object.__setattr__(out, "targets", (r1, r2, r3, r4))
-        return out
+        out = PeriodicSet(r1.denominator, tuple(range(r1.numerator)))
+        return _recommend(out, max(100 * r1.denominator, 16 * window), window, 8)
 
     hi_num, hi_den = r4.numerator, r4.denominator
     lo_num, lo_den = r1.numerator, r1.denominator
@@ -906,8 +879,8 @@ def make_prescribed_density_set(r1, r2, r3, r4, eras: int = 6, window: int = 100
         # rise: local density r4 until the prefix ratio reaches the peak target
         peak = r3 if r4 > r3 else r3 - min(tol, r3 / 2 if r3 > 0 else tol)
         length = min_len
-        if r4 > peak and peak * (pos + min_len) > cnt + Fraction(min_len * hi_num, hi_den):
-            need = (peak * pos - cnt) / (Fraction(hi_num, hi_den) - peak)
+        if r4 > peak and peak * (pos + min_len) > cnt + min_len * r4:
+            need = (peak * pos - cnt) / (r4 - peak)
             length = max(min_len, int(need) + hi_den)
         run(hi_num, hi_den, length)
         if era == eras:
@@ -918,16 +891,19 @@ def make_prescribed_density_set(r1, r2, r3, r4, eras: int = 6, window: int = 100
             trough = r1 + tol
         length = min_len
         cur = Fraction(cnt, pos)
-        if cur > trough and Fraction(lo_num, lo_den) < trough:
-            need = (cnt - trough * pos) / (trough - Fraction(lo_num, lo_den))
+        if cur > trough and r1 < trough:
+            need = (cnt - trough * pos) / (trough - r1)
             length = max(min_len, int(need) + lo_den)
         run(lo_num, lo_den, length)
         trough_pos = pos
 
-    out = SegmentPatternSet(tuple(segments))
     tail = max(8, -(-pos // max(trough_pos, 1)) + 1)
-    object.__setattr__(out, "recommended_horizon", pos)
+    return _recommend(SegmentPatternSet(tuple(segments)), pos, window, tail)
+
+
+def _recommend(out, horizon, window, tail_factor):
+    """`out` with its recommended_horizon, recommended_window and recommended_tail_factor set."""
+    object.__setattr__(out, "recommended_horizon", horizon)
     object.__setattr__(out, "recommended_window", window)
-    object.__setattr__(out, "recommended_tail_factor", tail)
-    object.__setattr__(out, "targets", (r1, r2, r3, r4))
+    object.__setattr__(out, "recommended_tail_factor", tail_factor)
     return out

@@ -52,12 +52,15 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_real(text: str) -> float:
-    """A rational inside the float range, as its nearest float."""
+    """A rational inside the float range, as its nearest float; a nonzero one that rounds to 0 lies outside it."""
     q = parse_fraction(text)
     try:
-        return float(q)
-    except OverflowError as exc:
-        raise UsageError(f"{text.strip()!r} lies outside the float range") from exc
+        f = float(q)
+    except OverflowError:
+        f = None
+    if f is None or (f == 0.0 and q != 0):
+        raise UsageError(f"{text.strip()!r} lies outside the float range")
+    return f
 
 
 def parse_int(text: str) -> int:

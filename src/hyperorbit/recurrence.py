@@ -55,6 +55,7 @@ from .indexsets import (
     SyndeticEvidence,
     estimate_densities,
     is_syndetic,
+    merge_intervals,
 )
 from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
 from .spaces import SparseVec, _float_size, _float_terms, _same_space, ball_contains
@@ -109,13 +110,8 @@ class _Orbit:
         if not bilateral and self.index:
             horizon = min(horizon, max(self.index) + 1)  # every entry has left by then
         self.reach = reach = max(horizon, 1)
-        # tabulate w_k for k from i down to i - reach around every original index i
-        runs = []  # merged [low, high] index ranges
-        for i in sorted(set(self.index)):
-            if runs and i - reach <= runs[-1][1] + 1:
-                runs[-1][1] = i
-            else:
-                runs.append([i - reach, i])
+        # tabulate w_k for k from i down to i - reach around every original index i, over merged runs
+        runs = merge_intervals((i - reach, i) for i in self.index)
         table, top = [], {}
         for low, high in runs:
             first = low if bilateral else max(low, 1)

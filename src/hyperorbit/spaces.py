@@ -11,8 +11,12 @@ to this module.
 
 One float rule serves every space, in two halves the orbit scan shares:
 `_float_terms` turns entries into terms and `_float_size` turns terms into
-the norm, or says that `norm` must rescale.  One exact power sum,
-`_power_sum`, serves the rescaled norm, `norm_sq_exact` and the certificates.
+the norm, or says that `norm` must rescale; the rescaled norm of a
+non-integer p goes through the same two halves.  One exact power sum,
+`_power_sum`, serves the rescaled norm, `norm_sq_exact` and the
+certificates, and one root rule, `_root_ratio`, takes the float root of
+an exact ratio for the rescaled norm, the certificates and the
+orbit-bound check.
 """
 
 from __future__ import annotations
@@ -139,9 +143,14 @@ def _power_sum(v: SparseVec, ip) -> Fraction:
     return sum((abs(Fraction(x)) ** ip for x in v.entries.values()), Fraction(0))
 
 
-def _root_float(x: Fraction, ip) -> float:
-    """The float ip-th root of an exact power sum; x itself for c0 (x ** 1.0 is x)."""
-    return float(x) if ip is None else float(x) ** (1.0 / ip)
+def _root_ratio(num: int, den: int, ip) -> float:
+    """The float ip-th root of num / den, taken from the correctly rounded quotient;
+    the quotient itself for c0 (ip None), inf past the float range."""
+    try:
+        q = num / den
+    except OverflowError:
+        return float("inf")
+    return q if ip is None else q ** (1.0 / ip)
 
 
 def norm(v: SparseVec) -> float:
@@ -194,10 +203,11 @@ def _scaled_norm(v: SparseVec) -> float:
         return scale
     if p == int(p):
         ip = int(p)
-        root = _root_float(_power_sum(v, ip) / m**ip, ip)
-    else:
-        total = sum(float(abs(Fraction(x)) / m) ** p for x in v.entries.values())
-        root = total ** (1.0 / p)
+        (a, b), (c, d) = _power_sum(v, ip).as_integer_ratio(), m.as_integer_ratio()
+        root = _root_ratio(a * d**ip, b * c**ip, ip)
+    else:  # the scaled terms lie in [0, 1] with a largest of 1, so the size rule has a value
+        scaled = [float(abs(Fraction(x)) / m) for x in v.entries.values()]
+        root = _float_size(_float_terms(scaled, v.space), v.space)
     return scale * root if scale * root > 0.0 else scale
 
 

@@ -366,7 +366,10 @@ def brute_norm(v):
     if p == int(p):
         root = float(sum((abs(Fraction(x)) / m) ** int(p) for x in v.entries.values())) ** (1.0 / int(p))
     else:
-        root = sum(float(abs(Fraction(x)) / m) ** p for x in v.entries.values()) ** (1.0 / p)
+        scaled_total = 0.0
+        for x in v.entries.values():
+            scaled_total += float(abs(Fraction(x)) / m) ** p
+        root = scaled_total ** (1.0 / p)
     return scale * root if scale * root > 0.0 else scale
 
 

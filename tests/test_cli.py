@@ -428,6 +428,13 @@ REJECTED = {
     "series-empty-weight": ["series-tests", "--weights", "constant:2;;ratio-power:2"],
     "series-no-weights": ["series-tests", "--weights", ""],
     "check-family-horizon-negative": ["check-family", "--family", "counterexample:2:2", "--horizon", "-5"],
+    # a nonzero real that rounds to 0 lies outside the float range, like one that overflows
+    "constant-underflow": ["series-tests", "--weights", "constant:1e-400"],
+    "table-values-underflow": ["series-tests", "--weights", "table-values:1e-400"],
+    "radius-underflow": ["orbit", "--vector", "e:0", "--targets", "e:0@1e-400"],
+    # the empty text is the empty list, and these lists need an item
+    "densities-empty-window-grid": ["densities", "--set", "evens", "--window-grid", ""],
+    "eqbeta-empty-n": ["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -510,9 +517,16 @@ TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__
          f"config {TRUNCATION_MARGIN_CONFIG}: construct takes no truncation_margin"),
         (["check-family", "--family", "dyadic-block:3", "--horizon", "-5"],
          "--horizon must be >= 0 (0 checks every member of a finite family), got -5"),
+        (["series-tests", "--weights", "constant:1e-400"], "'1e-400' lies outside the float range"),
+        (["series-tests", "--weights", "table-values:1e-400"], "'1e-400' lies outside the float range"),
+        (["orbit", "--vector", "e:0", "--targets", "e:0@1e-400"], "'1e-400' lies outside the float range"),
+        (["densities", "--set", "evens", "--window-grid", ""], "--window-grid needs at least one window length"),
+        (["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"], "--n needs at least one time"),
+        (["make-set", "--targets", "1/2,1/4,3/4,1"], "need 0 <= r1 <= r2 <= r3 <= r4 <= 1, got 1/2,1/4,3/4,1"),
     ],
     ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late",
-         "construct-truncation-margin", "check-family-horizon"],
+         "construct-truncation-margin", "check-family-horizon", "constant-underflow", "table-values-underflow",
+         "radius-underflow", "empty-window-grid", "empty-n", "make-set-order"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)
@@ -595,6 +609,13 @@ def test_overflow_exit_code(tmp_path):
     assert (out / "hits.csv").exists()  # partial outputs kept
 
 
+def test_classify_overflow_names_the_truncation(tmp_path, capsys):
+    code, out = run(tmp_path, "of", "classify", "--vector", "e:1500", "--targets", "zero:@1", "--horizon", "2000")
+    assert code == 4
+    assert capsys.readouterr().err == "classify: overflow truncation at n=996\n"
+    assert (out / "classification.csv").exists()  # partial outputs kept
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"set": "evens", "horizon": 5000}))
@@ -661,6 +682,18 @@ def test_config_key_the_subcommand_lacks_exit_code(tmp_path, capsys, data, named
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and err.endswith(f"densities takes no {named}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [({"window_grid": [10, 100]}, "window_grid"), ({"set": True}, "set"), ({"horizon": {"n": 5}}, "horizon")],
+    ids=["array", "boolean", "object"],
+)
+def test_config_value_that_is_no_flag_text_is_refused_by_key(tmp_path, capsys, data, key):
+    cfg = _config(tmp_path, {"set": "evens", **data})
+    code, out = run(tmp_path, "d", "densities", "--config", cfg)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"usage error: config {cfg}: {key} must be a JSON string or number\n"
 
 
 def test_config_null_keeps_the_default(tmp_path):

@@ -113,6 +113,29 @@ def test_certificates_match_numeric_tails():
         assert numeric**0.5 <= c.bound + 1e-12
 
 
+@pytest.mark.parametrize("space", [c0(), lp(3.0)], ids=["c0", "lp-3"])
+def test_certificate_bounds_are_roots_of_direct_tail_sums(space):
+    # condition i bounds level j's target seen from the certified level's times on: the p-th root
+    # of the sum over those times n of ||S^n y||^p = 2**(-p n) ||y||^p, or on c0 their maximum
+    T = ShiftOperator(ConstantWeights(2.0), space)
+    plan = select_subsequence(T, dyadic_block_family(8), DenseDyadicSequence(space), 2, 10000)
+    checked = 0
+    for c in plan.certificates:
+        if c.condition != "i":
+            continue
+        y = plan.targets[c.against_level - 1]
+        start = plan.selected[c.level - 1]
+        times = plan.family.level(plan.selected[c.against_level - 1]).members_in(start, 4000)
+        sizes = [float(abs(Fraction(v))) for v in y.entries.values()]
+        if space.kind == "c0":
+            numeric = max(sizes) * 2.0 ** -times[0]
+        else:
+            numeric = (sum(t**3 for t in sizes) * sum(8.0**-n for n in times)) ** (1 / 3)
+        assert c.bound == pytest.approx(numeric, rel=1e-9)
+        checked += 1
+    assert checked == 3
+
+
 def test_select_rejects_gap_violating_family():
     fam = SetFamily("clash", (ExplicitSet((10, 11)), ExplicitSet((12,))))
     dense = DenseDyadicSequence(L2)

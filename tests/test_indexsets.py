@@ -23,9 +23,9 @@ from hyperorbit import (
     is_syndetic,
     make_prescribed_density_set,
 )
-from hyperorbit.counterexample import DigitNeighborhoodSet
+from hyperorbit.counterexample import DigitNeighborhoodSet, HugeInt
 from hyperorbit.errors import NoDataError, UsageError, WindowGridError
-from hyperorbit.indexsets import _anchor_positions
+from hyperorbit.indexsets import IndexSet, _anchor_positions
 from hyperorbit.io_text import parse_set_spec
 
 from conftest import (
@@ -81,6 +81,68 @@ def test_counts_match_scanning_oracle(A):
         b = a + rng.randrange(0, 300)
         assert A.count_in(a, b) == brute_count(A, a, b)
         assert A.members_in(a, b) == [n for n in range(a, b + 1) if A.contains(n)]
+
+
+# ---------------------------------------------------------------------------
+# membership against each kind's definition
+
+
+def _definition(A):
+    """Membership in A by the kind's own definition, apart from its members_in and count_upto."""
+    if isinstance(A, PeriodicSet):
+        return lambda n: n >= 0 and n % A.period in A.residues
+    if isinstance(A, SegmentPatternSet):
+        return lambda n: any(s <= n < e and (n - s) % d < k for s, e, k, d in A.segments)
+    if isinstance(A, ExplicitSet):
+        return lambda n: any(m == n for m in A.members)
+    if isinstance(A, BitmapSet):
+        return lambda n: 0 <= n < len(A.flags) and A.flags[n] == 1
+    if isinstance(A, SquareSet):
+        return lambda n: n >= 0 and math.isqrt(n) ** 2 == n
+    if isinstance(A, FactorialBlockSet):
+        return lambda n: any(math.factorial(j) <= n <= math.factorial(j) + j for j in range(1, 9))
+    if isinstance(A, GeometricSet):  # n = base**j, j >= min_exponent, and base**j > n past j = bit_length(n)
+        return lambda n: any(A.base**j == n for j in range(A.min_exponent, n.bit_length() + 1))
+    raise AssertionError(f"no definition for {A!r}")
+
+
+PAST_LAST = 5100  # past 7! + 7 and past the last member of every finite set below
+MEMBERSHIP_SETS = ZOO + [
+    parse_set_spec("segments:0:10:1:1;10:40:1:3;100:300:2:5"),
+    make_prescribed_density_set(0, Fraction(1, 5), Fraction(1, 2), 1, eras=3, window=20),
+    GeometricSet(10),
+    BitmapSet(bytes(n * n % 7 < 3 for n in range(3000))),
+]
+bitmaps = st.binary(max_size=80).map(lambda b: BitmapSet(bytes(x & 1 for x in b)))
+
+
+@given(A=st.one_of(st.sampled_from(MEMBERSHIP_SETS), bitmaps), n=st.integers(-3, PAST_LAST))
+@settings(max_examples=600, deadline=None)
+def test_membership_matches_each_kinds_definition(A, n):
+    assert A.contains(n) == _definition(A)(n)
+
+
+# an explicit set of tower integers, one at the lowest offset 10^30 - 10^18, which has no n - 1
+TOWER_SET = ExplicitSet((5, HugeInt(30, -(10**18)), HugeInt(30, 0), HugeInt(HugeInt(30, 0), 7)))
+TOWER_PROBES = [HugeInt(30, 1 - 10**18), HugeInt(30, 1), HugeInt(31, -(10**18)), HugeInt(HugeInt(30, 0), 6)]
+
+
+@given(n=st.one_of(st.integers(-3, 12), st.sampled_from([*TOWER_SET.members, *TOWER_PROBES])))
+@settings(max_examples=60, deadline=None)
+def test_tower_membership_matches_the_definition(n):
+    assert TOWER_SET.contains(n) == _definition(TOWER_SET)(n)
+
+
+def _kinds(cls=IndexSet):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _kinds(sub)
+
+
+def test_membership_has_its_own_rule_only_where_the_listing_costs_more():
+    # every other kind answers contains(n) from members_in(n, n)
+    own = {c.__name__ for c in (IndexSet, *_kinds()) if c.__module__.startswith("hyperorbit") and "contains" in vars(c)}
+    assert own == {"IndexSet", "PeriodicSet", "DigitNeighborhoodSet"}
 
 
 @given(

@@ -159,6 +159,15 @@ def test_norm_matches_the_brute_oracle_at_the_edges_of_the_float_range():
             assert norm(v) == brute_norm(v), (space, entries)
 
 
+def test_the_rescaled_norm_of_a_non_integer_p_sums_left_to_right():
+    # after the term 1, each scaled term of about 1e-16 rounds away when summed left to right; a
+    # compensated sum (the builtin sum from Python 3.12 on) or a reversed one lifts the last bit
+    r = Fraction(2.1544346900318843e-11)
+    big = 10**250
+    v = SparseVec({0: big, 1: big * r, 2: big * r, 3: big * r}, lp(1.5))
+    assert norm(v) == brute_norm(v) == 1e250
+
+
 exact_scalars = st.one_of(
     st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**40), 2**40).filter(bool),
               st.integers(-16000, 100)),
