@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
-from .shifts import ConstantWeights, ShiftOperator, apply_backward, apply_right_inverse
+from .shifts import ConstantWeights, ShiftOperator, _constant_pow2_rate, apply_backward, apply_right_inverse
 from .spaces import SparseVec, SpaceSpec, _power_sum, _root_ratio, norm
 
 
@@ -188,13 +188,10 @@ def _pow2_rate(T: ShiftOperator):
     partial product to be the positive power 2**(rate*n).
     """
     w = T.weights
-    if isinstance(w, ConstantWeights):
-        if w.value < 0:
-            raise UsageError("orbit-bound certificates need positive weights")
-        rate = w.log2_product(1)
-        if isinstance(rate, int) and rate > 0:
-            return rate
-    return None
+    if isinstance(w, ConstantWeights) and w.value < 0:
+        raise UsageError("orbit-bound certificates need positive weights")
+    rate = _constant_pow2_rate(w)
+    return rate if rate is not None and rate > 0 else None
 
 
 def _int_p(space: SpaceSpec):

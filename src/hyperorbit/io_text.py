@@ -18,7 +18,9 @@ import itertools
 import json
 import re
 import sys
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
+from math import log2
 
 from . import counterexample as cx
 from .constructor import DenseDyadicSequence, dyadic_block_family, prime_power_family
@@ -298,9 +300,46 @@ def write_vector(path, v: SparseVec):
             fh.write(f"{idx} {format_fraction(val) if isinstance(val, (int, Fraction)) else repr(val)}\n")
 
 
+class _PowersOfTwo:
+    """Recognises the decimal text of powers of two in time linear in its length.
+
+    Reading d decimal digits as an int takes time quadratic in d, and the
+    entries `construct` writes carry denominators 2**e of tens of thousands
+    of digits.  `exponent(text)` returns e when the text is the decimal of
+    2**e, else None; it looks only at ASCII digits past `_SHORT`, with no
+    leading zero.  The one candidate e comes from the length and the leading
+    digits; it is checked exactly in `decimal`, which reads digits in linear
+    time, against 2**e built from the last power matched (one product by a
+    small power of two, as files list entries by increasing index) or else
+    afresh.
+    """
+
+    _SHORT = 400  # digits an int parse reads about as fast
+    _STEP = 4096  # largest e - e' built by one product
+
+    def __init__(self):
+        self.e, self.power = 0, Decimal(1)
+
+    def exponent(self, digits: str):
+        if len(digits) <= self._SHORT or not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+            return None
+        e = round(log2(int(digits[:17])) + (len(digits) - 17) * log2(10))
+        context = Context(prec=len(digits) + 2, Emax=MAX_EMAX)  # holds 2**e exactly when it has len(digits) digits
+        step = e - self.e
+        power = context.multiply(self.power, 1 << step) if 0 <= step <= self._STEP else context.power(2, e)
+        if context.create_decimal(digits) != power:
+            return None
+        self.e, self.power = e, power
+        return e
+
+
+_SIGNED_DIGITS = re.compile(r"[-+]?\d+")
+
+
 def read_vector(path) -> SparseVec:
     space = None
     entries = {}
+    powers = _PowersOfTwo()
     with _long_int_text(), open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -310,8 +349,15 @@ def read_vector(path) -> SparseVec:
                 space = parse_space_spec(line.removeprefix("# space").strip())
                 continue
             idx, _, val = line.partition(" ")
-            exact = "/" in val or val.lstrip("-").isdigit()
-            entries[parse_int(idx)] = parse_fraction(val) if exact else parse_real(val)
+            num, _, den = val.partition("/")
+            e = powers.exponent(den) if _SIGNED_DIGITS.fullmatch(num) else None
+            if e is not None:
+                value = Fraction(int(num), 1 << e)
+            elif "/" in val or val.lstrip("-").isdigit():
+                value = parse_fraction(val)
+            else:
+                value = parse_real(val)
+            entries[parse_int(idx)] = value
     if space is None:
         raise UsageError(f"{path} is missing its space header")
     return SparseVec(entries, space)

@@ -10,14 +10,37 @@ table built once for the orbit's horizon, past which no step reads.
 Magnitudes past the overflow cap truncate the orbit with the truncation
 recorded on every report.
 
-One scan serves `hitting_times` and the probes of `return_set`.  It moves
-the orbit a block of about 2**15 entry-steps at a time.  Within a block
-each row is the previous row times the weights, one product per entry,
-started from each entry's value (or, far from 1, its mantissa) and
-renormalized with `frexp` once at the end of the block; the block is short
-enough that every running product stays a normal float, where rounding
-commutes with powers of two, so the rows have the bits of stepping with
-`frexp` one step at a time.  Each row is tested against every target by
+`hitting_times` and the probes of `return_set` go through one selector,
+`_hit_sets`, which decides each target ball by one of three routes.  Each
+route gives the verdicts of one `ball_contains` per step, bit for bit, and
+the same truncation step.
+
+1. Zero-centred c0 balls under a constant weight c = ±2**k with an int k
+   (`shifts._constant_pow2_rate`).  Entry j of B^n x is then
+   ±ldexp(m_j, e_j + n*k): one correctly rounded `ldexp` of the exact
+   value, the bits the scan's rows hold.  Rounding is monotone, so the
+   largest rounded entry is the rounded largest entry, and
+   ‖B^n x‖ = fl(2**(n*k) * max |x_j| over the entries still live at n):
+   a suffix maximum over the entries in index order.  Between the steps
+   at which an entry leaves a unilateral space that norm is monotone in n,
+   so each stretch hits on a prefix or a suffix, found by bisection.  The
+   first step at which a live entry passes the overflow cap is a closed
+   form in the exponents.
+2. Balls with r <= ‖y‖ under the same weights (`_Ball.misses_off_support`
+   gives the exact rule).  A point whose support misses supp y lies
+   outside such a ball, so only the steps i - j, i in supp x and j in
+   supp y, can hit.  Each such row is built directly and decided as the
+   scan decides it.
+3. Every other ball: the scan, which runs only when some ball needs it,
+   and then only for those balls.
+
+The scan moves the orbit a block of about 2**15 entry-steps at a time.
+Within a block each row is the previous row times the weights, one product
+per entry, started from each entry's value (or, far from 1, its mantissa)
+and renormalized with `frexp` once at the end of the block; the block is
+short enough that every running product stays a normal float, where
+rounding commutes with powers of two, so the rows have the bits of
+stepping with `frexp` one step at a time.  Each row is tested against every target by
 the rule of `spaces.norm`, so each verdict is the one `ball_contains` gives
 on every space: `spaces._float_terms` turns v - c into terms, taken in the
 order of `spaces.norm` (v's nonzero entries in x order, then the centre
@@ -28,8 +51,9 @@ asks to rescale, and centres without a float value, go through
 all passed index 0 is zero from then on, and the remaining times are
 decided by one ball test of the zero vector.
 
-The scan runs on the standard library's C iterators (`map`, `zip`), like
-the rest of the package, which depends on nothing outside it.
+The scan and the direct routes run on the standard library's C iterators
+(`map`, `zip`, `compress`), like the rest of the package, which depends on
+nothing outside it.
 
 `return_weight_sums` tabulates alpha once and sums each member's row left
 to right, over the later members in increasing order, so each beta is the
@@ -41,11 +65,12 @@ threshold they use is always carried in the result.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from math import floor, frexp, inf, ldexp, log2
-from operator import mul
+from operator import add, le, mul, neg
 
 from .errors import NoDataError, UsageError
 from .indexsets import (
@@ -57,7 +82,7 @@ from .indexsets import (
     is_syndetic,
     merge_intervals,
 )
-from .shifts import ShiftOperator, _pow2_clamped, apply_backward, apply_right_inverse
+from .shifts import ShiftOperator, _constant_pow2_rate, _pow2_clamped, apply_backward, apply_right_inverse
 from .spaces import SparseVec, _float_size, _float_terms, _same_space, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
@@ -73,9 +98,10 @@ _DRIFT = 500  # most bits a running product may move within one block
 def _split(value):
     """(mantissa, exp) with value = mantissa * 2**exp, mantissa in [0.5, 1)."""
     if isinstance(value, Fraction):
-        shift = value.numerator.bit_length() - value.denominator.bit_length()
-        scaled = value * Fraction(2) ** (-shift)
-        m, e = frexp(float(scaled))
+        num, den = value.numerator, value.denominator
+        shift = num.bit_length() - den.bit_length()
+        # value / 2**shift, of magnitude in [1/4, 2), as one correctly rounded int division
+        m, e = frexp(num / (den << shift) if shift >= 0 else (num << -shift) / den)
         return m, e + shift
     m, e = frexp(float(value))
     return m, e
@@ -192,6 +218,22 @@ class _Ball:
             self.terms = _float_terms(self.values, space)
         except OverflowError:  # no float value: every row goes through ball_contains
             self.values = None
+        # ‖c‖ where spaces.norm takes it from the float terms, else None
+        self.size = _float_size(self.terms, space) if self.values else None
+
+    @property
+    def misses_off_support(self):
+        """Whether no orbit point whose support misses the centre's lies in the ball.
+
+        True when r <= ‖c‖, with ‖c‖ from the float terms and, on lp, ‖c‖**p
+        below 2**1000.  Such a point's terms are its own followed by the
+        centre's, and the maximum, or the sum left to right, is monotone in
+        each non-negative term, so its size is at least ‖c‖.  A sum that
+        overflows goes to the rescaled norm, which is then at least about
+        2**(1023/p), far past ‖c‖.
+        """
+        size, space = self.size, self.space
+        return size is not None and self.radius <= size and (space.kind == "c0" or log2(size) * space.p < 1000)
 
     def norm(self, row, terms, at, n):
         """‖v - c‖ by the rule of `spaces.norm`, or None where `spaces.norm`
@@ -216,9 +258,19 @@ class _Ball:
                 terms[j] = t
         return _float_size(terms + rest if rest else terms, self.space)
 
+    def contains(self, row, terms, index, at, n):
+        """Whether the orbit point at step n lies in the ball: by `norm`, or by
+        `ball_contains` where that has no value.  `index` holds the original
+        indices of the row's entries."""
+        size = self.norm(row, terms, at, n)
+        if size is None:
+            point = SparseVec({idx - n: v for idx, v in zip(index, row) if v != 0}, self.space)
+            return ball_contains(self.center, self.radius, point)
+        return size < self.radius
 
-def _scan(orbit: _Orbit, targets, horizon: int):
-    """Hit times n <= horizon of the orbit in each (center, radius) ball, and the truncation step.
+
+def _scan(orbit: _Orbit, balls, horizon: int):
+    """Hit times n <= horizon of the orbit in each `_Ball`, and the truncation step.
 
     The orbit moves a block of rows at a time, never past the horizon it was
     built for; a row with an exponent past `OVERFLOW_LOG2` (read by each
@@ -227,7 +279,6 @@ def _scan(orbit: _Orbit, targets, horizon: int):
     is the zero vector, decided by one `ball_contains`.
     """
     space = orbit.space
-    balls = [_Ball(center, radius, space) for center, radius in targets]
     widest = max((len(b.index) for b in balls), default=0)
     found = [[] for _ in balls]
     truncated_at = None
@@ -249,23 +300,140 @@ def _scan(orbit: _Orbit, targets, horizon: int):
         for n, row in enumerate(rows, start):
             terms = _float_terms(row, space)
             for times, ball in zip(found, balls):
-                size = ball.norm(row, terms, at, n)
-                if size is None:
-                    point = SparseVec({idx - n: v for idx, v in zip(index, row) if v != 0}, space)
-                    inside = ball_contains(ball.center, ball.radius, point)
-                else:
-                    inside = size < ball.radius
-                if inside:
+                if ball.contains(row, terms, index, at, n):
                     times.append(n)
         if truncated_at is not None:
             break
         start += count
     if dead_from is not None:
         zero = SparseVec.zero(space)
-        for times, (center, radius) in zip(found, targets):
-            if ball_contains(center, radius, zero):
+        for times, ball in zip(found, balls):
+            if ball_contains(ball.center, ball.radius, zero):
                 times.extend(range(dead_from, horizon + 1))
     return found, truncated_at
+
+
+class _Pow2Orbit:
+    """The orbit under a constant weight c = ±2**k, read at any step without stepping.
+
+    Entry j of B^n x is (sign c)**n * ldexp(m_j, e_j + n*k), with (m_j, e_j)
+    from `_split`: one correctly rounded `ldexp` of the exact value, which is
+    what the scan's rows hold.  On a unilateral space entry j is live while
+    n <= its index.  `truncated_at` is the first step n <= horizon at which a
+    live entry has e_j + n*k > `OVERFLOW_LOG2` (None if there is none), and
+    `end` the first step left undecided: `truncated_at`, else horizon + 1.
+    """
+
+    def __init__(self, x: SparseVec, k: int, negative: bool, horizon: int):
+        self.space = x.space
+        self.k, self.negative = k, negative
+        self.index = list(x.entries)
+        split = [_split(val) for val in x.entries.values()]
+        self.mantissa = [m for m, _ in split]
+        self.exponent = [e for _, e in split]
+        cap, bilateral = OVERFLOW_LOG2, self.space.bilateral
+        # each entry's first step past the cap, None if it never passes it
+        over = [0 if e > cap else (cap - e) // k + 1 if k > 0 else None for e in self.exponent]
+        first = min(
+            (n for n, i in zip(over, self.index) if n is not None and (bilateral or n <= i)), default=horizon + 1
+        )
+        self.truncated_at = first if first <= horizon else None
+        self.end = min(first, horizon + 1)
+
+    def hit_times(self, ball: _Ball):
+        """The ball's hit times by a direct route, or None for a ball that needs the scan."""
+        if self.space.kind == "c0" and not ball.index:
+            return self._zero_c0_times(ball.radius)
+        if ball.misses_off_support:
+            return self._candidate_times(ball)
+        return None
+
+    def _zero_c0_times(self, radius):
+        """Hit times of the c0 ball of the given radius around 0.
+
+        Rounding is monotone, so the largest rounded live entry is the rounded
+        largest: ‖B^n x‖ = ldexp(M, E + n*k) for the largest live M * 2**E, and
+        0.0, inside every ball, with no live entry.  The largest live entry
+        changes only where an entry leaves a unilateral space, and between
+        those steps the norm is monotone in n, so each stretch of steps hits
+        on a prefix (k >= 0) or a suffix (k < 0) found by bisection.
+        """
+        k = self.k
+        times = []
+        for lo, hi, top in self._live_maxima():
+            span = range(lo, hi + 1)
+            if top is None:
+                times.extend(span)
+                continue
+            e, m = top
+
+            def inside(n):
+                return ldexp(m, e + n * k) < radius
+
+            if k >= 0:
+                times.extend(span[: bisect_left(span, True, key=lambda n: not inside(n))])
+            else:
+                times.extend(span[bisect_left(span, True, key=inside) :])
+        return times
+
+    def _live_maxima(self):
+        """(lo, hi, (E, M)) over the steps 0 .. end - 1: the largest live entry
+        M * 2**E on steps lo .. hi, None where no entry is live."""
+        last = self.end - 1
+        scales = [(e, abs(m)) for m, e in zip(self.mantissa, self.exponent)]
+        if self.space.bilateral:
+            if last >= 0:
+                yield 0, last, max(scales, default=None)
+            return
+        order = sorted(range(len(scales)), key=self.index.__getitem__)
+        tops = list(accumulate((scales[j] for j in reversed(order)), max))[::-1]  # over the entries at or above
+        lo = 0
+        for j, top in zip(order, tops):
+            if lo <= min(self.index[j], last):
+                yield lo, min(self.index[j], last), top
+            lo = self.index[j] + 1
+        if lo <= last:
+            yield lo, last, None
+
+    def _candidate_times(self, ball: _Ball):
+        """Hit times of a ball that misses every point off its centre's support
+        (`_Ball.misses_off_support`): only the steps i - j, i in supp x and j in
+        supp c, can hit, and each row is built and decided as `_scan` decides it."""
+        steps = sorted({i - j for i in self.index for j in ball.index if 0 <= i - j < self.end})
+        times = []
+        for n in steps:
+            index, row = self.row(n)
+            at = dict(zip(index, range(len(index))))
+            if ball.contains(row, _float_terms(row, self.space), index, at, n):
+                times.append(n)
+        return times
+
+    def row(self, n):
+        """(original indices, values) of the entries live at step n, in x order."""
+        index, mantissa, exponent = self.index, self.mantissa, self.exponent
+        if not self.space.bilateral:
+            live = list(map(le, repeat(n), index))
+            index, mantissa, exponent = (list(compress(s, live)) for s in (index, mantissa, exponent))
+        if self.negative and n % 2:
+            mantissa = map(neg, mantissa)
+        return index, tuple(map(ldexp, mantissa, map(add, exponent, repeat(n * self.k))))
+
+
+def _hit_sets(T: ShiftOperator, x: SparseVec, targets, horizon: int):
+    """Hit times n <= horizon of x's orbit in each (center, radius) ball, and
+    the truncation step: under a constant power-of-two weight each ball by a
+    direct route where one applies, every other ball by one scan."""
+    balls = [_Ball(center, radius, x.space) for center, radius in targets]
+    k = _constant_pow2_rate(T.weights)
+    if k is None:
+        return _scan(_Orbit(T, x, horizon), balls, horizon)
+    orbit = _Pow2Orbit(x, k, T.weights.value < 0, horizon)
+    found = [orbit.hit_times(ball) for ball in balls]
+    rest = [ball for ball, times in zip(balls, found) if times is None]
+    if rest:
+        scanned = iter(_scan(_Orbit(T, x, horizon), rest, horizon)[0])
+        found = [next(scanned) if times is None else times for times in found]
+    return found, orbit.truncated_at
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +458,10 @@ class HittingReport:
 def hitting_times(T: ShiftOperator, x: SparseVec, targets, horizon: int) -> list:
     """Times n <= horizon with B^n x inside each target ball, plus densities.
 
-    `targets` is a list of (center, radius).  The orbit is scanned in blocks
-    of steps up to the horizon; an entry past the fixed overflow cap
+    `targets` is a list of (center, radius).  Each ball takes its route
+    (module docstring): read off the orbit's closed form under a constant
+    power-of-two weight where one applies, else the scan in blocks of
+    steps up to the horizon.  An entry past the fixed overflow cap
     `OVERFLOW_LOG2` (log2 scale, about 1e300) truncates the scan and the
     truncation point is recorded on every report.  The densities are
     estimated over the fixed windows `DENSITY_WINDOWS` that fit in the
@@ -304,7 +474,7 @@ def hitting_times(T: ShiftOperator, x: SparseVec, targets, horizon: int) -> list
     for _, r in targets:
         if r <= 0:
             raise UsageError("target radii must be positive")
-    found, truncated_at = _scan(_Orbit(T, x, horizon), targets, horizon)
+    found, truncated_at = _hit_sets(T, x, targets, horizon)
     reports = []
     grid = tuple(s for s in DENSITY_WINDOWS if s <= horizon)
     for t, (center, radius) in enumerate(targets):
@@ -431,7 +601,7 @@ def return_set(
     for probe in probes:
         if not ball_contains(uc, ur, probe):
             continue
-        (times,), _ = _scan(_Orbit(T, probe, horizon), [(vc, vr)], horizon)
+        (times,), _ = _hit_sets(T, probe, [(vc, vr)], horizon)
         found.update(times)
 
     for t in range(0, horizon + 1, witness_stride):

@@ -81,6 +81,19 @@ class ConstantWeights(WeightSequence):
         return f"constant:{int(v) if v == int(v) else v}"
 
 
+def _constant_pow2_rate(w: WeightSequence):
+    """k when every weight is the constant c = ±2**k with an int k, else None.
+
+    Then w_a ... w_b is c**(b - a + 1) = ±2**(k * (b - a + 1)) exactly, so an
+    entry's float mantissa keeps its bits along the whole orbit.
+    """
+    if isinstance(w, ConstantWeights):
+        k = w.log2_product(1)
+        if isinstance(k, int):
+            return k
+    return None
+
+
 @dataclass(frozen=True)
 class RatioPowerWeights(WeightSequence):
     """w_k = ((k+1)/k)**(1/p): partial products grow like n**(1/p)."""

@@ -296,7 +296,7 @@ CLI_MATRIX = [
     ("construct", ["--depth", "3", "--horizon", "2000", "--family", "dyadic-block:6"]),
     ("orbit", ["--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "2000"]),
     ("classify", ["--vector", "e:0", "--targets", "zero:@0.5", "--horizon", "2000"]),
-    # the c0 norm and a non-dyadic weight through the block scan
+    # a zero-centred c0 ball under a power-of-two constant: read off the suffix maxima, no scan
     (
         "classify",
         ["--space", "c0", "--operator", "constant:1/2", "--vector", "ones:0-300", "--targets", "zero:@1/1000",

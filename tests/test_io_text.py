@@ -67,6 +67,30 @@ def test_long_numerators_round_trip_and_the_limit_is_restored(tmp_path):
         sys.set_int_max_str_digits(before)
 
 
+@given(
+    entries=st.dictionaries(
+        st.integers(0, 10**6),
+        st.tuples(
+            st.integers(-(2**70), 2**70).filter(bool),
+            st.integers(1300, 6000),  # denominators of 392 to 1806 digits
+            st.sampled_from([0, 1, -1, 3, 10**30]),  # added to 2**e: powers of two and their near misses
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_long_denominators_read_back_exactly(tmp_path_factory, entries):
+    # denominators 2**e, in any order and with any gap, are recognised without an int parse;
+    # the near misses fall back to it, and every entry reads back as Fraction(text) does
+    values = {i: Fraction(num, 2**e + off) for i, (num, e, off) in entries.items()}
+    path = tmp_path_factory.mktemp("vec") / "vector.txt"
+    write_vector(path, SparseVec(values, lp(2.0)))
+    back = read_vector(path)
+    assert back.entries == values
+    assert list(back.entries) == sorted(values)
+
+
 # ---------------------------------------------------------------------------
 # every spec kind reads back from its describe()
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import ldexp, sqrt
+from math import inf, ldexp, nextafter, sqrt
 from unittest.mock import patch
 
 import pytest
@@ -34,7 +34,7 @@ from hyperorbit.errors import NoDataError, UsageError
 from hyperorbit.indexsets import estimate_densities
 from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
-from hyperorbit.spaces import _float_terms
+from hyperorbit.spaces import SpaceSpec, _float_terms
 
 from conftest import (
     brute_hitting_times,
@@ -265,6 +265,137 @@ def test_lp_rows_take_the_direct_ball_test():
         reports = hitting_times(T, x, targets, 200)
     assert calls == [SparseVec.zero(space)] * 2
     assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 200)[0]
+
+
+# ---------------------------------------------------------------------------
+# direct routes under constant power-of-two weights
+
+
+def _scan_free(T, x, targets, horizon):
+    """hitting_times with every ball on the scan, as if no direct route applied."""
+    with patch.object(recurrence, "_constant_pow2_rate", lambda w: None):
+        return hitting_times(T, x, targets, horizon)
+
+
+def test_zero_centred_c0_balls_build_no_orbit():
+    space = c0()
+    T = ShiftOperator(ConstantWeights(0.5), space)
+    x = SparseVec({i: (-1) ** i * Fraction(i + 1, 64) for i in range(301)}, space)
+    targets = [(SparseVec.zero(space), Fraction(1, 1000)), (SparseVec.zero(space), 4)]
+    with patch.object(recurrence, "_Orbit", wraps=_Orbit) as built:
+        reports = hitting_times(T, x, targets, 400)
+    assert built.call_count == 0
+    assert reports == _scan_free(T, x, targets, 400)
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 400)[0]
+
+
+def test_narrow_balls_build_only_candidate_rows():
+    # r <= ‖y‖: only the steps i - j with i in supp x and j in supp y can hit
+    space = lp(2.0)
+    T = ShiftOperator(ConstantWeights(2.0), space)
+    x = SparseVec({3: Fraction(1, 8), 40: Fraction(1, 2**40), 41: -Fraction(1, 2**42)}, space)
+    y = SparseVec({0: 1, 2: Fraction(1, 2)}, space)
+    targets = [(y, norm(y)), (y, Fraction(3, 5))]
+    steps = []
+    row = recurrence._Pow2Orbit.row
+
+    def counted(self, n):
+        steps.append(n)
+        return row(self, n)
+
+    with patch.object(recurrence._Pow2Orbit, "row", counted), patch.object(recurrence, "_Orbit", wraps=_Orbit) as built:
+        reports = hitting_times(T, x, targets, 100)
+    assert built.call_count == 0
+    assert sorted(set(steps)) == sorted({i - j for i in x.entries for j in y.entries if 0 <= i - j <= 100})
+    assert len(steps) == 2 * len(set(steps))  # one row per candidate and target
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 100)[0]
+    assert [r.times.members for r in reports] == [(1, 3, 38, 40), (3, 40)]
+
+
+def test_mixed_targets_scan_only_the_balls_that_need_it():
+    space = c0()
+    T = ShiftOperator(ConstantWeights(-2.0), space)
+    x = SparseVec({5: Fraction(1, 32), 7: Fraction(-3, 256), 0: 0.25}, space)
+    e0 = SparseVec.basis(space, 0)
+    targets = [(SparseVec.zero(space), 0.5), (e0, 2), (e0, Fraction(1, 2)), (e0 + e0, 2)]
+    scanned = []
+    scan = recurrence._scan
+
+    def counted(orbit, balls, horizon):
+        scanned.extend((ball.center, ball.radius) for ball in balls)
+        return scan(orbit, balls, horizon)
+
+    with patch.object(recurrence, "_scan", counted):
+        reports = hitting_times(T, x, targets, 60)
+    assert scanned == [targets[1]]  # r > ‖y‖: the one ball no direct route decides
+    assert reports == _scan_free(T, x, targets, 60)
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 60)[0]
+
+
+@pytest.mark.parametrize(
+    "space,entries,radius,direct",
+    [
+        (L2, {0: 3, 1: 4}, 5, True),  # the tie r = ‖y‖
+        (L2, {0: 3, 1: 4}, Fraction(5) + Fraction(1, 10**30), False),
+        (c0(), {0: -2}, 2.0, True),
+        (L2, {0: Fraction(1, 2**600)}, 1e-300, False),  # ‖y‖ comes from the rescaled norm
+        (L2, {0: Fraction(2**2000)}, 1, False),  # no float value
+        (L2, {0: 2.0**500}, 1, False),  # ‖y‖**2 past 2**1000: an overflowing row may land near ‖y‖
+        (lp(3.0), {0: 2.0**300}, 1, True),
+        (c0(), {0: 2.0**1000}, 1, True),  # a c0 maximum never rescales
+    ],
+)
+def test_only_balls_within_their_centre_norm_take_the_candidates(space, entries, radius, direct):
+    ball = recurrence._Ball(SparseVec(entries, space), radius, space)
+    assert ball.misses_off_support == direct
+
+
+POW2_CONSTANTS = [ConstantWeights(sign * 2.0**k) for sign in (1, -1) for k in range(-3, 4)]
+POW2_SPACES = [lp(1.0), lp(2.0), lp(3.0), c0()]
+POW2_SPACES += [SpaceSpec(s.kind, s.p, True) for s in POW2_SPACES]
+
+edge_scalars = st.one_of(
+    scalars,
+    st.builds(  # near the overflow cap, and deep in or below the subnormal range
+        lambda num, e: Fraction(num) * Fraction(2) ** e,
+        st.integers(-(2**20), 2**20).filter(bool),
+        st.one_of(st.integers(960, 1000), st.integers(-1130, -1030)),
+    ),
+)
+
+
+@st.composite
+def pow2_cases(draw):
+    space = draw(st.sampled_from(POW2_SPACES))
+    low = -30 if space.bilateral else 0
+    pairs = draw(st.lists(st.tuples(st.integers(low, 80), edge_scalars), max_size=8, unique_by=lambda p: p[0]))
+    x = SparseVec(dict(pairs), space)
+    centres = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(low, 40), edge_scalars, min_size=1, max_size=3),
+        st.just(dict(pairs[:2])),
+    )
+    targets = []
+    for center in draw(st.lists(centres.map(lambda c: SparseVec(c, space)), min_size=1, max_size=3)):
+        size = norm(center)
+        radii = [1e-3, 1.0, 1e6, Fraction(1, 3), 5e-324]
+        if 0 < size < inf:  # both sides of ‖y‖, the tie and a Fraction radius below it
+            radii += [size, nextafter(size, 0), nextafter(size, inf), size / 2, 2 * size, Fraction(size) * Fraction(2, 3)]
+        targets.append((center, draw(st.sampled_from([r for r in radii if r > 0]))))
+    return ShiftOperator(draw(st.sampled_from(POW2_CONSTANTS)), space), x, targets
+
+
+@given(case=pow2_cases(), horizon=st.integers(1, 300), cap=st.sampled_from([996, 200, -3]))
+@settings(max_examples=150, deadline=None)
+def test_direct_routes_match_the_brute_oracle(case, horizon, cap):
+    T, x, targets = case
+    with patch.object(recurrence, "OVERFLOW_LOG2", cap):
+        reports = hitting_times(T, x, targets, horizon)
+        scanned = _scan_free(T, x, targets, horizon)
+    times, truncated_at = brute_hitting_times(T, x, targets, horizon, cap)
+    assert [list(r.times.members) for r in reports] == times
+    assert all(r.truncated_at == truncated_at for r in reports)
+    assert reports == scanned  # every field, densities included
 
 
 def test_blocks_stay_within_their_stride():
