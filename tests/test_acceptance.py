@@ -316,6 +316,12 @@ CLI_MATRIX = [
     ("diff-set", ["--set", "squares", "--horizon", "250000"]),
     # the block family's tower members through the gap check
     ("check-family", ["--family", "counterexample:3:3"]),
+    # the c0 norm and a non-dyadic weight through the block scan
+    (
+        "orbit",
+        ["--space", "c0", "--operator", "ratio-power:2", "--vector", "ones:0-300", "--targets",
+         "zero:@1/1000;e:0@2", "--horizon", "400"],
+    ),
 ]
 
 
