@@ -205,7 +205,7 @@ class _Orbit:
 
 
 class _Ball:
-    """One target ball, prepared to test the rows of a scan."""
+    """One target ball, prepared to test orbit rows: the scan's and the candidate route's."""
 
     def __init__(self, center: SparseVec, radius, space):
         _same_space(center.space, space)
