@@ -6,18 +6,19 @@ range, `--p` included), every list one rule (`_items`: comma lists and the
 `;` lists of targets, weights and segments alike: the empty text is the
 empty list, an empty item is an error), and every spec kind's `describe()`
 parses back to the same object, so configurations hash stably and outputs
-stay byte-identical across runs.
+stay byte-identical across runs.  Vector files hold exact entries with
+denominators 2**e of any length; their ints cross text through `decimal`
+alone (`_PowersOfTwo`, both ways), so no process-wide state, such as the
+interpreter's int <-> str digit limit, is touched.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import re
-import sys
 from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 from math import log2
@@ -273,74 +274,68 @@ def parse_family_spec(spec: str) -> SetFamily:
 # vectors and targets
 
 
-@contextlib.contextmanager
-def _long_int_text():
-    """Lift the interpreter's int <-> str digit guard to 200 000 digits inside the block, then restore it.
-
-    Exact dyadic vector entries can carry denominators with tens of
-    thousands of decimal digits.  The guard is process-wide, so it is
-    raised only around vector files, never for the library user at large.
-    """
-    before = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
-    if not 0 < before < 200_000:
-        yield
-        return
-    sys.set_int_max_str_digits(200_000)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
-
-
 def write_vector(path, v: SparseVec):
-    with _long_int_text(), open(path, "w", encoding="utf-8") as fh:
+    powers = _PowersOfTwo()
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# space {v.space.describe()}\n")
         for idx in v.support():
             val = v.entries[idx]
-            fh.write(f"{idx} {format_fraction(val) if isinstance(val, (int, Fraction)) else repr(val)}\n")
+            fh.write(f"{Decimal(idx)} {powers.text(val) if isinstance(val, (int, Fraction)) else repr(val)}\n")
 
 
 class _PowersOfTwo:
-    """Recognises the decimal text of powers of two in time linear in its length.
+    """The decimal text of 2**e in vector files, both ways, through `decimal` alone.
 
-    Reading d decimal digits as an int takes time quadratic in d, and the
-    entries `construct` writes carry denominators 2**e of tens of thousands
-    of digits.  `exponent(text)` returns e when the text is the decimal of
-    2**e, else None; it looks only at ASCII digits past `_SHORT`, with no
-    leading zero.  The one candidate e comes from the length and the leading
-    digits; it is checked exactly in `decimal`, which reads digits in linear
-    time, against 2**e built from the last power matched (one product by a
-    small power of two, as files list entries by increasing index) or else
-    afresh.
+    `construct`'s entries carry denominators 2**e of tens of thousands of
+    digits.  An int turns into decimal text, or back, in time quadratic in
+    its length, and past 4300 digits the interpreter's process-wide
+    int <-> str digit limit refuses it.  `decimal` works outside that
+    limit, so no process-wide state is read or set.  The last power built
+    is kept as an exact `Decimal`; the next is one product by a small power
+    of two away, as files list entries by increasing index, or else is
+    built afresh.  `text(x)` is `format_fraction(x)` with a power-of-two
+    denominator written from that power, and `int_of(digits)` matches
+    digits past `_SHORT` against it.  Every other int crosses as
+    `str(Decimal(n))` or `int(Decimal(digits))`.
     """
 
-    _SHORT = 400  # digits an int parse reads about as fast
+    _SHORT = 400  # digits read as fast directly as by a 2**e match
     _STEP = 4096  # largest e - e' built by one product
 
     def __init__(self):
         self.e, self.power = 0, Decimal(1)
 
-    def exponent(self, digits: str):
-        if len(digits) <= self._SHORT or not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
-            return None
-        e = round(log2(int(digits[:17])) + (len(digits) - 17) * log2(10))
-        context = Context(prec=len(digits) + 2, Emax=MAX_EMAX)  # holds 2**e exactly when it has len(digits) digits
+    def _power(self, e: int) -> Decimal:
+        context = Context(prec=int(e * 0.30103) + 2, Emax=MAX_EMAX)  # more digits than 2**e has
         step = e - self.e
-        power = context.multiply(self.power, 1 << step) if 0 <= step <= self._STEP else context.power(2, e)
-        if context.create_decimal(digits) != power:
-            return None
-        self.e, self.power = e, power
-        return e
+        self.power = context.multiply(self.power, 1 << step) if 0 <= step <= self._STEP else context.power(2, e)
+        self.e = e
+        return self.power
+
+    def text(self, x) -> str:
+        f = Fraction(x)
+        num, den = str(Decimal(f.numerator)), f.denominator
+        e = den.bit_length() - 1
+        return num if den == 1 else f"{num}/{self._power(e) if den == 1 << e else Decimal(den)}"
+
+    def int_of(self, digits: str) -> int:
+        if len(digits) > self._SHORT and digits[0] != "0":
+            e = round(log2(int(digits[:17])) + (len(digits) - 17) * log2(10))
+            if Decimal(digits) == self._power(e):
+                return 1 << e
+        return int(Decimal(digits))
 
 
-_SIGNED_DIGITS = re.compile(r"[-+]?\d+")
+_SIGNED_DIGITS = re.compile(r"[-+]?\d+", re.ASCII)
+# an int or n/d, read exactly; a bare `+n` is left to `parse_real`, as it always was
+_RATIONAL = re.compile(r"(-?\d+|[-+]\d+(?=/))(?:/(\d+))?", re.ASCII)
 
 
 def read_vector(path) -> SparseVec:
     space = None
     entries = {}
     powers = _PowersOfTwo()
-    with _long_int_text(), open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -349,15 +344,17 @@ def read_vector(path) -> SparseVec:
                 space = parse_space_spec(line.removeprefix("# space").strip())
                 continue
             idx, _, val = line.partition(" ")
-            num, _, den = val.partition("/")
-            e = powers.exponent(den) if _SIGNED_DIGITS.fullmatch(num) else None
-            if e is not None:
-                value = Fraction(int(num), 1 << e)
-            elif "/" in val or val.lstrip("-").isdigit():
-                value = parse_fraction(val)
+            exact = _RATIONAL.fullmatch(val)
+            if exact is None:
+                value = parse_fraction(val) if "/" in val or val.lstrip("-").isdigit() else parse_real(val)
+            elif not (den := powers.int_of(exact[2]) if exact[2] else 1):
+                raise UsageError(f"cannot parse {val!r} as a rational")
             else:
-                value = parse_real(val)
-            entries[parse_int(idx)] = value
+                value = Fraction(int(Decimal(exact[1])), den)
+            index = int(Decimal(idx)) if _SIGNED_DIGITS.fullmatch(idx) else parse_int(idx)
+            if index in entries:
+                raise UsageError(f"{path} lists index {idx} twice")
+            entries[index] = value
     if space is None:
         raise UsageError(f"{path} is missing its space header")
     return SparseVec(entries, space)

@@ -423,6 +423,7 @@ def _hit_sets(T: ShiftOperator, x: SparseVec, targets, horizon: int):
     """Hit times n <= horizon of x's orbit in each (center, radius) ball, and
     the truncation step: under a constant power-of-two weight each ball by a
     direct route where one applies, every other ball by one scan."""
+    _same_space(x.space, T.space)
     balls = [_Ball(center, radius, x.space) for center, radius in targets]
     k = _constant_pow2_rate(T.weights)
     if k is None:
@@ -584,6 +585,7 @@ def return_set(
     syndetic subset was found.
     """
     (uc, ur), (vc, vr) = U, V
+    _same_space(uc.space, T.space)
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
     if ur <= 0 or vr <= 0:

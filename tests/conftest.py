@@ -6,6 +6,7 @@ be traced to these.
 """
 
 import itertools
+import sys
 from fractions import Fraction
 from math import frexp, ldexp, log2, sqrt
 
@@ -31,6 +32,7 @@ from hyperorbit.constructor import (
 from hyperorbit.counterexample import _int_lt_pow10
 from hyperorbit.errors import WindowGridError
 from hyperorbit.indexsets import DensityReport
+from hyperorbit.io_text import format_fraction, parse_fraction, parse_int, parse_real, parse_space_spec
 from hyperorbit.spaces import _power_sum
 
 
@@ -459,6 +461,47 @@ def brute_return_weight_sums(A, alpha, horizon):
             if n <= c and partial[c] > curve[c]:
                 curve[c] = partial[c]
     return betas, tuple((c, curve[c]) for c in cuts)
+
+
+def _with_unlimited_int_text(fn):
+    """fn() with the interpreter's int <-> str digit limit lifted, then restored: the limit is
+    process-wide, which the package must not touch and test code may."""
+    before = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
+def brute_vector_text(v):
+    """The text of a vector file by int <-> str: a space header, then per index in increasing order
+    `format_fraction` of an int or Fraction entry and repr of a float."""
+    return _with_unlimited_int_text(lambda: f"# space {v.space.describe()}\n" + "".join(
+        f"{i} {format_fraction(x) if isinstance(x, (int, Fraction)) else repr(x)}\n" for i, x in sorted(v.entries.items())
+    ))
+
+
+def brute_read_vector_text(text):
+    """The vector a file's text spells, by int <-> str: each entry by `parse_fraction` when it holds a
+    '/' or is a (minus-signed) digit string, else by `parse_real`; each index by `parse_int`."""
+
+    def read():
+        space, entries = None, {}
+        for line in text.split("\n"):
+            line = line.strip()
+            if line.startswith("# space"):
+                space = parse_space_spec(line.removeprefix("# space"))
+            elif line:
+                idx, _, val = line.partition(" ")
+                entries[parse_int(idx)] = (
+                    parse_fraction(val) if "/" in val or val.lstrip("-").isdigit() else parse_real(val)
+                )
+        return SparseVec(entries, space)
+
+    return _with_unlimited_int_text(read)
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ import hashlib
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -372,6 +374,62 @@ def test_criterion_13_cli_determinism(tmp_path):
         assert outs[0], f"{name}: produced no outputs"
         assert _digests(outs[0]) == golden[row]["files"], f"{name}: outputs differ from {GOLDEN}"
     _announce(13, "CLI determinism", f"{len(CLI_MATRIX)} commands, workers 1 vs 8, against the stored digests")
+
+
+# the GOLDEN digests recomputed from the golden file alone: the package imports only the standard
+# library, so a child interpreter runs it with PYTHONPATH=src and neither pytest nor hypothesis
+_GOLDEN_CHILD = """
+import hashlib, json, os, sys, tempfile
+from hyperorbit.cli import main
+with open(sys.argv[1], encoding="utf-8") as fh:
+    golden = json.load(fh)
+differ = []
+with tempfile.TemporaryDirectory() as directory:
+    for row, g in enumerate(golden):
+        out = os.path.join(directory, str(row))
+        code = main([*g["command"], "--workers", "1", "--out", out])
+        files = {}
+        for fn in sorted(os.listdir(out)):
+            if fn != "manifest.txt":
+                with open(os.path.join(out, fn), "rb") as fh:
+                    files[fn] = hashlib.sha256(fh.read()).hexdigest()
+        if code != 0 or files != g["files"]:
+            differ.append(" ".join(g["command"]))
+assert "pytest" not in sys.modules and "hypothesis" not in sys.modules
+print("differ:", differ)
+sys.exit(1 if differ else 0)
+"""
+
+
+def _other_interpreters():
+    """(path, version) of each `python3.X` on PATH, X >= 10 and not this interpreter's X, that starts;
+    a pyenv shim with no version selected exits 127 and counts as not starting."""
+    found = []
+    for minor in range(10, 30):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        try:
+            probe = subprocess.run([exe, "-c", "import sys; print(sys.version.split()[0])"], capture_output=True,
+                                   text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0:
+            found.append((exe, probe.stdout.strip()))
+    return found
+
+
+def test_criterion_13_digests_under_every_other_interpreter(tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no python3.X (X >= 10) other than this one on PATH starts")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for exe, version in interpreters:
+        proc = subprocess.run([exe, "-c", _GOLDEN_CHILD, GOLDEN], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, f"{exe} ({version}): {proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+    ran = ", ".join(f"{exe} ({version})" for exe, version in interpreters)
+    _announce(13, "CLI determinism across interpreters", f"{len(CLI_MATRIX)} commands under {ran}")
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -352,6 +352,10 @@ def test_usage_error_exit_code(tmp_path):
     assert code == 2
 
 
+# a vector file that gives index 3 two values
+DUPLICATE_INDEX_VECTOR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "duplicate_index_vector.txt")
+
+
 # each of these exits 2 with a one-line usage error
 REJECTED = {
     "set-spec": ["densities", "--set", "periodic:x:1"],
@@ -435,6 +439,8 @@ REJECTED = {
     # the empty text is the empty list, and these lists need an item
     "densities-empty-window-grid": ["densities", "--set", "evens", "--window-grid", ""],
     "eqbeta-empty-n": ["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"],
+    "vector-file-duplicate-index": ["orbit", "--vector", f"file:{DUPLICATE_INDEX_VECTOR}", "--targets", "e:3@1/2",
+                                    "--horizon", "10"],
 }
 
 # exit 2 only after the runner has written some of its files
@@ -523,10 +529,12 @@ TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__
         (["densities", "--set", "evens", "--window-grid", ""], "--window-grid needs at least one window length"),
         (["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"], "--n needs at least one time"),
         (["make-set", "--targets", "1/2,1/4,3/4,1"], "need 0 <= r1 <= r2 <= r3 <= r4 <= 1, got 1/2,1/4,3/4,1"),
+        (["orbit", "--vector", f"file:{DUPLICATE_INDEX_VECTOR}", "--targets", "e:3@1/2", "--horizon", "10"],
+         f"{DUPLICATE_INDEX_VECTOR} lists index 3 twice"),
     ],
     ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late",
          "construct-truncation-margin", "check-family-horizon", "constant-underflow", "table-values-underflow",
-         "radius-underflow", "empty-window-grid", "empty-n", "make-set-order"],
+         "radius-underflow", "empty-window-grid", "empty-n", "make-set-order", "vector-duplicate-index"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)

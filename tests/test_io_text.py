@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperorbit import SparseVec, c0, lp
 from hyperorbit import counterexample as cx
+from hyperorbit.cli import main as cli_main
 from hyperorbit.constructor import dyadic_block_family, prime_power_family
 from hyperorbit.indexsets import (
     BitmapSet,
@@ -31,6 +32,8 @@ from hyperorbit.io_text import (
     write_vector,
 )
 from hyperorbit.shifts import ConstantWeights, RatioPowerWeights, TableWeights
+
+from conftest import brute_read_vector_text, brute_vector_text
 
 needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                                        reason="no int digit limit before 3.11")
@@ -89,6 +92,79 @@ def test_long_denominators_read_back_exactly(tmp_path_factory, entries):
     back = read_vector(path)
     assert back.entries == values
     assert list(back.entries) == sorted(values)
+
+
+_EXPONENTS = st.integers(0, 200_000)  # denominators 2**e of 1 to 60 206 digits
+_LONG_INTS = st.builds(lambda k, m: m * 3**k + 1, st.integers(0, 12_000), st.integers(-(2**64), 2**64))  # to 5 746 digits
+_ENTRY_VALUES = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: Fraction(m, 2**e), st.integers(-(2**70), 2**70), _EXPONENTS),
+    st.builds(lambda m, e: Fraction(m, 2**e), _LONG_INTS, _EXPONENTS),  # past 4300 digits both ways
+    st.builds(lambda m, e, off: Fraction(m, 2**e + off), st.integers(-(2**70), 2**70), st.integers(2, 200_000),
+              st.sampled_from([-1, 1])),  # the near misses 2**e +- 1
+    st.builds(lambda m, k, d: Fraction(m, 3**k * d), _LONG_INTS, st.integers(800, 12_000), st.integers(1, 2**64)),
+)
+
+
+def _typed(v):
+    """A vector's entries with their types (an int entry reads back as a Fraction, a float as a float)."""
+    return {i: (type(x), x) for i, x in v.entries.items()}, v.space
+
+
+def _matches_the_int_text_oracle(path, entries):
+    # the same bytes as format_fraction / repr by int <-> str, and the same vector back as the
+    # Fraction(text) reader, where the oracle needs the digit limit lifted and the package does not
+    v = SparseVec(entries, lp(2.0, bilateral=True))
+    write_vector(path, v)
+    text = path.read_bytes()
+    assert text == brute_vector_text(v).encode()
+    back = read_vector(path)
+    assert _typed(back) == _typed(brute_read_vector_text(text.decode()))
+    assert back.entries == v.entries
+
+
+@given(entries=st.dictionaries(st.integers(-50, 10**6), _ENTRY_VALUES, min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_vector_text_matches_the_int_text_oracle(tmp_path_factory, entries):
+    _matches_the_int_text_oracle(tmp_path_factory.mktemp("vec") / "vector.txt", entries)
+
+
+def test_vector_text_matches_the_int_text_oracle_at_the_long_ends(tmp_path):
+    # fixed, since hypothesis cannot print an example past the digit limit: a long numerator over
+    # 2**199999, 2**200000 + 1, 2**150000 - 1 and a 5 726-digit odd denominator
+    _matches_the_int_text_oracle(tmp_path / "vector.txt", {
+        -7: Fraction(10**5000 + 1, 2**199_999), 0: Fraction(-3, 2**200_000 + 1),
+        5: Fraction(7, 2**150_000 - 1), 9: Fraction(-(10**5000) - 3, 3**12_000), 10: -0.0,
+    })
+
+
+@pytest.mark.parametrize("text", ["3", "-3", "+3", "+3/4", "-3/4", "-0", "0/5", "1e3", "0.5", "-0.0", "1_000",
+                                  "\u0663", "1/\u0663", "007/0010", "+0/8", "5e-324"])
+def test_hand_written_entries_read_as_the_oracle_reads_them(tmp_path, text):
+    # a bare "+3" is a float and "+3/4" a Fraction; digits outside ASCII and underscores take the
+    # Fraction(text) reader
+    body = f"# space lp:2.0\n1 {text}\n"
+    path = tmp_path / "vector.txt"
+    path.write_text(body, encoding="utf-8")
+    assert _typed(read_vector(path)) == _typed(brute_read_vector_text(body))
+
+
+def test_a_denominator_of_two_to_the_700000_round_trips(tmp_path):
+    # a 210 721-digit denominator, written and read with the int <-> str digit limit left as it is
+    v = SparseVec({0: Fraction(3, 2**700_000), 5: Fraction(-1, 2**699_999)}, lp(2.0))
+    path = tmp_path / "vector.txt"
+    write_vector(path, v)
+    assert read_vector(path).entries == v.entries
+
+
+def test_a_zero_denominator_in_a_vector_file_exits_2_in_one_line(tmp_path, capsys):
+    path = tmp_path / "vector.txt"
+    path.write_text("# space lp:2.0\n3 1/0\n")
+    code = cli_main(["orbit", "--vector", f"file:{path}", "--targets", "e:3@1/2", "--horizon", "10",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: cannot parse '1/0' as a rational\n"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from hyperorbit import (
     return_set,
     return_weight_sums,
 )
-from hyperorbit.errors import NoDataError, UsageError
+from hyperorbit.errors import NoDataError, SpaceMismatchError, UsageError
 from hyperorbit.indexsets import estimate_densities
 from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
@@ -755,3 +755,15 @@ def test_tail_sums_need_membership():
 def test_tail_sums_need_bilateral():
     with pytest.raises(UsageError):
         bilateral_tail_sums(RatioPowerWeights(2.0), 2.0, ExplicitSet((1,)), 1, 10)
+
+
+@pytest.mark.parametrize("weights", [ConstantWeights(2.0), RatioPowerWeights(2.0)], ids=["pow2-route", "scan"])
+def test_a_vector_off_the_operators_space_is_refused(weights):
+    # x on the bilateral l2 space against an operator on the unilateral one: before the check the
+    # orbit ran on x's space and found no hit, and return_set reported time 0
+    T = ShiftOperator(weights, lp(2.0))
+    x = SparseVec({-3: 1}, lp(2.0, bilateral=True))
+    with pytest.raises(SpaceMismatchError):
+        hitting_times(T, x, [(SparseVec.zero(x.space), 0.5)], 5)
+    with pytest.raises(SpaceMismatchError):
+        return_set(T, (x, 0.5), (x, 0.5), 5)
