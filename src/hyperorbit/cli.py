@@ -1,9 +1,8 @@
 """Reproducible experiment runner.
 
 Every analysis is a subcommand writing CSV tables plus a manifest into an
-output directory.  Identical configurations produce byte-identical CSVs,
-whatever the worker count; run variability (wall time) lives only in the
-manifest.  Exit codes: 0 success, 2 usage (malformed flags or config,
+output directory.  Identical configurations produce byte-identical CSVs;
+run variability (wall time) lives only in the manifest.  Exit codes: 0 success, 2 usage (malformed flags or config,
 unsupported structures, empty data), 3 a verification check failed,
 4 numeric overflow forced truncation (partial outputs are kept).  Files
 reach the output directory only when the runner returns, so an exit 2 leaves none.
@@ -24,7 +23,6 @@ from math import frexp
 from operator import and_, eq, not_
 
 from . import constructor, counterexample as cx, recurrence
-from ._parallel import resolve_workers
 from .errors import FamilyExhaustedError, HyperorbitError, NoDataError, UsageError
 from .indexsets import (
     check_gap_family,
@@ -86,10 +84,15 @@ DENSITY_HEADER = (
 
 def run_densities(args, out):
     A = parse_set_spec(args.set)
-    grid = None if args.window_grid is None else parse_int_list(args.window_grid)
-    if grid == []:
-        raise UsageError("--window-grid needs at least one window length")
-    report = estimate_densities(A, args.horizon, grid, args.tail_factor)
+    window = None
+    if args.window_grid is not None:  # a comma list, of which the estimator takes the largest
+        grid = parse_int_list(args.window_grid)
+        if not grid:
+            raise UsageError("--window-grid needs at least one window length")
+        if min(grid) < 1:
+            raise UsageError("window lengths must be >= 1")
+        window = max(grid)
+    report = estimate_densities(A, args.horizon, window, args.tail_factor)
     write_csv(os.path.join(out, "densities.csv"), DENSITY_HEADER, _density_rows(args.set, report))
     return EXIT_OK
 
@@ -99,9 +102,7 @@ def run_make_set(args, out):
     A = make_prescribed_density_set(*targets, eras=args.eras, window=args.window)
     with open(os.path.join(out, "set.txt"), "w", encoding="utf-8") as fh:
         fh.write(A.describe() + "\n")
-    report = estimate_densities(
-        A, A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor
-    )
+    report = estimate_densities(A, A.recommended_horizon, A.recommended_window, A.recommended_tail_factor)
     rows = _density_rows(args.targets, report)
     write_csv(os.path.join(out, "self_check.csv"), DENSITY_HEADER, rows)
     achieved = report.as_tuple()
@@ -220,8 +221,7 @@ TRUNCATION_MARGIN = 64  # the vector sums its pieces S^n y_l this many steps pas
 def run_construct(args, out):
     T = parse_operator_spec(args.operator, args.space)
     family = parse_family_spec(args.family)
-    dense = constructor.DenseDyadicSequence(T.space)
-    plan = constructor.select_subsequence(T, family, dense, args.depth, args.horizon)
+    plan = constructor.select_subsequence(T, family, args.depth, args.horizon)
     with open(os.path.join(out, "plan.txt"), "w", encoding="utf-8") as fh:
         fh.write(plan.serialize())
     write_csv(
@@ -381,7 +381,7 @@ def run_eqbeta(args, out):
     ok = True
     for n in ns:
         sums = recurrence.bilateral_tail_sums(w, p, A, n, args.horizon)
-        ok = ok and sums.both_within(1.0)
+        ok = ok and sums.both_within()
         rows.append((n, sums.left, sums.right, sums.left_terms, sums.right_terms))
     write_csv(
         os.path.join(out, "tail_sums.csv"),
@@ -459,7 +459,7 @@ def _sub(subparsers, name, fn, **kwargs):
         "--workers",
         type=int,
         default=None,
-        help="recorded in the manifest only; every subcommand runs in one process (default: auto)",
+        help="accepted and ignored: every subcommand runs in one process",
     )
     p.add_argument(
         "--config", default=None, help="JSON file of flag defaults keyed by dest name (window_grid); flags win"
@@ -598,10 +598,9 @@ def main(argv=None) -> int:
                 actions[key].default = str(val)
                 actions[key].required = False
     args = ap.parse_args(argv)
-    args.workers = resolve_workers(args.workers)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    # the hash names the computation: where it is written and how many workers run it do not count
+    # the hash names the computation: where it is written and the ignored --workers do not count
     params = {k: v for k, v in vars(args).items() if k not in ("config", "out", "workers")}
     started = time.monotonic()
     try:
@@ -618,13 +617,7 @@ def main(argv=None) -> int:
     except HyperorbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    write_manifest(
-        os.path.join(out, "manifest.txt"),
-        args.command,
-        params,
-        time.monotonic() - started,
-        args.workers,
-    )
+    write_manifest(os.path.join(out, "manifest.txt"), args.command, params, time.monotonic() - started)
     return code
 
 

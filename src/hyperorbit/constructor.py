@@ -228,17 +228,12 @@ def _support_width(targets) -> int:
     return width
 
 
-def select_subsequence(
-    T: ShiftOperator,
-    family: SetFamily,
-    dense: DenseDyadicSequence,
-    depth: int,
-    horizon: int,
-) -> ConstructionPlan:
+def select_subsequence(T: ShiftOperator, family: SetFamily, depth: int, horizon: int) -> ConstructionPlan:
     """Greedy level selection with certified tail bounds.
 
-    For each l = 1..depth the smallest unused level k is taken whose
-    certificates all hold:
+    The targets y_1..y_depth are the first items of the dense dyadic
+    sequence on T's space.  For each l = 1..depth the smallest unused
+    level k is taken whose certificates all hold:
 
       i   the full right-inverse tail over each chosen progression is below
           1/(l*2**l) in norm,
@@ -253,6 +248,7 @@ def select_subsequence(
     that are not single-residue periodic sets with nested periods, and lp
     exponents that are not integers, raise UsageError.
     """
+    dense = DenseDyadicSequence(T.space)
     if depth < 1:
         raise UsageError("depth must be >= 1")
     gaps = check_gap_family(family, horizon)

@@ -14,7 +14,7 @@ class NoDataError(UsageError):
 
 
 class WindowGridError(UsageError):
-    """Horizon/window-grid combination cannot be evaluated."""
+    """Horizon/window combination cannot be evaluated."""
 
 
 class SpaceMismatchError(UsageError):

@@ -28,7 +28,7 @@ designed so that the chain
 holds exactly, not merely up to rounding:
 
 * the Banach bounds are the min/max count over every aligned window
-  ]i*s, (i+1)*s] of the largest grid length s (plus structural anchor
+  ]i*s, (i+1)*s] of the one window length s (plus structural anchor
   and uniformly sampled positions, which only widen the bracket);
 * the upper density estimate is the prefix ratio over ]0, q*s] with
   q = horizon // s, and the lower density estimate is the minimum prefix
@@ -502,7 +502,6 @@ class DensityReport:
     upper_banach: Fraction
     horizon: int
     effective_horizon: int
-    window_grid: tuple
     window: int
     tail_factor: int
     banach_argmin: int
@@ -521,18 +520,15 @@ class DensityReport:
         return (self.lower_banach, self.lower_density, self.upper_density, self.upper_banach)
 
 
-def estimate_densities(
-    A: IndexSet,
-    horizon: int,
-    window_grid=None,
-    tail_factor: int = 8,
-) -> DensityReport:
+def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tail_factor: int = 8) -> DensityReport:
     """Four finite-horizon density estimates with the exact chain property.
 
-    See the module docstring for the estimator definition.  `tail_factor`
-    bounds how deep into the prefix the lower-density checkpoints reach:
-    checkpoints are the multiples of the largest window length s inside
-    [effective_horizon / tail_factor, effective_horizon].  The aligned
+    See the module docstring for the estimator definition.  `window` is
+    the window length s; None takes the largest of 10, 100, 1000 and
+    10000 that is at most horizon / 4, else 1.  `tail_factor` bounds how
+    deep into the prefix the lower-density checkpoints reach: checkpoints
+    are the multiples of s inside [effective_horizon / tail_factor,
+    effective_horizon].  The aligned
     window counts are differences of the prefix counts `A.count_upto(i * s)`.
 
     A set without pieces (`IndexSet.pieces` is None: S, explicit lists,
@@ -551,18 +547,15 @@ def estimate_densities(
     """
     if tail_factor < 1:
         raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
-    if window_grid is None:
-        grid = tuple(s for s in (10, 100, 1000, 10000) if s <= max(1, horizon // 4)) or (1,)
-    else:
-        grid = tuple(sorted(set(int(s) for s in window_grid)))
-        if not grid or grid[0] < 1:
-            raise WindowGridError("window lengths must be >= 1")
-        if horizon < grid[-1]:
-            raise WindowGridError(
-                f"horizon {horizon} is smaller than the largest window {grid[-1]};"
-                " shrink the grid or extend the horizon"
-            )
-    s = grid[-1]
+    if window is None:
+        window = max((s for s in (10, 100, 1000, 10000) if s <= horizon // 4), default=1)
+    elif window < 1:
+        raise WindowGridError(f"the window must be >= 1, got {window}")
+    elif horizon < window:
+        raise WindowGridError(
+            f"horizon {horizon} is smaller than the window {window}; shrink the window or extend the horizon"
+        )
+    s = window
     q = horizon // s
     if q < 1:
         raise WindowGridError(f"horizon {horizon} holds no window of length {s}")
@@ -610,7 +603,6 @@ def estimate_densities(
         upper_banach=upper_banach,
         horizon=horizon,
         effective_horizon=q * s,
-        window_grid=grid,
         window=s,
         tail_factor=tail_factor,
         banach_argmin=argmin,

@@ -418,14 +418,13 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def write_manifest(path, command: str, params: dict, wall_time: float, workers: int):
+def write_manifest(path, command: str, params: dict, wall_time: float):
     from . import __version__
 
     lines = [
         f"command: {command}",
         f"config_hash: {config_hash(params)}",
         f"package_version: {__version__}",
-        f"workers: {workers}",
         f"wall_time_s: {wall_time:.3f}",
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -86,7 +86,7 @@ from .shifts import ShiftOperator, _constant_pow2_rate, _pow2_clamped, apply_bac
 from .spaces import SparseVec, _float_size, _float_terms, _same_space, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
-DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; those that fit in the horizon are used
+DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; the largest that fits in the horizon is used
 _BLOCK = 2**15  # orbit cells (entries plus centre entries, times steps) per block
 _DRIFT = 500  # most bits a running product may move within one block
 
@@ -465,8 +465,8 @@ def hitting_times(T: ShiftOperator, x: SparseVec, targets, horizon: int) -> list
     steps up to the horizon.  An entry past the fixed overflow cap
     `OVERFLOW_LOG2` (log2 scale, about 1e300) truncates the scan and the
     truncation point is recorded on every report.  The densities are
-    estimated over the fixed windows `DENSITY_WINDOWS` that fit in the
-    horizon, and are None below the smallest.
+    estimated over the largest of the fixed windows `DENSITY_WINDOWS`
+    that fits in the horizon, and are None below the smallest.
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
@@ -477,10 +477,10 @@ def hitting_times(T: ShiftOperator, x: SparseVec, targets, horizon: int) -> list
             raise UsageError("target radii must be positive")
     found, truncated_at = _hit_sets(T, x, targets, horizon)
     reports = []
-    grid = tuple(s for s in DENSITY_WINDOWS if s <= horizon)
+    window = max((s for s in DENSITY_WINDOWS if s <= horizon), default=None)
     for t, (center, radius) in enumerate(targets):
         tset = ExplicitSet(tuple(found[t]))
-        dens = estimate_densities(tset, horizon, grid) if grid else None
+        dens = estimate_densities(tset, horizon, window) if window else None
         reports.append(
             HittingReport(
                 target_index=t,
@@ -791,8 +791,8 @@ class TailSums:
     right_terms: int
     time: int
 
-    def both_within(self, cap: float = 1.0) -> bool:
-        return self.left <= cap and self.right <= cap
+    def both_within(self) -> bool:
+        return self.left <= 1.0 and self.right <= 1.0
 
 
 def bilateral_tail_sums(w, p: float, A: IndexSet, n: int, horizon: int) -> TailSums:

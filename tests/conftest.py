@@ -56,26 +56,21 @@ def brute_lower_density(A, horizon, s, tail_factor):
     return lower, at
 
 
-def brute_estimate_densities(A, horizon, window_grid=None, tail_factor=8):
+def brute_estimate_densities(A, horizon, window=None, tail_factor=8):
     """The scan estimator: one `count_upto` per aligned window up to the horizon, on every set kind.
 
     This is `estimate_densities` before sets gave it their periodic pieces,
-    kept as it was, so the piece path can be held to it field for field.
+    kept as it was but for its one window, so the piece path can be held to
+    it field for field.
     """
     if tail_factor < 1:
         raise WindowGridError(f"the tail factor must be >= 1, got {tail_factor}")
-    if window_grid is None:
-        grid = tuple(s for s in (10, 100, 1000, 10000) if s <= max(1, horizon // 4)) or (1,)
+    if window is None:
+        s = ([w for w in (10, 100, 1000, 10000) if w <= max(1, horizon // 4)] or [1])[-1]
+    elif window < 1 or horizon < window:
+        raise WindowGridError(f"window {window} does not fit in [1, {horizon}]")
     else:
-        grid = tuple(sorted(set(int(s) for s in window_grid)))
-        if not grid or grid[0] < 1:
-            raise WindowGridError("window lengths must be >= 1")
-        if horizon < grid[-1]:
-            raise WindowGridError(
-                f"horizon {horizon} is smaller than the largest window {grid[-1]};"
-                " shrink the grid or extend the horizon"
-            )
-    s = grid[-1]
+        s = window
     q = horizon // s
     if q < 1:
         raise WindowGridError(f"horizon {horizon} holds no window of length {s}")
@@ -118,7 +113,6 @@ def brute_estimate_densities(A, horizon, window_grid=None, tail_factor=8):
         upper_banach=upper_banach,
         horizon=horizon,
         effective_horizon=q * s,
-        window_grid=grid,
         window=s,
         tail_factor=tail_factor,
         banach_argmin=argmin,

@@ -61,7 +61,7 @@ def test_criterion_1_density_chain():
 
     started = time.monotonic()
     for A in sets:
-        report = h.estimate_densities(A, 10**5, [10, 100, 1000])
+        report = h.estimate_densities(A, 10**5, 1000)
         lb, ld, ud, ub = report.as_tuple()
         assert isinstance(lb, Fraction)
         assert 0 <= lb <= ld <= ud <= ub <= 1  # exact rational comparisons
@@ -77,9 +77,7 @@ def test_criterion_1_density_chain():
 def test_criterion_2_prescribed_densities():
     targets = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
     A = h.make_prescribed_density_set(*targets)
-    report = h.estimate_densities(
-        A, A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor
-    )
+    report = h.estimate_densities(A, A.recommended_horizon, A.recommended_window, A.recommended_tail_factor)
     worst = max(abs(got - want) for got, want in zip(report.as_tuple(), targets))
     assert worst <= Fraction(1, 20), f"worst deviation {float(worst)}"
     _announce(2, "prescribed densities", f"worst deviation {float(worst):.4f}")
@@ -181,8 +179,7 @@ def constructed():
     space = h.lp(2.0)
     T = ShiftOperator(ConstantWeights(2.0), space)
     family = h.dyadic_block_family(8)
-    dense = h.DenseDyadicSequence(space)
-    plan = h.select_subsequence(T, family, dense, 4, 10**4)
+    plan = h.select_subsequence(T, family, 4, 10**4)
     hc = h.assemble_vector(plan, T, 10**4 + 64)
     return T, plan, hc
 
@@ -289,7 +286,7 @@ CLI_MATRIX = [
     ("densities", ["--set", "evens", "--horizon", "100000", "--window-grid", "10,100"]),
     ("make-set", ["--targets", "0,1/5,1/2,1", "--eras", "3", "--window", "200"]),
     ("check-family", ["--family", "dyadic-block:4", "--horizon", "20000"]),
-    # 600 exclusion cells, all in this process: --workers is only recorded, so 1 and 8 give the same bytes
+    # 600 exclusion cells, all in this process: --workers is ignored, so 1 and 8 give the same bytes
     (
         "verify-counterexample",
         ["--kmax", "6", "--lmax", "100", "--product-horizon", "2000", "--family-levels", "2", "--family-reps", "2"],

@@ -527,6 +527,7 @@ TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__
         (["series-tests", "--weights", "table-values:1e-400"], "'1e-400' lies outside the float range"),
         (["orbit", "--vector", "e:0", "--targets", "e:0@1e-400"], "'1e-400' lies outside the float range"),
         (["densities", "--set", "evens", "--window-grid", ""], "--window-grid needs at least one window length"),
+        (["densities", "--set", "evens", "--window-grid", "0,100"], "window lengths must be >= 1"),
         (["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"], "--n needs at least one time"),
         (["make-set", "--targets", "1/2,1/4,3/4,1"], "need 0 <= r1 <= r2 <= r3 <= r4 <= 1, got 1/2,1/4,3/4,1"),
         (["orbit", "--vector", f"file:{DUPLICATE_INDEX_VECTOR}", "--targets", "e:3@1/2", "--horizon", "10"],
@@ -534,7 +535,8 @@ TRUNCATION_MARGIN_CONFIG = os.path.join(os.path.dirname(os.path.abspath(__file__
     ],
     ids=["classify-horizon", "beta-cutoff", "eqbeta-sample", "eqbeta-n", "construct-horizon", "beta-cutoff-late",
          "construct-truncation-margin", "check-family-horizon", "constant-underflow", "table-values-underflow",
-         "radius-underflow", "empty-window-grid", "empty-n", "make-set-order", "vector-duplicate-index"],
+         "radius-underflow", "empty-window-grid", "window-grid-entry-0", "empty-n", "make-set-order",
+         "vector-duplicate-index"],
 )
 def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     code, _ = run(tmp_path, "r", *argv)
@@ -542,13 +544,21 @@ def test_rejections_name_their_cause(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
-def test_manifest_records_the_automatic_worker_count(tmp_path, monkeypatch):
-    # without --workers the manifest records min(cpu count, 8); HYPERORBIT_WORKERS is not read
-    auto = min(os.cpu_count() or 1, 8)
-    monkeypatch.setenv("HYPERORBIT_WORKERS", "5" if auto != 5 else "6")
-    code, out = run(tmp_path, "w", "densities", "--set", "evens", "--horizon", "2000")
-    assert code == 0
-    assert f"workers: {auto}" in (out / "manifest.txt").read_text().splitlines()
+def test_manifest_records_no_worker_count(tmp_path, monkeypatch):
+    # --workers is accepted and ignored, and HYPERORBIT_WORKERS is not read: no manifest line names workers
+    monkeypatch.setenv("HYPERORBIT_WORKERS", "5")
+    for name, workers in (("auto", []), ("eight", ["--workers", "8"])):
+        code, out = run(tmp_path, name, "densities", "--set", "evens", "--horizon", "2000", *workers)
+        assert code == 0
+        keys = [line.partition(":")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+        assert keys == ["command", "config_hash", "package_version", "wall_time_s"]
+
+
+def test_window_grid_hands_on_its_largest_entry(tmp_path):
+    argv = ["densities", "--set", "evens", "--horizon", "100000"]
+    _, grid = run(tmp_path, "grid", *argv, "--window-grid", "10,100")
+    _, largest = run(tmp_path, "largest", *argv, "--window-grid", "100")
+    assert (grid / "densities.csv").read_bytes() == (largest / "densities.csv").read_bytes()
 
 
 def test_beta_names_the_horizon_bound(tmp_path, capsys):

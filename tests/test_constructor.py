@@ -88,8 +88,7 @@ def test_prime_power_family_raw_would_fail():
 
 def test_select_doubling_depth_four():
     fam = dyadic_block_family(8)
-    dense = DenseDyadicSequence(L2)
-    plan = select_subsequence(DOUBLING, fam, dense, 4, 10000)
+    plan = select_subsequence(DOUBLING, fam, 4, 10000)
     assert plan.selected == (1, 2, 3, 4)
     assert all(c.ok for c in plan.certificates)
     kinds = {c.condition for c in plan.certificates}
@@ -99,8 +98,7 @@ def test_select_doubling_depth_four():
 def test_certificates_match_numeric_tails():
     # oracle: directly sum ||S^n y||^2 = 4^-n ||y||^2 over the progression members
     fam = dyadic_block_family(8)
-    dense = DenseDyadicSequence(L2)
-    plan = select_subsequence(DOUBLING, fam, dense, 2, 10000)
+    plan = select_subsequence(DOUBLING, fam, 2, 10000)
     for c in plan.certificates:
         if c.condition != "i" or c.against_level is None:
             continue
@@ -118,7 +116,7 @@ def test_certificate_bounds_are_roots_of_direct_tail_sums(space):
     # condition i bounds level j's target seen from the certified level's times on: the p-th root
     # of the sum over those times n of ||S^n y||^p = 2**(-p n) ||y||^p, or on c0 their maximum
     T = ShiftOperator(ConstantWeights(2.0), space)
-    plan = select_subsequence(T, dyadic_block_family(8), DenseDyadicSequence(space), 2, 10000)
+    plan = select_subsequence(T, dyadic_block_family(8), 2, 10000)
     checked = 0
     for c in plan.certificates:
         if c.condition != "i":
@@ -138,32 +136,29 @@ def test_certificate_bounds_are_roots_of_direct_tail_sums(space):
 
 def test_select_rejects_gap_violating_family():
     fam = SetFamily("clash", (ExplicitSet((10, 11)), ExplicitSet((12,))))
-    dense = DenseDyadicSequence(L2)
     with pytest.raises(UsageError):
-        select_subsequence(DOUBLING, fam, dense, 1, 100)
+        select_subsequence(DOUBLING, fam, 1, 100)
 
 
 def test_unit_weights_exhaust_family():
     T = ShiftOperator(ConstantWeights(1.0), L2)
     fam = dyadic_block_family(4)
-    dense = DenseDyadicSequence(L2)
     with pytest.raises(FamilyExhaustedError) as err:
-        select_subsequence(T, fam, dense, 2, 5000)
+        select_subsequence(T, fam, 2, 5000)
     assert err.value.condition == "i"
 
 
 def test_slow_growth_weights_exhaust_family():
     T = ShiftOperator(RatioPowerWeights(2.0), L2)
     fam = dyadic_block_family(4)
-    dense = DenseDyadicSequence(L2)
     with pytest.raises(FamilyExhaustedError):
-        select_subsequence(T, fam, dense, 1, 5000)
+        select_subsequence(T, fam, 1, 5000)
 
 
 def test_plans_deterministic():
     fam = dyadic_block_family(8)
-    p1 = select_subsequence(DOUBLING, fam, DenseDyadicSequence(L2), 3, 8000)
-    p2 = select_subsequence(DOUBLING, fam, DenseDyadicSequence(L2), 3, 8000)
+    p1 = select_subsequence(DOUBLING, fam, 3, 8000)
+    p2 = select_subsequence(DOUBLING, fam, 3, 8000)
     assert p1.serialize() == p2.serialize()
 
 
@@ -198,8 +193,7 @@ def test_assembled_norm_below_level_tail_sums():
     # triangle inequality across levels: ||x|| is at most the sum over levels
     # of the full geometric tail sqrt(sum 4^-n) ||y_l||
     fam = dyadic_block_family(8)
-    dense = DenseDyadicSequence(L2)
-    plan = select_subsequence(DOUBLING, fam, dense, 3, 4000)
+    plan = select_subsequence(DOUBLING, fam, 3, 4000)
     hc = assemble_vector(plan, DOUBLING, 4000)
     cap = 0.0
     for l, k in enumerate(plan.selected, start=1):
@@ -215,8 +209,7 @@ def test_assembled_norm_below_level_tail_sums():
 @pytest.fixture(scope="module")
 def verified_run():
     fam = dyadic_block_family(8)
-    dense = DenseDyadicSequence(L2)
-    plan = select_subsequence(DOUBLING, fam, dense, 4, 6000)
+    plan = select_subsequence(DOUBLING, fam, 4, 6000)
     hc = assemble_vector(plan, DOUBLING, 6064)
     report = verify_orbit_bounds(hc, DOUBLING, 6000)
     return plan, hc, report

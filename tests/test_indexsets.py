@@ -196,7 +196,7 @@ def test_segment_specs_validated():
 
 
 def test_evens_densities_near_half():
-    r = estimate_densities(PeriodicSet(2, (0,)), 100000, [10, 100, 1000])
+    r = estimate_densities(PeriodicSet(2, (0,)), 100000, 1000)
     for x in r.as_tuple():
         assert abs(x - Fraction(1, 2)) <= Fraction(1, 1000)
 
@@ -205,21 +205,21 @@ def test_single_residue_periodic_within_window_tolerance():
     # one residue: every window of length s carries count within 1 of s/p
     for p in (2, 3, 7, 11):
         A = PeriodicSet(p, (0,))
-        r = estimate_densities(A, 50000, [100, 500])
+        r = estimate_densities(A, 50000, 500)
         for x in r.as_tuple():
             assert abs(x - Fraction(1, p)) <= Fraction(1, 500)
 
 
 def test_multi_residue_periodic_within_m_over_s():
     A = PeriodicSet(6, (0, 1, 2))
-    r = estimate_densities(A, 30000, [300])
+    r = estimate_densities(A, 30000, 300)
     for x in r.as_tuple():
         assert abs(x - Fraction(1, 2)) <= Fraction(3, 300)
 
 
 def test_factorial_blocks_profile():
     # full window at 9!, negligible prefix mass
-    r = estimate_densities(FactorialBlockSet(), math.factorial(10), [9])
+    r = estimate_densities(FactorialBlockSet(), math.factorial(10), 9)
     assert r.upper_banach == 1
     assert r.banach_argmax in (math.factorial(9) - 1, math.factorial(9))
     assert r.upper_density < Fraction(1, 100)
@@ -230,20 +230,20 @@ def test_powers_of_two_upper_density():
     # |{2^k <= 1e6}| = 20: the oracle is the explicit count
     count = len(GeometricSet(2).members_in(0, 10**6))
     assert count == 20
-    r = estimate_densities(GeometricSet(2), 10**6, [1000])
+    r = estimate_densities(GeometricSet(2), 10**6, 1000)
     assert r.upper_density <= Fraction(20, 10**6)
 
 
 def test_window_grid_validation():
     with pytest.raises(WindowGridError):
-        estimate_densities(PeriodicSet(2, (0,)), 50, [100])
+        estimate_densities(PeriodicSet(2, (0,)), 50, 100)
 
 
 def test_banach_bracket_matches_full_scan():
     # the scanned max/min window counts must bracket the exhaustive scan
     A = ExplicitSet(tuple(sorted(random.Random(3).sample(range(400), 120))))
     s = 40
-    r = estimate_densities(A, 400, [s])
+    r = estimate_densities(A, 400, s)
     lo, hi = brute_window_extremes(A, 400, s)
     assert r.upper_banach <= Fraction(hi, s)
     assert r.lower_banach >= Fraction(lo, s)
@@ -259,7 +259,7 @@ def test_banach_bracket_matches_full_scan():
 @settings(max_examples=50, deadline=None)
 def test_density_chain_property(period, res, horizon):
     A = PeriodicSet(period, tuple(r for r in res if r < period))
-    r = estimate_densities(A, horizon, [10, max(20, horizon // 20)])
+    r = estimate_densities(A, horizon, max(20, horizon // 20))
     lb, ld, ud, ub = r.as_tuple()
     assert 0 <= lb <= ld <= ud <= ub <= 1
 
@@ -273,20 +273,19 @@ def test_density_chain_property(period, res, horizon):
 @settings(max_examples=100, deadline=None)
 def test_lower_density_and_checkpoint_match_fraction_oracle(members, horizon, s, tail_factor):
     A = ExplicitSet(tuple(members))
-    r = estimate_densities(A, horizon, [s], tail_factor)
+    r = estimate_densities(A, horizon, s, tail_factor)
     assert (r.lower_density, r.lower_density_at) == brute_lower_density(A, horizon, s, tail_factor)
 
 
 @st.composite
 def _piece_cases(draw):
-    """A set with periodic pieces, a window grid (largest window 1-12), a horizon and a tail factor.
+    """A set with periodic pieces, a window (1-12), a horizon and a tail factor.
 
     Segment sets have up to 5 segments of period 1-8, and their horizons
     end inside a segment, inside a gap (or before the first segment), or
     past the last segment.
     """
-    grid = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
-    s = max(grid)
+    s = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["segments", "periodic", "factorial"]))
     if kind == "segments":
         segments, at = [], draw(st.integers(0, 40))
@@ -315,17 +314,17 @@ def _piece_cases(draw):
         j = draw(st.integers(1, 7))
         horizon = draw(st.one_of(st.integers(1, 6000), st.integers(math.factorial(j) - j, math.factorial(j) + 2 * j)))
     assume(horizon >= s)
-    return A, horizon, grid, draw(st.integers(1, 128))
+    return A, horizon, s, draw(st.integers(1, 128))
 
 
 @given(_piece_cases())
 @settings(max_examples=400, deadline=None)
 def test_piece_path_matches_the_scan_oracle(case):
     # about one draw in twenty has more pieces than windows and takes the scan itself
-    A, horizon, grid, tail_factor = case
-    assert A.pieces(horizon // max(grid) * max(grid)) is not None
-    got = estimate_densities(A, horizon, grid, tail_factor)
-    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, grid, tail_factor))
+    A, horizon, s, tail_factor = case
+    assert A.pieces(horizon // s * s) is not None
+    got = estimate_densities(A, horizon, s, tail_factor)
+    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, s, tail_factor))
 
 
 @given(_piece_cases())
@@ -345,20 +344,18 @@ def test_pieces_cover_the_range_and_repeat_by_their_period(case):
 @given(
     s=st.one_of(st.integers(20, 300), st.integers(1990, 2010), st.integers(2001, 12000)),
     horizon=st.one_of(st.integers(1, 20000), st.integers(10**5, 3 * 10**5)),
-    extra=st.lists(st.integers(1, 12000), max_size=2),
     tail_factor=st.integers(1, 64),
 )
-@example(s=100, horizon=10**5, extra=[], tail_factor=8)
-@example(s=2000, horizon=3 * 10**5, extra=[10], tail_factor=8)
-@example(s=2001, horizon=3 * 10**5, extra=[], tail_factor=8)
+@example(s=100, horizon=10**5, tail_factor=8)
+@example(s=2000, horizon=3 * 10**5, tail_factor=8)
+@example(s=2001, horizon=3 * 10**5, tail_factor=8)
 @settings(max_examples=40, deadline=None)
-def test_s_scan_matches_the_scan_oracle(s, horizon, extra, tail_factor):
+def test_s_scan_matches_the_scan_oracle(s, horizon, tail_factor):
     # S reads windows up to the step rule off its indicator and counts longer ones in closed form
-    grid = [s, *(e for e in extra if e < s)]
     assume(horizon >= s)
     A = DigitNeighborhoodSet()
-    got = estimate_densities(A, horizon, grid, tail_factor)
-    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, grid, tail_factor))
+    got = estimate_densities(A, horizon, s, tail_factor)
+    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, s, tail_factor))
 
 
 def test_kinds_without_pieces_keep_the_scan():
@@ -370,10 +367,10 @@ def test_kinds_without_pieces_keep_the_scan():
 def test_piece_path_counts_stay_within_pieces_times_period(case, monkeypatch):
     if case.startswith("prescribed"):
         A = make_prescribed_density_set(0, 0, Fraction(1, 2), Fraction(1, 2))
-        horizon, grid, tail_factor = A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor
+        horizon, window, tail_factor = A.recommended_horizon, A.recommended_window, A.recommended_tail_factor
     else:
-        A, horizon, grid, tail_factor = FactorialBlockSet(), 10**12, None, 8
-    s = 10000 if grid is None else grid[0]
+        A, horizon, window, tail_factor = FactorialBlockSet(), 10**12, None, 8
+    s = 10000 if window is None else window
     pieces = A.pieces(horizon // s * s)
     # per piece: the windows reaching over its start (2 counts), a period of windows (period + 1) and the
     # first and last checkpoint of each class (2 * period); then 0 and q, and 2 per anchor window
@@ -389,7 +386,7 @@ def test_piece_path_counts_stay_within_pieces_times_period(case, monkeypatch):
         return count_upto(self, n)
 
     monkeypatch.setattr(type(A), "count_upto", counted)
-    estimate_densities(A, horizon, grid, tail_factor)
+    estimate_densities(A, horizon, window, tail_factor)
     assert 0 < calls <= bound
 
 
@@ -640,14 +637,14 @@ def test_gap_family_matches_pair_oracle(level_sets):
 def test_prescribed_constant_half_is_periodic():
     A = make_prescribed_density_set(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert isinstance(A, PeriodicSet)
-    r = estimate_densities(A, A.recommended_horizon, [A.recommended_window])
+    r = estimate_densities(A, A.recommended_horizon, A.recommended_window)
     for x in r.as_tuple():
         assert abs(x - Fraction(1, 2)) <= Fraction(1, 100)
 
 
 def test_prescribed_block_extremes():
     A = make_prescribed_density_set(0, 0, 0, 1)
-    r = estimate_densities(A, A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor)
+    r = estimate_densities(A, A.recommended_horizon, A.recommended_window, A.recommended_tail_factor)
     lb, ld, ud, ub = r.as_tuple()
     assert lb == 0 and ub == 1
     assert ud <= Fraction(1, 20)
@@ -656,7 +653,7 @@ def test_prescribed_block_extremes():
 def test_prescribed_mixed_targets():
     targets = (0, Fraction(1, 5), Fraction(1, 2), 1)
     A = make_prescribed_density_set(*targets)
-    r = estimate_densities(A, A.recommended_horizon, [A.recommended_window], A.recommended_tail_factor)
+    r = estimate_densities(A, A.recommended_horizon, A.recommended_window, A.recommended_tail_factor)
     for got, want in zip(r.as_tuple(), targets):
         assert abs(got - Fraction(want)) <= Fraction(1, 20)
 

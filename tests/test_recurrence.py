@@ -500,7 +500,7 @@ def test_return_set_probe_below_float_range_finds_a_late_return():
 
 def _report_for(times, horizon=10000):
     tset = ExplicitSet(tuple(times))
-    dens = estimate_densities(tset, horizon, [10, 100, 1000])
+    dens = estimate_densities(tset, horizon, 1000)
     from hyperorbit.recurrence import HittingReport
 
     return HittingReport(0, SparseVec.zero(L2), 1.0, tset, dens, horizon, None)
@@ -514,7 +514,7 @@ def test_classify_full_times_frequent():
 def test_classify_factorial_blocks_reiterative_only():
     times = FactorialBlockSet().members_in(0, 3628800)
     tset = ExplicitSet(tuple(times))
-    dens = estimate_densities(tset, 3628800, [9])
+    dens = estimate_densities(tset, 3628800, 9)
     from hyperorbit.recurrence import HittingReport
 
     rep = HittingReport(0, SparseVec.zero(L2), 1.0, tset, dens, 3628800, None)
