@@ -4,12 +4,16 @@ Weight sequences are function-backed and never materialized to a horizon.
 A weight kind provides `weight(k)` and one log2-domain primitive,
 `log2_product(n)`, the log2 of the partial product |w_1 ... w_n| in closed
 form or from a prefix table; every other product question is a difference
-of two prefix values.  Kinds whose weights are powers of two return exact
-integer exponents, so products like 2**600 neither overflow nor lose
-precision.  A product's sign is (-1) to the number of negative weights in
-its range, counted by `negatives(n)`, a second prefix primitive that only
-kinds with negative weights override.  Vector entries that are dyadic
-`Fraction`s are transformed exactly; float entries go through `ldexp`.
+of two prefix values.  A weight's log2 is an int exactly when the weight
+is ±2**k (`_log2_abs`, read off `frexp`), so constants and tables of
+powers of two have exact integer exponents, and products like 2**600
+neither overflow nor lose precision.  A product's sign is (-1) to the
+number of negative weights in its range, counted by `negatives(n)`, a
+second prefix primitive that only kinds with negative weights override.
+Vector entries that are dyadic `Fraction`s are transformed exactly under
+integer exponents; float entries go through `ldexp`.  Under any other
+exponent an entry is scaled as a float, and past the float range it is
+carried as an exact `Fraction`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import inf, isfinite, ldexp, log2
+from math import floor, frexp, inf, isfinite, ldexp, log2
 
 from .errors import UsageError, ZeroWeightError
 from .spaces import SparseVec, SpaceSpec
@@ -56,6 +60,12 @@ class WeightSequence:
         raise NotImplementedError
 
 
+def _log2_abs(w: float):
+    """log2|w| for a nonzero finite w: the int k exactly when |w| = 2**k, else the float `log2`."""
+    mantissa, e = frexp(w)
+    return e - 1 if abs(mantissa) == 0.5 else log2(abs(w))
+
+
 @dataclass(frozen=True)
 class ConstantWeights(WeightSequence):
     value: float
@@ -64,8 +74,7 @@ class ConstantWeights(WeightSequence):
     def __post_init__(self):
         if self.value == 0:
             raise UsageError("constant weight must be nonzero")
-        e = log2(abs(self.value))
-        object.__setattr__(self, "_log2", int(e) if e == int(e) else e)
+        object.__setattr__(self, "_log2", _log2_abs(self.value))
 
     def weight(self, k):
         return self.value
@@ -129,8 +138,9 @@ class TableWeights(WeightSequence):
         for k, v in enumerate(self.values, start=1):
             if not isfinite(v):
                 raise UsageError(f"table weight at index {k} is not finite")
-        # summed left to right from the int 0, so prefix n is the float a loop over w_1..w_n gives
-        self._prefix = tuple(accumulate((log2(abs(v)) for v in self.values), initial=0))
+        # summed left to right from the int 0: an int while the weights are powers of two, and
+        # past the first other weight the float a loop over w_1..w_n gives (ints below 2**53 add exactly)
+        self._prefix = tuple(accumulate(map(_log2_abs, self.values), initial=0))
         self._negatives = tuple(accumulate((v < 0 for v in self.values), initial=0))
 
     def weight(self, k):
@@ -170,12 +180,21 @@ class ShiftOperator:
 
 
 def _scale_pow2(value, exponent):
-    """value * 2**exponent, exactly for Fraction and int values with int exponents."""
+    """value * 2**exponent, exactly for Fraction and int values with int exponents.
+
+    A float exponent scales the float of `value` by the float 2.0**exponent
+    while that is a float; past the float range the product is the exact
+    `Fraction` value * 2**floor(exponent) * 2.0**(exponent - floor(exponent)).
+    """
     if isinstance(exponent, int):
         if isinstance(value, (Fraction, int)):
             return value * Fraction(2) ** exponent
         return ldexp(value, exponent)
-    return float(value) * (2.0 ** exponent)
+    try:
+        return float(value) * (2.0 ** exponent)
+    except OverflowError:
+        whole = floor(exponent)
+        return Fraction(value) * Fraction(2) ** whole * Fraction(2.0 ** (exponent - whole))
 
 
 def _pow2_clamped(x: float) -> float:

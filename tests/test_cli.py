@@ -561,6 +561,37 @@ def test_window_grid_hands_on_its_largest_entry(tmp_path):
     assert (grid / "densities.csv").read_bytes() == (largest / "densities.csv").read_bytes()
 
 
+def test_construct_refuses_a_near_power_of_two(tmp_path, capsys):
+    code, _ = run(tmp_path, "c", "construct", "--operator", "constant:7.999999999999999", "--depth", "2",
+                  "--horizon", "200")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "verification failure: condition i: no positive exact growth rate, right-inverse tails do not shrink\n"
+    )
+
+
+@pytest.mark.parametrize("probes", [[], ["--probes", "0"]], ids=["probes", "no-probes"])
+def test_a_table_of_twos_returns_like_the_constant_two(tmp_path, probes):
+    table = tmp_path / "twos.txt"
+    table.write_text("2\n" * 2000)
+    argv = ["return-set", "--u", "dense:1@1/4", "--v", "dense:2@1/4", "--horizon", "1500", "--stride", "50", *probes]
+    code, twos = run(tmp_path, "twos", *argv, "--operator", f"table:{table}")
+    assert code == 0
+    code, constant = run(tmp_path, "constant", *argv, "--operator", "constant:2")
+    assert code == 0
+    assert read_files(twos) == read_files(constant)
+
+
+def test_return_set_carries_products_past_the_float_range(tmp_path):
+    # the witness at t = 650 scales by 3**650, past the float range
+    argv = ["return-set", "--operator", "constant:3", "--u", "dense:1@1/4", "--v", "dense:2@1/4"]
+    for horizon, last in ((600, 600), (1500, 650)):
+        code, out = run(tmp_path, str(horizon), *argv, "--horizon", str(horizon))
+        assert code == 0
+        times = [int(n) for n in (out / "return_times.csv").read_text().split()[1:]]
+        assert times == list(range(50, last + 1, 50))
+
+
 def test_beta_names_the_horizon_bound(tmp_path, capsys):
     code, _ = run(tmp_path, "b0", "beta", "--set", "evens", "--horizon", "0")
     assert code == 2

@@ -351,6 +351,10 @@ def test_only_balls_within_their_centre_norm_take_the_candidates(space, entries,
 
 
 POW2_CONSTANTS = [ConstantWeights(sign * 2.0**k) for sign in (1, -1) for k in range(-3, 4)]
+# the float neighbours of ±2**k are no powers of two, so they take the scan
+NEAR_POW2_CONSTANTS = [
+    ConstantWeights(nextafter(sign * 2.0**k, toward)) for sign in (1, -1) for k in (-3, 0, 3) for toward in (-inf, inf)
+]
 POW2_SPACES = [lp(1.0), lp(2.0), lp(3.0), c0()]
 POW2_SPACES += [SpaceSpec(s.kind, s.p, True) for s in POW2_SPACES]
 
@@ -382,7 +386,7 @@ def pow2_cases(draw):
         if 0 < size < inf:  # both sides of ‖y‖, the tie and a Fraction radius below it
             radii += [size, nextafter(size, 0), nextafter(size, inf), size / 2, 2 * size, Fraction(size) * Fraction(2, 3)]
         targets.append((center, draw(st.sampled_from([r for r in radii if r > 0]))))
-    return ShiftOperator(draw(st.sampled_from(POW2_CONSTANTS)), space), x, targets
+    return ShiftOperator(draw(st.sampled_from(POW2_CONSTANTS + NEAR_POW2_CONSTANTS)), space), x, targets
 
 
 @given(case=pow2_cases(), horizon=st.integers(1, 300), cap=st.sampled_from([996, 200, -3]))
@@ -396,6 +400,15 @@ def test_direct_routes_match_the_brute_oracle(case, horizon, cap):
     assert [list(r.times.members) for r in reports] == times
     assert all(r.truncated_at == truncated_at for r in reports)
     assert reports == scanned  # every field, densities included
+
+
+def test_a_near_power_of_two_is_scanned():
+    # 7.999999999999999**60 * 2**-180 is 0.9999999999999933, outside the ball of radius 1e-15 around e_0
+    T = ShiftOperator(ConstantWeights(7.999999999999999), L2)
+    x = SparseVec({60: Fraction(1, 2**180)}, L2)
+    targets = [(SparseVec.basis(L2, 0), 1e-15)]
+    reports = hitting_times(T, x, targets, 60)
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 60)[0] == [[]]
 
 
 def test_blocks_stay_within_their_stride():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hyperorbit import (
     reciprocal_product_series,
 )
 from hyperorbit.errors import UsageError, ZeroWeightError
+from hyperorbit.shifts import _log2_abs
 
 from conftest import brute_log2_range
 
@@ -146,8 +148,13 @@ def test_basis_norm_matches_log_product(w, m, n):
 
 @pytest.mark.parametrize(
     "w,lo,hi",
-    [(ConstantWeights(2.0), -60, 60), (ConstantWeights(0.5), -60, 60), (DoublingResetWeights(), 1, 12000)],
-    ids=["2", "1/2", "reset"],
+    [
+        (ConstantWeights(2.0), -60, 60),
+        (ConstantWeights(0.5), -60, 60),
+        (DoublingResetWeights(), 1, 12000),
+        (TableWeights([2.0, -0.5, 4.0, 1.0, -2.0**-40] * 20), 1, 120),
+    ],
+    ids=["2", "1/2", "reset", "table-pow2"],
 )
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -185,6 +192,68 @@ def test_table_ranges_close_past_the_end(values, a, length):
     b = a + length - 1
     assert math.isclose(w.log2_product_range(a, b), brute_log2_range(w, a, b), rel_tol=1e-12)
     assert w.log2_product(len(values) + 50) == w.log2_product(len(values))
+
+
+def _is_pow2(q: Fraction) -> bool:
+    return q.numerator & (q.numerator - 1) == 0 and q.denominator & (q.denominator - 1) == 0
+
+
+pow2_floats = st.builds(lambda sign, k: sign * 2.0**k, st.sampled_from([1, -1]), st.integers(-1074, 1023))
+nonzero_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0**-1022, 2.0**-1022),  # subnormals
+    pow2_floats,
+    st.builds(math.nextafter, pow2_floats, st.sampled_from([-math.inf, 0.0, math.inf])),
+).filter(bool)
+
+
+@given(nonzero_floats)
+@settings(max_examples=300, deadline=None)
+def test_log2_abs_is_an_int_exactly_on_powers_of_two(w):
+    q = abs(Fraction(w))
+    got = _log2_abs(w)
+    if _is_pow2(q):
+        assert type(got) is int and Fraction(2) ** got == q
+    else:
+        assert type(got) is float and got == math.log2(abs(w))
+
+
+@given(st.lists(st.one_of(nonzero_floats, pow2_floats), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_table_prefixes_keep_the_float_sums_bits(values):
+    # past the first weight that is no power of two, each prefix is the all-float left-to-right sum
+    w = TableWeights(values)
+    floats = list(accumulate((math.log2(abs(v)) for v in values), initial=0))
+    for n, want in enumerate(floats):
+        got = w.log2_product(n)
+        assert got == want
+        assert isinstance(got, int) == all(_is_pow2(abs(Fraction(v))) for v in values[:n])
+
+
+def test_near_powers_of_two_are_not_exact():
+    for c in (7.999999999999999, 16.000000000000004, 1024.0000000000002, -math.nextafter(0.5, 1)):
+        assert isinstance(ConstantWeights(c).log2_product(1), float)
+    assert ConstantWeights(-8.0).log2_product(3) == 9 and isinstance(ConstantWeights(-8.0).log2_product(3), int)
+
+
+def test_table_of_twos_carries_entries_exactly():
+    # a table of 2000 twos acts like the constant 2 on its range: 1/3 moved by 1100 steps is 1/(3 * 2**1100)
+    T = ShiftOperator(TableWeights([2.0] * 2000), L2)
+    moved = apply_right_inverse(T, SparseVec.basis(L2, 0, Fraction(1, 3)), 1100)
+    assert moved.entries == {1100: Fraction(1, 3 * 2**1100)}
+    assert moved == apply_right_inverse(DOUBLING, SparseVec.basis(L2, 0, Fraction(1, 3)), 1100)
+
+
+def test_products_past_the_float_range_stay_exact():
+    # 3**700 is past the float range: the product is carried as a Fraction, not an OverflowError
+    T = ShiftOperator(ConstantWeights(3.0), L2)
+    e = 700 * math.log2(3.0)
+    whole = math.floor(e)
+    far = apply_backward(T, SparseVec.basis(L2, 700, Fraction(1, 3)), 700).entries[0]
+    assert far == Fraction(1, 3) * 2**whole * Fraction(2.0 ** (e - whole))
+    assert norm(SparseVec.basis(L2, 0, far)) == math.inf
+    # inside the range the product keeps the float bits it had
+    assert apply_backward(T, SparseVec.basis(L2, 600, Fraction(1, 3)), 600).entries[0] == (1 / 3) * 2.0 ** (600 * math.log2(3.0))
 
 
 @pytest.mark.parametrize("w", [RatioPowerWeights(2.0), TableWeights([2.0, 3.0]), DoublingResetWeights()])
