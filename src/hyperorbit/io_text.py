@@ -7,9 +7,10 @@ range, `--p` included), every list one rule (`_items`: comma lists and the
 empty list, an empty item is an error), and every spec kind's `describe()`
 parses back to the same object, so configurations hash stably and outputs
 stay byte-identical across runs.  Vector files hold exact entries with
-denominators 2**e of any length; their ints cross text through `decimal`
-alone (`_PowersOfTwo`, both ways), so no process-wide state, such as the
-interpreter's int <-> str digit limit, is touched.
+denominators 2**e of any length; their ints are written through `decimal`
+and read in blocks of at most 640 digits (`_PowersOfTwo`, `_int_of_digits`),
+so no process-wide state, such as the interpreter's int <-> str digit
+limit, is touched.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ class _PowersOfTwo:
     of two away, as files list entries by increasing index, or else is
     built afresh.  `text(x)` is `format_fraction(x)` with a power-of-two
     denominator written from that power, and `int_of(digits)` matches
-    digits past `_SHORT` against it.  Every other int crosses as
-    `str(Decimal(n))` or `int(Decimal(digits))`.
+    digits past `_SHORT` against it.  Every other int is written as
+    `str(Decimal(n))` and read by `_int_of_digits`.
     """
 
     _SHORT = 400  # digits read as fast directly as by a 2**e match
@@ -323,7 +324,33 @@ class _PowersOfTwo:
             e = round(log2(int(digits[:17])) + (len(digits) - 17) * log2(10))
             if Decimal(digits) == self._power(e):
                 return 1 << e
-        return int(Decimal(digits))
+        return _int_of_digits(digits)
+
+
+_INT_BLOCK = 640  # the least int <-> str digit limit the interpreter admits: int() of this many is never refused
+
+
+@functools.cache
+def _ten_to(k: int) -> int:
+    return 10**k
+
+
+def _int_of_digits(text: str) -> int:
+    """The int of an optional sign and ASCII digits, in time below quadratic in their number.
+
+    The digits split into a low part of `_INT_BLOCK * 2**j` digits, the
+    most below the length, and a high part no longer than it, recursively
+    down to blocks that `int` reads, so the digit limit never applies; the
+    parts join as high * 10**k + low, with 10**k kept for each k.
+    """
+    if text[0] in "-+":
+        return -_int_of_digits(text[1:]) if text[0] == "-" else _int_of_digits(text[1:])
+    if len(text) <= _INT_BLOCK:
+        return int(text)
+    k = _INT_BLOCK
+    while 2 * k < len(text):
+        k *= 2
+    return _int_of_digits(text[:-k]) * _ten_to(k) + _int_of_digits(text[-k:])
 
 
 _SIGNED_DIGITS = re.compile(r"[-+]?\d+", re.ASCII)
@@ -350,8 +377,8 @@ def read_vector(path) -> SparseVec:
             elif not (den := powers.int_of(exact[2]) if exact[2] else 1):
                 raise UsageError(f"cannot parse {val!r} as a rational")
             else:
-                value = Fraction(int(Decimal(exact[1])), den)
-            index = int(Decimal(idx)) if _SIGNED_DIGITS.fullmatch(idx) else parse_int(idx)
+                value = Fraction(_int_of_digits(exact[1]), den)
+            index = _int_of_digits(idx) if _SIGNED_DIGITS.fullmatch(idx) else parse_int(idx)
             if index in entries:
                 raise UsageError(f"{path} lists index {idx} twice")
             entries[index] = value

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from hyperorbit.indexsets import (
     intervals_set,
 )
 from hyperorbit.io_text import (
+    _int_of_digits,
     format_value,
     parse_family_spec,
     parse_set_spec,
@@ -104,6 +107,9 @@ _ENTRY_VALUES = st.one_of(
     st.builds(lambda m, e, off: Fraction(m, 2**e + off), st.integers(-(2**70), 2**70), st.integers(2, 200_000),
               st.sampled_from([-1, 1])),  # the near misses 2**e +- 1
     st.builds(lambda m, k, d: Fraction(m, 3**k * d), _LONG_INTS, st.integers(800, 12_000), st.integers(1, 2**64)),
+    # non-dyadic denominators of about 60 000 digits, read in blocks
+    st.builds(lambda m, k, d: Fraction(m, 3**k * d), st.integers(-(2**70), 2**70), st.integers(125_000, 126_000),
+              st.integers(1, 2**64)),
 )
 
 
@@ -137,6 +143,15 @@ def test_vector_text_matches_the_int_text_oracle_at_the_long_ends(tmp_path):
         -7: Fraction(10**5000 + 1, 2**199_999), 0: Fraction(-3, 2**200_000 + 1),
         5: Fraction(7, 2**150_000 - 1), 9: Fraction(-(10**5000) - 3, 3**12_000), 10: -0.0,
     })
+
+
+@given(length=st.sampled_from([1, 639, 640, 641, 1280, 1281, 2560, 2561, 60_000]), sign=st.sampled_from(["", "-", "+"]),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_block_reads_match_the_decimal_int(length, sign, seed):
+    # splits at 640 * 2**j digits keep their leading zeros and their sign; Decimal needs no digit limit
+    digits = "".join(random.Random(seed).choices("0123456789", k=length))
+    assert _int_of_digits(sign + digits) == int(Decimal(sign + digits))
 
 
 @pytest.mark.parametrize("text", ["3", "-3", "+3", "+3/4", "-3/4", "-0", "0/5", "1e3", "0.5", "-0.0", "1_000",
