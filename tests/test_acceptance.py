@@ -321,6 +321,35 @@ CLI_MATRIX = [
         ["--space", "c0", "--operator", "ratio-power:2", "--vector", "ones:0-300", "--targets",
          "zero:@1/1000;e:0@2", "--horizon", "400"],
     ),
+    # float paths that differ by interpreter if a rule changes: lp with p != 2, a bilateral space,
+    # a signed table on an lp orbit, harmonic beta, and --p other than 2
+    (
+        "orbit",
+        ["--operator", "ratio-power:2", "--space", "lp:3", "--vector", "ones:0-300", "--targets",
+         "zero:@8;e:0@1/2;ones:0-5@3", "--horizon", "400"],
+    ),
+    (
+        "classify",
+        ["--operator", "constant:0.75", "--space", "lp:1.5:bilateral", "--vector", "ones:0-300", "--targets",
+         "zero:@1;e:0@1/2", "--horizon", "400"],
+    ),
+    (
+        "orbit",
+        ["--operator", "table-values:1.5,-2,0.75,3,-0.5", "--space", "lp:2.5", "--vector", "ones:0-300",
+         "--targets", "zero:@10;e:0@1/2", "--horizon", "400"],
+    ),
+    ("return-set", ["--space", "lp:3", "--u", "dense:1@0.25", "--v", "dense:2@0.25", "--horizon", "3000",
+                    "--stride", "40"]),
+    ("beta", ["--set", "evens", "--alpha", "harmonic", "--horizon", "400"]),
+    ("eqbeta", ["--set", "explicit:0,10,20", "--n", "10", "--horizon", "100", "--p", "3/2"]),
+    ("series-tests", ["--p", "1.5", "--horizon", "2000"]),
+    # at n = 1 the lp:3 terms are one near 1 and 64 of 2**-54: the left-to-right sum (the norm rule)
+    # stays in the ball, one ulp inside, and a compensated sum (builtin sum from 3.12) leaves it
+    (
+        "orbit",
+        ["--operator", "constant:1/262144", "--space", "lp:3", "--vector", "ones:0-64", "--targets",
+         "e:0@0.9999961853027345", "--horizon", "100"],
+    ),
 ]
 
 
