@@ -330,27 +330,31 @@ class _PowersOfTwo:
 _INT_BLOCK = 640  # the least int <-> str digit limit the interpreter admits: int() of this many is never refused
 
 
-@functools.cache
-def _ten_to(k: int) -> int:
-    return 10**k
-
-
 def _int_of_digits(text: str) -> int:
     """The int of an optional sign and ASCII digits, in time below quadratic in their number.
 
-    The digits split into a low part of `_INT_BLOCK * 2**j` digits, the
-    most below the length, and a high part no longer than it, recursively
-    down to blocks that `int` reads, so the digit limit never applies; the
-    parts join as high * 10**k + low, with 10**k kept for each k.
+    Past `_INT_BLOCK` digits the text splits into a low part of
+    k = `_INT_BLOCK` * 2**j digits, the most below its length, and a high
+    part no longer than that, recursively down to blocks that `int` reads,
+    so the digit limit never applies; the parts join as high * 10**k + low,
+    with each 10**k squared once from the last.
     """
-    if text[0] in "-+":
-        return -_int_of_digits(text[1:]) if text[0] == "-" else _int_of_digits(text[1:])
     if len(text) <= _INT_BLOCK:
         return int(text)
-    k = _INT_BLOCK
-    while 2 * k < len(text):
-        k *= 2
-    return _int_of_digits(text[:-k]) * _ten_to(k) + _int_of_digits(text[-k:])
+    if text[0] in "-+":
+        value = _int_of_digits(text[1:])
+        return -value if text[0] == "-" else value
+    tens = {_INT_BLOCK: 10**_INT_BLOCK}
+    while 2 * max(tens) < len(text):
+        tens[2 * max(tens)] = tens[max(tens)] ** 2
+
+    def join(digits):
+        if len(digits) <= _INT_BLOCK:
+            return int(digits)
+        k = max(k for k in tens if k < len(digits))
+        return join(digits[:-k]) * tens[k] + join(digits[-k:])
+
+    return join(text)
 
 
 _SIGNED_DIGITS = re.compile(r"[-+]?\d+", re.ASCII)
