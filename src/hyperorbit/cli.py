@@ -2,10 +2,11 @@
 
 Every analysis is a subcommand writing CSV tables plus a manifest into an
 output directory.  Identical configurations produce byte-identical CSVs;
-run variability (wall time) lives only in the manifest.  Exit codes: 0 success, 2 usage (malformed flags or config,
-unsupported structures, empty data), 3 a verification check failed,
-4 numeric overflow forced truncation (partial outputs are kept).  Files
-reach the output directory only when the runner returns, so an exit 2 leaves none.
+run variability (wall time) lives only in the manifest.  Exit codes:
+0 success, 2 usage (malformed flags or config, unsupported structures,
+empty data), 3 a verification check failed, 4 numeric overflow forced
+truncation (partial outputs are kept).  Files reach the output directory
+only when the runner returns, so an exit 2 leaves none.
 """
 
 from __future__ import annotations

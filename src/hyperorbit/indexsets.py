@@ -528,8 +528,8 @@ def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tai
     10000 that is at most horizon / 4, else 1.  `tail_factor` bounds how
     deep into the prefix the lower-density checkpoints reach: checkpoints
     are the multiples of s inside [effective_horizon / tail_factor,
-    effective_horizon].  The aligned
-    window counts are differences of the prefix counts `A.count_upto(i * s)`.
+    effective_horizon].  The aligned window counts are differences of the
+    prefix counts `A.count_upto(i * s)`.
 
     A set without pieces (`IndexSet.pieces` is None: S, explicit lists,
     bitmaps, squares, powers), or with more pieces up to q * s than there

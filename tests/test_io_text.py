@@ -145,7 +145,7 @@ def test_vector_text_matches_the_int_text_oracle_at_the_long_ends(tmp_path):
     })
 
 
-@given(length=st.sampled_from([1, 639, 640, 641, 1280, 1281, 2560, 2561, 60_000]), sign=st.sampled_from(["", "-", "+"]),
+@given(length=st.sampled_from([1, 639, 640, 641, 1280, 1281, 2560, 2561, 20_000]), sign=st.sampled_from(["", "-", "+"]),
        seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_block_reads_match_the_decimal_int(length, sign, seed):
