@@ -337,16 +337,17 @@ def _int_of_digits(text: str) -> int:
     k = `_INT_BLOCK` * 2**j digits, the most below its length, and a high
     part no longer than that, recursively down to blocks that `int` reads,
     so the digit limit never applies; the parts join as high * 10**k + low,
-    with each 10**k squared once from the last.
+    each 10**k the square of the one before.
     """
     if len(text) <= _INT_BLOCK:
         return int(text)
     if text[0] in "-+":
         value = _int_of_digits(text[1:])
         return -value if text[0] == "-" else value
-    tens = {_INT_BLOCK: 10**_INT_BLOCK}
-    while 2 * max(tens) < len(text):
-        tens[2 * max(tens)] = tens[max(tens)] ** 2
+    k, tens = _INT_BLOCK, {_INT_BLOCK: 10**_INT_BLOCK}
+    while 2 * k < len(text):
+        tens[2 * k] = tens[k] ** 2
+        k *= 2
 
     def join(digits):
         if len(digits) <= _INT_BLOCK:
