@@ -45,15 +45,24 @@ the rule of `spaces.norm`, so each verdict is the one `ball_contains` gives
 on every space: `spaces._float_terms` turns v - c into terms, taken in the
 order of `spaces.norm` (v's nonzero entries in x order, then the centre
 entries no nonzero entry meets at that step, in centre order), and
-`spaces._float_size` turns them into the norm.  Rows for which that rule
-asks to rescale, and centres without a float value, go through
-`ball_contains` itself.  On a unilateral space an orbit whose entries have
-all passed index 0 is zero from then on, and the remaining times are
-decided by one ball test of the zero vector.
+`spaces._float_size` turns them into the norm.  The terms are formed
+lazily, and each test stops at the first prefix whose running maximum or
+sum reaches the ball's stop total (`spaces._stop_total`), from which every
+total has a size of at least r.  The terms are non-negative and rounding
+is monotone, so the running sum never falls: a stopped row lies outside
+the ball by the whole sum too, and, with the stop below 2**1000 on lp, by
+the rescaled norm of a sum that would overflow.  A row that is never
+stopped is summed with the same additions in the same order, so every
+verdict keeps its bits.  Rows for which that rule asks to rescale, and
+centres without a float value, go through `ball_contains` itself.  On a
+unilateral space an orbit whose entries have all passed index 0 is zero
+from then on, and the remaining times are decided by one ball test of the
+zero vector.
 
-The scan and the direct routes run on the standard library's C iterators
-(`map`, `zip`, `compress`), like the rest of the package, which depends on
-nothing outside it.
+The orbit steps and the direct routes run on the standard library's C
+iterators (`map`, `zip`, `compress`), like the rest of the package, which
+depends on nothing outside it; the size rule is a Python loop over the
+terms, and stops early for that reason.
 
 `return_weight_sums` tabulates alpha once and sums each member's row left
 to right, over the later members in increasing order, so each beta is the
@@ -68,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import floor, frexp, inf, ldexp, log2
 from operator import add, le, mul, neg
 
@@ -83,7 +92,7 @@ from .indexsets import (
     merge_intervals,
 )
 from .shifts import ShiftOperator, _constant_pow2_rate, _pow2_clamped, apply_backward, apply_right_inverse
-from .spaces import SparseVec, _float_size, _float_terms, _same_space, ball_contains
+from .spaces import SparseVec, _float_size, _float_terms, _same_space, _stop_total, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
 DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; the largest that fits in the horizon is used
@@ -215,11 +224,11 @@ class _Ball:
         self.index = list(center.entries)
         try:
             self.values = [float(val) for val in center.entries.values()]
-            self.terms = _float_terms(self.values, space)
         except OverflowError:  # no float value: every row goes through ball_contains
             self.values = None
         # ‖c‖ where spaces.norm takes it from the float terms, else None
-        self.size = _float_size(self.terms, space) if self.values else None
+        self.size = _float_size(_float_terms(self.values, space), space) if self.values else None
+        self.stop = _stop_total(radius, space)
 
     @property
     def misses_off_support(self):
@@ -235,34 +244,42 @@ class _Ball:
         size, space = self.size, self.space
         return size is not None and self.radius <= size and (space.kind == "c0" or log2(size) * space.p < 1000)
 
-    def norm(self, row, terms, at, n):
-        """‖v - c‖ by the rule of `spaces.norm`, or None where `spaces.norm`
-        rescales or the centre has no float value.
+    def norm(self, row, at, n):
+        """‖v - c‖ by the rule of `spaces.norm`, inf as soon as the terms read so
+        far put v outside the ball (`spaces._stop_total`), or None where
+        `spaces.norm` rescales or the centre has no float value.
 
-        `row` holds the orbit point's entries in x order at step n, `terms`
-        their `_float_terms`, and `at` maps an original index to its place in
-        the row."""
+        `row` holds the orbit point's entries in x order at step n, and `at`
+        maps an original index to its place in the row.  The terms are formed
+        lazily, in the order of `spaces.norm`: the row's entries, with the
+        centre subtracted from those it meets, then the centre entries no
+        nonzero entry meets, in centre order."""
         if self.values is None:
             return None
-        rest, met, diffs = [], [], []  # rest: centre terms no nonzero entry meets, in centre order
-        for k, c, t in zip(self.index, self.values, self.terms):
+        met, rest = [], []
+        for k, c in zip(self.index, self.values):
             j = at.get(k + n)
             if j is None or row[j] == 0:
-                rest.append(t)
+                rest.append(c)  # the term of -c is the term of c
             else:
-                met.append(j)
-                diffs.append(row[j] - c)
+                met.append((j, row[j] - c))
+        values = row
         if met:
-            terms = list(terms)
-            for j, t in zip(met, _float_terms(diffs, self.space)):
-                terms[j] = t
-        return _float_size(terms + rest if rest else terms, self.space)
+            met.sort()
+            parts, start = [], 0
+            for j, diff in met:
+                parts += (islice(row, start, j), (diff,))
+                start = j + 1
+            values = chain(*parts, islice(row, start, None))
+        if rest:
+            values = chain(values, rest)
+        return _float_size(_float_terms(values, self.space), self.space, self.stop)
 
-    def contains(self, row, terms, index, at, n):
+    def contains(self, row, index, at, n):
         """Whether the orbit point at step n lies in the ball: by `norm`, or by
         `ball_contains` where that has no value.  `index` holds the original
         indices of the row's entries."""
-        size = self.norm(row, terms, at, n)
+        size = self.norm(row, at, n)
         if size is None:
             point = SparseVec({idx - n: v for idx, v in zip(index, row) if v != 0}, self.space)
             return ball_contains(self.center, self.radius, point)
@@ -298,9 +315,8 @@ def _scan(orbit: _Orbit, balls, horizon: int):
             truncated_at = start + over
         at = {idx: j for j, idx in enumerate(index)}
         for n, row in enumerate(rows, start):
-            terms = _float_terms(row, space)
             for times, ball in zip(found, balls):
-                if ball.contains(row, terms, index, at, n):
+                if ball.contains(row, index, at, n):
                     times.append(n)
         if truncated_at is not None:
             break
@@ -404,7 +420,7 @@ class _Pow2Orbit:
         for n in steps:
             index, row = self.row(n)
             at = dict(zip(index, range(len(index))))
-            if ball.contains(row, _float_terms(row, self.space), index, at, n):
+            if ball.contains(row, index, at, n):
                 times.append(n)
         return times
 

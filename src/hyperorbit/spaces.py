@@ -10,20 +10,25 @@ sphere can fall on either side.  Tolerance policy belongs to callers, not
 to this module.
 
 One float rule serves every space, in two halves the orbit scan shares:
-`_float_terms` turns entries into terms and `_float_size` turns terms into
-the norm, or says that `norm` must rescale; the rescaled norm of a
-non-integer p goes through the same two halves.  One exact power sum,
-`_power_sum`, serves the rescaled norm, `norm_sq_exact` and the
-certificates, and one root rule, `_root_ratio`, takes the float root of
-an exact ratio for the rescaled norm, the certificates and the
-orbit-bound check.
+`_float_terms` turns entries into terms, lazily, and `_float_size` turns
+terms into the norm, or says that `norm` must rescale; the rescaled norm
+of a non-integer p goes through the same two halves.  A ball test may hand
+`_float_size` the stop total of its radius (`_stop_total`): the size rule
+then reads terms only until their running maximum or sum reaches it, which
+already settles `size < radius` as False, since the terms are non-negative
+and a rounded sum never falls.  `norm` and `ball_contains` pass no stop.
+One exact power sum, `_power_sum`, serves the rescaled norm,
+`norm_sq_exact` and the certificates, and one root rule, `_root_ratio`,
+takes the float root of an exact ratio for the rescaled norm, the
+certificates and the orbit-bound check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from itertools import repeat, tee
+from math import inf, nextafter, sqrt
 from operator import mul
 
 from .errors import SpaceMismatchError, UsageError
@@ -172,28 +177,79 @@ def norm(v: SparseVec) -> float:
     return _scaled_norm(v) if size is None else size
 
 
-def _float_terms(values, space: SpaceSpec) -> list:
-    """The float terms of a norm: |v| (c0), v * v (l2) or |v|**p (other lp)."""
+_TINY = 1e-290  # lp sums at or below it have lost bits, so `norm` rescales them
+_MARGIN = 1 + 2.0**-40  # widens r before r**p: covers the rounding of 1/p and of libm's pow
+
+
+def _float_terms(values, space: SpaceSpec):
+    """The float terms of a norm, lazily, in the order of `values` (any iterable):
+    |v| (c0), v * v (l2) or |v|**p (other lp)."""
     if space.kind == "c0":
-        return list(map(abs, values))
+        return map(abs, values)
     if space.p == 2.0:
-        return list(map(mul, values, values))
-    return [_safe_pow(abs(f), space.p) for f in values]
+        return map(mul, *tee(values))
+    return map(_safe_pow, map(abs, values), repeat(space.p))
 
 
-def _float_size(terms, space: SpaceSpec):
+def _float_size(terms, space: SpaceSpec, stop=None):
     """The norm from its `_float_terms`: their maximum (c0) or the root of their
     sum, left to right (lp); None where `norm` must rescale: a c0 maximum of 0,
-    or an lp sum outside (1e-290, inf), where it loses bits."""
-    if space.kind == "c0":
-        best = max(terms)
-        return best if best > 0.0 else None
+    or an lp sum outside (1e-290, inf), where it loses bits.
+
+    With a `stop` total from `_stop_total`, inf as soon as the maximum or the
+    running sum of the terms read so far reaches it, and no further term is
+    read.  The terms are non-negative and rounding is monotone, so the running
+    sum never falls, and every total from the stop on has a size of at least
+    the radius the stop was taken for: the verdict `size < radius` is the one
+    the whole sum gives.  A sum that is never stopped is the same additions in
+    the same order as without a stop."""
     total = 0.0
+    if space.kind == "c0":
+        for t in terms:
+            if t > total:
+                total = t
+                if stop is not None and t >= stop:
+                    return inf
+        return total if total > 0.0 else None
     for t in terms:
         total += t
-    if not 1e-290 < total < float("inf"):
+        if stop is not None and total >= stop:
+            return inf
+    if not _TINY < total < inf:
         return None
     return sqrt(total) if space.p == 2.0 else _safe_pow(total, 1.0 / space.p)
+
+
+def _stop_total(radius, space: SpaceSpec):
+    """The total from which `_float_size` may stop for a ball of this radius,
+    or None where no total is safe.
+
+    Every float total t at or past it has a size of at least `radius`, even a
+    `Fraction` or `int` one, and on lp lies in (1e-290, 2**1000): the size
+    rule takes its root without rescaling, and a sum that overflows later has
+    a true size of at least 2**(1023/p) > radius, past it under the rescaled
+    norm as well.  With r the smallest float >= radius, the stop is r on c0;
+    on l2 the smallest t above 1e-290 with sqrt(t) >= radius, exact since sqrt
+    is correctly rounded; on other lp (r * (1 + 2**-40))**p above 1e-290, whose
+    margin outweighs the rounding of 1/p and of a pow within 2**-42."""
+    try:
+        r = float(radius)
+    except OverflowError:
+        return None
+    if r < radius:
+        r = nextafter(r, inf)
+    if space.kind == "c0":
+        return r
+    low = nextafter(_TINY, inf)
+    if space.p == 2.0:
+        stop = max(r * r, low)
+        while sqrt(stop) < radius:
+            stop = nextafter(stop, inf)
+        while stop > low and sqrt(nextafter(stop, 0.0)) >= radius:
+            stop = nextafter(stop, 0.0)
+    else:
+        stop = max(_safe_pow(r * _MARGIN, space.p), low)
+    return stop if stop < 2.0**1000 else None
 
 
 def _scaled_norm(v: SparseVec) -> float:

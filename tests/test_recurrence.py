@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import inf, ldexp, nextafter, sqrt
+from math import ceil, floor, inf, ldexp, nextafter, sqrt
 from unittest.mock import patch
 
 import pytest
@@ -201,9 +201,13 @@ def _check_rows_and_norms(T, x, targets, horizon):
         assert {idx - n: val for idx, val in zip(orbit.index, row) if val != 0} == v.entries
         for center, radius in targets:
             ball = recurrence._Ball(center, radius, x.space)
-            size = ball.norm(row, _float_terms(row, x.space), at, n)
-            if size is not None:
-                assert size == norm(v - center)
+            size = ball.norm(row, at, n)
+            ball.stop = None  # every term read
+            whole = ball.norm(row, at, n)
+            if whole is not None:
+                assert whole == norm(v - center)
+            if size != whole:  # stopped: the terms read put v outside the ball
+                assert size == inf and not ball_contains(center, radius, v)
 
 
 @given(case=orbit_cases(), horizon=st.integers(1, 200))
@@ -243,7 +247,7 @@ def test_underflowed_entry_leaves_its_centre_term_to_the_end():
 def test_sums_below_the_normal_range_are_left_to_spaces_norm():
     row = (ldexp(1.1, -530), ldexp(1.3, -531))
     ball = recurrence._Ball(SparseVec.zero(L2), 1.0, L2)
-    assert ball.norm(row, [val * val for val in row], {0: 0, 1: 1}, 0) is None
+    assert ball.norm(row, {0: 0, 1: 1}, 0) is None
     # the subnormal sum lost bits, which spaces.norm avoids by rescaling
     assert sqrt(row[0] ** 2 + row[1] ** 2) != norm(SparseVec(dict(enumerate(row)), L2))
 
@@ -400,6 +404,84 @@ def test_direct_routes_match_the_brute_oracle(case, horizon, cap):
     assert [list(r.times.members) for r in reports] == times
     assert all(r.truncated_at == truncated_at for r in reports)
     assert reports == scanned  # every field, densities included
+
+
+# ---------------------------------------------------------------------------
+# ball tests that stop at the first prefix of terms that settles them
+
+STOP_SPACES = [c0(), lp(1.0), lp(2.0), lp(1.5), lp(3.0), lp(2.0, bilateral=True), lp(1.5, bilateral=True),
+               c0(bilateral=True)]
+
+
+def _radii_around(size):
+    """Float, Fraction and int radii on a prefix size and just either side of it."""
+    if not 0 < size < inf:
+        return [1.0]
+    exact = Fraction(size)
+    radii = [size, nextafter(size, 0), nextafter(size, inf), exact, exact * (1 + Fraction(1, 2**70)),
+             exact * (1 - Fraction(1, 2**70)), floor(size), ceil(size)]
+    return [r for r in radii if r > 0]
+
+
+@st.composite
+def stop_cases(draw):
+    """Orbit cases whose radii are the size of a prefix of the terms of one orbit point
+    (in x order, so the scan's sum reaches the radius exactly there) or of the centre
+    (so r <= ‖c‖ and power-of-two constants take the candidate route)."""
+    space = draw(st.sampled_from(STOP_SPACES))
+    w = draw(st.sampled_from(CONSTANTS + POW2_CONSTANTS + ([] if space.bilateral else UNILATERAL_WEIGHTS)))
+    T = ShiftOperator(w, space)
+    low = -30 if space.bilateral else 0
+    pairs = draw(st.lists(st.tuples(st.integers(low, 80), edge_scalars), min_size=1, max_size=8,
+                          unique_by=lambda p: p[0]))
+    x = SparseVec(dict(pairs), space)
+    horizon, cap = draw(st.integers(1, 120)), draw(st.sampled_from([996, 200, -3]))
+    points = [list(v.entries.items()) for _, v in brute_orbit(T, x, horizon, cap) if v]
+    centres = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(low, 40), edge_scalars, min_size=1, max_size=3),
+        st.just(dict(pairs[:2])),
+    )
+    targets = []
+    for centre in draw(st.lists(centres, min_size=1, max_size=3)):
+        terms = draw(st.sampled_from(points + [list(centre.items())] if centre else points or [[]]))
+        prefix = SparseVec(dict(terms[: draw(st.integers(1, max(1, len(terms))))]), space)
+        targets.append((SparseVec(centre, space), draw(st.sampled_from(_radii_around(norm(prefix))))))
+    return T, x, targets, horizon, cap
+
+
+@given(case=stop_cases())
+@settings(max_examples=200, deadline=None)
+def test_hitting_times_on_the_stop_match_brute_oracle(case):
+    T, x, targets, horizon, cap = case
+    with patch.object(recurrence, "OVERFLOW_LOG2", cap):
+        reports = hitting_times(T, x, targets, horizon)
+    times, truncated_at = brute_hitting_times(T, x, targets, horizon, cap)
+    assert [list(r.times.members) for r in reports] == times
+    assert all(r.truncated_at == truncated_at for r in reports)
+    _check_rows_and_norms(T, x, targets, horizon)
+
+
+def test_ball_tests_read_a_fraction_of_the_terms():
+    # the CLI_MATRIX ratio-power row: every entry is at least 1, so about 64 terms settle
+    # zero:@8 and two settle e:0@1/2, except in the last rows
+    space = L2
+    T = ShiftOperator(RatioPowerWeights(2.0), space)
+    x = SparseVec({i: 1 for i in range(301)}, space)
+    targets = [(SparseVec.zero(space), 8), (SparseVec.basis(space, 0), Fraction(1, 2))]
+    formed = 0
+
+    def counted(values, space):
+        nonlocal formed
+        for term in _float_terms(values, space):
+            formed += 1
+            yield term
+
+    with patch.object(recurrence, "_float_terms", counted):
+        reports = hitting_times(T, x, targets, 400)
+    cells = sum(301 - n for n in range(301)) * len(targets)  # live entries x rows x targets
+    assert formed <= cells // 2
+    assert [list(r.times.members) for r in reports] == brute_hitting_times(T, x, targets, 400)[0]
 
 
 def test_a_near_power_of_two_is_scanned():
