@@ -133,6 +133,8 @@ class TableWeights(WeightSequence):
 
     def __init__(self, values):
         self.values = tuple(float(v) for v in values)
+        if not self.values:  # an empty table would act as the all-ones weight
+            raise UsageError("a weight table needs at least one weight")
         if 0.0 in self.values:
             raise ZeroWeightError(self.values.index(0.0) + 1)
         for k, v in enumerate(self.values, start=1):

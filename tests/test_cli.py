@@ -354,6 +354,8 @@ def test_usage_error_exit_code(tmp_path):
 
 # a vector file that gives index 3 two values
 DUPLICATE_INDEX_VECTOR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "duplicate_index_vector.txt")
+# a weight table file with no weight, only a blank line
+EMPTY_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "empty_table.txt")
 
 
 # each of these exits 2 with a one-line usage error
@@ -439,6 +441,9 @@ REJECTED = {
     # the empty text is the empty list, and these lists need an item
     "densities-empty-window-grid": ["densities", "--set", "evens", "--window-grid", ""],
     "eqbeta-empty-n": ["eqbeta", "--set", "explicit:3,5", "--n", "", "--horizon", "100"],
+    "table-values-empty": ["orbit", "--vector", "ones:0-10", "--targets", "zero:@1", "--operator", "table-values:",
+                           "--horizon", "20"],
+    "table-file-empty": ["series-tests", "--weights", f"table:{EMPTY_TABLE}"],
     "vector-file-duplicate-index": ["orbit", "--vector", f"file:{DUPLICATE_INDEX_VECTOR}", "--targets", "e:3@1/2",
                                     "--horizon", "10"],
 }

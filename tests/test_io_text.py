@@ -224,7 +224,7 @@ _FINITE_NONZERO = st.floats(allow_nan=False, allow_infinity=False).filter(lambda
 _WEIGHTS = st.one_of(
     st.builds(ConstantWeights, _FINITE_NONZERO),
     st.builds(RatioPowerWeights, st.floats(min_value=1, allow_infinity=False)),
-    st.builds(TableWeights, st.lists(_FINITE_NONZERO, max_size=60)),
+    st.builds(TableWeights, st.lists(_FINITE_NONZERO, min_size=1, max_size=60)),
     st.just(cx.DoublingResetWeights()),
     st.just(parse_weight_spec("rolewicz2")),
 )
