@@ -251,8 +251,8 @@ class _Ball:
 
         `row` holds the orbit point's entries in x order at step n, and `at`
         maps an original index to its place in the row.  The terms are formed
-        lazily, in the order of `spaces.norm`: the row's entries, with the
-        centre subtracted from those it meets, then the centre entries no
+        lazily, in the order of `spaces.norm`: the row's nonzero entries, with
+        the centre subtracted from those it meets, then the centre entries no
         nonzero entry meets, in centre order."""
         if self.values is None:
             return None
@@ -273,7 +273,8 @@ class _Ball:
             values = chain(*parts, islice(row, start, None))
         if rest:
             values = chain(values, rest)
-        return _float_size(_float_terms(values, self.space), self.space, self.stop)
+        # zeros (entries that left within the block) add nothing, and spaces.norm never sees them
+        return _float_size(_float_terms(filter(None, values), self.space), self.space, self.stop)
 
     def contains(self, row, index, at, n):
         """Whether the orbit point at step n lies in the ball: by `norm`, or by
