@@ -224,11 +224,11 @@ def _stop_total(radius, space: SpaceSpec):
     """The total from which `_float_size` may stop for a ball of this radius,
     or None where no total is safe.
 
-    Every float total t at or past it has a size of at least `radius`, even a
-    `Fraction` or `int` one, and on lp lies in (1e-290, 2**1000): the size
-    rule takes its root without rescaling, and a sum that overflows later has
-    a true size of at least 2**(1023/p) > radius, past it under the rescaled
-    norm as well.  With r the smallest float >= radius, the stop is r on c0;
+    Every float total at or past it has a size of at least `radius`, even a
+    `Fraction` or `int` one.  On lp the stop lies in (1e-290, 2**1000): a
+    total past it is rooted without rescaling, and a sum that overflows later
+    has a true size of at least 2**(1023/p) > radius, past it under the
+    rescaled norm as well.  With r the smallest float >= radius, the stop is r on c0;
     on l2 the smallest t above 1e-290 with sqrt(t) >= radius, exact since sqrt
     is correctly rounded; on other lp (r * (1 + 2**-40))**p above 1e-290, whose
     margin outweighs the rounding of 1/p and of a pow within 2**-42."""
