@@ -486,32 +486,28 @@ def _integer_entries(x: SparseVec, targets):
 
     Returns ({index: X_j}, {index: X_j²}, [{index: Y_m} per target], den)
     with x_j = X_j / den and y_m = Y_m / den.  Floats and fractions convert
-    exactly.  Assembled vectors have only power-of-two denominators: den is
-    then their maximum and every numerator is lifted by a shift.  math.lcm
-    would give the same den, but its gcds on numbers of about rate·horizon
-    bits cost far more than the rest of the verification at large horizons.
+    exactly.  A denominator d = 2**a * odd is lifted by one factor and one
+    shift to den = 2**(max a) * lcm(odd parts), their lcm.  Assembled vectors
+    have only power-of-two denominators: math.lcm on them would run gcds on
+    numbers of about rate·horizon bits, which cost far more than the rest of
+    the verification at large horizons.
     """
     xf = {i: Fraction(v) for i, v in x.entries.items()}
     yf = [{i: Fraction(v) for i, v in y.entries.items()} for y in targets]
     dens = {f.denominator for vec in (xf, *yf) for f in vec.values()}
-    if all(d & (d - 1) == 0 for d in dens):
-        den = max(dens, default=1)
-        shift = {d: den.bit_length() - d.bit_length() for d in dens}
+    twos = {d: (d & -d).bit_length() - 1 for d in dens}  # d = 2**a * (d >> a), the second factor odd
+    top = max(twos.values(), default=0)
+    odd = math.lcm(*(d >> a for d, a in twos.items()))
+    pair = {d: (odd // (d >> a), top - a) for d, a in twos.items()}  # den // d = factor << shift
 
-        def lift(f, power=1):
-            return f.numerator**power << power * shift[f.denominator]
-
-    else:
-        den = math.lcm(*dens)
-        factor = {d: den // d for d in dens}
-
-        def lift(f, power=1):
-            return f.numerator**power * factor[f.denominator] ** power
+    def lift(f, power=1):
+        factor, shift = pair[f.denominator]
+        return (f.numerator * factor) ** power << power * shift
 
     xs = {i: lift(f) for i, f in xf.items()}
     x_sq = {i: lift(f, 2) for i, f in xf.items()}
     ys = [{i: lift(f) for i, f in vec.items()} for vec in yf]
-    return xs, x_sq, ys, den
+    return xs, x_sq, ys, odd << top
 
 
 def _truncation_constant(plan, rate, truncation) -> Fraction:

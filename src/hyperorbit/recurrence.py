@@ -116,6 +116,12 @@ def _split(value):
     return m, e
 
 
+def _split_entries(x: SparseVec):
+    """x's indices, mantissas and exponents (`_split`), as three lists in x's insertion order."""
+    split = [_split(val) for val in x.entries.values()]
+    return list(x.entries), [m for m, _ in split], [e for _, e in split]
+
+
 class _Orbit:
     """Backward-shift orbit as three lists in the insertion order of x.
 
@@ -133,13 +139,7 @@ class _Orbit:
 
     def __init__(self, T: ShiftOperator, x: SparseVec, horizon: int):
         self.space = x.space
-        self.index, self.mantissa, self.exponent = [], [], []
-        for idx, val in x.entries.items():
-            if val != 0:
-                m, e = _split(val)
-                self.index.append(idx)
-                self.mantissa.append(m)
-                self.exponent.append(e)
+        self.index, self.mantissa, self.exponent = _split_entries(x)
         self.steps = 0
         w, bilateral = T.weights, self.space.bilateral
         if not bilateral and self.index:
@@ -344,10 +344,7 @@ class _Pow2Orbit:
     def __init__(self, x: SparseVec, k: int, negative: bool, horizon: int):
         self.space = x.space
         self.k, self.negative = k, negative
-        self.index = list(x.entries)
-        split = [_split(val) for val in x.entries.values()]
-        self.mantissa = [m for m, _ in split]
-        self.exponent = [e for _, e in split]
+        self.index, self.mantissa, self.exponent = _split_entries(x)
         cap, bilateral = OVERFLOW_LOG2, self.space.bilateral
         # each entry's first step past the cap, None if it never passes it
         over = [0 if e > cap else (cap - e) // k + 1 if k > 0 else None for e in self.exponent]

@@ -10,10 +10,10 @@ powers of two have exact integer exponents, and products like 2**600
 neither overflow nor lose precision.  A product's sign is (-1) to the
 number of negative weights in its range, counted by `negatives(n)`, a
 second prefix primitive that only kinds with negative weights override.
-Vector entries that are dyadic `Fraction`s are transformed exactly under
-integer exponents; float entries go through `ldexp`.  Under any other
-exponent an entry is scaled as a float, and past the float range it is
-carried as an exact `Fraction`.
+B^n and S^n share one loop, `_move`.  Under integer exponents every entry,
+float, int or `Fraction`, is scaled as an exact `Fraction`.  Under any other
+exponent an entry is scaled as a float while the product is a normal float,
+and carried as an exact `Fraction` past the float range or below it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, frexp, inf, isfinite, ldexp, log2
+from math import floor, frexp, inf, isfinite, log2
 
 from .errors import UsageError, ZeroWeightError
 from .spaces import SparseVec, SpaceSpec
@@ -182,21 +182,22 @@ class ShiftOperator:
 
 
 def _scale_pow2(value, exponent):
-    """value * 2**exponent, exactly for Fraction and int values with int exponents.
+    """value * 2**exponent, an exact `Fraction` under an int exponent for float, int and Fraction values.
 
     A float exponent scales the float of `value` by the float 2.0**exponent
-    while that is a float; past the float range the product is the exact
+    while that product is a normal float; any other product is the exact
     `Fraction` value * 2**floor(exponent) * 2.0**(exponent - floor(exponent)).
     """
     if isinstance(exponent, int):
-        if isinstance(value, (Fraction, int)):
-            return value * Fraction(2) ** exponent
-        return ldexp(value, exponent)
+        return Fraction(value) * Fraction(2) ** exponent
     try:
-        return float(value) * (2.0 ** exponent)
+        scaled = float(value) * 2.0**exponent
     except OverflowError:
-        whole = floor(exponent)
-        return Fraction(value) * Fraction(2) ** whole * Fraction(2.0 ** (exponent - whole))
+        scaled = inf
+    if 2.0**-1022 <= abs(scaled) < inf:  # normal: no bit lost below, no overflow above
+        return scaled
+    whole = floor(exponent)
+    return Fraction(value) * Fraction(2) ** whole * Fraction(2.0 ** (exponent - whole))
 
 
 def _pow2_clamped(x: float) -> float:
@@ -208,42 +209,38 @@ def _pow2_clamped(x: float) -> float:
     return 2.0 ** x
 
 
-def _scale_signed(value, w: WeightSequence, a: int, b: int, inverse: bool):
-    """value times w_a ... w_b (divided by it when `inverse`), for a <= b: a
-    power-of-two scaling, negated when the range holds an odd number of negative weights."""
-    e = w.log2_product_range(a, b)
-    scaled = _scale_pow2(value, -e if inverse else e)
-    return -scaled if (w.negatives(b) - w.negatives(a - 1)) % 2 else scaled
-
-
-def apply_backward(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
-    """B^n v: entry m picks up v_{m+n} times the product of w_{m+1}..w_{m+n}."""
+def _move(T: ShiftOperator, v: SparseVec, n: int, inverse: bool) -> SparseVec:
+    """B^n v, or S^n v when `inverse`: entry i moves to j = i - n (i + n), scaled by
+    w_{min(i,j)+1} ... w_{max(i,j)} (divided by it when `inverse`) with its sign."""
     if n < 0:
         raise UsageError("n must be >= 0")
     if n == 0:
         return v
-    out = {}
-    for idx, val in v.entries.items():
-        m = idx - n
-        if m < 0 and not T.space.bilateral:
+    w, out = T.weights, {}
+    for i, val in v.entries.items():
+        j = i + n if inverse else i - n
+        if j < 0 and not T.space.bilateral:
             continue
-        out[m] = _scale_signed(val, T.weights, m + 1, m + n, inverse=False)
+        a, b = min(i, j) + 1, max(i, j)
+        e = w.log2_product_range(a, b)
+        scaled = _scale_pow2(val, -e if inverse else e)
+        out[j] = -scaled if (w.negatives(b) - w.negatives(a - 1)) % 2 else scaled
     return SparseVec(out, T.space)
+
+
+def apply_backward(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
+    """B^n v: entry m picks up v_{m+n} times the product of w_{m+1}..w_{m+n}."""
+    return _move(T, v, n, inverse=False)
 
 
 def apply_right_inverse(T: ShiftOperator, v: SparseVec, n: int) -> SparseVec:
     """S^n v: entry m moves to m + n divided by the product of w_{m+1}..w_{m+n}.
 
-    Exact right inverse: apply_backward(T, apply_right_inverse(T, v, n), n) == v.
+    Exact right inverse, apply_backward(T, apply_right_inverse(T, v, n), n) == v,
+    for every entry type where the products are powers of two (constants and
+    tables of ±2**k, the doubling/reset weights).
     """
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    if n == 0:
-        return v
-    out = {}
-    for idx, val in v.entries.items():
-        out[idx + n] = _scale_signed(val, T.weights, idx + 1, idx + n, inverse=True)
-    return SparseVec(out, T.space)
+    return _move(T, v, n, inverse=True)
 
 
 # ---------------------------------------------------------------------------

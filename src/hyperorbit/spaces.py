@@ -2,21 +2,22 @@
 
 Scalars are reals; dyadic rationals may be carried as `fractions.Fraction`
 so that shift orbits built from powers of two stay exact far below the
-double-precision underflow threshold.  Norm values are floats; where a
-bound check must be exact, `norm_sq_exact` exposes the rational square of
-the l2 norm.  Ball tests compare `norm(v - center) < radius` strictly, with
-the norm and the comparison in floats, so a point within rounding of the
-sphere can fall on either side.  Tolerance policy belongs to callers, not
-to this module.
+double-precision underflow threshold.  Norm values are floats; the exact
+bound checks work on power sums of their own, and `norm_sq_exact` (the
+rational square of the l2 norm) serves only the API, tests and bench
+tracer.  Ball tests compare `norm(v - center) < radius` strictly, with the
+norm and the comparison in floats, so a point within rounding of the
+sphere can fall on either side.  Tolerance policy belongs to callers.
 
 One float rule serves every space, in two halves the orbit scan shares:
 `_float_terms` turns entries into terms, lazily, and `_float_size` turns
 terms into the norm, or says that `norm` must rescale; the rescaled norm
-of a non-integer p goes through the same two halves.  A ball test may hand
-`_float_size` the stop total of its radius (`_stop_total`): the size rule
-then reads terms only until their running maximum or sum reaches it, which
-already settles `size < radius` as False, since the terms are non-negative
-and a rounded sum never falls.  `norm` and `ball_contains` pass no stop.
+of a p that is not an integer up to 64 goes through the same two halves.
+A ball test may hand `_float_size` the stop total of its radius
+(`_stop_total`): the size rule then reads terms only until their running
+maximum or sum reaches it, which already settles `size < radius` as False,
+since the terms are non-negative and a rounded sum never falls.  `norm`
+and `ball_contains` pass no stop.
 One exact power sum, `_power_sum`, serves the rescaled norm,
 `norm_sq_exact` and the certificates, and one root rule, `_root_ratio`,
 takes the float root of an exact ratio for the rescaled norm, the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, tee
 from math import inf, nextafter, sqrt
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import SpaceMismatchError, UsageError
 
@@ -106,19 +107,19 @@ class SparseVec:
     def __hash__(self):
         return hash((self.space, tuple(sorted(self.entries.items()))))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, entry by entry: self's indices first, then other's new ones."""
         _same_space(self.space, other.space)
         out = dict(self.entries)
         for idx, val in other.entries.items():
-            out[idx] = out.get(idx, 0) + val
+            out[idx] = op(out.get(idx, 0), val)
         return SparseVec(out, self.space)
 
+    def __add__(self, other):
+        return self._combine(other, add)
+
     def __sub__(self, other):
-        _same_space(self.space, other.space)
-        out = dict(self.entries)
-        for idx, val in other.entries.items():
-            out[idx] = out.get(idx, 0) - val
-        return SparseVec(out, self.space)
+        return self._combine(other, sub)
 
     def scale(self, factor) -> "SparseVec":
         return SparseVec({i: factor * v for i, v in self.entries.items()}, self.space)
@@ -165,7 +166,9 @@ def norm(v: SparseVec) -> float:
     underflows despite nonzero entries, the norm is recomputed with the
     entries scaled by their largest magnitude in exact rationals, so the
     result stays positive for every nonzero vector (saturating at the
-    float range boundaries when the true value falls outside them).
+    float range boundaries when the true value falls outside them).  The
+    rescaled sum is exact for an integer p up to 64; a larger p, whose exact
+    powers would not finish, or a non-integer one sums float terms.
     """
     if not v.entries:
         return 0.0
@@ -178,6 +181,7 @@ def norm(v: SparseVec) -> float:
 
 
 _TINY = 1e-290  # lp sums at or below it have lost bits, so `norm` rescales them
+_EXACT_P = 64  # the largest p whose rescaled norm takes the exact power sum
 _MARGIN = 1 + 2.0**-40  # widens r before r**p: covers the rounding of 1/p and of libm's pow
 
 
@@ -257,7 +261,7 @@ def _scaled_norm(v: SparseVec) -> float:
     scale = _float_saturated(m)
     if p is None or scale == float("inf"):  # c0: the largest magnitude is the norm
         return scale
-    if p == int(p):
+    if p <= _EXACT_P and p == int(p):
         ip = int(p)
         (a, b), (c, d) = _power_sum(v, ip).as_integer_ratio(), m.as_integer_ratio()
         root = _root_ratio(a * d**ip, b * c**ip, ip)

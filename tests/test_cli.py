@@ -588,13 +588,31 @@ def test_a_table_of_twos_returns_like_the_constant_two(tmp_path, probes):
 
 
 def test_return_set_carries_products_past_the_float_range(tmp_path):
-    # the witness at t = 650 scales by 3**650, past the float range
+    # the witness at t scales by 3**t and 3**-t: past the float range and below it from t = 650 on,
+    # where both products are carried as exact Fractions
     argv = ["return-set", "--operator", "constant:3", "--u", "dense:1@1/4", "--v", "dense:2@1/4"]
-    for horizon, last in ((600, 600), (1500, 650)):
+    for horizon, last in ((600, 600), (1500, 1500)):
         code, out = run(tmp_path, str(horizon), *argv, "--horizon", str(horizon))
         assert code == 0
         times = [int(n) for n in (out / "return_times.csv").read_text().split()[1:]]
         assert times == list(range(50, last + 1, 50))
+
+
+# a float vector with the one entry 0.5 at index 1500
+FAR_FLOAT_VECTOR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "configs", "far_float_vector.txt")
+
+
+def test_return_set_moves_a_far_float_entry_exactly(tmp_path):
+    # B^t scales the float 0.5 by 2**t, past the float range from t = 1024 on; from t = 1501 on the
+    # witness 0.5 e_1500 + 2**-t e_t lies in U and returns to e_0
+    argv = ["return-set", "--u", f"file:{FAR_FLOAT_VECTOR}@0.25", "--v", "e:0@0.25", "--horizon", "2000"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hyperorbit.cli", *argv, "--out", "far"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    times = [int(n) for n in (tmp_path / "far" / "return_times.csv").read_text().split()[1:]]
+    assert times == list(range(1550, 2001, 50))
 
 
 def test_beta_names_the_horizon_bound(tmp_path, capsys):

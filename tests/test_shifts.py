@@ -15,6 +15,7 @@ from hyperorbit import (
     TableWeights,
     apply_backward,
     apply_right_inverse,
+    c0,
     lp,
     mixing_test,
     norm,
@@ -59,6 +60,9 @@ def test_right_inverse_examples():
     assert out.entries == {3: Fraction(1, 8)}
     v = SparseVec({2: 0.75}, L2)
     assert apply_right_inverse(DOUBLING, v, 0) is v
+    # float entries move exactly as well, far past the float range: not the empty vector
+    assert apply_right_inverse(DOUBLING, SparseVec({0: 0.5}, L2), 1100).entries == {1100: Fraction(1, 2**1101)}
+    assert apply_backward(DOUBLING, SparseVec({1500: 0.5}, L2), 1500).entries == {0: 2**1499}
 
 
 def test_zero_weight_rejected():
@@ -86,6 +90,33 @@ dyadic_vec = st.dictionaries(
 def test_round_trip_identity(entries, n):
     v = SparseVec(entries, L2)
     assert apply_backward(DOUBLING, apply_right_inverse(DOUBLING, v, n), n) == v
+
+
+POW2_KINDS = [
+    *(ShiftOperator(ConstantWeights(sign * 2.0**k), lp(2.0, bilateral=True)) for k in range(-3, 4) for sign in (1, -1)),
+    ShiftOperator(TableWeights([(-1) ** (k // 3) * 2.0 ** (k % 7 - 3) for k in range(60)]), L2),
+    ShiftOperator(DoublingResetWeights(), c0()),
+]
+
+# floats of every size (subnormals and values near 1e308 drawn outright as well), ints and dyadic Fractions
+exact_scalar = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.0**-1060, 2.0**-1022, 1.7976931348623157e308, -1e308]),
+    st.integers(-(2**80), 2**80),
+    st.builds(lambda num, e: Fraction(num, 2**e), st.integers(-(2**60), 2**60), st.integers(0, 1200)),
+)
+
+
+@pytest.mark.parametrize("T", POW2_KINDS, ids=lambda T: "signed-table" if isinstance(T.weights, TableWeights)
+                         else T.weights.describe())
+@given(data=st.data(), n=st.integers(0, 2500))
+@settings(max_examples=40, deadline=None)
+def test_right_inverse_is_exact_for_every_entry_type(T, data, n):
+    low = -40 if T.space.bilateral else 0
+    v = SparseVec(data.draw(st.dictionaries(st.integers(low, 40), exact_scalar, max_size=5)), T.space)
+    moved = apply_right_inverse(T, v, n)
+    assert sorted(moved.entries) == [i + n for i in sorted(v.entries)]  # S^n keeps every entry
+    assert apply_backward(T, moved, n) == v  # as exact values: Fraction == float compares exactly
 
 
 SIGNED = [
@@ -254,6 +285,12 @@ def test_products_past_the_float_range_stay_exact():
     assert norm(SparseVec.basis(L2, 0, far)) == math.inf
     # inside the range the product keeps the float bits it had
     assert apply_backward(T, SparseVec.basis(L2, 600, Fraction(1, 3)), 600).entries[0] == (1 / 3) * 2.0 ** (600 * math.log2(3.0))
+    # below the range, among the subnormals or under them, the product is carried exactly too, not dropped
+    for n in (660, 700):
+        e = -n * math.log2(3.0)
+        whole = math.floor(e)
+        tiny = apply_right_inverse(T, SparseVec.basis(L2, 0, 0.5), n).entries[n]
+        assert tiny == Fraction(1, 2) * Fraction(2) ** whole * Fraction(2.0 ** (e - whole))
 
 
 @pytest.mark.parametrize("w", [RatioPowerWeights(2.0), TableWeights([2.0, 3.0]), DoublingResetWeights()])

@@ -168,6 +168,13 @@ def test_the_rescaled_norm_of_a_non_integer_p_sums_left_to_right():
     assert norm(v) == brute_norm(v) == 1e250
 
 
+def test_the_rescaled_norm_of_a_huge_p_takes_the_float_terms():
+    # exact power sums to the power 1e20 or 100000 would not finish; the scaled float terms give the norm at once
+    assert norm(SparseVec({0: 0.5}, lp(1e20))) == 0.5
+    assert norm(SparseVec({0: Fraction(1, 2**400), 1: Fraction(3, 2**402)}, lp(100000))) == 2.0**-400
+    assert norm(SparseVec({0: 2.0**-400, 1: 2.0**-401}, lp(100000))) == 2.0**-400
+
+
 exact_scalars = st.one_of(
     st.builds(lambda num, e: Fraction(num) * Fraction(2) ** e, st.integers(-(2**40), 2**40).filter(bool),
               st.integers(-16000, 100)),
