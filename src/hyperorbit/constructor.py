@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
 from .shifts import ConstantWeights, ShiftOperator, _constant_pow2_rate, apply_backward, apply_right_inverse
-from .spaces import SparseVec, SpaceSpec, _power_sum, _root_ratio, norm
+from .spaces import _EXACT_P, SparseVec, SpaceSpec, _power_sum, _root_ratio, norm
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +195,13 @@ def _pow2_rate(T: ShiftOperator):
 
 
 def _int_p(space: SpaceSpec):
+    """p as an int exponent of the exact certificate powers (None on c0): up to `spaces._EXACT_P`,
+    the bound of the exact norm, past which powers like 2**(-rate*p*n) grow without use."""
     if space.kind == "c0":
         return None
-    if space.p == int(space.p):
+    if space.p == int(space.p) and space.p <= _EXACT_P:
         return int(space.p)
-    raise UsageError("certificates need an integer lp exponent or c0")
+    raise UsageError(f"certificates need an integer lp exponent up to {_EXACT_P} or c0, got p = {space.p:g}")
 
 
 def _geom_tail(rate_bits: int, ip, first_exp: int, gap: int, weight: Fraction) -> Fraction:
@@ -246,7 +248,7 @@ def select_subsequence(T: ShiftOperator, family: SetFamily, depth: int, horizon:
     Certificates are closed geometric forms; weights without a positive
     exact growth rate cannot be certified and exhaust the family.  Levels
     that are not single-residue periodic sets with nested periods, and lp
-    exponents that are not integers, raise UsageError.
+    exponents that are not integers or exceed `spaces._EXACT_P`, raise UsageError.
     """
     dense = DenseDyadicSequence(T.space)
     if depth < 1:

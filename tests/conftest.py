@@ -436,25 +436,16 @@ def brute_return_times(T, U, V, horizon, probe_grid=8, witness_stride=50):
 
 
 def brute_return_weight_sums(A, alpha, horizon):
-    """(betas, growth curve) of return_weight_sums by the double loop over members,
-    each partial sum taken left to right."""
+    """(betas, growth curve) of return_weight_sums by the double loop over members: each sum is
+    the exact `Fraction` sum of the alpha floats, rounded once by `float()`, per member and per cut."""
     members = A.members_in(0, horizon)
     cuts = sorted({max(1, horizon // 100), max(1, horizon // 10), horizon})
-    betas = {}
-    curve = {c: 0.0 for c in cuts}
-    for n in members:
-        partial = {c: 0.0 for c in cuts}
-        for m in members:
-            a = alpha.value(m - n)
-            if a:
-                for c in cuts:
-                    if m <= c:
-                        partial[c] += a
-        betas[n] = partial[horizon]
-        for c in cuts:
-            if n <= c and partial[c] > curve[c]:
-                curve[c] = partial[c]
-    return betas, tuple((c, curve[c]) for c in cuts)
+    exact = {
+        c: [sum((Fraction(alpha.value(m - n)) for m in members if n < m <= c), Fraction(0)) for n in members if n <= c]
+        for c in cuts
+    }
+    betas = {n: float(s) for n, s in zip(members, exact[horizon])}
+    return betas, tuple((c, float(max(exact[c], default=0))) for c in cuts)
 
 
 def _with_unlimited_int_text(fn):

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 from math import ceil, floor, inf, ldexp, nextafter, sqrt
 from unittest.mock import patch
@@ -752,7 +753,7 @@ def test_beta_evens_constant_profile():
     rep = return_weight_sums(A, AlphaProfile("constant"), 2000)
     for n in (0, 100, 1000):
         want = len(A.members_in(n + 1, 2000))
-        assert abs(rep.betas[n] - want) <= 1
+        assert rep.betas[n] == want
     assert rep.growing
 
 
@@ -770,12 +771,40 @@ def test_beta_factorial_blocks_grow():
     assert curve[0] < curve[-1]
 
 
+# (members, alpha, horizon) landing on each route of return_weight_sums: the product per cut,
+# the pairs over a table of alpha's whole reach, and the pairs over the differences that occur
+_ROUTE_EXAMPLES = {
+    "kronecker": (list(range(60)), AlphaProfile("harmonic"), 300),
+    "kronecker-cutoff": (list(range(40)), AlphaProfile("constant", 30), 40),
+    "pairs": (list(range(0, 300, 5)), AlphaProfile("harmonic", 200), 300),
+    "differences": ([3, 290], AlphaProfile("constant"), 300),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_EXAMPLES))
+def test_return_sum_examples_land_on_their_routes(route):
+    members, alpha, horizon = _ROUTE_EXAMPLES[route]
+    with (
+        patch.object(recurrence, "_kronecker_sums", wraps=recurrence._kronecker_sums) as product,
+        patch.object(recurrence, "_pair_sums", wraps=recurrence._pair_sums) as pairs,
+    ):
+        return_weight_sums(ExplicitSet(tuple(members)), alpha, horizon)
+    assert product.called == route.startswith("kronecker")
+    assert pairs.called == (not product.called)
+    if pairs.called:
+        assert isinstance(pairs.call_args.args[2], dict) == (route == "differences")
+
+
 @given(
     members=st.lists(st.integers(0, 300), max_size=60),
     alpha=st.builds(AlphaProfile, st.sampled_from(["constant", "harmonic"]), st.none() | st.integers(2, 200)),
     horizon=st.integers(20, 300),
 )
 @settings(max_examples=80, deadline=None)
+@example(*_ROUTE_EXAMPLES["kronecker"])
+@example(*_ROUTE_EXAMPLES["kronecker-cutoff"])
+@example(*_ROUTE_EXAMPLES["pairs"])
+@example(*_ROUTE_EXAMPLES["differences"])
 def test_return_weight_sums_match_brute_oracle(members, alpha, horizon):
     A = ExplicitSet(tuple(members))
     try:
@@ -787,6 +816,37 @@ def test_return_weight_sums_match_brute_oracle(members, alpha, horizon):
     assert rep.growth_curve == curve
     assert all(type(b) is float for b in rep.betas.values())
     assert all(type(b) is float for _, b in rep.growth_curve)
+
+
+@given(
+    members=st.lists(st.integers(0, 400), min_size=1, max_size=80, unique=True).map(sorted),
+    alpha=st.builds(AlphaProfile, st.sampled_from(["constant", "harmonic"]), st.none() | st.integers(2, 400)),
+    cuts=st.lists(st.integers(0, 400), min_size=1, max_size=3).map(sorted),
+)
+@settings(max_examples=80, deadline=None)
+def test_return_sum_routes_give_the_same_ints(members, alpha, cuts):
+    # both routes sum one fixed-point table of alpha: their exact ints agree, cut by cut
+    ends = [bisect_right(members, c) for c in cuts]
+    span = members[-1] - members[0]
+    reach = span if alpha.cutoff is None else min(span, alpha.cutoff - 1)
+    _, table = recurrence._fixed_point(alpha, range(reach + 1))
+    rows = recurrence._kronecker_sums(members, ends, table)
+    assert [len(row) for row in rows] == ends
+    assert recurrence._pair_sums(members, ends, table, reach) == rows
+    occurring = {d: table[d] for d in recurrence._differences(members, reach)}
+    assert recurrence._pair_sums(members, ends, occurring, reach) == rows
+
+
+@pytest.mark.parametrize("kind", ["constant", "harmonic"])
+def test_beta_long_span_sums_its_one_pair(kind):
+    # two members 10**7 apart: alpha is taken at their one difference, not tabulated over the span
+    A, alpha = ExplicitSet((0, 10**7)), AlphaProfile(kind)
+    with patch.object(recurrence, "_fixed_point", wraps=recurrence._fixed_point) as fixed:
+        rep = return_weight_sums(A, alpha, 10**7)
+    assert [list(call.args[1]) for call in fixed.call_args_list] == [[10**7]]
+    betas, curve = brute_return_weight_sums(A, alpha, 10**7)
+    assert rep.betas == betas and rep.growth_curve == curve
+    assert rep.betas[0] == alpha.value(10**7)
 
 
 def test_alpha_profile_validation():
