@@ -773,16 +773,15 @@ class ReturnSumReport:
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # integer products never round
 
 
-def _pair_cost(pairs: int, count: int) -> float:
-    """Estimated seconds of `_pair_sums` (CPython 3.11, x86-64): about 120 ns a pair, 5 us a member."""
-    return 1.2e-7 * pairs + 5e-6 * count
+def _pairs_cost_less(alpha: AlphaProfile, span: int, reach: int, count: int, pairs: int) -> bool:
+    """Whether `_pair_sums` is estimated to take less time than `_kronecker_sums`.
 
-
-def _kronecker_cost(alpha: AlphaProfile, span: int, reach: int, count: int) -> float:
-    """Estimated seconds of `_kronecker_sums` (CPython 3.11, x86-64): about 600 ns a slot and
-    100 ns a digit of its operands, with the slot width taken from the smallest nonzero alpha."""
+    Fitted on CPython 3.11 (x86-64): the pairs take about 120 ns a pair and
+    5 us a member; the product about 600 ns a slot and 100 ns a digit of its
+    operands, with the slot width taken from the smallest nonzero alpha.
+    """
     bits = alpha.value(reach).as_integer_ratio()[1].bit_length() + count.bit_length() if reach else 1
-    return (span + reach + 2) * (6e-7 + 1e-7 * (0.30103 * bits + 1))
+    return 1.2e-7 * pairs + 5e-6 * count < (span + reach + 2) * (6e-7 + 1e-7 * (0.30103 * bits + 1))
 
 
 def _fixed_point(alpha: AlphaProfile, ds) -> tuple:
@@ -874,17 +873,20 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
         raise NoDataError("the set is empty below the horizon")
     cuts = sorted({max(1, horizon // 100), max(1, horizon // 10), horizon})
     ends = [bisect_right(members, c) for c in cuts]  # members <= each cut
-    span = members[-1] - members[0]
+    span, count = members[-1] - members[0], len(members)
     reach = span if alpha.cutoff is None else min(span, alpha.cutoff - 1)  # alpha(d) = 0 past it
-    # the later members within reach of each member
-    pairs = sum(map(bisect_right, repeat(members), map(add, members, repeat(reach)))) - len(members) * (len(members) + 1) // 2
-    if _pair_cost(pairs, len(members)) < _kronecker_cost(alpha, span, reach, len(members)):
-        ds = range(reach + 1) if reach <= pairs else _differences(members, reach)
-        F, table = _fixed_point(alpha, ds)
-        rows = _pair_sums(members, ends, table if reach <= pairs else dict(zip(ds, table)), reach)
-    else:
+    # the pairs of members within reach: for each member, the later ones within reach
+    pairs = sum(map(bisect_right, repeat(members), map(add, members, repeat(reach)))) - count * (count + 1) // 2
+    if not _pairs_cost_less(alpha, span, reach, count, pairs):
         F, table = _fixed_point(alpha, range(reach + 1))
         rows = _kronecker_sums(members, ends, table)
+    elif reach <= pairs:
+        F, table = _fixed_point(alpha, range(reach + 1))
+        rows = _pair_sums(members, ends, table, reach)
+    else:  # fewer pairs than differences up to the reach: alpha only at those that occur
+        ds = _differences(members, reach)
+        F, ints = _fixed_point(alpha, ds)
+        rows = _pair_sums(members, ends, dict(zip(ds, ints)), reach)
     scale = 1 << F
     betas_full = {n: s / scale for n, s in zip(members, rows[-1])}
     seq = [max(row, default=0) / scale for row in rows]  # rounding is monotone: the max rounds to the max

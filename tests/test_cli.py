@@ -669,7 +669,9 @@ def test_construct_rejects_a_huge_lp_exponent_at_once(tmp_path, capsys):
     code, _ = run(tmp_path, "huge-p", "construct", "--space", "lp:1e20", "--depth", "2", "--horizon", "200")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert capsys.readouterr().err == "usage error: certificates need an integer lp exponent up to 64 or c0, got p = 1e+20\n"
+    assert capsys.readouterr().err == (
+        "usage error: certificates need an integer lp exponent up to 64 or c0, got p = 1e+20\n"
+    )
 
 
 def test_overflow_exit_code(tmp_path):
