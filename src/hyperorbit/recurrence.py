@@ -786,9 +786,9 @@ def _pairs_cost_less(alpha: AlphaProfile, span: int, reach: int, count: int, pai
 
 def _fixed_point(alpha: AlphaProfile, ds) -> tuple:
     """(F, ints) with ints[i] = alpha(ds[i]) * 2**F exactly: every float is a dyadic rational,
-    and 2**F is the largest of their denominators."""
+    and 2**F is the largest of their denominators (F = 0 when ds is empty)."""
     ratios = [alpha.value(d).as_integer_ratio() for d in ds]
-    F = max(den.bit_length() for _, den in ratios) - 1
+    F = max((den.bit_length() for _, den in ratios), default=1) - 1
     return F, [num << F + 1 - den.bit_length() for num, den in ratios]
 
 

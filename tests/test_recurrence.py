@@ -805,6 +805,7 @@ def test_return_sum_examples_land_on_their_routes(route):
 @example(*_ROUTE_EXAMPLES["kronecker-cutoff"])
 @example(*_ROUTE_EXAMPLES["pairs"])
 @example(*_ROUTE_EXAMPLES["differences"])
+@example([0, 12], AlphaProfile("constant", 12), 20)  # no pair within reach: no differences to tabulate
 def test_return_weight_sums_match_brute_oracle(members, alpha, horizon):
     A = ExplicitSet(tuple(members))
     try:
