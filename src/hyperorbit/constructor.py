@@ -195,13 +195,17 @@ def _pow2_rate(T: ShiftOperator):
 
 
 def _int_p(space: SpaceSpec):
-    """p as an int exponent of the exact certificate powers (None on c0): up to `spaces._EXACT_P`,
-    the bound of the exact norm, past which powers like 2**(-rate*p*n) grow without use."""
+    """The int exponent q of the exact certificate powers (None on c0): p itself up to
+    `spaces._EXACT_P`, and `_EXACT_P` above it.  The lp norm of a sequence is at most its
+    lq norm for p >= q, so a bound in lq bounds it too; the exact powers 2**(-rate*q*n)
+    then stay as small as the exact norm's, where with q = p they grow with p."""
     if space.kind == "c0":
         return None
-    if space.p == int(space.p) and space.p <= _EXACT_P:
+    if space.p > _EXACT_P:
+        return _EXACT_P
+    if space.p == int(space.p):
         return int(space.p)
-    raise UsageError(f"certificates need an integer lp exponent up to {_EXACT_P} or c0, got p = {space.p:g}")
+    raise UsageError("certificates need an integer lp exponent or c0")
 
 
 def _geom_tail(rate_bits: int, ip, first_exp: int, gap: int, weight: Fraction) -> Fraction:
@@ -246,9 +250,10 @@ def select_subsequence(T: ShiftOperator, family: SetFamily, depth: int, horizon:
 
     plus a support-gap certificate making all backward cross-terms vanish.
     Certificates are closed geometric forms; weights without a positive
-    exact growth rate cannot be certified and exhaust the family.  Levels
-    that are not single-residue periodic sets with nested periods, and lp
-    exponents that are not integers or exceed `spaces._EXACT_P`, raise UsageError.
+    exact growth rate cannot be certified and exhaust the family.  On lp
+    with p above `spaces._EXACT_P` they bound the l64 norm, which bounds
+    the lp norm.  Levels that are not single-residue periodic sets with
+    nested periods, and non-integer lp exponents up to 64, raise UsageError.
     """
     dense = DenseDyadicSequence(T.space)
     if depth < 1:
@@ -318,9 +323,14 @@ def _certify_level(T, family, selected, k, l, targets, rate, ip):
 
     def tail_cert(condition, j, start, gap, y, need, detail):
         """The geometric tail of y's terms from `start` on, every `gap`, against need (to the p-th power)."""
-        tail = _geom_tail(rate, ip, start, gap, _power_sum(y, ip))
+        weight = _power_sum(y, ip)
+        tail = _geom_tail(rate, ip, start, gap, weight)
         ok = tail <= (need if ip is None else need**ip)
-        return Certificate(condition, l, j, _root_ratio(*tail.as_integer_ratio(), ip), float(need), ok, detail)
+        bound = _root_ratio(*tail.as_integer_ratio(), ip)
+        if not bound and tail:  # below the floats: the root of the tail from 0, times 2**(-rate*start)
+            head = _geom_tail(rate, ip, 0, gap, weight)
+            bound = math.ldexp(_root_ratio(*head.as_integer_ratio(), ip), -rate * start)
+        return Certificate(condition, l, j, bound, float(need), ok, detail)
 
     # condition i: full tails of earlier levels past position k, and of level
     # k itself, must stay below 1/(l 2^l)

@@ -73,8 +73,7 @@ whose estimated cost is lower: one product per cut of two long decimal
 numbers holding the member indicator and the reversed alpha table in
 slots wide enough that none carries (Kronecker substitution, for dense
 sets), or the sum over the pairs of members within alpha's reach (sparse
-sets), which takes alpha only at the differences that occur when they
-are fewer than the span.
+sets), which takes alpha only at the differences that occur.
 
 Classification labels are evidence at a horizon, never proofs, and the
 threshold they use is always carried in the result.
@@ -776,12 +775,12 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # integer products never round
 def _pairs_cost_less(alpha: AlphaProfile, span: int, reach: int, count: int, pairs: int) -> bool:
     """Whether `_pair_sums` is estimated to take less time than `_kronecker_sums`.
 
-    Fitted on CPython 3.11 (x86-64): the pairs take about 120 ns a pair and
-    5 us a member; the product about 600 ns a slot and 100 ns a digit of its
+    Fitted on CPython 3.11 (x86-64): the pairs take about 160 ns a pair and
+    5 us a member, the distinct differences included; the product about 600 ns a slot and 100 ns a digit of its
     operands, with the slot width taken from the smallest nonzero alpha.
     """
     bits = alpha.value(reach).as_integer_ratio()[1].bit_length() + count.bit_length() if reach else 1
-    return 1.2e-7 * pairs + 5e-6 * count < (span + reach + 2) * (6e-7 + 1e-7 * (0.30103 * bits + 1))
+    return 1.6e-7 * pairs + 5e-6 * count < (span + reach + 2) * (6e-7 + 1e-7 * (0.30103 * bits + 1))
 
 
 def _fixed_point(alpha: AlphaProfile, ds) -> tuple:
@@ -802,7 +801,7 @@ def _differences(members, reach: int) -> list:
 
 def _pair_sums(members, ends, table, reach: int) -> list:
     """Per cut, the exact sum over members n < m <= min(cut, n + reach) of table[m - n],
-    for each member up to the cut (table: a list or a dict of ints by difference)."""
+    for each member up to the cut (table: a dict of ints by the differences that occur)."""
     rows = [[] for _ in ends]
     for i, n in enumerate(members):
         total, at = 0, i + 1
@@ -817,7 +816,8 @@ def _pair_sums(members, ends, table, reach: int) -> list:
 
 
 def _kronecker_sums(members, ends, table) -> list:
-    """`_pair_sums` over a list table of reach len(table) - 1, by one product per cut.
+    """The sums of `_pair_sums`, over a list table of every difference up to
+    len(table) - 1, by one product per cut.
 
     Slot k of a number is its decimal digits k*w .. k*w + w - 1, with w wide
     enough for len(members) * max(table), so no slot of a product carries
@@ -877,16 +877,13 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
     reach = span if alpha.cutoff is None else min(span, alpha.cutoff - 1)  # alpha(d) = 0 past it
     # the pairs of members within reach: for each member, the later ones within reach
     pairs = sum(map(bisect_right, repeat(members), map(add, members, repeat(reach)))) - count * (count + 1) // 2
-    if not _pairs_cost_less(alpha, span, reach, count, pairs):
-        F, table = _fixed_point(alpha, range(reach + 1))
-        rows = _kronecker_sums(members, ends, table)
-    elif reach <= pairs:
-        F, table = _fixed_point(alpha, range(reach + 1))
-        rows = _pair_sums(members, ends, table, reach)
-    else:  # fewer pairs than differences up to the reach: alpha only at those that occur
-        ds = _differences(members, reach)
+    if _pairs_cost_less(alpha, span, reach, count, pairs):
+        ds = _differences(members, reach)  # alpha only at the differences that occur
         F, ints = _fixed_point(alpha, ds)
         rows = _pair_sums(members, ends, dict(zip(ds, ints)), reach)
+    else:
+        F, table = _fixed_point(alpha, range(reach + 1))
+        rows = _kronecker_sums(members, ends, table)
     scale = 1 << F
     betas_full = {n: s / scale for n, s in zip(members, rows[-1])}
     seq = [max(row, default=0) / scale for row in rows]  # rounding is monotone: the max rounds to the max

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,32 @@ def test_certificate_bounds_are_roots_of_direct_tail_sums(space):
         else:
             numeric = (sum(t**3 for t in sizes) * sum(8.0**-n for n in times)) ** (1 / 3)
         assert c.bound == pytest.approx(numeric, rel=1e-9)
+        checked += 1
+    assert checked == 3
+
+
+@pytest.mark.parametrize("p", [65.0, 1000.0, 1e20])
+def test_certificates_past_the_exact_exponent_bound_the_lp_tails(p):
+    # past p = 64 the certificates are taken in l64, whose norm bounds every lp norm with p >= 64:
+    # the plan is the l64 plan, found at once, and each condition-i bound covers the direct lp tail,
+    # summed in log2 around its largest term so that no power of a term underflows
+    start = time.perf_counter()
+    plan = select_subsequence(ShiftOperator(ConstantWeights(2.0), lp(p)), dyadic_block_family(8), 2, 10000)
+    assert time.perf_counter() - start < 1.0
+    at_64 = select_subsequence(ShiftOperator(ConstantWeights(2.0), lp(64.0)), dyadic_block_family(8), 2, 10000)
+    assert plan.selected == at_64.selected
+    assert [c.bound for c in plan.certificates] == [c.bound for c in at_64.certificates]
+    checked = 0
+    for c in plan.certificates:
+        if c.condition != "i":
+            continue
+        y = plan.targets[c.against_level - 1]
+        start = plan.selected[c.level - 1]
+        times = plan.family.level(plan.selected[c.against_level - 1]).members_in(start, 4000)
+        logs = [math.log2(abs(Fraction(v))) - n for v in y.entries.values() for n in times]
+        top = max(logs)
+        direct = top + math.log2(sum(2.0 ** (p * (x - top)) for x in logs)) / p
+        assert direct <= math.log2(c.bound) + 1e-9
         checked += 1
     assert checked == 3
 
