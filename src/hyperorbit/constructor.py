@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import FamilyExhaustedError, UsageError
 from .indexsets import GeometricSet, PeriodicSet, SetFamily, check_gap_family
 from .shifts import ConstantWeights, ShiftOperator, _constant_pow2_rate, apply_backward, apply_right_inverse
-from .spaces import _EXACT_P, SparseVec, SpaceSpec, _power_sum, _root_ratio, norm
+from .spaces import _EXACT_P, SparseVec, SpaceSpec, _common_denominator, _power_sum, _root_ratio, norm
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,7 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
         ‖B^n x - y‖² = 4^{rate·n} Σ_{j >= n} x_j²
                        - 2^{rate·n+1} Σ_{m in supp y} x_{n+m} y_m + ‖y‖²
 
-    with the first sum over all j on a bilateral space.  Entries become
+    with the first sum over the entries live at n (`SpaceSpec.last_step`).  Entries become
     integer numerators over one common denominator, one backward pass gives
     the suffix sums of x_j², and each level time costs one bisect plus
     O(|supp y|) integer products and shifts, with no gcd.  The truncation
@@ -458,11 +458,14 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
         raise UsageError("exact verification needs constant power-of-two weights 2**r with r >= 1")
     if T.space.kind != "lp" or T.space.p != 2.0:
         raise UsageError("exact verification is implemented for the l2 norm")
-    xs, x_sq, ys, den = _integer_entries(hc.x, plan.targets)
+    xs, ys, den = _integer_entries(hc.x, plan.targets)
     keys = sorted(xs)
+    last_steps = [T.space.last_step(k) for k in keys]  # ascending with the keys
     suffix = [0] * (len(keys) + 1)
     for i in range(len(keys) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + x_sq[keys[i]]
+        X = xs[keys[i]]
+        t = (X & -X).bit_length() - 1  # X = odd << t: only the odd part is squared
+        suffix[i] = suffix[i + 1] + ((X >> t) ** 2 << 2 * t)
     den_sq = den * den
     kn, kd = _truncation_constant(plan, rate, hc.truncation).as_integer_ratio()
     rows = []
@@ -477,7 +480,7 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
         err_scale, fixed, per_row = bd * kd, den_sq * bn * kd, den_sq * bd * kn
         for n in plan.family.level(k).members_in(0, horizon):
             s = rate * n
-            tail = suffix[0 if T.space.bilateral else bisect_left(keys, n)]
+            tail = suffix[bisect_left(last_steps, n)]  # the entries still live at n
             dot = sum(xs.get(n + m, 0) * v for m, v in y.items())
             err = (tail << (2 * s)) - (dot << (s + 1)) + y_sq
             ok = err * err_scale <= fixed + (per_row << (2 * s))
@@ -496,30 +499,13 @@ def verify_orbit_bounds(hc: HCVector, T: ShiftOperator, horizon: int) -> OrbitBo
 def _integer_entries(x: SparseVec, targets):
     """Numerators of x and of the targets over one common denominator.
 
-    Returns ({index: X_j}, {index: X_j²}, [{index: Y_m} per target], den)
-    with x_j = X_j / den and y_m = Y_m / den.  Floats and fractions convert
-    exactly.  A denominator d = 2**a * odd is lifted by one factor and one
-    shift to den = 2**(max a) * lcm(odd parts), their lcm.  Assembled vectors
-    have only power-of-two denominators: math.lcm on them would run gcds on
-    numbers of about rate·horizon bits, which cost far more than the rest of
-    the verification at large horizons.
+    Returns ({index: X_j}, [{index: Y_m} per target], den) with x_j = X_j / den
+    and y_m = Y_m / den, exactly, den the lcm of the denominators
+    (`spaces._common_denominator`), which assembled vectors, with only
+    power-of-two denominators, reach with no gcd on long numbers.
     """
-    xf = {i: Fraction(v) for i, v in x.entries.items()}
-    yf = [{i: Fraction(v) for i, v in y.entries.items()} for y in targets]
-    dens = {f.denominator for vec in (xf, *yf) for f in vec.values()}
-    twos = {d: (d & -d).bit_length() - 1 for d in dens}  # d = 2**a * (d >> a), the second factor odd
-    top = max(twos.values(), default=0)
-    odd = math.lcm(*(d >> a for d, a in twos.items()))
-    pair = {d: (odd // (d >> a), top - a) for d, a in twos.items()}  # den // d = factor << shift
-
-    def lift(f, power=1):
-        factor, shift = pair[f.denominator]
-        return (f.numerator * factor) ** power << power * shift
-
-    xs = {i: lift(f) for i, f in xf.items()}
-    x_sq = {i: lift(f, 2) for i, f in xf.items()}
-    ys = [{i: lift(f) for i, f in vec.items()} for vec in yf]
-    return xs, x_sq, ys, odd << top
+    den, nums = _common_denominator(lambda: itertools.chain(x.entries.values(), *(y.entries.values() for y in targets)))
+    return dict(zip(x.entries, nums)), [dict(zip(y.entries, nums)) for y in targets], den
 
 
 def _truncation_constant(plan, rate, truncation) -> Fraction:

@@ -105,10 +105,11 @@ def _items(text: str, sep: str = ",") -> list:
 
 
 def parse_int_pair(text: str, sep: str) -> tuple:
-    a, found, b = text.partition(sep)
+    """`<int><sep><int>`, split at the first `sep` after the first character, so the first int may be negative."""
+    a, found, b = text[1:].partition(sep)
     if not found:
         raise UsageError(f"{text!r} needs the form <int>{sep}<int>")
-    return parse_int(a), parse_int(b)
+    return parse_int(text[:1] + a), parse_int(b)
 
 
 def parse_int_list(text: str, sep: str | None = None) -> list:

@@ -1,14 +1,14 @@
 """Orbit hitting times, recurrence classification, return sets, and
 correlation machinery over integer time sets.
 
-An orbit is held as three lists in the insertion order of x: each entry's
-original index, a float mantissa and an int power-of-two exponent, so that
-dyadic data stays exact far beyond double range in both directions.  A step
-multiplies each mantissa by the weight at its position and renormalizes
-with one `frexp`, exact for power-of-two weights.  The weights come from a
-table built once for the orbit's horizon, past which no step reads.
-Magnitudes past the overflow cap truncate the orbit with the truncation
-recorded on every report.
+An orbit is held as lists in the insertion order of x: each entry's
+original index and last live step, a float mantissa and an int power-of-two
+exponent, so that dyadic data stays exact far beyond double range in both
+directions.  A step multiplies each mantissa by the weight at its position
+and renormalizes with one `frexp`, exact for power-of-two weights.  The
+weights come from a table built once for the orbit's horizon, past which no
+step reads.  Magnitudes past the overflow cap truncate the orbit with the
+truncation recorded on every report.
 
 `hitting_times` and the probes of `return_set` go through one selector,
 `_hit_sets`, which decides each target ball by one of three routes.  Each
@@ -50,14 +50,15 @@ lazily, and each test stops at the first prefix whose running maximum or
 sum reaches the ball's stop total (`spaces._stop_total`), from which every
 total has a size of at least r.  The terms are non-negative and rounding
 is monotone, so the running sum never falls: a stopped row lies outside
-the ball by the whole sum too, and, with the stop below 2**1000 on lp, by
+the ball by the whole sum too, and, with the stop below its cap on lp, by
 the rescaled norm of a sum that would overflow.  A row that is never
 stopped is summed with the same additions in the same order, so every
 verdict keeps its bits.  Rows for which that rule asks to rescale, and
-centres without a float value, go through `ball_contains` itself.  On a
-unilateral space an orbit whose entries have all passed index 0 is zero
-from then on, and the remaining times are decided by one ball test of the
-zero vector.
+centres without a float value, go through `ball_contains` itself.  Every
+route reads each entry's lifetime from `SpaceSpec.last_step` (its index
+on a unilateral space, no bound on a bilateral one).  An orbit whose
+entries have all left is zero from then on, and the remaining times are
+decided by one ball test of the zero vector.
 
 The orbit steps and the direct routes run on the standard library's C
 iterators (`map`, `zip`, `compress`), like the rest of the package, which
@@ -68,8 +69,8 @@ terms, and stops early for that reason.
 of the tabulated alpha floats.  Each float is a dyadic rational, so over
 the largest of their denominators, 2**F, every alpha(d) is an exact int;
 the int sums are exact, and each is rounded once by one int division by
-2**F.  Two routes give the same ints, and the input alone picks the one
-whose estimated cost is lower: one product per cut of two long decimal
+2**F.  Two routes give the same ints, and one comparison on the input
+picks one (`_pairs_cost_less`): one product per cut of two long decimal
 numbers holding the member indicator and the reversed alpha table in
 slots wide enough that none carries (Kronecker substitution, for dense
 sets), or the sum over the pairs of members within alpha's reach (sparse
@@ -100,7 +101,7 @@ from .indexsets import (
     merge_intervals,
 )
 from .shifts import ShiftOperator, _constant_pow2_rate, _pow2_clamped, apply_backward, apply_right_inverse
-from .spaces import SparseVec, _float_size, _float_terms, _same_space, _stop_total, ball_contains
+from .spaces import SparseVec, _common_denominator, _float_size, _float_terms, _same_space, _stop_total, ball_contains
 
 OVERFLOW_LOG2 = 996  # float materialization cap, about 1e300
 DENSITY_WINDOWS = (10, 100, 1000)  # hitting-set density windows; the largest that fits in the horizon is used
@@ -125,16 +126,17 @@ def _split(value):
 
 
 def _split_entries(x: SparseVec):
-    """x's indices, mantissas and exponents (`_split`), as three lists in x's insertion order."""
+    """x's indices, last live steps (`SpaceSpec.last_step`), mantissas and exponents (`_split`), in x order."""
     split = [_split(val) for val in x.entries.values()]
-    return list(x.entries), [m for m, _ in split], [e for _, e in split]
+    return list(x.entries), list(map(x.space.last_step, x.entries)), [m for m, _ in split], [e for _, e in split]
 
 
 class _Orbit:
-    """Backward-shift orbit as three lists in the insertion order of x.
+    """Backward-shift orbit as four lists in the insertion order of x.
 
-    `index` is each entry's original index, `mantissa` and `exponent` its
-    value m * 2**e; after `steps` steps entry j stands at index[j] - steps.
+    `index` is each entry's original index, `last_steps` its last live step,
+    `mantissa` and `exponent` its value m * 2**e; after `steps` steps entry j
+    stands at index[j] - steps.
     `step(count)` moves the state on by a block of `count` steps and returns
     the orbit points it passed.  On a unilateral space an entry that steps
     past index 0 meets a table weight of 0.0, so its mantissa is 0 from then
@@ -147,12 +149,10 @@ class _Orbit:
 
     def __init__(self, T: ShiftOperator, x: SparseVec, horizon: int):
         self.space = x.space
-        self.index, self.mantissa, self.exponent = _split_entries(x)
+        self.index, self.last_steps, self.mantissa, self.exponent = _split_entries(x)
         self.steps = 0
         w, bilateral = T.weights, self.space.bilateral
-        if not bilateral and self.index:
-            horizon = min(horizon, max(self.index) + 1)  # every entry has left by then
-        self.reach = reach = max(horizon, 1)
+        self.reach = reach = max(min(horizon, max(self.last_steps, default=inf) + 1), 1)
         # tabulate w_k for k from i down to i - reach around every original index i, over merged runs
         runs = merge_intervals((i - reach, i) for i in self.index)
         table, top = [], {}
@@ -196,9 +196,9 @@ class _Orbit:
             row = tuple(map(mul, row, weights))
             rows.append(row)
         over = count
-        for j, (idx, e, s) in enumerate(zip(self.index, self.exponent, scales)):
+        for j, (last, e, s) in enumerate(zip(self.last_steps, self.exponent, scales)):
             if e + drift + 2 > OVERFLOW_LOG2:  # the entry may pass the cap: find the row
-                live = count if self.space.bilateral else min(count, idx - start + 1)
+                live = min(count, last - start + 1)
                 over = next((r for r in range(min(live, over)) if frexp(rows[r][j])[1] + s > OVERFLOW_LOG2), over)
         ends = [frexp(c) for c in rows.pop()]
         self.mantissa = [m for m, _ in ends]
@@ -210,15 +210,11 @@ class _Orbit:
         return rows, (over if over < count else None)
 
     def prune(self):
-        """Drop the entries that have left a unilateral space."""
-        if self.space.bilateral:
-            return
-        keep = [j for j, idx in enumerate(self.index) if idx >= self.steps]
-        if len(keep) < len(self.index):
-            self.index = [self.index[j] for j in keep]
-            self.mantissa = [self.mantissa[j] for j in keep]
-            self.exponent = [self.exponent[j] for j in keep]
-            self._base = [self._base[j] for j in keep]
+        """Drop the entries that have left the space."""
+        live = list(map(le, repeat(self.steps), self.last_steps))
+        if not all(live):
+            kept = (list(compress(s, live)) for s in (self.index, self.last_steps, self.mantissa, self.exponent, self._base))
+            self.index, self.last_steps, self.mantissa, self.exponent, self._base = kept
 
 
 class _Ball:
@@ -242,15 +238,15 @@ class _Ball:
     def misses_off_support(self):
         """Whether no orbit point whose support misses the centre's lies in the ball.
 
-        True when r <= ‖c‖, with ‖c‖ from the float terms and, on lp, ‖c‖**p
-        below 2**1000.  Such a point's terms are its own followed by the
-        centre's, and the maximum, or the sum left to right, is monotone in
-        each non-negative term, so its size is at least ‖c‖.  A sum that
-        overflows goes to the rescaled norm, which is then at least about
-        2**(1023/p), far past ‖c‖.
+        True when r <= ‖c‖, with ‖c‖ from the float terms and a stop total
+        (`spaces._stop_total`, so below its cap on lp).  Such a point's terms
+        are its own followed by the centre's, and the maximum, or the sum left
+        to right, is monotone in each non-negative term, so its size is at
+        least ‖c‖.  A sum that overflows goes to the rescaled norm, which is
+        then at least about 2**(1023/p), far past ‖c‖.
         """
-        size, space = self.size, self.space
-        return size is not None and self.radius <= size and (space.kind == "c0" or log2(size) * space.p < 1000)
+        size = self.size
+        return size is not None and self.radius <= size and _stop_total(size, self.space) is not None
 
     def norm(self, row, at, n):
         """‖v - c‖ by the rule of `spaces.norm`, inf as soon as the terms read so
@@ -316,9 +312,8 @@ def _scan(orbit: _Orbit, balls, horizon: int):
         if not index:
             dead_from = start
             break
-        count = min(horizon + 1 - start, orbit.stride, max(1, _BLOCK // (len(index) + widest)))
-        if not space.bilateral:
-            count = min(count, max(index) + 1 - start)
+        count = min(horizon + 1 - start, orbit.stride, max(1, _BLOCK // (len(index) + widest)),
+                    max(orbit.last_steps) + 1 - start)
         rows, over = orbit.step(count)
         if over is not None:
             truncated_at = start + over
@@ -343,22 +338,21 @@ class _Pow2Orbit:
 
     Entry j of B^n x is (sign c)**n * ldexp(m_j, e_j + n*k), with (m_j, e_j)
     from `_split`: one correctly rounded `ldexp` of the exact value, which is
-    what the scan's rows hold.  On a unilateral space entry j is live while
-    n <= its index.  `truncated_at` is the first step n <= horizon at which a
-    live entry has e_j + n*k > `OVERFLOW_LOG2` (None if there is none), and
-    `end` the first step left undecided: `truncated_at`, else horizon + 1.
+    what the scan's rows hold.  Entry j is live while n is at most its last
+    step (`SpaceSpec.last_step`).  `truncated_at` is the first step
+    n <= horizon at which a live entry has e_j + n*k > `OVERFLOW_LOG2` (None
+    if there is none), and `end` the first step left undecided:
+    `truncated_at`, else horizon + 1.
     """
 
     def __init__(self, x: SparseVec, k: int, negative: bool, horizon: int):
         self.space = x.space
         self.k, self.negative = k, negative
-        self.index, self.mantissa, self.exponent = _split_entries(x)
-        cap, bilateral = OVERFLOW_LOG2, self.space.bilateral
+        self.index, self.last_steps, self.mantissa, self.exponent = _split_entries(x)
+        cap = OVERFLOW_LOG2
         # each entry's first step past the cap, None if it never passes it
         over = [0 if e > cap else (cap - e) // k + 1 if k > 0 else None for e in self.exponent]
-        first = min(
-            (n for n, i in zip(over, self.index) if n is not None and (bilateral or n <= i)), default=horizon + 1
-        )
+        first = min((n for n, last in zip(over, self.last_steps) if n is not None and n <= last), default=horizon + 1)
         self.truncated_at = first if first <= horizon else None
         self.end = min(first, horizon + 1)
 
@@ -403,17 +397,13 @@ class _Pow2Orbit:
         M * 2**E on steps lo .. hi, None where no entry is live."""
         last = self.end - 1
         scales = [(e, abs(m)) for m, e in zip(self.mantissa, self.exponent)]
-        if self.space.bilateral:
-            if last >= 0:
-                yield 0, last, max(scales, default=None)
-            return
-        order = sorted(range(len(scales)), key=self.index.__getitem__)
-        tops = list(accumulate((scales[j] for j in reversed(order)), max))[::-1]  # over the entries at or above
+        order = sorted(range(len(scales)), key=self.last_steps.__getitem__)
+        tops = list(accumulate((scales[j] for j in reversed(order)), max))[::-1]  # over the entries that live as long
         lo = 0
         for j, top in zip(order, tops):
-            if lo <= min(self.index[j], last):
-                yield lo, min(self.index[j], last), top
-            lo = self.index[j] + 1
+            if lo <= min(self.last_steps[j], last):
+                yield lo, min(self.last_steps[j], last), top
+            lo = self.last_steps[j] + 1
         if lo <= last:
             yield lo, last, None
 
@@ -432,10 +422,8 @@ class _Pow2Orbit:
 
     def row(self, n):
         """(original indices, values) of the entries live at step n, in x order."""
-        index, mantissa, exponent = self.index, self.mantissa, self.exponent
-        if not self.space.bilateral:
-            live = list(map(le, repeat(n), index))
-            index, mantissa, exponent = (list(compress(s, live)) for s in (index, mantissa, exponent))
+        live = list(map(le, repeat(n), self.last_steps))
+        index, mantissa, exponent = (list(compress(s, live)) for s in (self.index, self.mantissa, self.exponent))
         if self.negative and n % 2:
             mantissa = map(neg, mantissa)
         return index, tuple(map(ldexp, mantissa, map(add, exponent, repeat(n * self.k))))
@@ -775,39 +763,37 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX)  # integer products never round
 def _pairs_cost_less(alpha: AlphaProfile, span: int, reach: int, count: int, pairs: int) -> bool:
     """Whether `_pair_sums` is estimated to take less time than `_kronecker_sums`.
 
-    Fitted on CPython 3.11 (x86-64): the pairs take about 160 ns a pair and
-    5 us a member, the distinct differences included; the product about 600 ns a slot and 100 ns a digit of its
-    operands, with the slot width taken from the smallest nonzero alpha.
+    One comparison in the product's unit, a digit of its operands: the pairs
+    plus 30 a member against a quarter of the (span + reach) * w operand
+    digits, with the slot width w set by the smallest nonzero alpha, alpha(reach).
     """
-    bits = alpha.value(reach).as_integer_ratio()[1].bit_length() + count.bit_length() if reach else 1
-    return 1.6e-7 * pairs + 5e-6 * count < (span + reach + 2) * (6e-7 + 1e-7 * (0.30103 * bits + 1))
+    w = len(str(count * alpha.value(reach).as_integer_ratio()[1])) if reach else 1
+    return 4 * (pairs + 30 * count) < (span + reach) * w
 
 
 def _fixed_point(alpha: AlphaProfile, ds) -> tuple:
-    """(F, ints) with ints[i] = alpha(ds[i]) * 2**F exactly: every float is a dyadic rational,
-    and 2**F is the largest of their denominators (F = 0 when ds is empty)."""
-    ratios = [alpha.value(d).as_integer_ratio() for d in ds]
-    F = max((den.bit_length() for _, den in ratios), default=1) - 1
-    return F, [num << F + 1 - den.bit_length() for num, den in ratios]
+    """(den, ints) with ints yielding alpha(d) * den exactly for each d in the re-iterable ds:
+    every float is a dyadic rational, so den (`spaces._common_denominator`) is 2**F, the
+    largest of their denominators (1 when ds is empty)."""
+    return _common_denominator(lambda: map(alpha.value, ds))
 
 
-def _differences(members, reach: int) -> list:
-    """The distinct m - n over members n < m <= n + reach."""
+def _differences(members, far) -> list:
+    """The distinct m - n over members n < m within reach of n (members[i + 1 : far[i]])."""
     ds = set()
-    for i, n in enumerate(members):
-        ds.update(map(sub, members[i + 1 : bisect_right(members, n + reach, i + 1)], repeat(n)))
+    for i, (n, stop) in enumerate(zip(members, far)):
+        ds.update(map(sub, members[i + 1 : stop], repeat(n)))
     return list(ds)
 
 
-def _pair_sums(members, ends, table, reach: int) -> list:
-    """Per cut, the exact sum over members n < m <= min(cut, n + reach) of table[m - n],
-    for each member up to the cut (table: a dict of ints by the differences that occur)."""
+def _pair_sums(members, ends, table, far) -> list:
+    """Per cut, the exact sum over members n < m <= cut within reach of n (before far[i]) of
+    table[m - n], for each member up to the cut (table: a dict of ints by the differences that occur)."""
     rows = [[] for _ in ends]
-    for i, n in enumerate(members):
+    for i, (n, reach_end) in enumerate(zip(members, far)):
         total, at = 0, i + 1
-        far = bisect_right(members, n + reach, at)
         for row, end in zip(rows, ends):
-            stop = min(end, far)
+            stop = min(end, reach_end)
             total += sum(map(table.__getitem__, map(sub, members[at:stop], repeat(n))))
             at = max(at, stop)
             if i < end:
@@ -815,21 +801,21 @@ def _pair_sums(members, ends, table, reach: int) -> list:
     return rows
 
 
-def _kronecker_sums(members, ends, table) -> list:
-    """The sums of `_pair_sums`, over a list table of every difference up to
-    len(table) - 1, by one product per cut.
+def _kronecker_sums(members, ends, table, peak) -> list:
+    """The sums of `_pair_sums`, over the ints table[d] of every difference d from 0 on
+    (an iterable read once, each int at most `peak`), by one product per cut.
 
     Slot k of a number is its decimal digits k*w .. k*w + w - 1, with w wide
-    enough for len(members) * max(table), so no slot of a product carries
-    into the next.  P has 1 in slot m - members[0] for each member m up to
-    the cut and Q has table[L - k] in slot k, with L the largest difference
-    within the cut, so slot L + n - members[0] of P*Q is the sum for n.
-    Each operand is built as one digit string, and the products are taken
-    by `decimal`, which multiplies long operands by a number-theoretic
-    transform, so no int is made per pair.
+    enough for len(members) * peak, so no slot of a product carries into the
+    next.  P has 1 in slot m - members[0] for each member m up to the cut and
+    Q has table[L - k] in slot k, with L the largest difference within the
+    cut, so slot L + n - members[0] of P*Q is the sum for n.  Each operand is
+    built as one digit string, and the products are taken by `decimal`,
+    which multiplies long operands by a number-theoretic transform, so no
+    int is made per pair.
     """
     first, last = members[0], members[-1]
-    w = len(str(len(members) * max(table)))
+    w = len(str(len(members) * peak))
     indicator = bytearray(b"0" * ((last - first + 1) * w))
     for m in members:
         indicator[(last - m + 1) * w - 1] = 49  # ord("1"), at the low digit of slot m - first
@@ -841,7 +827,7 @@ def _kronecker_sums(members, ends, table) -> list:
             rows.append([])
             continue
         top = members[end - 1]
-        L = min(len(table) - 1, top - first)
+        L = min(len(weights) // w - 1, top - first)
         P = Decimal(indicator[(last - top) * w :])  # slots 0 .. top - first
         Q = Decimal(weights[: (L + 1) * w])
         digits = str(_EXACT.multiply(P, Q)).zfill((top - first + L + 1) * w)
@@ -858,9 +844,10 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
     denominator 2**F among them each alpha(d) is an exact int, their sum
     S_n is exact, and beta_n = S_n / 2**F is one correctly rounded int
     division.  The exact sums come by one of two routes, which give the
-    same ints, and the input alone picks the cheaper by its estimated cost:
-    one product of two long numbers per cut (`_kronecker_sums`), or the
-    sum over the pairs within alpha's reach (`_pair_sums`).
+    same ints: one product of two long numbers per cut (`_kronecker_sums`),
+    or the sum over the pairs within alpha's reach (`_pair_sums`), taken when
+    the pair count plus 30 a member is below a quarter of the product's
+    operand digits (`_pairs_cost_less`).
 
     The growth curve takes max beta at nested sub-horizons; strictly
     increasing maxima are unboundedness evidence.
@@ -875,18 +862,18 @@ def return_weight_sums(A: IndexSet, alpha: AlphaProfile, horizon: int) -> Return
     ends = [bisect_right(members, c) for c in cuts]  # members <= each cut
     span, count = members[-1] - members[0], len(members)
     reach = span if alpha.cutoff is None else min(span, alpha.cutoff - 1)  # alpha(d) = 0 past it
+    far = list(map(bisect_right, repeat(members), map(add, members, repeat(reach))))  # past each member's reach
     # the pairs of members within reach: for each member, the later ones within reach
-    pairs = sum(map(bisect_right, repeat(members), map(add, members, repeat(reach)))) - count * (count + 1) // 2
-    if _pairs_cost_less(alpha, span, reach, count, pairs):
-        ds = _differences(members, reach)  # alpha only at the differences that occur
-        F, ints = _fixed_point(alpha, ds)
-        rows = _pair_sums(members, ends, dict(zip(ds, ints)), reach)
+    if _pairs_cost_less(alpha, span, reach, count, sum(far) - count * (count + 1) // 2):
+        ds = _differences(members, far)  # alpha only at the differences that occur
+        den, ints = _fixed_point(alpha, ds)
+        rows = _pair_sums(members, ends, dict(zip(ds, ints)), far)
     else:
-        F, table = _fixed_point(alpha, range(reach + 1))
-        rows = _kronecker_sums(members, ends, table)
-    scale = 1 << F
-    betas_full = {n: s / scale for n, s in zip(members, rows[-1])}
-    seq = [max(row, default=0) / scale for row in rows]  # rounding is monotone: the max rounds to the max
+        del far  # freed before the product's operands are built
+        den, ints = _fixed_point(alpha, range(reach + 1))
+        rows = _kronecker_sums(members, ends, ints, den)  # alpha <= 1, so no int exceeds den
+    betas_full = {n: s / den for n, s in zip(members, rows[-1])}
+    seq = [max(row, default=0) / den for row in rows]  # rounding is monotone: the max rounds to the max
     growing = all(a < b for a, b in zip(seq, seq[1:])) and seq[-1] >= seq[0] * 1.02
     return ReturnSumReport(betas_full, tuple(zip(cuts, seq)), growing, horizon)
 

@@ -218,9 +218,9 @@ def _move(T: ShiftOperator, v: SparseVec, n: int, inverse: bool) -> SparseVec:
         return v
     w, out = T.weights, {}
     for i, val in v.entries.items():
+        if not inverse and n > T.space.last_step(i):
+            continue  # B^n moves the entry out of the space
         j = i + n if inverse else i - n
-        if j < 0 and not T.space.bilateral:
-            continue
         a, b = min(i, j) + 1, max(i, j)
         e = w.log2_product_range(a, b)
         scaled = _scale_pow2(val, -e if inverse else e)

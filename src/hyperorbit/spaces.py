@@ -14,10 +14,13 @@ One float rule serves every space, in two halves the orbit scan shares:
 terms into the norm, or says that `norm` must rescale; the rescaled norm
 of a p that is not an integer up to 64 goes through the same two halves.
 A ball test may hand `_float_size` the stop total of its radius
-(`_stop_total`): the size rule then reads terms only until their running
-maximum or sum reaches it, which already settles `size < radius` as False,
-since the terms are non-negative and a rounded sum never falls.  `norm`
-and `ball_contains` pass no stop.
+(`_stop_total`: r on c0, (r * (1 + 2**-40))**p on every lp): the size
+rule then reads terms only until their running maximum or sum reaches it,
+which already settles `size < radius` as False, since the terms are
+non-negative and a rounded sum never falls.  `norm` and `ball_contains`
+pass no stop.  An entry's lifetime under the backward shift has one rule,
+`SpaceSpec.last_step`, and exact int arithmetic one common denominator,
+`_common_denominator`.
 One exact power sum, `_power_sum`, serves the rescaled norm,
 `norm_sq_exact` and the certificates, and one root rule, `_root_ratio`,
 takes the float root of an exact ratio for the rescaled norm, the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, tee
-from math import inf, nextafter, sqrt
+from math import inf, lcm, nextafter, sqrt
 from operator import add, mul, sub
 
 from .errors import SpaceMismatchError, UsageError
@@ -54,6 +57,11 @@ class SpaceSpec:
     def describe(self) -> str:
         base = f"lp:{self.p}" if self.kind == "lp" else "c0"
         return base + (":bilateral" if self.bilateral else "")
+
+    def last_step(self, index: int):
+        """The last step n at which B^n keeps the entry at `index` (moved to index - n):
+        its index on a unilateral space, no bound (inf) on a bilateral one."""
+        return inf if self.bilateral else index
 
 
 def lp(p: float = 2.0, bilateral: bool = False) -> SpaceSpec:
@@ -149,6 +157,26 @@ def _power_sum(v: SparseVec, ip) -> Fraction:
     return sum((abs(Fraction(x)) ** ip for x in v.entries.values()), Fraction(0))
 
 
+def _common_denominator(values):
+    """(den, numerators) for the float, int and `Fraction` values `values()` yields:
+    den = 2**(max a) * lcm(odd parts) of their denominators 2**a * odd, their lcm
+    (1 for none), and the exact ints v * den, yielded in order.  `values` is called
+    twice, for the denominators and then the numerators, so no list is held; each
+    lift is one factor and one shift, so power-of-two denominators cost no gcd."""
+    twos = {d: (d & -d).bit_length() - 1 for d in {v.as_integer_ratio()[1] for v in values()}}
+    top = max(twos.values(), default=0)
+    odd = lcm(*(d >> a for d, a in twos.items()))
+    lift = {d: (odd // (d >> a), top - a) for d, a in twos.items()}
+
+    def numerators():
+        for v in values():
+            num, d = v.as_integer_ratio()
+            factor, shift = lift[d]
+            yield num * factor << shift
+
+    return odd << top, numerators()
+
+
 def _root_ratio(num: int, den: int, ip) -> float:
     """The float ip-th root of num / den, taken from the correctly rounded quotient;
     the quotient itself for c0 (ip None), inf past the float range."""
@@ -181,6 +209,7 @@ def norm(v: SparseVec) -> float:
 
 
 _TINY = 1e-290  # lp sums at or below it have lost bits, so `norm` rescales them
+_STOP_CAP = 2.0**1000  # ball tests stop below it: an lp sum that overflows later lies past every stop's radius
 _EXACT_P = 64  # the largest p whose rescaled norm takes the exact power sum
 _MARGIN = 1 + 2.0**-40  # widens r before r**p: covers the rounding of 1/p and of libm's pow
 
@@ -228,14 +257,13 @@ def _stop_total(radius, space: SpaceSpec):
     """The total from which `_float_size` may stop for a ball of this radius,
     or None where no total is safe.
 
-    Every float total at or past it has a size of at least `radius`, even a
-    `Fraction` or `int` one.  On lp the stop lies in (1e-290, 2**1000): a
-    total past it is rooted without rescaling, and a sum that overflows later
-    has a true size of at least 2**(1023/p) > radius, past it under the
-    rescaled norm as well.  With r the smallest float >= radius, the stop is r on c0;
-    on l2 the smallest t above 1e-290 with sqrt(t) >= radius, exact since sqrt
-    is correctly rounded; on other lp (r * (1 + 2**-40))**p above 1e-290, whose
-    margin outweighs the rounding of 1/p and of a pow within 2**-42."""
+    With r the smallest float >= radius, the stop is r on c0 and, on every lp,
+    l2 included, (r * (1 + 2**-40))**p above 1e-290, whose margin outweighs the
+    rounding of r * (1 + 2**-40), of 1/p and of a pow or sqrt within 2**-42: every
+    float total from it on has a size of at least `radius`, even a `Fraction` or
+    `int` one, and is rooted without rescaling.  A stop at or past `_STOP_CAP` is
+    None: below it, a sum that overflows later has a true size of at least
+    2**(1023/p) > radius, under the rescaled norm as well."""
     try:
         r = float(radius)
     except OverflowError:
@@ -244,16 +272,8 @@ def _stop_total(radius, space: SpaceSpec):
         r = nextafter(r, inf)
     if space.kind == "c0":
         return r
-    low = nextafter(_TINY, inf)
-    if space.p == 2.0:
-        stop = max(r * r, low)
-        while sqrt(stop) < radius:
-            stop = nextafter(stop, inf)
-        while stop > low and sqrt(nextafter(stop, 0.0)) >= radius:
-            stop = nextafter(stop, 0.0)
-    else:
-        stop = max(_safe_pow(r * _MARGIN, space.p), low)
-    return stop if stop < 2.0**1000 else None
+    stop = max(_safe_pow(r * _MARGIN, space.p), nextafter(_TINY, inf))
+    return stop if stop < _STOP_CAP else None
 
 
 def _scaled_norm(v: SparseVec) -> float:

@@ -8,7 +8,7 @@ be traced to these.
 import itertools
 import sys
 from fractions import Fraction
-from math import frexp, ldexp, log2, sqrt
+from math import frexp, inf, lcm, ldexp, log2, nextafter, sqrt
 
 import pytest
 
@@ -382,6 +382,36 @@ def _brute_pow(x, p):
         return x**p
     except OverflowError:
         return float("inf")
+
+
+def brute_stop_threshold(radius, space):
+    """The smallest float total whose size by the rule of `spaces.norm` is at least `radius`
+    (any real radius whose float is finite): on c0 the smallest float >= radius; on lp the
+    smallest total above 1e-290, where `norm` roots without rescaling, whose root reaches it,
+    found by stepping with `nextafter` from the float radius**p."""
+    r = float(radius)
+    if r < radius:
+        r = nextafter(r, inf)
+    if space.kind == "c0":
+        return r
+    p, low = space.p, nextafter(1e-290, inf)
+
+    def size(total):
+        return sqrt(total) if p == 2.0 else _brute_pow(total, 1.0 / p)
+
+    total = max(_brute_pow(r, p), low)
+    while size(total) < radius:
+        total = nextafter(total, inf)
+    while total > low and size(nextafter(total, 0.0)) >= radius:
+        total = nextafter(total, 0.0)
+    return total
+
+
+def brute_common_denominator(values):
+    """(den, numerators): the lcm of the exact denominators of `values` (1 for none), and each value times it."""
+    exact = [Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in exact))
+    return den, [f * den for f in exact]
 
 
 def brute_orbit(T, x, horizon, overflow_log2):

@@ -10,7 +10,7 @@ import pytest
 import hyperorbit as h
 from hyperorbit import counterexample as cx
 from hyperorbit.cli import main
-from hyperorbit.io_text import parse_set_spec
+from hyperorbit.io_text import parse_set_spec, parse_vector_spec
 
 from test_acceptance import CLI_MATRIX
 
@@ -480,6 +480,28 @@ def test_make_set_names_the_eras_bound(tmp_path, capsys):
     code, _ = run(tmp_path, "e0", "make-set", "--targets", "0,1/5,1/2,1", "--eras", "0")
     assert code == 2
     assert capsys.readouterr().err == "usage error: window and eras must be >= 1, got window 1000 and eras 0\n"
+
+
+@pytest.mark.parametrize("spec,first,last", [("ones:-5-5", -5, 5), ("ones:-9--3", -9, -3)])
+def test_ones_ranges_may_start_below_zero_on_a_bilateral_space(tmp_path, spec, first, last):
+    # the pair splits at the first '-' after its first character, so a leading minus is a sign
+    space = h.lp(2.0, bilateral=True)
+    assert parse_vector_spec(spec, space) == h.SparseVec({i: 1 for i in range(first, last + 1)}, space)
+    code, _ = run(tmp_path, "o", "orbit", "--space", "lp:2:bilateral", "--vector", spec, "--operator", "constant:2",
+                  "--targets", "e:0@1/2", "--horizon", "10")
+    assert code == 0
+
+
+def test_a_ones_range_below_zero_is_refused_on_a_unilateral_space(tmp_path, capsys):
+    code, _ = run(tmp_path, "o", "orbit", "--vector", "ones:-5-5", "--targets", "e:0@1/2", "--horizon", "10")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: negative index -5 in a unilateral space\n"
+
+
+def test_intervals_below_zero_reach_their_own_message(tmp_path, capsys):
+    code, _ = run(tmp_path, "i", "densities", "--set", "intervals:-3-5", "--horizon", "100")
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: intervals live in the non-negative integers\n"
 
 
 def test_a_301_level_tower_reads_back(tmp_path):

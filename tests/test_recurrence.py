@@ -35,7 +35,7 @@ from hyperorbit.errors import NoDataError, SpaceMismatchError, UsageError
 from hyperorbit.indexsets import estimate_densities
 from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
-from hyperorbit.spaces import SpaceSpec, _float_terms
+from hyperorbit.spaces import SpaceSpec, _float_terms, _stop_total
 
 from conftest import (
     brute_hitting_times,
@@ -43,6 +43,7 @@ from conftest import (
     brute_profile_has_late_mass,
     brute_return_times,
     brute_return_weight_sums,
+    brute_stop_threshold,
     periodic_eta,
 )
 
@@ -425,6 +426,33 @@ def _radii_around(size):
 
 
 @st.composite
+def stop_radii(draw):
+    """A space of STOP_SPACES and a float, Fraction, int or on-sphere radius (the norm of a
+    vector in that space, and just either side of it)."""
+    space = draw(st.sampled_from(STOP_SPACES))
+    on_sphere = st.lists(edge_scalars, min_size=1, max_size=6).flatmap(
+        lambda entries: st.sampled_from(_radii_around(norm(SparseVec(dict(enumerate(entries)), space))))
+    )
+    radius = draw(st.one_of(
+        st.floats(min_value=5e-324, max_value=1e300),
+        st.fractions(min_value=Fraction(1, 10**320), max_value=10**300).filter(bool),
+        st.integers(1, 10**310),
+        on_sphere,
+    ))
+    return space, radius
+
+
+@given(case=stop_radii())
+@settings(max_examples=400, deadline=None)
+def test_no_stop_total_lies_below_the_exact_threshold(case):
+    space, radius = case
+    # every total from the stop on has a size of at least the radius, so a stopped row lies outside the ball
+    stop = _stop_total(radius, space)
+    if stop is not None:
+        assert stop >= brute_stop_threshold(radius, space)
+
+
+@st.composite
 def stop_cases(draw):
     """Orbit cases whose radii are the size of a prefix of the terms of one orbit point
     (in x order, so the scan's sum reaches the radius exactly there) or of the centre
@@ -776,7 +804,7 @@ def test_beta_factorial_blocks_grow():
 _ROUTE_EXAMPLES = {
     "kronecker": (list(range(60)), AlphaProfile("harmonic"), 300),
     "kronecker-cutoff": (list(range(40)), AlphaProfile("constant", 30), 40),
-    "pairs": (list(range(0, 300, 5)), AlphaProfile("harmonic", 200), 300),
+    "pairs": (list(range(0, 300, 10)), AlphaProfile("harmonic", 200), 300),
     "pairs-long-span": ([3, 290], AlphaProfile("constant"), 300),
 }
 
@@ -829,11 +857,13 @@ def test_return_sum_routes_give_the_same_ints(members, alpha, cuts):
     ends = [bisect_right(members, c) for c in cuts]
     span = members[-1] - members[0]
     reach = span if alpha.cutoff is None else min(span, alpha.cutoff - 1)
-    _, table = recurrence._fixed_point(alpha, range(reach + 1))
-    rows = recurrence._kronecker_sums(members, ends, table)
+    far = [bisect_right(members, n + reach) for n in members]
+    den, table = recurrence._fixed_point(alpha, range(reach + 1))
+    table = list(table)
+    rows = recurrence._kronecker_sums(members, ends, table, den)
     assert [len(row) for row in rows] == ends
-    occurring = {d: table[d] for d in recurrence._differences(members, reach)}
-    assert recurrence._pair_sums(members, ends, occurring, reach) == rows
+    occurring = {d: table[d] for d in recurrence._differences(members, far)}
+    assert recurrence._pair_sums(members, ends, occurring, far) == rows
 
 
 @pytest.mark.parametrize("kind", ["constant", "harmonic"])

@@ -2,14 +2,14 @@ from fractions import Fraction
 from math import ldexp, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperorbit import SparseVec, ball_contains, c0, lp, norm, norm_sq_exact
 from hyperorbit.errors import SpaceMismatchError, UsageError
-from hyperorbit.spaces import _power_sum
+from hyperorbit.spaces import _common_denominator, _power_sum
 
-from conftest import brute_norm
+from conftest import brute_common_denominator, brute_norm
 
 L2 = lp(2.0)
 L1 = lp(1.0)
@@ -204,3 +204,24 @@ def test_ball_translation_invariance():
     shift = SparseVec({1: Fraction(7, 16), 2: Fraction(1, 8)}, L2)
     for r in (0.1, 0.5, 1.0):
         assert ball_contains(center, r, v) == ball_contains(center + shift, r, v + shift)
+
+
+# floats of every binade, the subnormals and the largest included, ints, and dyadic and other Fractions
+exact_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.0**-1060 * 3, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]),
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-(2**70), 2**70), st.integers(0, 1200)),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@given(st.lists(exact_values, max_size=12))
+@example([])  # den = 1
+@example([0.1, Fraction(1, 3), 2**-1074, 7])
+@settings(max_examples=300, deadline=None)
+def test_common_denominator_matches_the_lcm_oracle(values):
+    den, nums = _common_denominator(lambda: iter(values))
+    nums = list(nums)
+    assert (den, nums) == brute_common_denominator(values)
+    assert all(type(n) is int for n in nums)
