@@ -784,33 +784,67 @@ def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# One bitset row of top + 1 bits costs about as much as top // _ROW_PAIRS
+# pair differences, and turning the bitset into flag bytes about as much as
+# _DIGITS_ROWS rows (Python 3.11, in process).
+_ROW_PAIRS = 2000
+_DIGITS_ROWS = 100
+
+
+def _bitset_rows(n: int, top: int) -> int:
+    """How many of `difference_set`'s n rows, lowest member first, go through the bitset.
+
+    Row i, member a_i against the n - i members at or above it, costs
+    n - i pairs, or one bitset row of about top // _ROW_PAIRS pairs.  So
+    the rows below s = n - top // _ROW_PAIRS are the cheaper ones as
+    bitset rows.  Together they save about s**2 / 2 pairs, and they are
+    taken only when that beats the one conversion of the bitset to flag
+    bytes; otherwise every row is pairs.  Only n and top are read.
+    """
+    row = top // _ROW_PAIRS
+    s = n - row
+    return s if s > 0 and s * (s + 1) > 2 * _DIGITS_ROWS * row else 0
 
 
 def difference_set(A: IndexSet, horizon: int) -> IndexSet:
     """{a - a' : a, a' in A ∩ [0, horizon], a >= a'}, a `BitmapSet` or an `ExplicitSet`.
 
-    D is computed as one Python int used as a bitset: the OR over members
-    a of the member mask shifted down by a.  Its binary digits, lowest
-    first, become the flag bytes of a `BitmapSet`, one byte per integer
-    0..max D, so no int is made per member of D.  Pairs are enumerated
-    instead, into an `ExplicitSet`, only when the bitset, top member + 1
-    bits, would be larger than the n**2 pairs; the input alone decides.
+    D is written into one flag buffer, a byte per integer 0..max D, which
+    becomes a `BitmapSet`, so no int is made per member of D.  Row i of
+    the sorted members a_0 < ... < a_(n-1) is the differences a_j - a_i,
+    j >= i, and `_bitset_rows` splits the rows at one index s.  The rows
+    below s are one Python int used as a bitset, the OR of the member mask
+    shifted down by each of their a_i; its binary digits, lowest first,
+    are the buffer, whose length row 0 sets.  The rows from s on, which
+    have few members above them, set the flag of each of their
+    differences directly.  Pairs are enumerated instead, into an
+    `ExplicitSet`, only when top member + 1 is above n**2, so that the
+    buffer could be larger than the pairs; the input alone decides.
     """
     members = A.members_in(0, horizon)
     if not members:
         return ExplicitSet(())
     top = members[-1]
-    if top + 1 > len(members) ** 2:
+    n = len(members)
+    if top + 1 > n**2:
         return ExplicitSet(tuple(sorted({a - b for i, a in enumerate(members) for b in members[: i + 1]})))
-    bits = bytearray((top >> 3) + 1)
-    for m in members:
-        bits[m >> 3] |= 1 << (m & 7)
-    mask = int.from_bytes(bits, "little")
-    diffs = 0
-    for a in members:
-        diffs |= mask >> a
-    # bit d of diffs, for d = 0, 1, ..., as byte d
-    return BitmapSet(format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS))
+    s = _bitset_rows(n, top)
+    if s:
+        bits = bytearray((top >> 3) + 1)
+        for m in members:
+            bits[m >> 3] |= 1 << (m & 7)
+        mask = int.from_bytes(bits, "little")
+        diffs = 0
+        for a in itertools.islice(members, s):
+            diffs |= mask >> a
+        # bit d of diffs, for d = 0, 1, ..., as byte d
+        flags = bytearray(format(diffs, "b")[::-1], "ascii").translate(_BINARY_DIGITS)
+    else:
+        flags = bytearray(top - members[0] + 1)
+    for i in range(s, n):
+        for d in map(operator.sub, members[i:], itertools.repeat(members[i])):
+            flags[d] = 1
+    return BitmapSet(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -822,7 +822,7 @@ def _kronecker_sums(members, ends, table, peak) -> list:
     indicator = indicator.decode("ascii")
     weights = "".join(map(f"{{:0{w}d}}".format, table))  # table[0] leads, so Q is read highest slot first
     rows = []
-    for end in ends:
+    for k, end in enumerate(ends):
         if end == 0:
             rows.append([])
             continue
@@ -830,6 +830,8 @@ def _kronecker_sums(members, ends, table, peak) -> list:
         L = min(len(weights) // w - 1, top - first)
         P = Decimal(indicator[(last - top) * w :])  # slots 0 .. top - first
         Q = Decimal(weights[: (L + 1) * w])
+        if k == len(ends) - 1:  # the last cut by position, since ends may repeat
+            del indicator, weights  # freed before its product, the largest
         digits = str(_EXACT.multiply(P, Q)).zfill((top - first + L + 1) * w)
         # slot L + n - first, counted from the top slot top - first + L, starts at digit (top - n) * w
         rows.append([int(digits[(top - n) * w : (top - n + 1) * w]) for n in members[:end]])

@@ -299,6 +299,25 @@ def test_family_specs_read_back_from_their_label(family):
         assert back.level(k).members_in(0, 5000) == family.level(k).members_in(0, 5000)
 
 
+def test_explicit_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("5\n\n  \n 3 \r\n0\t\n12")  # no newline after the last member
+    assert parse_set_spec(f"explicit-file:{path}").members == (0, 3, 5, 12)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("1\n2\nx7\n8\n", "'x7\\n'"), ("1\n2\n1 2\n", "'1 2\\n'"), ("4\n1.5", "'1.5'")],
+    ids=["letter", "two-members-on-a-line", "last-line"],
+)
+def test_explicit_file_bad_line_exits_2_in_one_line(tmp_path, capsys, text, bad):
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    code = cli_main(["diff-set", "--set", f"explicit-file:{path}", "--horizon", "10", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: cannot parse {bad} as an integer\n"
+
+
 def test_inline_table_weights_are_not_a_path(tmp_path):
     table = tmp_path / "table.txt"
     table.write_text("0.5\n2.0\n")
