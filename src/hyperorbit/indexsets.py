@@ -786,7 +786,7 @@ def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 # One bitset row of top + 1 bits costs about as much as top // _ROW_PAIRS
 # pair differences, and turning the bitset into flag bytes about as much as
-# _DIGITS_ROWS rows (Python 3.11, in process).
+# _DIGITS_ROWS rows (Python 3.11 on a 2-vCPU x86-64 host, in process).
 _ROW_PAIRS = 2000
 _DIGITS_ROWS = 100
 

@@ -20,12 +20,12 @@ from hyperorbit import (
     count_window,
     difference_set,
     estimate_densities,
+    indexsets,
     is_syndetic,
     make_prescribed_density_set,
 )
 from hyperorbit.counterexample import DigitNeighborhoodSet, HugeInt
 from hyperorbit.errors import NoDataError, UsageError, WindowGridError
-from hyperorbit import indexsets
 from hyperorbit.indexsets import IndexSet, _anchor_positions
 from hyperorbit.io_text import parse_set_spec
 
