@@ -784,42 +784,36 @@ def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-# One bitset row of top + 1 bits costs about as much as top // _ROW_PAIRS
-# pair differences, and turning the bitset into flag bytes about as much as
-# _DIGITS_ROWS rows (Python 3.11 on a 2-vCPU x86-64 host, in process).
-_ROW_PAIRS = 2000
-_DIGITS_ROWS = 100
+# One bitset row, the shift and OR of top + 1 bits, costs about as much as
+# writing top // _ROW_PAIRS pair differences: on Python 3.11 and a 2-vCPU
+# x86-64 host this picks the faster route on each of the 43 inputs of
+# BENCH_31.json's k_sweep.
+_ROW_PAIRS = 2750
 
 
-def _bitset_rows(n: int, top: int) -> int:
-    """How many of `difference_set`'s n rows, lowest member first, go through the bitset.
+def _bitset_cheaper(n: int, top: int) -> bool:
+    """Whether `difference_set` takes the bitset for n members up to top.
 
-    Row i, member a_i against the n - i members at or above it, costs
-    n - i pairs, or one bitset row of about top // _ROW_PAIRS pairs.  So
-    the rows below s = n - top // _ROW_PAIRS are the cheaper ones as
-    bitset rows.  Together they save about s**2 / 2 pairs, and they are
-    taken only when that beats the one conversion of the bitset to flag
-    bytes; otherwise every row is pairs.  Only n and top are read.
+    The bitset costs n rows of top + 1 bits, about n * top // _ROW_PAIRS
+    pairs; writing the differences one by one costs the n * (n + 1) / 2
+    pairs themselves.  So sparse sets, n below about 2 * top / _ROW_PAIRS,
+    take the pairs.  Only n and top are read.
     """
-    row = top // _ROW_PAIRS
-    s = n - row
-    return s if s > 0 and s * (s + 1) > 2 * _DIGITS_ROWS * row else 0
+    return n * _ROW_PAIRS >= 2 * top
 
 
 def difference_set(A: IndexSet, horizon: int) -> IndexSet:
     """{a - a' : a, a' in A ∩ [0, horizon], a >= a'}, a `BitmapSet` or an `ExplicitSet`.
 
-    D is written into one flag buffer, a byte per integer 0..max D, which
-    becomes a `BitmapSet`, so no int is made per member of D.  Row i of
-    the sorted members a_0 < ... < a_(n-1) is the differences a_j - a_i,
-    j >= i, and `_bitset_rows` splits the rows at one index s.  The rows
-    below s are one Python int used as a bitset, the OR of the member mask
-    shifted down by each of their a_i; its binary digits, lowest first,
-    are the buffer, whose length row 0 sets.  The rows from s on, which
-    have few members above them, set the flag of each of their
-    differences directly.  Pairs are enumerated instead, into an
-    `ExplicitSet`, only when top member + 1 is above n**2, so that the
-    buffer could be larger than the pairs; the input alone decides.
+    D becomes the flag bytes of a `BitmapSet`, one byte per integer
+    0..max D, so no int is made per member of D.  `_bitset_cheaper`
+    picks how they are written.  Either D is one Python int used as a
+    bitset, the OR over members a of the member mask shifted down by a,
+    whose binary digits, lowest first, are the flags; or each pair
+    difference sets its flag in one zero-filled buffer of max D + 1
+    bytes.  Pairs are enumerated instead, into an `ExplicitSet`, only when
+    top member + 1 is above n**2, so that the flags could be larger than
+    the pairs; the input alone decides.
     """
     members = A.members_in(0, horizon)
     if not members:
@@ -828,23 +822,21 @@ def difference_set(A: IndexSet, horizon: int) -> IndexSet:
     n = len(members)
     if top + 1 > n**2:
         return ExplicitSet(tuple(sorted({a - b for i, a in enumerate(members) for b in members[: i + 1]})))
-    s = _bitset_rows(n, top)
-    if s:
-        bits = bytearray((top >> 3) + 1)
-        for m in members:
-            bits[m >> 3] |= 1 << (m & 7)
-        mask = int.from_bytes(bits, "little")
-        diffs = 0
-        for a in itertools.islice(members, s):
-            diffs |= mask >> a
-        # bit d of diffs, for d = 0, 1, ..., as byte d
-        flags = bytearray(format(diffs, "b")[::-1], "ascii").translate(_BINARY_DIGITS)
-    else:
+    if not _bitset_cheaper(n, top):
         flags = bytearray(top - members[0] + 1)
-    for i in range(s, n):
-        for d in map(operator.sub, members[i:], itertools.repeat(members[i])):
-            flags[d] = 1
-    return BitmapSet(flags)
+        for i, a in enumerate(members):
+            for d in map(operator.sub, members[i:], itertools.repeat(a)):
+                flags[d] = 1
+        return BitmapSet(flags)
+    bits = bytearray((top >> 3) + 1)
+    for m in members:
+        bits[m >> 3] |= 1 << (m & 7)
+    mask = int.from_bytes(bits, "little")
+    diffs = 0
+    for a in members:
+        diffs |= mask >> a
+    # bit d of diffs, for d = 0, 1, ..., as byte d
+    return BitmapSet(format(diffs, "b")[::-1].encode("ascii").translate(_BINARY_DIGITS))
 
 
 # ---------------------------------------------------------------------------

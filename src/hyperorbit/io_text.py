@@ -164,12 +164,7 @@ def parse_set_spec(spec: str):
         return ExplicitSet(tuple(map(_explicit_member, _items(rest))))
     if head == "explicit-file":
         with open(rest, "r", encoding="utf-8") as fh:
-            try:  # one member a line, blank lines skipped
-                members = tuple(map(int, filter(str.strip, fh.read().split("\n"))))
-            except ValueError:
-                fh.seek(0)  # again line by line, for the bad line's message
-                members = tuple(parse_int(line) for line in fh if line.strip())
-        return ExplicitSet(members)
+            return ExplicitSet(tuple(map(parse_int, filter(str.strip, fh))))  # one member a line
     if head == "intervals":
         return intervals_set(parse_int_list(rest, "-"))
     if head == "powers":

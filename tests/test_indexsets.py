@@ -580,40 +580,30 @@ def test_difference_at_the_path_switch(members):
     assert difference_set(ExplicitSet(members), 100).all_members() == brute_difference(members)
 
 
-@pytest.mark.parametrize("split", ["pairs", "both", "bitset"])
+@pytest.mark.parametrize("bitset", [False, True], ids=["pairs", "bitset"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_difference_rows_split_anywhere_match_pair_oracle(split, data):
+def test_difference_either_route_matches_pair_oracle(bitset, data):
     # members from lo up, so the flags' length top - members[0] + 1 is tested too
     n = data.draw(st.integers(2, 50))
     lo = data.draw(st.integers(0, n * n - n))
     members = sorted(data.draw(st.sets(st.integers(lo, n * n - 1), min_size=n, max_size=n)))
-    top = members[-1]
-    if split == "pairs":  # every row costs a bitset row of `top` pairs, and the digits n**2 rows
-        row_pairs, digits_rows = 1, n * n
-    elif split == "both":  # top // row_pairs lands in [1, n - 1], and the digits are free
-        row_pairs, digits_rows = top // data.draw(st.integers(2, n)) + 1, 0
-    else:
-        row_pairs, digits_rows = top + 1, 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(indexsets, "_ROW_PAIRS", row_pairs)
-        mp.setattr(indexsets, "_DIGITS_ROWS", digits_rows)
-        s = indexsets._bitset_rows(n, top)
-        D = difference_set(ExplicitSet(tuple(members)), top)
-    assert {"pairs": s == 0, "both": 0 < s < n, "bitset": s == n}[split]
+        mp.setattr(indexsets, "_bitset_cheaper", lambda n, top: bitset)
+        D = difference_set(ExplicitSet(tuple(members)), members[-1])
     want = brute_difference(members)
     assert isinstance(D, BitmapSet) and len(D.flags) == want[-1] + 1
     assert D.all_members() == want
 
 
-def test_difference_rows_route_squares_to_pairs_and_evens_to_the_bitset():
-    # squares at the densities bench's horizons, 4e6 +- 1 %: pairs for all but at most one row
-    for h in (3_960_000, 4_000_000, 4_040_000):
+def test_difference_route_takes_squares_to_pairs_and_evens_to_the_bitset():
+    # squares at the densities bench's horizons, 4e6 +- 1 %, and at 16e6 take the pairs
+    for h in (3_960_000, 4_000_000, 4_040_000, 16_000_000):
         n = len(SquareSet().members_in(0, h))
-        assert indexsets._bitset_rows(n, (n - 1) ** 2) <= 1
-    for h in range(1, 4000):  # evens below 4000: the bitset for at least 99 % of the rows
-        n = h // 2 + 1
-        assert indexsets._bitset_rows(n, h - h % 2) >= 0.99 * n
+        assert not indexsets._bitset_cheaper(n, (n - 1) ** 2)
+    assert indexsets._bitset_cheaper(1001, 1000**2)  # squares at 1e6 keep the bitset
+    for h in range(1, 4000):  # evens below 4000
+        assert indexsets._bitset_cheaper(h // 2 + 1, h - h % 2)
 
 
 def test_explicit_set_sorts_only_unsorted_input():
