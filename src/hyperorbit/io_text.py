@@ -164,7 +164,7 @@ def parse_set_spec(spec: str):
         return ExplicitSet(tuple(map(_explicit_member, _items(rest))))
     if head == "explicit-file":
         with open(rest, "r", encoding="utf-8") as fh:
-            return ExplicitSet(tuple(map(parse_int, filter(str.strip, fh))))  # one member a line
+            return ExplicitSet(tuple(parse_int(line) for line in fh if line.strip()))
     if head == "intervals":
         return intervals_set(parse_int_list(rest, "-"))
     if head == "powers":
