@@ -15,7 +15,6 @@ from .indexsets import (
     SetFamily,
     SquareSet,
     check_gap_family,
-    count_window,
     difference_set,
     estimate_densities,
     is_syndetic,

@@ -698,7 +698,10 @@ class ThresholdScanReport:
     envelope_samples: int
 
 
-def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500, runs=None) -> ThresholdScanReport:
+_ENVELOPE_SAMPLES = 500  # about this many members of D_j, evenly strided, are checked against the envelope
+
+
+def product_threshold_scan(j: int, horizon: int, runs=None) -> ThresholdScanReport:
     """Prefix densities of D_j at powers of ten, against the decay bound,
     plus sampled containment of D_j in its envelope set.
 
@@ -739,7 +742,7 @@ def product_threshold_scan(j: int, horizon: int, envelope_samples: int = 500, ru
 
     # every stride-th member of D_j ∩ [1, horizon], the t-th found by bisecting the run counts
     total = count_upto(horizon)
-    picks = range(0, total, max(1, total // envelope_samples))
+    picks = range(0, total, max(1, total // _ENVELOPE_SAMPLES))
     samples = []
     for t in picks:
         i = bisect.bisect_right(before, t) - 1

@@ -169,11 +169,13 @@ class BitmapSet(IndexSet):
     `itertools.compress`, so no Python int is made per member until a
     caller asks for the members themselves.  It describes itself in the
     `explicit:` form, which parses back to an `ExplicitSet` with the same
-    members.
+    members.  The set keeps the buffer it is given, `bytes` or
+    `bytearray`, without a copy: a caller hands over a buffer that it no
+    longer writes.
     """
 
-    def __init__(self, flags: bytes):
-        self.flags = bytes(flags)
+    def __init__(self, flags: bytes | bytearray):
+        self.flags = flags
 
     @property
     def top(self):
@@ -196,6 +198,14 @@ class BitmapSet(IndexSet):
 
 @dataclass(frozen=True)
 class PeriodicSet(IndexSet):
+    """Members n >= 0 with n % period in residues, kept sorted.
+
+    Counting is whole periods plus one bisect of the residues, and
+    listing lists whole periods in one comprehension, trimmed in place to
+    the window by two bisects.  `contains` keeps its own modulo: a
+    one-point listing costs a whole period.
+    """
+
     period: int
     residues: tuple
 
@@ -212,22 +222,13 @@ class PeriodicSet(IndexSet):
         if n < 0:
             return 0
         q, rem = divmod(n + 1, self.period)
-        extra = sum(1 for r in self.residues if r < rem)
-        return q * len(self.residues) + extra
+        return q * len(self.residues) + bisect.bisect_left(self.residues, rem)
 
     def members_in(self, lo, hi):
-        lo = max(lo, 0)
-        if lo > hi:
-            return []
-        out = []
-        base = (lo // self.period) * self.period
-        n = base
-        while n <= hi:
-            for r in self.residues:
-                m = n + r
-                if lo <= m <= hi:
-                    out.append(m)
-            n += self.period
+        lo, p = max(lo, 0), self.period
+        out = [b + r for b in range(lo - lo % p, hi + 1, p) for r in self.residues]
+        del out[bisect.bisect_right(out, hi) :]
+        del out[: bisect.bisect_left(out, lo)]
         return out
 
     def anchors(self, horizon):
@@ -403,17 +404,9 @@ class SquareSet(IndexSet):
     """Perfect squares k*k, k >= 0."""
 
     def members_in(self, lo, hi):
-        lo = max(lo, 0)
-        if lo > hi:
+        if hi < 0:
             return []
-        k = isqrt(max(lo - 1, 0))
-        while k * k < lo:
-            k += 1
-        out = []
-        while k * k <= hi:
-            out.append(k * k)
-            k += 1
-        return out
+        return [k * k for k in range(isqrt(lo - 1) + 1 if lo > 0 else 0, isqrt(hi) + 1)]
 
     def count_upto(self, n):
         return isqrt(n) + 1 if n >= 0 else 0
@@ -485,13 +478,6 @@ def check_gap_family(family: SetFamily, horizon=None) -> GapCheckResult:
 
 # ---------------------------------------------------------------------------
 # window counts and densities
-
-
-def count_window(A: IndexSet, a, b) -> int:
-    """Exact |A ∩ [a, b]| over the closed window."""
-    if a > b:
-        raise UsageError(f"window [{a}, {b}] is empty the wrong way around")
-    return A.count_in(a, b)
 
 
 @dataclass(frozen=True)
@@ -727,10 +713,11 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
 def _bitmap_syndetic(A: BitmapSet, horizon: int) -> SyndeticEvidence:
     """`is_syndetic` of a bitmap, read off its zero runs with no int per member.
 
-    `bounds` is the flags over [0, horizon] with a 1 put at 0 and at the
-    horizon, so its 1 bytes are exactly the starts and ends of the gaps:
-    a gap of length at least g starts at s when b"\\x01" and g - 1 zero
-    bytes occur at s.  The two halves' longest gaps come from
+    `bounds` is the flags over [0, horizon], zero bytes past their end,
+    with a 1 put at 0 and at the horizon, built by one join of a view of
+    the flags.  So its 1 bytes are exactly the starts and ends of the
+    gaps: a gap of length at least g starts at s when b"\\x01" and g - 1
+    zero bytes occur at s.  The two halves' longest gaps come from
     `_longest_gap`, and the latest start of the largest gap L from one
     `rfind` of that pattern closed by the 1 that ends it.  Zero-length
     gaps, which a member at 0 or at the horizon adds to the list form,
@@ -740,7 +727,7 @@ def _bitmap_syndetic(A: BitmapSet, horizon: int) -> SyndeticEvidence:
     if not count:
         raise NoDataError(f"no members of the set in [0, {horizon}]")
     flags = A.flags
-    bounds = b"\x01" + flags[1:horizon].ljust(horizon - 1, b"\x00") + b"\x01"
+    bounds = b"".join((b"\x01", memoryview(flags)[1:horizon], bytes(max(horizon - len(flags), 0)), b"\x01"))
     mid = horizon // 2
     g1 = _longest_gap(bounds, 0, mid) if mid > 0 else 0
     g2 = _longest_gap(bounds, mid, horizon)

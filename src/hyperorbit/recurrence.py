@@ -658,6 +658,12 @@ def correlation_scan(A: IndexSet, epsilon, k_max: int, windows) -> CorrelationRe
     A ∩ (A - k).  F collects the k with eta_k > (1 - eps) * delta**2 and is
     tested for bounded gaps.  A greedy antichain (pairwise differences
     outside F) is compared against the bound (1 - delta(1-eps)) / (delta eps).
+
+    Each window [m, m + s - 1] is listed once, with `members_in`, up to
+    m + s - 1 + k_max: its members are the listing's head up to one
+    bisect, and the hits of shift k are the members x with x + k in the
+    listing, counted by lookups in a `set` of it.  `A.contains` is never
+    called.
     """
     if k_max < 1:
         raise UsageError("k_max must be >= 1")
@@ -668,23 +674,21 @@ def correlation_scan(A: IndexSet, epsilon, k_max: int, windows) -> CorrelationRe
     if not windows:
         raise UsageError("at least one window is required")
     delta = Fraction(0)
-    cached_members = []
+    listings = []  # (s, the window's members, the members up to k_max past it)
     for m, s in windows:
         if s < 1:
             raise UsageError("window lengths must be >= 1")
-        members = A.members_in(m, m + s - 1)
-        cached_members.append(members)
+        listed = A.members_in(m, m + s - 1 + k_max)
+        members = listed[: bisect_right(listed, m + s - 1)]
+        listings.append((s, members, set(listed)))
         delta = max(delta, Fraction(len(members), s))
     if delta == 0:
         raise NoDataError("the set has no mass on the supplied windows")
 
-    eta = {}
-    for k in range(1, k_max + 1):
-        best = Fraction(0)
-        for (m, s), members in zip(windows, cached_members):
-            hits = sum(1 for x in members if A.contains(x + k))
-            best = max(best, Fraction(hits, s))
-        eta[k] = best
+    eta = {
+        k: max(Fraction(sum(map(found.__contains__, map(add, members, repeat(k)))), s) for s, members, found in listings)
+        for k in range(1, k_max + 1)
+    }
 
     threshold = (1 - epsilon) * delta * delta
     f_levels = tuple(k for k in range(1, k_max + 1) if eta[k] > threshold)

@@ -274,6 +274,18 @@ def brute_run_lengths(horizon):
     return runs
 
 
+def brute_correlation(member, k_max, windows):
+    """(delta, {k: eta_k}) of correlation_scan by scanning: the best window density of the n with
+    member(n), and for each shift k of the n with member(n) and member(n + k), over windows (m, s)
+    = [m, m + s - 1]."""
+    delta = max(Fraction(sum(1 for n in range(m, m + s) if member(n)), s) for m, s in windows)
+    eta = {
+        k: max(Fraction(sum(1 for n in range(m, m + s) if member(n) and member(n + k)), s) for m, s in windows)
+        for k in range(1, k_max + 1)
+    }
+    return delta, eta
+
+
 def periodic_eta(period, residues, k):
     """Exact density of {n : n in A and n + k in A} for a periodic set."""
     hits = sum(1 for r in range(period) if (r % period) in residues and ((r + k) % period) in residues)

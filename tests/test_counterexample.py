@@ -641,15 +641,17 @@ def test_threshold_scan_matches_brute_run_lengths(j, horizon, samples):
         prefixes.append(horizon)
     picked = members[:: max(1, len(members) // samples)] if len(members) > samples else members
     for runs in (None, s_intervals_in(1, horizon)):
-        rep = product_threshold_scan(j, horizon, samples, runs=runs)
+        with mock.patch.object(cx, "_ENVELOPE_SAMPLES", samples):
+            rep = product_threshold_scan(j, horizon, runs=runs)
         assert [(r.prefix, r.count) for r in rep.rows] == [(p, sum(1 for n in members if n <= p)) for p in prefixes]
         assert all(r.ratio == Fraction(r.count, r.prefix) and r.bound == threshold_bound(j) for r in rep.rows)
         assert rep.bound_respected == all(r.ratio <= r.bound for r in rep.rows if r.bound < 1)
         assert rep.envelope_samples == len(picked)
         assert rep.envelope_ok == all(envelope_contains(n, j) for n in picked)
         tested = []
-        with mock.patch.object(cx, "envelope_contains", lambda n, jj: tested.append((n, jj)) or True):
-            product_threshold_scan(j, horizon, samples, runs=runs)
+        with mock.patch.object(cx, "envelope_contains", lambda n, jj: tested.append((n, jj)) or True), \
+                mock.patch.object(cx, "_ENVELOPE_SAMPLES", samples):
+            product_threshold_scan(j, horizon, runs=runs)
         assert tested == [(n, j) for n in picked]  # the samples are these members, in order
 
 

@@ -17,7 +17,6 @@ from hyperorbit import (
     SetFamily,
     SquareSet,
     check_gap_family,
-    count_window,
     difference_set,
     estimate_densities,
     indexsets,
@@ -44,17 +43,12 @@ from conftest import (
 # window counting against the scanning oracle
 
 
-def test_count_window_evens():
-    assert count_window(PeriodicSet(2, (0,)), 0, 9) == 5
+def test_count_in_evens():
+    assert PeriodicSet(2, (0,)).count_in(0, 9) == 5
 
 
-def test_count_window_empty_point():
-    assert count_window(PeriodicSet(2, (0,)), 3, 3) == 0
-
-
-def test_count_window_rejects_reversed():
-    with pytest.raises(UsageError):
-        count_window(PeriodicSet(2, (0,)), 5, 4)
+def test_count_in_empty_point():
+    assert PeriodicSet(2, (0,)).count_in(3, 3) == 0
 
 
 INTERVALS = "intervals:2-6,10-10,50-70"
@@ -156,6 +150,35 @@ def test_membership_has_its_own_rule_only_where_the_listing_costs_more():
 def test_periodic_counts_property(period, res, a, width):
     A = PeriodicSet(period, tuple(r for r in res if r < period))
     assert A.count_in(a, a + width) == brute_count(A, a, a + width)
+
+
+@given(
+    A=st.one_of(
+        st.builds(PeriodicSet, st.integers(1, 30), st.sets(st.integers(0, 45), max_size=8).map(tuple)),
+        st.just(SquareSet()),
+    ),
+    lo=st.integers(-40, 2500),
+    width=st.integers(-6, 300),
+)
+@example(A=PeriodicSet(5, ()), lo=0, width=40)  # no residues
+@example(A=PeriodicSet(10, tuple(range(9))), lo=1009, width=0)  # a one-point window on a non-member
+@example(A=PeriodicSet(10, tuple(range(9))), lo=1008, width=0)  # and on a member
+@example(A=SquareSet(), lo=1024, width=0)
+@example(A=SquareSet(), lo=1025, width=0)
+@example(A=PeriodicSet(4, (1, 3)), lo=9, width=-3)  # lo > hi
+@example(A=SquareSet(), lo=50, width=-1)
+@example(A=PeriodicSet(3, (0,)), lo=-7, width=4)  # negative lo, and hi < 0
+@example(A=SquareSet(), lo=-7, width=4)
+@example(A=SquareSet(), lo=-7, width=20)
+@settings(max_examples=300, deadline=None)
+def test_periodic_and_square_listings_match_the_definition(A, lo, width):
+    member = _definition(A)
+    hi = lo + width
+    listing = A.members_in(lo, hi)
+    assert listing == [n for n in range(lo, hi + 1) if member(n)]
+    assert A.count_in(lo, hi) == len(listing)
+    for n in (lo - 1, hi):
+        assert A.count_upto(n) == sum(1 for m in range(0, n + 1) if member(m))
 
 
 PREFIX_SETS = ZOO + [
@@ -477,6 +500,23 @@ def test_bitmap_syndetic_matches_gap_list_oracle(case):
     ev = is_syndetic(A, horizon)
     got = (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members)
     assert got == brute_syndetic(ExplicitSet(tuple(members)), horizon)
+
+
+@pytest.mark.parametrize("horizon", [1, 9, 39, 40, 41, 75])
+def test_bitmap_keeps_a_bytearray_and_reads_it_like_bytes(horizon):
+    # difference_set hands its pair route's bytearray over without a copy
+    members = (0, 3, 17, 18, 40)
+    flags = bytearray(41)
+    for m in members:
+        flags[m] = 1
+    A = BitmapSet(flags)
+    assert A.flags is flags
+    ev = is_syndetic(A, horizon)
+    assert ev == is_syndetic(BitmapSet(bytes(flags)), horizon)
+    assert (ev.syndetic, ev.gap_bound, ev.largest_gap, ev.largest_gap_at, ev.members) == brute_syndetic(
+        ExplicitSet(members), horizon
+    )
+    assert A.members_in(0, horizon) == [m for m in members if m <= horizon] and A.top == 40
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 from bisect import bisect_right
 from fractions import Fraction
-from math import ceil, floor, inf, ldexp, nextafter, sqrt
+from math import ceil, floor, inf, isqrt, ldexp, nextafter, sqrt
 from unittest.mock import patch
 
 import pytest
@@ -18,6 +18,7 @@ from hyperorbit import (
     RatioPowerWeights,
     ShiftOperator,
     SparseVec,
+    SquareSet,
     TableWeights,
     apply_backward,
     ball_contains,
@@ -31,18 +32,22 @@ from hyperorbit import (
     return_set,
     return_weight_sums,
 )
+from hyperorbit.counterexample import DigitNeighborhoodSet
 from hyperorbit.errors import NoDataError, SpaceMismatchError, UsageError
-from hyperorbit.indexsets import estimate_densities
+from hyperorbit.indexsets import IndexSet, estimate_densities
+from hyperorbit.io_text import parse_set_spec
 from hyperorbit import recurrence
 from hyperorbit.recurrence import _Orbit
 from hyperorbit.spaces import SpaceSpec, _float_terms, _stop_total
 
 from conftest import (
+    brute_correlation,
     brute_hitting_times,
     brute_orbit,
     brute_profile_has_late_mass,
     brute_return_times,
     brute_return_weight_sums,
+    brute_s_member,
     brute_stop_threshold,
     periodic_eta,
 )
@@ -765,6 +770,39 @@ def test_correlation_matches_period_arithmetic_oracle():
     assert rep.delta == Fraction(len(residues), 7)
     for k in range(1, 11):
         assert rep.eta[k] == periodic_eta(7, residues, k)
+
+
+_EXPLICIT = ExplicitSet(tuple(sorted({(n * n * 7 + 3 * n) % 613 for n in range(160)})))
+_SEGMENTS = parse_set_spec("segments:0:10:1:1;10:40:1:3;100:300:2:5")
+# (set, its membership by definition, k_max, windows with m > 0 that k_max reaches past)
+CORRELATION_CASES = [
+    (_EXPLICIT, set(_EXPLICIT.members).__contains__, 25, [(3, 40), (200, 90), (580, 30)]),
+    (SquareSet(), lambda n: n >= 0 and isqrt(n) ** 2 == n, 40, [(90, 50), (1000, 80), (3, 2)]),
+    (DigitNeighborhoodSet(), brute_s_member, 30, [(95, 20), (985, 30), (9990, 25)]),
+    (_SEGMENTS, lambda n: any(a <= n < b and (n - a) % d < c for a, b, c, d in _SEGMENTS.segments), 25,
+     [(5, 20), (120, 33), (290, 15), (35, 70)]),
+]
+CORRELATION_IDS = ["explicit", "squares", "s-set", "segments"]
+
+
+@pytest.mark.parametrize("A,member,k_max,windows", CORRELATION_CASES, ids=CORRELATION_IDS)
+def test_correlation_matches_scanning_oracle(A, member, k_max, windows):
+    delta, eta = brute_correlation(member, k_max, windows)
+    epsilon = Fraction(1, 3)
+    rep = correlation_scan(A, epsilon, k_max, windows)
+    assert rep.delta == delta
+    assert rep.eta == eta
+    assert rep.levels_in_f.members == tuple(k for k in eta if eta[k] > (1 - epsilon) * delta**2)
+
+
+def test_correlation_scan_asks_no_single_point(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError(f"correlation_scan asked {type(self).__name__} about the point {n}")
+
+    for cls in (IndexSet, PeriodicSet, DigitNeighborhoodSet):
+        monkeypatch.setattr(cls, "contains", refuse)
+    for A, _, k_max, windows in CORRELATION_CASES + [(PeriodicSet(7, (0, 2)), None, 10, [(0, 700), (5, 30)])]:
+        correlation_scan(A, Fraction(1, 3), k_max, windows)
 
 
 def test_correlation_requires_mass():
