@@ -19,9 +19,9 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from itertools import accumulate, tee
+from itertools import accumulate
 from math import frexp
-from operator import and_, eq, not_
+from operator import eq
 
 from . import constructor, counterexample as cx, recurrence
 from .errors import FamilyExhaustedError, HyperorbitError, NoDataError, UsageError
@@ -129,18 +129,25 @@ def run_check_family(args, out):
     return EXIT_OK if result.ok else EXIT_VERIFICATION
 
 
-def _first_product_law_failure(law, runs, in_s, weights, pow2, exps) -> str:
-    """The first n whose flag in `law` is 0, and which conjunct of the product law fails there."""
-    n = law.find(0) + 1
-    if n > min(len(runs), len(in_s), len(weights)):
-        return f"n = {n}: the stream has {len(weights)} weights and {len(in_s)} membership flags for {len(runs)} run lengths"
-    w = weights[n - 1]
-    if not pow2[w]:
-        return f"n = {n}: weight {w!r} is not a power of two"
-    total = sum(map(exps.__getitem__, weights[:n]))
-    if total != runs[n - 1]:
-        return f"n = {n}: exponent sum {total}, run length {runs[n - 1]}"
-    return f"n = {n}: exponent sum {total} with n {'in' if in_s[n - 1] else 'outside'} S"
+def _walk_product_law(runs, in_s, weights, pow2, exps):
+    """One pass over a product law that fails: its first failing n and conjunct, and a flag byte per n, 1 where it holds."""
+    law, why, total = bytearray(max(len(runs), len(in_s), len(weights))), None, 0
+    for n, (run, flag, w) in enumerate(zip(runs, in_s, weights), 1):
+        total += exps[w]
+        if not pow2[w]:
+            fault = f"weight {w!r} is not a power of two"
+        elif total != run:
+            fault = f"exponent sum {total}, run length {run}"
+        elif bool(total) != flag:
+            fault = f"exponent sum {total} with n {'in' if flag else 'outside'} S"
+        else:
+            law[n - 1] = 1
+            continue
+        why = why or f"n = {n}: {fault}"
+    if why is None:  # zip stops at the shortest sequence: the first index missing from one of them fails
+        n = min(len(runs), len(in_s), len(weights)) + 1
+        why = f"n = {n}: the stream has {len(weights)} weights and {len(in_s)} membership flags for {len(runs)} run lengths"
+    return why, law
 
 
 def run_verify_counterexample(args, out):
@@ -155,7 +162,8 @@ def run_verify_counterexample(args, out):
 
     # product law, per index n: w_n is an exact power of two, the exponents
     # sum to the run length read off S's merged runs, and the sum is 0
-    # exactly off S; each conjunct is one C-level pass over the sequences
+    # exactly off S (the flags are 0 or 1); it holds when four whole-sequence
+    # equalities do, each one C-level pass, and only a failing law is walked
     horizon = args.product_horizon
     runs = cx.run_length_array(horizon)
     in_s, weights = cx.DoublingResetWeights().stream(horizon)
@@ -164,23 +172,19 @@ def run_verify_counterexample(args, out):
     for w in set(weights):
         mantissa, e = frexp(w)
         pow2[w], exps[w] = mantissa == 0.5, e - 1
-    # the prefix sums feed two conjuncts in step, so tee holds about one of them at a time
-    sums, sums_again = tee(accumulate(map(exps.__getitem__, weights)))
-    law = bytes(
-        map(
-            and_,
-            map(and_, map(pow2.__getitem__, weights), map(eq, sums, runs)),
-            map(eq, map(not_, sums_again), map(not_, in_s)),
-        )
+    # the prefix sums are taken twice, as iterators, so no list of them is held
+    holds = (
+        all(pow2.values())
+        and len(runs) == len(in_s) == len(weights)
+        and all(map(eq, accumulate(map(exps.__getitem__, weights)), runs))
+        and bytes(map(bool, accumulate(map(exps.__getitem__, weights)))) == in_s
     )
-    # map stops at the shortest sequence: an index missing from one of them fails
-    law += bytes(max(len(runs), len(in_s), len(weights)) - len(law))
-    mism = law.count(0)
-    if mism:
-        why = _first_product_law_failure(law, runs, in_s, weights, pow2, exps)
-        print(f"verification failure: product law fails at {why}", file=sys.stderr)
     stride = max(1, horizon // 20)
-    rows = [(n, runs[n - 1], bool(law[n - 1])) for n in range(stride, horizon + 1, stride)]
+    law = b""
+    if not holds:
+        why, law = _walk_product_law(runs, in_s, weights, pow2, exps)
+        print(f"verification failure: product law fails at {why}", file=sys.stderr)
+    rows = [(n, runs[n - 1], holds or law[n - 1] == 1) for n in range(stride, horizon + 1, stride)]
     write_csv(os.path.join(out, "products.csv"), ("n", "run_exponent", "ok"), rows)
 
     family = cx.build_block_family(args.family_levels, args.family_reps)
@@ -192,7 +196,7 @@ def run_verify_counterexample(args, out):
         [(c.index, family.blocks[c.index - 1].level, family.blocks[c.index - 1].count, *c.ok) for c in conds],
     )
 
-    ok = report.ok and mism == 0 and all(c.all_ok() for c in conds) and gap.ok
+    ok = report.ok and holds and all(c.all_ok() for c in conds) and gap.ok
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -246,14 +250,23 @@ def run_construct(args, out):
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-def _vector_and_targets(args, space):
-    return parse_vector_spec(args.vector, space), [parse_target_spec(t, space) for t in _items(args.targets, ";")]
+def _hitting_reports(args):
+    """`hitting_times` of the parsed operator, vector and targets, for `orbit` and `classify`."""
+    T = parse_operator_spec(args.operator, args.space)
+    x = parse_vector_spec(args.vector, T.space)
+    targets = [parse_target_spec(t, T.space) for t in _items(args.targets, ";")]
+    return recurrence.hitting_times(T, x, targets, args.horizon)
+
+
+def _truncation_exit(command, reports):
+    if any(rep.truncated for rep in reports):
+        print(f"{command}: overflow truncation at n={reports[0].truncated_at}", file=sys.stderr)
+        return EXIT_OVERFLOW
+    return EXIT_OK
 
 
 def run_orbit(args, out):
-    T = parse_operator_spec(args.operator, args.space)
-    x, targets = _vector_and_targets(args, T.space)
-    reports = recurrence.hitting_times(T, x, targets, args.horizon)
+    reports = _hitting_reports(args)
     hit_rows = []
     dens_rows = []
     for rep in reports:
@@ -263,16 +276,11 @@ def run_orbit(args, out):
             dens_rows.extend(_density_rows(str(rep.target_index), rep.densities))
     write_csv(os.path.join(out, "hits.csv"), ("target", "n"), hit_rows)
     write_csv(os.path.join(out, "hit_densities.csv"), DENSITY_HEADER, dens_rows)
-    if any(rep.truncated for rep in reports):
-        print(f"orbit: overflow truncation at n={reports[0].truncated_at}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    return _truncation_exit("orbit", reports)
 
 
 def run_classify(args, out):
-    T = parse_operator_spec(args.operator, args.space)
-    x, targets = _vector_and_targets(args, T.space)
-    reports = recurrence.hitting_times(T, x, targets, args.horizon)
+    reports = _hitting_reports(args)
     label = recurrence.classify(reports, parse_fraction(args.theta))
     rows = [
         (
@@ -292,10 +300,7 @@ def run_classify(args, out):
         ("target", "level", "lower_density", "upper_density", "upper_banach", "theta", "horizon"),
         rows,
     )
-    if any(rep.truncated for rep in reports):
-        print(f"classify: overflow truncation at n={reports[0].truncated_at}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    return _truncation_exit("classify", reports)
 
 
 def run_return_set(args, out):
@@ -311,7 +316,7 @@ def run_return_set(args, out):
         [
             (
                 len(rep.times.members),
-                bool(synd) if synd else False,
+                bool(synd),
                 synd.gap_bound if synd else "",
                 synd.largest_gap if synd else "",
                 rep.horizon,
@@ -337,7 +342,7 @@ def run_correlate(args, out):
         [
             (
                 rep.delta,
-                bool(synd) if synd else False,
+                bool(synd),
                 synd.gap_bound if synd else "",
                 len(rep.antichain),
                 rep.antichain_bound,

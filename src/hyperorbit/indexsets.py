@@ -60,10 +60,9 @@ class IndexSet:
 
     Subclasses implement `members_in`.  `contains(n)` is defined here
     once, as the listing of [n, n], not as `count_in(n, n)`, which must
-    form n - 1 (a tower member at the lowest offset has none); a kind
-    overrides it only where that listing costs measurably more than its
-    own rule: the periodic sets (a modulo) and S (the digit-scale scan,
-    which also serves tower integers).  `count_upto` is the one counting
+    form n - 1 (a tower member at the lowest offset has none); only S
+    overrides it, with the digit-scale scan that also serves tower
+    integers.  `count_upto` is the one counting
     primitive: the generic version counts the listed members, and
     structured kinds override it with closed forms.  `count_in` is
     defined here once, from `count_upto`, and no kind overrides it;
@@ -202,8 +201,8 @@ class PeriodicSet(IndexSet):
 
     Counting is whole periods plus one bisect of the residues, and
     listing lists whole periods in one comprehension, trimmed in place to
-    the window by two bisects.  `contains` keeps its own modulo: a
-    one-point listing costs a whole period.
+    the window by two bisects.  Membership is the base class's one-point
+    listing, which costs a period's residues; no loop asks for it.
     """
 
     period: int
@@ -214,9 +213,6 @@ class PeriodicSet(IndexSet):
             raise UsageError("period must be >= 1")
         rs = tuple(sorted({r % self.period for r in self.residues}))
         object.__setattr__(self, "residues", rs)
-
-    def contains(self, n):
-        return n >= 0 and (n % self.period) in self.residues
 
     def count_upto(self, n):
         if n < 0:
@@ -675,17 +671,32 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
     member it leaves.  Verdict true means the gap pattern is not growing:
     the maximum gap whose start lies in the second half of the range
     (at or after horizon // 2) does not exceed the maximum over the first
-    half, and the second half is populated at all.  The largest gap is
-    reported at its latest start.  This is evidence at the horizon, never
-    a proof, and a horizon below 1 holds no gap to judge (`NoDataError`).
+    half, and the second half is populated at all; the gap bound is then
+    the largest gap, else 0.  The largest gap is reported at its latest
+    start.  This is evidence at the horizon, never a proof, and a horizon
+    below 1 holds no gap to judge (`NoDataError`).
 
     A `BitmapSet` has its gaps read off the zero runs of its flag bytes
-    (`_bitmap_syndetic`); every other kind lists its members.
+    (`_bitmap_gaps`); every other kind lists its members (`_listed_gaps`).
     """
     if horizon < 1:
         raise NoDataError(f"horizon {horizon} holds no gap: syndeticity needs a horizon >= 1")
-    if isinstance(A, BitmapSet):
-        return _bitmap_syndetic(A, horizon)
+    gaps = _bitmap_gaps if isinstance(A, BitmapSet) else _listed_gaps
+    g1, g2, largest_at, populated, members = gaps(A, horizon)
+    largest = max(g1, g2)
+    verdict = populated and g2 <= g1
+    return SyndeticEvidence(
+        syndetic=verdict,
+        gap_bound=largest if verdict else 0,
+        largest_gap=largest,
+        largest_gap_at=largest_at,
+        horizon=horizon,
+        members=members,
+    )
+
+
+def _listed_gaps(A: IndexSet, horizon: int):
+    """(first-half gap, second-half gap, latest start of the largest, second half populated, members) from the listing."""
     members = A.members_in(0, horizon)
     if not members:
         raise NoDataError(f"no members of the set in [0, {horizon}]")
@@ -695,23 +706,13 @@ def is_syndetic(A: IndexSet, horizon: int) -> SyndeticEvidence:
     first_half = bisect.bisect_left(members, mid) + 1 if mid > 0 else 0  # gaps starting below mid
     g1 = max(itertools.islice(gaps, first_half), default=0)
     g2 = max(itertools.islice(gaps, first_half, None), default=0)
-    largest = max(g1, g2)
     gaps.reverse()
-    last = len(gaps) - 1 - gaps.index(largest)
-    populated = members[-1] >= mid
-    verdict = populated and g2 <= g1
-    return SyndeticEvidence(
-        syndetic=verdict,
-        gap_bound=largest if verdict else 0,
-        largest_gap=largest,
-        largest_gap_at=members[last - 1] if last else 0,
-        horizon=horizon,
-        members=len(members),
-    )
+    last = len(gaps) - 1 - gaps.index(max(g1, g2))
+    return g1, g2, members[last - 1] if last else 0, members[-1] >= mid, len(members)
 
 
-def _bitmap_syndetic(A: BitmapSet, horizon: int) -> SyndeticEvidence:
-    """`is_syndetic` of a bitmap, read off its zero runs with no int per member.
+def _bitmap_gaps(A: BitmapSet, horizon: int):
+    """`_listed_gaps` of a bitmap, read off its zero runs with no int per member.
 
     `bounds` is the flags over [0, horizon], zero bytes past their end,
     with a 1 put at 0 and at the horizon, built by one join of a view of
@@ -731,16 +732,8 @@ def _bitmap_syndetic(A: BitmapSet, horizon: int) -> SyndeticEvidence:
     mid = horizon // 2
     g1 = _longest_gap(bounds, 0, mid) if mid > 0 else 0
     g2 = _longest_gap(bounds, mid, horizon)
-    largest = max(g1, g2)
-    verdict = flags.find(1, mid, horizon + 1) >= 0 and g2 <= g1
-    return SyndeticEvidence(
-        syndetic=verdict,
-        gap_bound=largest if verdict else 0,
-        largest_gap=largest,
-        largest_gap_at=bounds.rfind(b"\x01" + bytes(largest - 1) + b"\x01"),
-        horizon=horizon,
-        members=count,
-    )
+    largest_at = bounds.rfind(b"\x01" + bytes(max(g1, g2) - 1) + b"\x01")
+    return g1, g2, largest_at, flags.find(1, mid, horizon + 1) >= 0, count
 
 
 def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:

@@ -915,16 +915,16 @@ def bilateral_tail_sums(w, p: float, A: IndexSet, n: int, horizon: int) -> TailS
         raise UsageError(f"n={n} is not a member of the set")
     if n > horizon:
         raise UsageError(f"n={n} lies past the horizon {horizon}")
-    left = 0.0
-    left_terms = 0
-    for m in A.members_in(0, n - 1) if n > 0 else []:
-        e = w.log2_product_range(m - n + 1, 0)
-        left += _pow2_clamped(-p * float(e))
-        left_terms += 1
-    right = 0.0
-    right_terms = 0
-    for m in A.members_in(n + 1, horizon):
-        e = w.log2_product_range(1, m - n)
-        right += _pow2_clamped(-p * float(e))
-        right_terms += 1
+    sides = []
+    # the ranges [a, b] of the left members' products, then the right's, each side summed left to right:
+    # not by sum(), which compensates from Python 3.12 on and would move the last bit between interpreters
+    for ranges in (
+        [(m - n + 1, 0) for m in (A.members_in(0, n - 1) if n > 0 else ())],
+        [(1, m - n) for m in A.members_in(n + 1, horizon)],
+    ):
+        total = 0.0
+        for a, b in ranges:
+            total += _pow2_clamped(-p * float(w.log2_product_range(a, b)))
+        sides.append((total, len(ranges)))
+    (left, left_terms), (right, right_terms) = sides
     return TailSums(left, right, left_terms, right_terms, n)

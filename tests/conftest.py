@@ -274,6 +274,39 @@ def brute_run_lengths(horizon):
     return runs
 
 
+def brute_product_law(runs, in_s, weights):
+    """(the reason the product law first fails, or None; the n where it holds), from exact products.
+
+    At n the law asks three things: w_n is a power of two, P_n = 2**runs[n - 1], and P_n = 1
+    exactly when in_s[n - 1] is 0.  P_n is the exact `Fraction` product of the powers of two
+    2**k_i <= |w_i| < 2**(k_i + 1), i <= n, so P_n is the product of the weights while they are
+    powers of two, and a weight that is not one fails at its own n only.  Every n up to the
+    longest of the three sequences that is missing from one of them fails.
+    """
+    held, why, product = set(), None, Fraction(1)
+    for n, (run, flag, w) in enumerate(zip(runs, in_s, weights), 1):
+        exact = Fraction(w)
+        k = abs(exact).numerator.bit_length() - abs(exact).denominator.bit_length()
+        if Fraction(2) ** k > abs(exact):
+            k -= 1
+        product *= Fraction(2) ** k
+        total = product.numerator.bit_length() - product.denominator.bit_length()  # log2 P_n
+        if exact != Fraction(2) ** k:
+            fault = f"weight {w!r} is not a power of two"
+        elif product != Fraction(2) ** run:
+            fault = f"exponent sum {total}, run length {run}"
+        elif (product == 1) == bool(flag):
+            fault = f"exponent sum {total} with n {'in' if flag else 'outside'} S"
+        else:
+            held.add(n)
+            continue
+        why = why or f"n = {n}: {fault}"
+    if why is None and not len(runs) == len(in_s) == len(weights):
+        n = min(len(runs), len(in_s), len(weights)) + 1
+        why = f"n = {n}: the stream has {len(weights)} weights and {len(in_s)} membership flags for {len(runs)} run lengths"
+    return why, held
+
+
 def brute_correlation(member, k_max, windows):
     """(delta, {k: eta_k}) of correlation_scan by scanning: the best window density of the n with
     member(n), and for each shift k of the n with member(n) and member(n + k), over windows (m, s)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import brute_product_law
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperorbit as h
 from hyperorbit import counterexample as cx
@@ -156,6 +159,95 @@ def test_product_law_rejects_a_wrong_weight(tmp_path, monkeypatch, capsys, bad, 
         "false" if n in failed_at else "true" for n in range(10, 201, 10)
     ]
     assert (out / "blocks.csv").exists()
+
+
+_NON_POWERS = st.floats(-(2.0**30), 2.0**30).filter(lambda x: x != 0 and math.frexp(x)[0] != 0.5)
+_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("power"), st.floats(0, 1), st.integers(-40, 40)),  # w_k becomes another power of two
+    st.tuples(st.just("non-power"), st.floats(0, 1), _NON_POWERS),
+    st.tuples(st.just("flag"), st.floats(0, 1), st.none()),  # one membership flag flipped
+    st.tuples(st.just("drop"), st.sampled_from(("weights", "flags", "both")), st.integers(1, 3)),
+)
+
+
+@given(horizon=st.integers(1, 3000), corruptions=st.lists(_CORRUPTIONS, max_size=3))
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_product_law_verdict_matches_exact_products(tmp_path, capsys, horizon, corruptions):
+    # the exit code, the stderr line and the 20 sampled rows agree with brute_product_law on
+    # the true stream and on streams with up to three corruptions at random indices
+    stream = cx.DoublingResetWeights.stream
+    in_s, weights = stream(cx.DoublingResetWeights(), horizon)
+    in_s = bytearray(in_s)
+    for kind, at, value in corruptions:
+        if kind == "drop":
+            if at != "flags":
+                del weights[max(len(weights) - value, 0) :]
+            if at != "weights":
+                del in_s[max(len(in_s) - value, 0) :]
+        elif kind == "flag":
+            if in_s:
+                in_s[min(int(at * len(in_s)), len(in_s) - 1)] ^= 1
+        elif weights:
+            k = min(int(at * len(weights)), len(weights) - 1)
+            if kind == "non-power":
+                weights[k] = value
+            else:
+                weights[k] = 2.0**value if 2.0**value != weights[k] else 2.0 ** (value + 1)
+    why, held = brute_product_law(cx.run_length_array(horizon), bytes(in_s), weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.DoublingResetWeights, "stream", lambda self, n: (bytes(in_s), list(weights)))
+        code, out = run(
+            tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", str(horizon),
+            "--family-levels", "2", "--family-reps", "2",
+        )
+    assert code == (3 if why else 0)
+    assert capsys.readouterr().err == (f"verification failure: product law fails at {why}\n" if why else "")
+    stride = max(1, horizon // 20)
+    lines = (out / "products.csv").read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+        "true" if n in held else "false" for n in range(stride, horizon + 1, stride)
+    ]
+
+
+def test_a_holding_product_law_does_no_per_index_python_work(tmp_path, monkeypatch):
+    # reading weights[n] calls __getitem__ on a list subclass, C-level iteration does not; and a
+    # Python loop over the indices would run thousands of lines of cli.py, not a few dozen
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingList.reads += 1
+            return super().__getitem__(i)
+
+    stream = cx.DoublingResetWeights.stream
+    monkeypatch.setattr(
+        cx.DoublingResetWeights, "stream", lambda self, n: (lambda s: (s[0], CountingList(s[1])))(stream(self, n))
+    )
+    cli_file = sys.modules[main.__module__].__file__
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != cli_file:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        code, out = run(
+            tmp_path, "v", "verify-counterexample", "--kmax", "2", "--lmax", "5", "--product-horizon", "5000",
+            "--family-levels", "2", "--family-reps", "2",
+        )
+    finally:
+        sys.settrace(None)
+    assert code == 0
+    assert (out / "products.csv").read_text().count(",true") == 20
+    assert CountingList.reads == 0
+    assert 0 < lines < 5000  # one line per index would reach the horizon
+    CountingList([1.0])[0]
+    assert CountingList.reads == 1  # the counter counts
 
 
 def test_dj_scan(tmp_path):
@@ -323,6 +415,24 @@ def test_cli_import_starts_no_process_machinery():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_only_the_package_and_the_standard_library():
+    # pyproject.toml declares no dependency: a third-party import would also raise every bench peak RSS
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hyperorbit.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "hyperorbit.cli" in loaded
+    roots = {name.partition(".")[0] for name in loaded}
+    assert sorted(roots - {"hyperorbit"} - sys.stdlib_module_names) == []
 
 
 def test_bench_tracer_finds_every_traced_name():

@@ -137,7 +137,7 @@ def _kinds(cls=IndexSet):
 def test_membership_has_its_own_rule_only_where_the_listing_costs_more():
     # every other kind answers contains(n) from members_in(n, n)
     own = {c.__name__ for c in (IndexSet, *_kinds()) if c.__module__.startswith("hyperorbit") and "contains" in vars(c)}
-    assert own == {"IndexSet", "PeriodicSet", "DigitNeighborhoodSet"}
+    assert own == {"IndexSet", "DigitNeighborhoodSet"}
 
 
 @given(
