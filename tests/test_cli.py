@@ -166,7 +166,7 @@ _CORRUPTIONS = st.one_of(
     st.tuples(st.just("power"), st.floats(0, 1), st.integers(-40, 40)),  # w_k becomes another power of two
     st.tuples(st.just("non-power"), st.floats(0, 1), _NON_POWERS),
     st.tuples(st.just("flag"), st.floats(0, 1), st.none()),  # one membership flag flipped
-    st.tuples(st.just("drop"), st.sampled_from(("weights", "flags", "both")), st.integers(1, 3)),
+    st.tuples(st.just("drop"), st.sampled_from(("weights", "flags", "both")), st.integers(1, 3)),  # off the end
 )
 
 
@@ -175,8 +175,7 @@ _CORRUPTIONS = st.one_of(
 def test_product_law_verdict_matches_exact_products(tmp_path, capsys, horizon, corruptions):
     # the exit code, the stderr line and the 20 sampled rows agree with brute_product_law on
     # the true stream and on streams with up to three corruptions at random indices
-    stream = cx.DoublingResetWeights.stream
-    in_s, weights = stream(cx.DoublingResetWeights(), horizon)
+    in_s, weights = cx.DoublingResetWeights().stream(horizon)
     in_s = bytearray(in_s)
     for kind, at, value in corruptions:
         if kind == "drop":
@@ -220,10 +219,13 @@ def test_a_holding_product_law_does_no_per_index_python_work(tmp_path, monkeypat
             return super().__getitem__(i)
 
     stream = cx.DoublingResetWeights.stream
-    monkeypatch.setattr(
-        cx.DoublingResetWeights, "stream", lambda self, n: (lambda s: (s[0], CountingList(s[1])))(stream(self, n))
-    )
-    cli_file = sys.modules[main.__module__].__file__
+
+    def counted_stream(self, horizon):
+        in_s, weights = stream(self, horizon)
+        return in_s, CountingList(weights)
+
+    monkeypatch.setattr(cx.DoublingResetWeights, "stream", counted_stream)
+    cli_file = main.__code__.co_filename
     lines = 0
 
     def tracer(frame, event, arg):
@@ -234,6 +236,7 @@ def test_a_holding_product_law_does_no_per_index_python_work(tmp_path, monkeypat
             lines += 1
         return tracer
 
+    previous = sys.gettrace()
     sys.settrace(tracer)
     try:
         code, out = run(
@@ -241,7 +244,7 @@ def test_a_holding_product_law_does_no_per_index_python_work(tmp_path, monkeypat
             "--family-levels", "2", "--family-reps", "2",
         )
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     assert code == 0
     assert (out / "products.csv").read_text().count(",true") == 20
     assert CountingList.reads == 0
