@@ -16,9 +16,10 @@ from zero either, and its time is set by the structure, not the horizon.
 Every other kind (S, explicit lists, bitmaps, squares, powers) has no
 pieces and is scanned window by window, and so is a set with more pieces
 than windows, where one count per window costs less.  The scan takes the
-prefix counts at every window boundary in one `prefix_counts` call: each
-kind answers it with one `count_upto` per boundary, except S, which
-reads windows of up to 2000 off its indicator, built block by block.
+prefix counts at the window boundaries one chunk of windows at a time,
+one `prefix_counts` call per chunk: each kind answers it with one
+`count_upto` per boundary, except S, which reads windows of up to 2000
+off its indicator, built block by block.
 
 Density estimates are `fractions.Fraction` ratios.  The estimator is
 designed so that the chain
@@ -93,13 +94,13 @@ class IndexSet:
             return 0
         return self.count_upto(hi) - self.count_upto(lo - 1)
 
-    def prefix_counts(self, step, q) -> list:
-        """[count_upto(i * step) for i in 0..q]: the prefix counts that bound q aligned windows of length step.
+    def prefix_counts(self, step, q, start=0) -> list:
+        """[count_upto(i * step) for i in start..q]: the prefix counts that bound aligned windows start..q - 1 of length step.
 
         Defined here once, from `count_upto`; a kind overrides it only where
-        reading the windows in bulk is cheaper than q + 1 counts.
+        reading the windows in bulk is cheaper than one count per window.
         """
-        return list(map(self.count_upto, range(0, q * step + 1, step)))
+        return list(map(self.count_upto, range(start * step, q * step + 1, step)))
 
     def anchors(self, horizon) -> list:
         """Structural window-anchor candidates (block starts and the like)."""
@@ -502,6 +503,12 @@ class DensityReport:
         return (self.lower_banach, self.lower_density, self.upper_density, self.upper_banach)
 
 
+# The scan takes its prefix counts this many windows at a time, so its memory
+# does not grow with horizon / window; the bench's longest scan, S at 10^7
+# with windows of 100, is one chunk.
+_SCAN_WINDOWS = 1 << 17
+
+
 def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tail_factor: int = 8) -> DensityReport:
     """Four finite-horizon density estimates with the exact chain property.
 
@@ -515,15 +522,16 @@ def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tai
 
     A set without pieces (`IndexSet.pieces` is None: S, explicit lists,
     bitmaps, squares, powers), or with more pieces up to q * s than there
-    are windows, has all q + 1 prefix counts taken by one
-    `A.prefix_counts(s, q)`, and is scanned window by window.  Otherwise
+    are windows, is scanned window by window, in chunks of
+    `_SCAN_WINDOWS` windows whose prefix counts one `A.prefix_counts`
+    call takes, so only one chunk's counts are held at a time.  Otherwise
     (segment sets, and so `intervals:` and `prescribed:` sets, periodic
     sets and the factorial blocks) only the windows and checkpoints that
     `_piece_positions` picks are counted, O(pieces * period) of them,
     and the report is the same: both paths list their windows in
     increasing order from window 0 and walk their checkpoints in
-    increasing order, so the earliest extreme window wins (the first
-    index of each extreme in the window counts), and the full-prefix
+    increasing order, so the earliest extreme window wins (a later chunk
+    replaces an extreme only when it beats it), and the full-prefix
     checkpoint wins a tie for the lowest ratio, else the earliest
     checkpoint.
     """
@@ -544,20 +552,33 @@ def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tai
 
     t0 = max(1, -(-q // tail_factor))  # ceil(q / tail_factor)
     pieces = A.pieces(q * s)
-    if pieces is None or len(pieces) > q:  # past one piece per window the scan's q + 1 counts cost less
-        upto = A.prefix_counts(s, q)
-        windows, checkpoints = range(q), range(t0, q + 1)
+    if pieces is None or len(pieces) > q:  # past one piece per window the scan's counts cost less
+        chunks = _scan_chunks(A, s, q, t0)
     else:
         windows, checkpoints = _piece_positions(pieces, s, q, t0)
-        needed = {0, q, *checkpoints, *windows, *(i + 1 for i in windows)}
+        needed = {*checkpoints, *windows, *(i + 1 for i in windows)}
         upto = {i: A.count_upto(i * s) for i in sorted(needed)}
+        counts = [upto[i + 1] - upto[i] for i in windows]
+        chunks = [(windows, counts, ((t, upto[t]) for t in checkpoints))]
 
-    # both paths list their windows in increasing order from window 0, so
-    # `index` finds the earliest window with each extreme count
-    counts = [upto[i + 1] - upto[i] for i in windows]
-    best_max, best_min = max(counts), min(counts)
-    argmax = windows[counts.index(best_max)] * s
-    argmin = windows[counts.index(best_min)] * s
+    # Both paths list their windows and checkpoints in increasing order from
+    # window 0, and a later chunk replaces an extreme only when it beats it,
+    # so `index` finds the earliest window with each extreme count and the
+    # earliest checkpoint with the lowest ratio wins.  The start (1, 1) is
+    # above every ratio but 1, and the full prefix takes a ratio of 1 anyway.
+    base = A.count_upto(0)
+    best_max, best_min = -1, s + 1
+    low, low_at = 1, 1
+    for windows, counts, marks in chunks:
+        most, least = max(counts), min(counts)
+        if most > best_max:
+            best_max, argmax = most, windows[counts.index(most)] * s
+        if least < best_min:
+            best_min, argmin = least, windows[counts.index(least)] * s
+        for t, c in marks:
+            if (c - base) * low_at < low * (t * s):
+                low, low_at = c - base, t * s
+    full = A.count_upto(q * s) - base
 
     for k in _anchor_positions(A, horizon, s):
         c = A.count_in(k + 1, k + s)
@@ -569,14 +590,11 @@ def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tai
     upper_banach = Fraction(best_max, s)
     lower_banach = Fraction(best_min, s)
 
-    upper_density = Fraction(upto[q] - upto[0], q * s)
-    # the lowest checkpoint ratio best_num / best_at, compared by cross-multiplication
-    best_num, best_at = upto[q] - upto[0], q * s
-    for t in checkpoints:
-        c = upto[t] - upto[0]
-        if c * best_at < best_num * (t * s):
-            best_num, best_at = c, t * s
-    lower_density, lower_at = Fraction(best_num, best_at), best_at
+    upper_density = Fraction(full, q * s)
+    # the full prefix wins a tie with the lowest checkpoint ratio
+    if full * low_at <= low * (q * s):
+        low, low_at = full, q * s
+    lower_density, lower_at = Fraction(low, low_at), low_at
 
     return DensityReport(
         lower_banach=lower_banach,
@@ -591,6 +609,21 @@ def estimate_densities(A: IndexSet, horizon: int, window: int | None = None, tai
         banach_argmax=argmax,
         lower_density_at=lower_at,
     )
+
+
+def _scan_chunks(A, s, q, t0):
+    """The scan's chunks of up to `_SCAN_WINDOWS` windows: (windows, counts, marks).
+
+    counts holds the counts of the chunk's windows lo..hi - 1, and marks
+    the (checkpoint t, count_upto(t * s)) pairs of its checkpoints in
+    ]lo, hi], all read off one `prefix_counts` call.
+    """
+    for lo in range(0, q, _SCAN_WINDOWS):
+        hi = min(lo + _SCAN_WINDOWS, q)
+        upto = A.prefix_counts(s, hi, lo)
+        counts = list(map(operator.sub, upto[1:], upto))
+        first = max(t0, lo + 1)
+        yield range(lo, hi), counts, zip(range(first, hi + 1), upto[first - lo :])
 
 
 def _piece_positions(pieces, s, q, t0):
@@ -765,35 +798,79 @@ def _longest_gap(bounds: bytes, lo: int, hi: int) -> int:
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 # One bitset row, the shift and OR of top + 1 bits, costs about as much as
-# writing top // _ROW_PAIRS pair differences: on Python 3.11 and a 2-vCPU
-# x86-64 host this picks the faster route on each of the 43 inputs of
-# BENCH_31.json's k_sweep.
-_ROW_PAIRS = 2750
+# top // _ROW_PAIRS flag writes, a loose pair or a diagonal slice each: on
+# Python 3.11 and a 2-vCPU x86-64 host this picks the faster route on each
+# of the 52 inputs of BENCH_34.json's k_sweep but one, whose two routes
+# were within 2 % of each other.
+_ROW_PAIRS = 2670
 
 
-def _bitset_cheaper(n: int, top: int) -> bool:
-    """Whether `difference_set` takes the bitset for n members up to top.
+def _bitset_cheaper(row_bits: int, writes: int) -> bool:
+    """Whether `difference_set` takes the bitset, whose n rows hold row_bits = n * top bits in all.
 
-    The bitset costs n rows of top + 1 bits, about n * top // _ROW_PAIRS
-    pairs; writing the differences one by one costs the n * (n + 1) / 2
-    pairs themselves.  So sparse sets, n below about 2 * top / _ROW_PAIRS,
-    take the pairs.  Only n and top are read.
+    The bitset costs about row_bits // _ROW_PAIRS writes; the flag route
+    costs `writes`, one per loose pair and one per diagonal slice.  So
+    sparse sets and sets made of long quadratic runs take the flags, and
+    dense sets without such runs (periodic sets of several residues) the
+    bitset.
     """
-    return n * _ROW_PAIRS >= 2 * top
+    return row_bits <= writes * _ROW_PAIRS
+
+
+def _quadratic_runs(members: list) -> tuple:
+    """(runs, reach): the maximal runs of more than three members with one second difference, and the rows with a loose pair.
+
+    Each run is a (first, last, bend) triple: members[first..last], every
+    second difference equal to bend; runs come in increasing order, and
+    two of them share at most two members.  reach[i] is the last index of
+    a run that holds member i, else i; it never decreases, so the rows
+    with a loose pair, reach[i] < n - 1, come first, and only they are
+    listed.  A set that is one run (squares, evens) lists none.  The
+    second differences are compared at C level, streamed off the members,
+    and a Python step is taken per run, so a set with no run (a periodic
+    set of two residues) costs O(n) C-level work and n bytes.
+    """
+    n = len(members)
+    # flat[i]: members i..i + 3 have a third difference of 0, m[i + 3] - m[i] = 3 * (m[i + 2] - m[i + 1])
+    outer = map(operator.sub, itertools.islice(members, 3, None), members)
+    inner = map(operator.sub, itertools.islice(members, 2, None), itertools.islice(members, 1, None))
+    flat = bytes(map(operator.eq, outer, map(operator.mul, inner, itertools.repeat(3))))
+    runs, reach = [], []
+    i = flat.find(1)
+    while i >= 0:
+        j = flat.find(0, i)
+        last = j + 2 if j >= 0 else n - 1
+        runs.append((i, last, members[i + 2] - 2 * members[i + 1] + members[i]))
+        del reach[i:]  # a run's first two members may close the one before it
+        reach += range(len(reach), i)
+        if j < 0:  # this run holds the last member, so its rows have no loose pair
+            return runs, reach
+        reach += itertools.repeat(last, last + 1 - i)
+        i = flat.find(1, j)
+    if not runs:  # no list of n ints for the dense sets that keep the bitset
+        return runs, range(n - 1)
+    reach += range(len(reach), n - 1)
+    return runs, reach
 
 
 def difference_set(A: IndexSet, horizon: int) -> IndexSet:
     """{a - a' : a, a' in A ∩ [0, horizon], a >= a'}, a `BitmapSet` or an `ExplicitSet`.
 
     D becomes the flag bytes of a `BitmapSet`, one byte per integer
-    0..max D, so no int is made per member of D.  `_bitset_cheaper`
-    picks how they are written.  Either D is one Python int used as a
-    bitset, the OR over members a of the member mask shifted down by a,
-    whose binary digits, lowest first, are the flags; or each pair
-    difference sets its flag in one zero-filled buffer of max D + 1
-    bytes.  Pairs are enumerated instead, into an `ExplicitSet`, only when
-    top member + 1 is above n**2, so that the flags could be larger than
-    the pairs; the input alone decides.
+    0..max D, so no int is made per member of D.  The members are split
+    once into maximal quadratic runs (`_quadratic_runs`): inside a run of
+    constant second difference c, each diagonal g, the differences
+    members[i + g] - members[i], is an arithmetic progression of step g * c,
+    so it is one extended-slice write, and an arithmetic progression
+    (c = 0) is one slice for all its diagonals.  The loose pairs, those
+    that no run holds, are written one by one: row i starts past reach[i],
+    the last index of a run that holds i, and only the rows with a loose
+    pair are listed.  `_bitset_cheaper` weighs the
+    loose pairs plus the slices against the bitset, one Python int
+    whose binary digits, lowest first, are the flags: the OR over members
+    a of the member mask shifted down by a.  Pairs are enumerated instead,
+    into an `ExplicitSet`, only when top member + 1 is above n**2, so that
+    the flags could be larger than the pairs; the input alone decides.
     """
     members = A.members_in(0, horizon)
     if not members:
@@ -802,10 +879,23 @@ def difference_set(A: IndexSet, horizon: int) -> IndexSet:
     n = len(members)
     if top + 1 > n**2:
         return ExplicitSet(tuple(sorted({a - b for i, a in enumerate(members) for b in members[: i + 1]})))
-    if not _bitset_cheaper(n, top):
+    runs, reach = _quadratic_runs(members)
+    loose = (n - 1) * len(reach) - sum(reach)
+    slices = sum(1 if bend == 0 else last - first for first, last, bend in runs)
+    if not _bitset_cheaper(n * top, loose + slices):
         flags = bytearray(top - members[0] + 1)
-        for i, a in enumerate(members):
-            for d in map(operator.sub, members[i:], itertools.repeat(a)):
+        flags[0] = 1
+        ones = memoryview(b"\x01" * n)
+        for first, last, bend in runs:
+            if bend == 0:
+                step = members[first + 1] - members[first]
+                flags[step : members[last] - members[first] + 1 : step] = ones[: last - first]
+                continue
+            for g in range(1, last - first + 1):
+                ends = members[first + g] - members[first], members[last] - members[last - g]
+                flags[min(ends) : max(ends) + 1 : g * abs(bend)] = ones[: last - first + 1 - g]
+        for a, r in zip(members, reach):
+            for d in map(operator.sub, members[r + 1 :], itertools.repeat(a)):
                 flags[d] = 1
         return BitmapSet(flags)
     bits = bytearray((top >> 3) + 1)

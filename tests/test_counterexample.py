@@ -105,6 +105,20 @@ def test_s_prefix_counts_match_the_closed_form(step, q, windows_per_block):
         assert DigitNeighborhoodSet().prefix_counts(step, q) == _closed_form_prefix_counts(step, q)
 
 
+@given(
+    step=st.one_of(st.integers(1, 60), st.integers(cx._INDICATOR_MAX_STEP - 3, cx._INDICATOR_MAX_STEP + 3)),
+    start=st.integers(0, 400),
+    more=st.integers(0, 400),
+    windows_per_block=st.integers(1, 50),
+)
+@settings(max_examples=100, deadline=None)
+def test_s_prefix_counts_from_a_start_match_the_closed_form(step, start, more, windows_per_block):
+    # the estimator's chunks after the first start past window 0
+    q = start + more
+    with mock.patch.object(cx, "_INDICATOR_BLOCK", step * windows_per_block + step // 2):
+        assert DigitNeighborhoodSet().prefix_counts(step, q, start) == _closed_form_prefix_counts(step, q)[start:]
+
+
 @pytest.mark.parametrize("step, q", [(100, 6000), (7, 80000), (cx._INDICATOR_MAX_STEP, 400)])
 def test_s_prefix_counts_across_full_blocks(step, q):
     assert DigitNeighborhoodSet().prefix_counts(step, q) == _closed_form_prefix_counts(step, q)

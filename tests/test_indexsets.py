@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -382,6 +384,46 @@ def test_s_scan_matches_the_scan_oracle(s, horizon, tail_factor):
     assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, s, tail_factor))
 
 
+@given(
+    A=st.sampled_from([SquareSet(), GeometricSet(2), DigitNeighborhoodSet(), ExplicitSet((0, 1, 5, 9, 40, 41, 42, 1000)),
+                       BitmapSet(bytes([1, 0, 0, 1, 1] * 60)), parse_set_spec("intervals:0-0,3-9,10-12,40-40,300-420")]),
+    horizon=st.integers(1, 3000),
+    s=st.integers(1, 40),
+    tail_factor=st.integers(1, 16),
+    chunk=st.integers(1, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_scan_in_chunks_matches_the_scan_oracle(A, horizon, s, tail_factor, chunk):
+    # chunks of a few windows, so that extremes and checkpoints tie across chunk boundaries
+    assume(horizon >= s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexsets, "_SCAN_WINDOWS", chunk)
+        got = estimate_densities(A, horizon, s, tail_factor)
+    assert dataclasses.asdict(got) == dataclasses.asdict(brute_estimate_densities(A, horizon, s, tail_factor))
+
+
+def test_scan_holds_one_chunk_of_counts_at_a_time():
+    # powers of 2 to 1e9: 10^5 windows of 10^4, whose counts in one chunk are two lists of 0.8 MB
+    whole = estimate_densities(GeometricSet(2), 10**9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexsets, "_SCAN_WINDOWS", 1000)
+        tracemalloc.start()
+        try:
+            got = estimate_densities(GeometricSet(2), 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got == whole
+    assert peak < 2**18, f"peak {peak} B"
+
+
+@given(A=st.sampled_from(PREFIX_SETS), s=st.integers(1, 60), start=st.integers(0, 12), more=st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_prefix_counts_from_a_start_index(A, s, start, more):
+    q = start + more
+    assert A.prefix_counts(s, q, start) == [A.count_upto(i * s) for i in range(start, q + 1)]
+
+
 def test_kinds_without_pieces_keep_the_scan():
     for A in (ExplicitSet((1, 5)), BitmapSet(b"\x01\x00\x01"), SquareSet(), GeometricSet(2), DigitNeighborhoodSet()):
         assert A.pieces(100) is None
@@ -574,7 +616,7 @@ def test_difference_matches_pair_oracle(members):
 
 
 def test_difference_bitset_path_matches_oracle():
-    A = PeriodicSet(2, (0,))  # 2001 members below 4000: bitset path
+    A = PeriodicSet(2, (0,))  # 2001 members below 4000: one arithmetic run
     D = difference_set(A, 4000)
     assert D.all_members() == list(range(0, 4001, 2))
 
@@ -636,14 +678,126 @@ def test_difference_either_route_matches_pair_oracle(bitset, data):
     assert D.all_members() == want
 
 
-def test_difference_route_takes_squares_to_pairs_and_evens_to_the_bitset():
-    # squares at the densities bench's horizons, 4e6 +- 1 %, and at 16e6 take the pairs
-    for h in (3_960_000, 4_000_000, 4_040_000, 16_000_000):
-        n = len(SquareSet().members_in(0, h))
-        assert not indexsets._bitset_cheaper(n, (n - 1) ** 2)
-    assert indexsets._bitset_cheaper(1001, 1000**2)  # squares at 1e6 keep the bitset
-    for h in range(1, 4000):  # evens below 4000
-        assert indexsets._bitset_cheaper(h // 2 + 1, h - h % 2)
+def test_difference_route_takes_runs_to_slices_and_periodic_sets_to_the_bitset(monkeypatch):
+    rule = indexsets._bitset_cheaper
+    picks = []
+
+    def spy(row_bits, writes):
+        picks.append(rule(row_bits, writes))
+        return picks[-1]
+
+    def route(A, horizon):
+        picks.clear()
+        difference_set(A, horizon)
+        assert len(picks) == 1
+        return "bitset" if picks[0] else "flags"
+
+    monkeypatch.setattr(indexsets, "_bitset_cheaper", spy)
+    # one-run inputs take the slices: squares at 1e6, at the densities bench's 4e6 +- 1 % and at 16e6, evens
+    for h in (1_000_000, 3_960_000, 4_000_000, 4_040_000, 16_000_000):
+        assert route(SquareSet(), h) == "flags"
+    for h in (1000, 3999, 100_000):
+        assert route(PeriodicSet(2, (0,)), h) == "flags"
+    # a periodic set of two residues has no run and keeps the bitset
+    for h in (20_000, 200_000):
+        assert route(parse_set_spec("periodic:7:0,3"), h) == "bitset"
+    # random sets: sparse ones keep the pairs, dense ones the bitset
+    rng = random.Random(34)
+    sparse = ExplicitSet((0, 4_000_000, *rng.sample(range(1, 4_000_000), 1999)))
+    dense = ExplicitSet((0, 1_000_000, *rng.sample(range(1, 1_000_000), 3998)))
+    assert route(sparse, 4_000_000) == "flags"
+    assert route(dense, 1_000_000) == "bitset"
+
+
+@st.composite
+def _run_joined_members(draw):
+    """Members joined from convex, concave and linear runs, runs that share two members, and single members."""
+    members = [draw(st.integers(0, 40))]  # the first member may be above 0
+    last_step = None  # the step into the last member, when a run put it there
+    for _ in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from(["convex", "concave", "linear", "overlap", "single"]))
+        if kind == "single" or (kind == "overlap" and last_step is None):
+            members.append(members[-1] + draw(st.integers(1, 12)))
+            last_step = None
+            continue
+        length = draw(st.integers(2, 9))
+        if kind == "overlap":  # the last run's last two members start this one
+            bend = draw(st.integers(-2, 3))
+            step = last_step + bend
+        elif kind == "convex":  # shifted squares
+            bend, step = 2, 2 * draw(st.integers(0, 6)) + 1
+        elif kind == "concave":  # gaps that shrink, to 1 at least
+            bend = -draw(st.integers(1, 3))
+            step = 1 - bend * (length - 1) + draw(st.integers(0, 3))
+        else:
+            bend, step = 0, draw(st.integers(1, 6))
+        for _ in range(length):
+            if step < 1:
+                break
+            members.append(members[-1] + step)
+            last_step, step = step, step + bend
+    return members
+
+
+def _brute_quadratic_runs(members):
+    bends = [c - 2 * b + a for a, b, c in zip(members, members[1:], members[2:])]
+    runs, i = [], 0
+    for bend, group in itertools.groupby(bends):
+        k = len(list(group))
+        if k >= 2:
+            runs.append((i, i + k + 1, bend))
+        i += k
+    n = len(members)
+    reach = [max([i] + [last for first, last, _ in runs if first <= i <= last]) for i in range(n)]
+    return runs, [r for r in reach if r < n - 1]  # the rows with a loose pair
+
+
+_RUN_EXAMPLES = [
+    [5 + k * k for k in range(3, 14)],  # convex, from above 0
+    [0, 20, 38, 54, 68, 80, 90, 98, 104, 108, 110, 111],  # concave to a gap of 1
+    [7, 10, 13, 16, 19, 21, 25, 31, 39, 49, 61],  # linear, then convex from its last two members
+    [0, 1, 4, 9, 16, 17, 30, 33, 36, 39, 42, 43],  # two runs around single members
+]
+
+
+def _with_run_examples(test):
+    for members in _RUN_EXAMPLES:
+        test = example(members=members)(test)
+    return test
+
+
+@given(members=_run_joined_members())
+@_with_run_examples
+@settings(max_examples=200, deadline=None)
+def test_quadratic_runs_match_their_definition(members):
+    runs, reach = indexsets._quadratic_runs(members)
+    assert (runs, list(reach)) == _brute_quadratic_runs(members)
+
+
+@pytest.mark.parametrize("bitset", [False, True], ids=["flags", "bitset"])
+@given(members=_run_joined_members())
+@_with_run_examples
+@settings(max_examples=150, deadline=None)
+def test_run_route_matches_pair_oracle(bitset, members):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexsets, "_bitset_cheaper", lambda row_bits, writes: bitset)
+        D = difference_set(ExplicitSet(tuple(members)), members[-1])
+    want = brute_difference(members)
+    if members[-1] + 1 <= len(members) ** 2:
+        assert isinstance(D, BitmapSet) and len(D.flags) == want[-1] + 1
+    assert D.all_members() == want
+
+
+def test_quadratic_runs_split_squares_and_evens_whole_and_leave_two_residues_loose():
+    for A, horizon, bend in ((SquareSet(), 10**6, 2), (PeriodicSet(2, (0,)), 10**5, 0)):
+        members = A.members_in(0, horizon)
+        n = len(members)
+        runs, reach = indexsets._quadratic_runs(members)
+        assert runs == [(0, n - 1, bend)]
+        assert list(reach) == []  # no loose pair
+    members = parse_set_spec("periodic:7:0,3").members_in(0, 2 * 10**5)
+    runs, reach = indexsets._quadratic_runs(members)
+    assert runs == [] and list(reach) == list(range(len(members) - 1))
 
 
 def test_explicit_set_sorts_only_unsorted_input():
