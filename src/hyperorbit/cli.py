@@ -7,11 +7,17 @@ run variability (wall time) lives only in the manifest.  Exit codes:
 empty data), 3 a verification check failed, 4 numeric overflow forced
 truncation (partial outputs are kept).  Files reach the output directory
 only when the runner returns, so an exit 2 leaves none.
+
+The two parsers are built once per process and never written to.  A
+`--config` file's entries become flag text right after the subcommand, so
+argparse checks them as typed flags and the command line's own flags win.
+Runners are looked up by name at each call, so wrapping a `run_*` still works.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -442,10 +448,6 @@ def run_diff_set(args, out):
     return EXIT_OK
 
 
-_RUNNERS = {}
-_PARSERS = {}
-
-
 def _run_staged(runner, args, out):
     """Run `runner` on a staging directory inside `out`; its files move to `out` only if it returns."""
     stage = tempfile.mkdtemp(dir=out)
@@ -458,7 +460,8 @@ def _run_staged(runner, args, out):
         shutil.rmtree(stage)
 
 
-def _sub(subparsers, name, fn, **kwargs):
+def _sub(subparsers, name, **kwargs):
+    """Subcommand `name` with the three flags every one has; `main` runs it with `run_<name>`, `-` as `_`."""
     p = subparsers.add_parser(name, **kwargs)
     p.add_argument("--out", default=f"out-{name}", help="output directory")
     p.add_argument(
@@ -470,116 +473,112 @@ def _sub(subparsers, name, fn, **kwargs):
     p.add_argument(
         "--config", default=None, help="JSON file of flag defaults keyed by dest name (window_grid); flags win"
     )
-    _RUNNERS[name] = fn
-    _PARSERS[name] = p
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser(strict: bool) -> argparse.ArgumentParser:
+    """The parser, built once per process.  `strict=False` requires no flag, so that
+    `main` can find the subcommand and its `--config`, which may supply required flags."""
     ap = argparse.ArgumentParser(
         prog="hyperorbit",
         description="Exact desk-scale experiments on orbit recurrence of weighted backward shifts.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = _sub(sub, "densities", run_densities, help="four density estimates for a set")
-    p.add_argument("--set", required=True)
+    p = _sub(sub, "densities", help="four density estimates for a set")
+    p.add_argument("--set", required=strict)
     p.add_argument("--horizon", type=int, default=100000)
     p.add_argument("--window-grid", default=None)
     p.add_argument("--tail-factor", type=int, default=8)
 
-    p = _sub(sub, "make-set", run_make_set, help="build a set with prescribed densities")
-    p.add_argument("--targets", required=True, help="r1,r2,r3,r4 as rationals")
+    p = _sub(sub, "make-set", help="build a set with prescribed densities")
+    p.add_argument("--targets", required=strict, help="r1,r2,r3,r4 as rationals")
     p.add_argument("--eras", type=int, default=6)
     p.add_argument("--window", type=int, default=1000)
 
-    p = _sub(sub, "check-family", run_check_family, help="pairwise gap check for a family")
-    p.add_argument("--family", required=True)
+    p = _sub(sub, "check-family", help="pairwise gap check for a family")
+    p.add_argument("--family", required=strict)
     p.add_argument("--horizon", type=int, default=0, help="0 checks all members of finite families")
 
-    p = _sub(sub, "verify-counterexample", run_verify_counterexample, help="exclusion sweep, product law, block conditions")
+    p = _sub(sub, "verify-counterexample", help="exclusion sweep, product law, block conditions")
     p.add_argument("--kmax", type=int, default=6)
     p.add_argument("--lmax", type=int, default=100)
     p.add_argument("--product-horizon", type=int, default=100000)
     p.add_argument("--family-levels", type=int, default=3)
     p.add_argument("--family-reps", type=int, default=3)
 
-    p = _sub(sub, "dj-scan", run_dj_scan, help="prefix densities of product-threshold sets")
+    p = _sub(sub, "dj-scan", help="prefix densities of product-threshold sets")
     p.add_argument("--j", default="1,5,31,61,91")
     p.add_argument("--horizon", type=int, default=1000000)
 
-    p = _sub(sub, "construct", run_construct, help="plan, assemble, and verify a recurrent vector")
+    p = _sub(sub, "construct", help="plan, assemble, and verify a recurrent vector")
     p.add_argument("--operator", default="constant:2")
     p.add_argument("--space", default="l2")
     p.add_argument("--family", default="dyadic-block:8")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--horizon", type=int, default=10000)
 
-    p = _sub(sub, "orbit", run_orbit, help="hitting times of an orbit against target balls")
+    p = _sub(sub, "orbit", help="hitting times of an orbit against target balls")
     p.add_argument("--operator", default="constant:2")
     p.add_argument("--space", default="l2")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--targets", required=True, help="semicolon-separated <vector>@<radius>")
+    p.add_argument("--vector", required=strict)
+    p.add_argument("--targets", required=strict, help="semicolon-separated <vector>@<radius>")
     p.add_argument("--horizon", type=int, default=10000)
 
-    p = _sub(sub, "classify", run_classify, help="recurrence classification of hitting sets")
+    p = _sub(sub, "classify", help="recurrence classification of hitting sets")
     p.add_argument("--operator", default="constant:2")
     p.add_argument("--space", default="l2")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--targets", required=True)
+    p.add_argument("--vector", required=strict)
+    p.add_argument("--targets", required=strict)
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--theta", default="1/100")
 
-    p = _sub(sub, "return-set", run_return_set, help="verified subset of a return-time set")
+    p = _sub(sub, "return-set", help="verified subset of a return-time set")
     p.add_argument("--operator", default="constant:2")
     p.add_argument("--space", default="l2")
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    p.add_argument("--u", required=strict)
+    p.add_argument("--v", required=strict)
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--probes", type=int, default=8)
     p.add_argument("--stride", type=int, default=50)
 
-    p = _sub(sub, "correlate", run_correlate, help="shift-correlation scan over windows")
-    p.add_argument("--set", required=True)
+    p = _sub(sub, "correlate", help="shift-correlation scan over windows")
+    p.add_argument("--set", required=strict)
     p.add_argument("--epsilon", default="1/2")
     p.add_argument("--kmax", type=int, default=12)
     p.add_argument("--windows", default="0:3000,3000:3000,6000:3000")
 
-    p = _sub(sub, "beta", run_beta, help="weighted return sums over a set")
-    p.add_argument("--set", required=True)
+    p = _sub(sub, "beta", help="weighted return sums over a set")
+    p.add_argument("--set", required=strict)
     p.add_argument("--alpha", choices=("constant", "harmonic"), default="constant")
     p.add_argument("--cutoff", type=int, default=None)
     p.add_argument("--horizon", type=int, default=2000)
 
-    p = _sub(sub, "eqbeta", run_eqbeta, help="two-sided reciprocal-product tail sums")
+    p = _sub(sub, "eqbeta", help="two-sided reciprocal-product tail sums")
     p.add_argument("--operator", default="constant:2")
     p.add_argument("--p", default="2")
-    p.add_argument("--set", required=True)
+    p.add_argument("--set", required=strict)
     p.add_argument("--n", default=None, help="comma-separated times; default samples members")
     p.add_argument("--sample", type=int, default=5)
     p.add_argument("--horizon", type=int, default=10000)
 
-    p = _sub(sub, "series-tests", run_series_tests, help="reciprocal-product series and mixing evidence")
+    p = _sub(sub, "series-tests", help="reciprocal-product series and mixing evidence")
     p.add_argument("--weights", default="constant:2;ratio-power:2;counterexample-c0")
     p.add_argument("--p", default="2")
     p.add_argument("--horizon", type=int, default=10000)
 
-    p = _sub(sub, "diff-set", run_diff_set, help="difference set with syndeticity evidence")
-    p.add_argument("--set", required=True)
+    p = _sub(sub, "diff-set", help="difference set with syndeticity evidence")
+    p.add_argument("--set", required=strict)
     p.add_argument("--horizon", type=int, default=10000)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    # the first pass finds the subcommand and its config file, which may hold required flags
-    required = [a for p in _PARSERS.values() for a in p._actions if a.required]
-    for action in required:
-        action.required = False
-    args = ap.parse_args(argv)
-    for action in required:
-        action.required = True
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the lenient pass finds the subcommand and its config file, which may hold required flags
+    args = build_parser(False).parse_args(argv)
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -590,31 +589,28 @@ def main(argv=None) -> int:
         if not isinstance(stored, dict):
             print(f"usage error: config {args.config} must hold a JSON object", file=sys.stderr)
             return EXIT_USAGE
-        actions = {a.dest: a for a in _PARSERS[args.command]._actions if a.dest not in ("config", "help")}
-        unknown = sorted(set(stored) - set(actions))
+        # the lenient namespace holds every flag of the subcommand, and no help
+        unknown = sorted(set(stored) - (set(vars(args)) - {"command", "config"}))
         if unknown:
             print(f"usage error: config {args.config}: {args.command} takes no {', '.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
-        # a config value is a default typed as a flag: argparse converts it, and flags given in argv win
         for key, val in stored.items():
             if isinstance(val, (bool, list, dict)):
                 print(f"usage error: config {args.config}: {key} must be a JSON string or number", file=sys.stderr)
                 return EXIT_USAGE
-            if val is not None:
-                actions[key].default = str(val)
-                actions[key].required = False
-    args = ap.parse_args(argv)
+        # each entry is typed out as its flag (--dest with - for _) right after the subcommand, so argparse
+        # converts and checks it, and the command line's own flags come later and win; null keeps the default
+        at = argv.index(args.command) + 1
+        argv[at:at] = [f"--{key.replace('_', '-')}={val}" for key, val in stored.items() if val is not None]
+    args = build_parser(True).parse_args(argv)
     out = args.out
     os.makedirs(out, exist_ok=True)
     # the hash names the computation: where it is written and the ignored --workers do not count
     params = {k: v for k, v in vars(args).items() if k not in ("config", "out", "workers")}
     started = time.monotonic()
     try:
-        code = _run_staged(_RUNNERS[args.command], args, out)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        code = _run_staged(globals()["run_" + args.command.replace("-", "_")], args, out)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FamilyExhaustedError as exc:

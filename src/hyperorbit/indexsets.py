@@ -103,8 +103,11 @@ class IndexSet:
         return list(map(self.count_upto, range(start * step, q * step + 1, step)))
 
     def anchors(self, horizon) -> list:
-        """Structural window-anchor candidates (block starts and the like)."""
-        return self.members_in(0, horizon)[:32]
+        """The first 32 members as window-anchor candidates, listed over [0, 64 * 2^k] for the first k that holds 32."""
+        top = 64
+        while len(ms := self.members_in(0, min(top, horizon))) < 32 and top < horizon:
+            top *= 2
+        return ms[:32]
 
     def pieces(self, n) -> list | None:
         """The periodic pieces of [0, n], or None for a set without that structure.

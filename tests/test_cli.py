@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,8 @@ from conftest import brute_product_law
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperorbit as h
-from hyperorbit import counterexample as cx
-from hyperorbit.cli import main
+from hyperorbit import cli, counterexample as cx
+from hyperorbit.cli import build_parser, main
 from hyperorbit.io_text import parse_set_spec, parse_vector_spec
 
 from test_acceptance import CLI_MATRIX
@@ -948,3 +949,54 @@ def test_config_gives_the_bytes_of_the_same_flags(tmp_path, row, extra):
     assert code == 0
     assert read_files(config) == read_files(flags)
     assert _config_hash(config) == _config_hash(flags)
+
+
+def test_a_config_value_meets_the_flags_choices(tmp_path, capsys):
+    # a config entry is flag text, so argparse checks it against --alpha's choices as it does the typed flag
+    lines = []
+    for source in (["--alpha", "bogus"], ["--config", _config(tmp_path, {"alpha": "bogus"})]):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "b", "beta", "--set", "evens", *source)
+        assert exc.value.code == 2
+        lines.append(capsys.readouterr().err.splitlines()[-1])
+    assert lines[0] == lines[1]
+    assert lines[0].endswith("argument --alpha: invalid choice: 'bogus' (choose from 'constant', 'harmonic')")
+
+
+def test_a_config_value_does_not_outlive_its_call(tmp_path):
+    code, _ = run(tmp_path, "cfg", "densities", "--set", "evens", "--config", _config(tmp_path, {"horizon": 5000}))
+    assert code == 0
+    code, out = run(tmp_path, "plain", "densities", "--set", "evens")
+    assert code == 0
+    assert (out / "densities.csv").read_text().splitlines()[1].split(",")[5] == "100000"  # the default horizon
+
+
+def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, {"horizon": 1000})
+    run(tmp_path, "first", "densities", "--set", "evens", "--config", cfg)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    code, _ = run(tmp_path, "second", "densities", "--set", "evens", "--config", cfg)
+    assert code == 0 and built == []
+
+
+def test_every_flag_is_its_dest_typed_out_and_every_subcommand_has_a_runner():
+    # config entries become --<dest, - for _>=<value>, and main runs subcommand c with run_<c, _ for ->
+    for strict in (False, True):
+        (subs,) = [a for a in build_parser(strict)._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, parser in subs.choices.items():
+            assert callable(getattr(cli, "run_" + name.replace("-", "_")))
+            for action in parser._actions:
+                if action.dest != "help":
+                    assert action.option_strings[0] == "--" + action.dest.replace("_", "-"), (name, action.dest)
+
+
+def test_a_runner_wrapped_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    # the bench tracer wraps cli.run_* after its warm-up pass has built the parsers
+    run(tmp_path, "first", "densities", "--set", "evens", "--horizon", "1000")
+    calls = []
+    runner = cli.run_densities
+    monkeypatch.setattr(cli, "run_densities", lambda args, out: calls.append(args.set) or runner(args, out))
+    code, _ = run(tmp_path, "second", "densities", "--set", "evens", "--horizon", "1000")
+    assert code == 0 and calls == ["evens"]

@@ -417,6 +417,24 @@ def test_scan_holds_one_chunk_of_counts_at_a_time():
     assert peak < 2**18, f"peak {peak} B"
 
 
+@given(
+    A=st.one_of(
+        st.just(SquareSet()),
+        st.sets(st.integers(0, 4000), max_size=60).map(
+            lambda ms: BitmapSet(bytes(n in ms for n in range(max(ms, default=-1) + 1)))
+        ),
+    ),
+    horizon=st.integers(-3, 5000),
+)
+@example(A=SquareSet(), horizon=960)  # the 32nd square is 31^2 = 961
+@example(A=SquareSet(), horizon=961)
+@example(A=SquareSet(), horizon=10**6)
+@settings(max_examples=150, deadline=None)
+def test_generic_anchors_are_the_first_32_members(A, horizon):
+    # the doubling windows stop at the first that holds 32 members, which are the same 32 as the full listing's
+    assert A.anchors(horizon) == A.members_in(0, horizon)[:32]
+
+
 @given(A=st.sampled_from(PREFIX_SETS), s=st.integers(1, 60), start=st.integers(0, 12), more=st.integers(0, 12))
 @settings(max_examples=100, deadline=None)
 def test_prefix_counts_from_a_start_index(A, s, start, more):
