@@ -310,9 +310,16 @@ CLI_MATRIX = [
     ("beta", ["--set", "evens", "--horizon", "400"]),
     ("eqbeta", ["--set", "explicit:0,10,20", "--n", "10", "--horizon", "100"]),
     ("series-tests", ["--horizon", "2000"]),
+    # difference_set's routes, one row each: an arithmetic run is one slice for all its diagonals
     ("diff-set", ["--set", "arith:128:64", "--horizon", "20000"]),
-    # the bitmap path (501 members, top + 1 <= 501**2) across 25 decimal blocks of difference.txt
+    # one quadratic run of 501 squares, 500 diagonal slices, across 25 decimal blocks of difference.txt
     ("diff-set", ["--set", "squares", "--horizon", "250000"]),
+    # two residues mod 7 make no run longer than three members, so the shift-OR bitset
+    ("diff-set", ["--set", "periodic:7:0,3", "--horizon", "20000"]),
+    # one run's slice, and 4003 loose pairs from the two lone members, written one by one
+    ("diff-set", ["--set", "intervals:0-2000,9000-9000,9500-9500", "--horizon", "10000"]),
+    # 21 members up to 2**20: top + 1 > 21**2, so the pairs are listed into an explicit set
+    ("diff-set", ["--set", "powers:2", "--horizon", "1048576"]),
     # the block family's tower members through the gap check
     ("check-family", ["--family", "counterexample:3:3"]),
     # the c0 norm and a non-dyadic weight through the block scan
