@@ -48,6 +48,7 @@ from .counterexample import (
     s_flags,
     s_intervals_in,
     threshold_bound,
+    threshold_count,
     verify_block_conditions,
     verify_scale_exclusion,
 )

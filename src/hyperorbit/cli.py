@@ -212,9 +212,8 @@ def run_dj_scan(args, out):
     js = parse_int_list(args.j)
     if not js:
         raise UsageError("--j needs at least one threshold")
-    runs = cx.s_intervals_in(1, args.horizon)
     for j in js:
-        rep = cx.product_threshold_scan(j, args.horizon, runs=runs)
+        rep = cx.product_threshold_scan(j, args.horizon)
         all_ok = all_ok and rep.bound_respected and rep.envelope_ok
         for r in rep.rows:
             rows.append((j, r.prefix, r.count, r.ratio, r.bound, rep.envelope_ok))
@@ -604,11 +603,11 @@ def main(argv=None) -> int:
         argv[at:at] = [f"--{key.replace('_', '-')}={val}" for key, val in stored.items() if val is not None]
     args = build_parser(True).parse_args(argv)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     # the hash names the computation: where it is written and the ignored --workers do not count
     params = {k: v for k, v in vars(args).items() if k not in ("config", "out", "workers")}
     started = time.monotonic()
     try:
+        os.makedirs(out, exist_ok=True)
         code = _run_staged(globals()["run_" + args.command.replace("-", "_")], args, out)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

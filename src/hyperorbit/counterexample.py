@@ -14,8 +14,11 @@ sets) and, over any window [lo, hi], as flag bytes filled in from the
 definition with one strided slice per scale and offset (`s_flags`, which
 also gives S's prefix counts at short windows in bulk); S's maximal runs
 read off the valuations of the centres 10k, each the middle of one
-interval whose radius is the number of trailing zeros of k; run lengths
-filled in from those runs; the weights of 1..horizon built from the runs
+interval whose radius is the number of trailing zeros of k, merged around
+the multiples of 10^10 by one rule that depends on the valuation alone
+(`_run_shape`), so the counts of S and of the threshold sets D_j are sums
+over valuation classes (`threshold_count`); run lengths filled in from
+those runs; the weights of 1..horizon built from the runs
 of the flags, one slice per run (the product law checks them against the
 valuation runs, so it compares two routes to S that share no code); and
 the block family by lazy power-tower integers, since the construction
@@ -27,7 +30,6 @@ their levels, at any depth, so the family's levels are plain
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -86,23 +88,59 @@ def s_flags(lo: int, hi: int) -> bytes:
     return bytes(flags)
 
 
+def _trailing_zeros(c: int) -> int:
+    """10-adic valuation of c > 0."""
+    v = 0
+    while c % 10 == 0:
+        c //= 10
+        v += 1
+    return v
+
+
+@functools.lru_cache(maxsize=4096)
+def _run_shape(v: int) -> tuple:
+    """(R, held) for a centre c = 10k with v(c) = v: S's run through c is [c - R, c + R], and on each side
+    it holds the intervals of the neighbours c +- 10m, m = 1..len(held), of radii held[m - 1] = v(m).
+
+    This is the one statement of how S's intervals merge.  I_c = [c - v + 1, c + v - 1] (the scales
+    j <= v nest inside it), and within distance 10^v of c the neighbour c + 10m has valuation 1 + v(m),
+    so the shape depends on v alone.  A neighbour joins while its interval meets or touches the run,
+    10m - v(m) <= R + 1; that left side grows with m (for m < 10^9, so R < 10^10: any v that an int in
+    memory has), so the first neighbour that fails ends the walk.  Only v >= 10 holds a neighbour.  Two
+    neighbours in a row cannot both reach past the bare radius v - 1, so R(v) <= v + 2 * (digits(v) - 1),
+    as at R(998) = 1002.
+    """
+    reach, held, m = v - 1, [], 1
+    while 10 * m - (r := _trailing_zeros(m)) <= reach + 1:
+        held.append(r)
+        reach = max(reach, 10 * m + r)
+        m += 1
+    return reach, tuple(held)
+
+
+def _reach(n: int) -> int:
+    """A bound on the radius R of every run that meets [0, n]: its centre has at most
+    d >= digits(n) + 1 digits, so v < d, and `_run_shape` bounds R by v."""
+    d = n.bit_length() * 31 // 100 + 2
+    return d + 2 * len(str(d))
+
+
 def s_intervals_in(lo: int, hi: int) -> list:
     """Maximal runs of S ∩ [lo, hi] as closed intervals (a, b), in order, read off the centre valuations.
 
     S is the union, over the centres c = 10k (k >= 1), of I_c = [c - r, c + r]
-    with r = v(k) the number of trailing zeros of k (the scales j <= r + 1
-    all nest inside I_c).  The radii of the window's centres are filled in
-    with one strided slice per power of ten, and the pairs (c - r, c + r)
-    are built at C level.  Centres 10 apart meet or touch only when
-    r + r' >= 9, so at a multiple of 10^10; intervals are merged only around
-    those centres, in one left-to-right pass.  Independent of `s_contains`:
-    no membership is tested.
+    with r = v(k) the number of trailing zeros of k.  The radii of the
+    window's centres are filled in with one strided slice per power of ten,
+    and the pairs (c - r, c + r) are built at C level.  Intervals meet or
+    touch only around the centres with r >= 9, the multiples of 10^10; each
+    of those replaces its own pair and its held neighbours' pairs with its
+    run (`_run_shape`).  Independent of `s_contains`: no membership is
+    tested.
     """
     lo = max(lo, 0)
     if lo > hi:
         return []
-    # a centre c <= hi + reach has radius below digits(hi) + 1 <= reach
-    reach = hi.bit_length() * 31 // 100 + 2
+    reach = _reach(hi)
     k0 = max(1, -(-(lo - reach) // 10))
     k1 = (hi + reach) // 10
     n = k1 - k0 + 1
@@ -117,27 +155,11 @@ def s_intervals_in(lo: int, hi: int) -> list:
         p *= 10
         j += 1
     centres = range(10 * k0, 10 * k1 + 1, 10)
-    pairs = list(zip(map(sub, centres, radii), map(add, centres, radii)))
-
-    # Between the centres with r >= 9 the pairs are disjoint, apart and in
-    # order.  Around one, walk out while neighbours touch the run (the first
-    # neighbour that does not touch is followed only by ones farther away):
-    # leftwards through the runs already emitted, then rightwards.
-    out = []
-    done = 0  # pairs[:done] are in out
-    for i in range(-k0 % 10**9, n, 10**9):
-        if i < done:
-            continue  # swallowed by the run of an earlier centre
-        a, b = pairs[i]
-        out += pairs[done:i]
-        while out and out[-1][1] >= a - 1:
-            a = min(a, out.pop()[0])
-        done = i + 1
-        while done < n and pairs[done][0] <= b + 1:
-            b = max(b, pairs[done][1])
-            done += 1
-        out.append((a, b))
-    out += pairs[done:]
+    out = list(zip(map(sub, centres, radii), map(add, centres, radii)))
+    for i in reversed(range(-k0 % 10**9, n, 10**9)):  # from the right, so the indices before stay put
+        run, held = _run_shape(radii[i] + 1)
+        c = centres[i]
+        out[max(i - len(held), 0) : i + len(held) + 1] = [(c - run, c + run)]
 
     # clip to the window: drop the runs outside it, cut the first and last
     first, last = 0, len(out)
@@ -152,33 +174,49 @@ def s_intervals_in(lo: int, hi: int) -> list:
     return out
 
 
-def _trailing_zeros(c: int) -> int:
-    """10-adic valuation of c > 0."""
-    v = 0
-    while c % 10 == 0:
-        c //= 10
-        v += 1
-    return v
-
-
 @functools.lru_cache(maxsize=4096)
-def _s_overlap(v: int, cut: int) -> int:
-    """Points of ]-inf, c + cut] that lie in I_c and in a neighbour's interval,
-    for a centre c with v(c) = v >= 11 (I_c as in `DigitNeighborhoodSet.count_upto`).
+def _class_count(v: int, j: int) -> int:
+    """What one centre of valuation v adds to |D_j|: the members of its run, less those of its held
+    neighbours' intervals, which their own valuation classes count as runs."""
+    reach, held = _run_shape(v)
+    return max(0, 2 * reach + 2 - j) - 2 * sum(max(0, 2 * r + 2 - j) for r in held)
 
-    Within distance 10**v of c the centre c + 10k has valuation 1 + v(k), so
-    the result depends on v and the cut only.  Only centres with v >= 11 have
-    a radius (>= 10) that reaches a neighbouring centre, and the neighbours'
-    own intervals do not meet, so no point lies in three intervals.
+
+def _run_start(n: int) -> int:
+    """The first index of the run of S through n, or n + 1 when n lies outside S.
+
+    A run of more than one index is that of a centre of radius >= 1, a
+    multiple of 100 within `_reach(n)` of n; the other members of S are the
+    centres 10k, k not a multiple of 10, each a run of its own.
     """
-    r = v - 1
-    total = 0
-    for k in range(1, r // 10 + 2):  # farther neighbours cannot reach I_c
-        w = 1 + _trailing_zeros(k)
-        for m in (10 * k, -10 * k):
-            lo, hi = max(-r, m - w + 1), min(r, m + w - 1, cut)
-            if lo <= hi:
-                total += hi - lo + 1
+    start = n if n % 100 and not n % 10 else n + 1
+    reach = _reach(n)
+    for c in range(max(100, -(-(n - reach) // 100) * 100), n + reach + 1, 100):
+        run = _run_shape(_trailing_zeros(c))[0]
+        if c - run <= n <= c + run:
+            start = min(start, c - run)
+    return start
+
+
+def threshold_count(n: int, j: int) -> int:
+    """|D_j ∩ [0, n]| for D_j = {n : c(n) >= j} (D_1 is S), with O(digits(n)) big-int steps.
+
+    A run of length L holds max(0, L - j + 1) members of D_j.  With m one
+    less than the start of n's run (m = n outside S), [0, m] is a union of
+    whole runs, and floor(m / 10^v) - floor(m / 10^(v+1)) of its centres
+    have valuation v; each adds `_class_count(v, j)`.  n's own run adds its
+    members from its j-th on, up to n.
+    """
+    if n < 10:
+        return 0
+    m = _run_start(n) - 1
+    total = max(0, n - m - j + 1)
+    v, at_least = 1, m // 10
+    while at_least:
+        above = at_least // 10
+        total += (at_least - above) * _class_count(v, j)
+        at_least = above
+        v += 1
     return total
 
 
@@ -200,43 +238,8 @@ class DigitNeighborhoodSet(IndexSet):
         return [m for a, b in s_intervals_in(lo, hi) for m in range(a, b + 1)]
 
     def count_upto(self, n):
-        """|S ∩ [0, n]| in closed form, with O(digits(n)) big-int steps.
-
-        S is the union, over the centres c = 10, 20, 30, ..., of the
-        intervals I_c = [c - v + 1, c + v - 1], v = v(c) the number of
-        trailing zeros of c (the scales j <= v(c) all nest inside I_c).
-        The count is
-        * the lengths 2v(c) - 1 of the I_c with c <= n, summed with
-          multiplicity: 2 * sum_j floor(n / 10^j) - floor(n / 10);
-        * minus the points counted twice, which lie only around centres
-          with v >= 11; the overlap depends on v alone (`_s_overlap`), and
-          floor(n / 10^v) - floor(n / 10^(v+1)) centres up to n have v(c) = v;
-        * corrected at the centres whose interval crosses n, all within
-          digits(n) of it: their length and overlap cut at n replace the
-          full ones counted above for c <= n, and are added for c > n.
-        """
-        if n < 10:
-            return 0
-        total = -(n // 10)
-        p, j = 10, 1
-        while p <= n:
-            at_least = n // p
-            total += 2 * at_least
-            if j >= 11:
-                total -= (at_least - n // (10 * p)) * _s_overlap(j, j - 1)
-            p *= 10
-            j += 1
-        # j is now the number of digits of n; intervals of radius 0 (v = 1) cross nothing
-        reach = j + 2
-        for c in range(max(100, -(-(n - reach) // 100) * 100), n + reach + 1, 100):
-            v = _trailing_zeros(c)
-            a = c - v + 1
-            if a <= n < c + v - 1:
-                full = c <= n
-                total += n - a + 1 - (2 * v - 1 if full else 0)
-                if v >= 11:
-                    total -= _s_overlap(v, n - c) - (_s_overlap(v, v - 1) if full else 0)
-        return total
+        """|S ∩ [0, n]| in closed form: `threshold_count(n, 1)`, off the valuation classes of S's centres."""
+        return threshold_count(n, 1)
 
     def prefix_counts(self, step, q, start=0):
         """[count_upto(i * step) for i in start..q], read off S's indicator for windows up to `_INDICATOR_MAX_STEP`.
@@ -695,37 +698,24 @@ class ThresholdScanReport:
     rows: tuple
     bound_respected: bool  # wherever bound < 1
     envelope_ok: bool
-    envelope_samples: int
 
 
-_ENVELOPE_SAMPLES = 500  # about this many members of D_j, evenly strided, are checked against the envelope
-
-
-def product_threshold_scan(j: int, horizon: int, runs=None) -> ThresholdScanReport:
+def product_threshold_scan(j: int, horizon: int) -> ThresholdScanReport:
     """Prefix densities of D_j at powers of ten, against the decay bound,
-    plus sampled containment of D_j in its envelope set.
+    plus containment of D_j in its envelope set, both from S's valuation classes.
 
-    D_j is read off S's merged runs, `s_intervals_in(1, horizon)` (pass
-    them as `runs` to share them between scans): on a run [a, b] the run
-    length reaches j from a + j - 1 on, so D_j ∩ [a, b] = [a + j - 1, b].
+    The counts are `threshold_count`.  The envelope verdict is a rule
+    checked per class: each class v whose first run, around 10^v, starts by
+    the horizon and is long enough to reach D_j (2R + 1 >= j) needs R < 31v
+    and v >= ceil(j/30); then each of the class's runs [c - R, c + R] lies in
+    ]c - 31v, c + 31v[, an envelope interval of scale v.  The rule is
+    sufficient, and it holds for every class (R <= v + 2 * (digits(v) - 1)),
+    so a True is a proof at any horizon, not evidence.
     """
     if horizon < 100:
         raise UsageError("horizon must be at least 100")
     if j < 1:
         raise UsageError("j must be >= 1")
-    if runs is None:
-        runs = s_intervals_in(1, horizon)
-    # the runs of length >= j, their parts in D_j, and the counts before each
-    long = [r for r in runs if r[1] - r[0] >= j - 1]
-    starts = [a + j - 1 for a, b in long]
-    ends = [b for a, b in long]
-    before = list(itertools.accumulate((b - a + 1 for a, b in zip(starts, ends)), initial=0))
-
-    def count_upto(n):
-        """|D_j ∩ [1, n]|: whole runs before n, less the part of the last one past n."""
-        i = bisect.bisect_right(starts, n)
-        return before[i] - max(ends[i - 1] - n, 0) if i else 0
-
     bound = threshold_bound(j)
     prefixes = []
     prefix = 100
@@ -736,23 +726,18 @@ def product_threshold_scan(j: int, horizon: int, runs=None) -> ThresholdScanRepo
         prefixes.append(horizon)
     rows = []
     for prefix in prefixes:
-        count = count_upto(prefix)
+        count = threshold_count(prefix, j)
         rows.append(ThresholdScanRow(prefix, count, Fraction(count, prefix), bound))
     ok = bound >= 1 or all(r.ratio <= bound for r in rows)
 
-    # every stride-th member of D_j ∩ [1, horizon], the t-th found by bisecting the run counts
-    total = count_upto(horizon)
-    picks = range(0, total, max(1, total // _ENVELOPE_SAMPLES))
-    samples = []
-    for t in picks:
-        i = bisect.bisect_right(before, t) - 1
-        samples.append(starts[i] + t - before[i])
-    env_ok = all(envelope_contains(n, j) for n in samples)
+    env_ok, v = True, 1
+    while 10**v - (reach := _run_shape(v)[0]) <= horizon:  # class v's first run starts by the horizon
+        env_ok = env_ok and (2 * reach + 1 < j or (reach < 31 * v and v >= -(-j // 30)))
+        v += 1
     return ThresholdScanReport(
         j=j,
         horizon=horizon,
         rows=tuple(rows),
         bound_respected=ok,
         envelope_ok=env_ok,
-        envelope_samples=len(samples),
     )

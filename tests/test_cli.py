@@ -260,6 +260,47 @@ def test_dj_scan(tmp_path):
     assert "ratio" in (out / "threshold_scan.csv").read_text()
 
 
+def test_dj_scan_at_a_horizon_of_ten_to_the_sixty(tmp_path):
+    # D_91 is empty below about 10^47, and its bound 37/125 is the first below 1
+    started = time.monotonic()
+    code, out = run(tmp_path, "dj", "dj-scan", "--j", "61,91", "--horizon", str(10**60))
+    assert time.monotonic() - started < 1
+    assert code == 0
+    rows = [line.split(",") for line in (out / "threshold_scan.csv").read_text().splitlines()[1:]]
+    j, n, count, ratio, bound, envelope_ok = rows[-1]
+    assert (j, n, envelope_ok) == ("91", str(10**60), "true") and int(count) > 0
+    assert Fraction(ratio) <= Fraction(bound) == Fraction(37, 125)
+    assert cx.product_threshold_scan(91, 10**60).bound_respected
+
+
+def test_dj_scan_at_a_horizon_of_ten_to_the_thirty(tmp_path):
+    code, out = run(tmp_path, "dj", "dj-scan", "--horizon", str(10**30))
+    assert code == 0
+    rows = [line.split(",") for line in (out / "threshold_scan.csv").read_text().splitlines()[1:]]
+    assert [j for j, n, *_ in rows if n == str(10**30)] == ["1", "5", "31", "61", "91"]
+
+
+def test_threshold_scans_list_no_runs(tmp_path, monkeypatch):
+    want = cx.product_threshold_scan(7, 10**6)
+
+    def refuse(*args):
+        raise AssertionError("the threshold scan listed S's runs")
+
+    monkeypatch.setattr(cx, "s_intervals_in", refuse)
+    assert cx.product_threshold_scan(7, 10**6) == want
+    code, out = run(tmp_path, "dj", "dj-scan", "--horizon", "1000000")
+    assert code == 0
+
+
+def test_out_below_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, _ = run(tmp_path, "afile/sub", "densities", "--set", "evens", "--horizon", "100")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_construct_and_orbit(tmp_path):
     code, out = run(
         tmp_path, "c", "construct", "--depth", "3", "--horizon", "2000", "--family", "dyadic-block:6"

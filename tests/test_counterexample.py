@@ -1,4 +1,5 @@
 import bisect
+import functools
 import itertools
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from hyperorbit import (
     s_flags,
     s_intervals_in,
     threshold_bound,
+    threshold_count,
     verify_block_conditions,
     verify_scale_exclusion,
 )
@@ -255,6 +257,36 @@ def test_s_runs_test_no_membership(monkeypatch):
     runs = s_intervals_in(1, 10**6)
     assert runs[0] == (10, 10) and runs[-1] == (999995, 10**6)  # 10^6's interval is cut at the window
     assert sum(b - a + 1 for a, b in runs) == DigitNeighborhoodSet().count_in(1, 10**6)
+
+
+def _valuation(c):
+    """The number of trailing zeros of c > 0, off its decimal text."""
+    text = str(c)
+    return len(text) - len(text.rstrip("0"))
+
+
+@pytest.mark.parametrize("v", [*range(1, 14), 99, 100, 999])
+def test_run_shape_matches_the_scale_by_scale_oracle(v):
+    # the run through c is one maximal interval of the defining ones; the neighbours it holds have the
+    # radii the definition gives them and lie in it, and the next neighbour out starts past its end
+    for l in (1, 3, 10):
+        c = l * 10**v
+        reach, held = cx._run_shape(_valuation(c))
+        assert brute_s_intervals(c - reach - 1, c + reach + 1) == [(c - reach, c + reach)], l
+        for m, r in enumerate(held, start=1):
+            assert _valuation(c + 10 * m) - 1 == _valuation(c - 10 * m) - 1 == r
+            assert 10 * m + r <= reach
+        m = len(held) + 1
+        assert 10 * m - (_valuation(c + 10 * m) - 1) > reach + 1
+
+
+def test_run_radius_stays_within_its_bound():
+    # R(v) <= v + 2 * (digits(v) - 1), which `_reach` relies on; v = 998 reaches it
+    for v in range(1, 2001):
+        reach, held = cx._run_shape(v)
+        assert v - 1 <= reach <= v + 2 * (len(str(v)) - 1), v
+        assert bool(held) == (v >= 10)
+    assert cx._run_shape(998)[0] == 1002 and cx._run_shape(99)[0] == 101
 
 
 # ---------------------------------------------------------------------------
@@ -644,29 +676,82 @@ def test_threshold_mass_at_longest_run():
 @given(
     j=st.one_of(st.integers(1, 9), st.sampled_from([30, 31, 61])),
     horizon=st.integers(100, 40000),
-    samples=st.integers(1, 700),
 )
 @settings(max_examples=60, deadline=None)
-def test_threshold_scan_matches_brute_run_lengths(j, horizon, samples):
+def test_threshold_scan_matches_brute_run_lengths(j, horizon):
     runs = brute_run_lengths(horizon)
     members = [n for n, c in enumerate(runs, start=1) if c >= j]  # D_j ∩ [1, horizon]
     prefixes = [10**t for t in range(2, 6) if 10**t <= horizon]
     if prefixes[-1] != horizon:
         prefixes.append(horizon)
-    picked = members[:: max(1, len(members) // samples)] if len(members) > samples else members
-    for runs in (None, s_intervals_in(1, horizon)):
-        with mock.patch.object(cx, "_ENVELOPE_SAMPLES", samples):
-            rep = product_threshold_scan(j, horizon, runs=runs)
-        assert [(r.prefix, r.count) for r in rep.rows] == [(p, sum(1 for n in members if n <= p)) for p in prefixes]
-        assert all(r.ratio == Fraction(r.count, r.prefix) and r.bound == threshold_bound(j) for r in rep.rows)
-        assert rep.bound_respected == all(r.ratio <= r.bound for r in rep.rows if r.bound < 1)
-        assert rep.envelope_samples == len(picked)
-        assert rep.envelope_ok == all(envelope_contains(n, j) for n in picked)
-        tested = []
-        with mock.patch.object(cx, "envelope_contains", lambda n, jj: tested.append((n, jj)) or True), \
-                mock.patch.object(cx, "_ENVELOPE_SAMPLES", samples):
-            product_threshold_scan(j, horizon, runs=runs)
-        assert tested == [(n, j) for n in picked]  # the samples are these members, in order
+    rep = product_threshold_scan(j, horizon)
+    assert [(r.prefix, r.count) for r in rep.rows] == [(p, sum(1 for n in members if n <= p)) for p in prefixes]
+    assert all(r.ratio == Fraction(r.count, r.prefix) and r.bound == threshold_bound(j) for r in rep.rows)
+    assert rep.bound_respected == all(r.ratio <= r.bound for r in rep.rows if r.bound < 1)
+    assert rep.envelope_ok == all(envelope_contains(n, j) for n in members)
+
+
+@functools.cache
+def _brute_run_lengths_to_1e5():
+    return brute_run_lengths(10**5)
+
+
+@given(n=st.integers(-5, 10**5), j=st.one_of(st.integers(1, 9), st.sampled_from([30, 31, 61])))
+@settings(max_examples=200, deadline=None)
+def test_threshold_count_matches_brute_run_lengths(n, j):
+    runs = _brute_run_lengths_to_1e5()
+    assert threshold_count(n, j) == sum(1 for c in runs[: max(n, 0)] if c >= j)
+    if j == 1:
+        assert DigitNeighborhoodSet().count_upto(n) == threshold_count(n, 1)
+
+
+def _brute_window_run_lengths(a, hi):
+    """c(n) for n = a..hi, from the runs brute_s_intervals lists; a must lie outside S, so those runs are whole."""
+    assert not brute_s_intervals(a, a)
+    lengths = [0] * (hi - a + 1)
+    for x, y in brute_s_intervals(a, hi):
+        lengths[x - a : y - a + 1] = range(1, y - x + 2)
+    return lengths
+
+
+def _non_member_below(n):
+    while brute_s_intervals(n, n):
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("e", [10, 11, 12, 13, 99, 100, 101])
+def test_threshold_count_around_merged_runs(e):
+    # from 10^10 on a centre's run holds its neighbours' intervals; each window starts at a non-member
+    for l in (1, 3, 10, 77):
+        c = l * 10**e
+        a = _non_member_below(c - 1200)
+        lengths = _brute_window_run_lengths(a, c + 1200)
+        probes = sorted({*range(a, c + 1201, 37), *range(c - 2 * e - 8, c + 2 * e + 9)})
+        for j in (1, 2, 9, 21, 61, 91, 150):
+            in_dj = list(itertools.accumulate(int(x >= j) for x in lengths))
+            base = threshold_count(a, j)
+            assert [threshold_count(n, j) - base for n in probes] == [in_dj[n - a] for n in probes], (l, j)
+
+
+@pytest.mark.parametrize("horizon", [100, 5000, 10003, 10**5])
+def test_envelope_rule_matches_every_member(horizon):
+    runs = _brute_run_lengths_to_1e5()[:horizon]
+    for j in (1, 2, 5, 7, 8, 30, 31, 61, 91):
+        members = [n for n, c in enumerate(runs, start=1) if c >= j]
+        assert product_threshold_scan(j, horizon).envelope_ok == all(envelope_contains(n, j) for n in members)
+
+
+@pytest.mark.parametrize("e", [10, 11, 12])
+def test_envelope_rule_matches_the_members_around_merged_runs(e):
+    for l in (1, 3, 10):
+        c = l * 10**e
+        a = _non_member_below(c - 300)
+        lengths = _brute_window_run_lengths(a, c + 300)
+        for j in (1, 9, 15, 21, 23, 31):
+            members = [a + i for i, x in enumerate(lengths) if x >= j]
+            assert product_threshold_scan(j, c + 300).envelope_ok == all(envelope_contains(n, j) for n in members)
+            assert members or j > 2 * cx._run_shape(_valuation(c))[0] + 1
 
 
 def test_threshold_bound_values():
